@@ -277,10 +277,35 @@ func appendAttrHeader(b []byte, flags, typ uint8, length int) []byte {
 	return append(b, flags, typ, byte(length))
 }
 
-// marshalASPath encodes the AS_PATH in 4-octet (as4=true) or 2-octet form.
-// In 2-octet form, 4-octet ASNs are replaced by AS_TRANS (RFC 6793).
-func marshalASPath(segs []ASPathSegment, as4 bool) []byte {
-	var b []byte
+// beginAttr opens an attribute whose body is encoded in place: it
+// appends the header with a one-octet length still to be filled in and
+// returns the header's offset for endAttr.
+func beginAttr(b []byte, flags, typ uint8) ([]byte, int) {
+	return append(b, flags, typ, 0), len(b)
+}
+
+// endAttr patches the length of the attribute opened at offset at. A
+// body that outgrew one octet is shifted up by one to make room for the
+// extended length — the rare case (an AS_PATH past 63 hops, a packed
+// MP_REACH), and still cheaper than encoding every body into a scratch
+// slice first to learn its size.
+func endAttr(b []byte, at int) []byte {
+	n := len(b) - at - 3
+	if n <= 255 {
+		b[at+2] = byte(n)
+		return b
+	}
+	b = append(b, 0)
+	copy(b[at+4:], b[at+3:])
+	b[at] |= FlagExtLen
+	b[at+2], b[at+3] = byte(n>>8), byte(n)
+	return b
+}
+
+// appendASPath appends the AS_PATH body in 4-octet (as4=true) or
+// 2-octet form. In 2-octet form, 4-octet ASNs are replaced by AS_TRANS
+// (RFC 6793).
+func appendASPath(b []byte, segs []ASPathSegment, as4 bool) []byte {
 	for _, seg := range segs {
 		asns := seg.ASNs
 		for len(asns) > 0 {
@@ -308,13 +333,13 @@ func marshalASPath(segs []ASPathSegment, as4 bool) []byte {
 	return b
 }
 
-// parseASPath decodes an AS_PATH or AS4_PATH attribute body.
-func parseASPath(data []byte, as4 bool) ([]ASPathSegment, error) {
+// parseASPath decodes an AS_PATH or AS4_PATH attribute body, appending
+// the segments to segs.
+func parseASPath(data []byte, as4 bool, segs []ASPathSegment) ([]ASPathSegment, error) {
 	width := 2
 	if as4 {
 		width = 4
 	}
-	var segs []ASPathSegment
 	for len(data) > 0 {
 		if len(data) < 2 {
 			return nil, notif(ErrCodeUpdate, ErrSubMalformedASPath)
@@ -361,13 +386,12 @@ func appendAttrs(b []byte, a *PathAttrs, as4 bool, mpNLRI []NLRI, mpWithdraw []N
 		b = append(b, a.Origin)
 	}
 	if a.ASPath != nil || a.HasOrigin {
-		body := marshalASPath(a.ASPath, as4)
-		b = appendAttrHeader(b, FlagTransitive, AttrASPath, len(body))
-		b = append(b, body...)
+		var at int
+		b, at = beginAttr(b, FlagTransitive, AttrASPath)
+		b = endAttr(appendASPath(b, a.ASPath, as4), at)
 		if !as4 && pathHas4Octet(a.ASPath) {
-			body4 := marshalASPath(a.ASPath, true)
-			b = appendAttrHeader(b, FlagOptional|FlagTransitive, AttrAS4Path, len(body4))
-			b = append(b, body4...)
+			b, at = beginAttr(b, FlagOptional|FlagTransitive, AttrAS4Path)
+			b = endAttr(appendASPath(b, a.ASPath, true), at)
 		}
 	}
 	if a.NextHop.IsValid() && a.NextHop.Is4() {
@@ -416,14 +440,14 @@ func appendAttrs(b []byte, a *PathAttrs, as4 bool, mpNLRI []NLRI, mpWithdraw []N
 		}
 	}
 	if len(mpNLRI) > 0 {
-		body := marshalMPReach(a.MPNextHop, mpNLRI, addPath)
-		b = appendAttrHeader(b, FlagOptional, AttrMPReach, len(body))
-		b = append(b, body...)
+		var at int
+		b, at = beginAttr(b, FlagOptional, AttrMPReach)
+		b = endAttr(appendMPReach(b, a.MPNextHop, mpNLRI, addPath), at)
 	}
 	if len(mpWithdraw) > 0 {
-		body := marshalMPUnreach(mpWithdraw, addPath)
-		b = appendAttrHeader(b, FlagOptional, AttrMPUnreach, len(body))
-		b = append(b, body...)
+		var at int
+		b, at = beginAttr(b, FlagOptional, AttrMPUnreach)
+		b = endAttr(appendMPUnreach(b, mpWithdraw, addPath), at)
 	}
 	for _, u := range a.Unknown {
 		b = appendAttrHeader(b, u.Flags&^FlagExtLen, u.Type, len(u.Data))
@@ -443,8 +467,8 @@ func pathHas4Octet(segs []ASPathSegment) bool {
 	return false
 }
 
-func marshalMPReach(nextHop netip.Addr, nlri []NLRI, addPath bool) []byte {
-	b := binary.BigEndian.AppendUint16(nil, AFIIPv6)
+func appendMPReach(b []byte, nextHop netip.Addr, nlri []NLRI, addPath bool) []byte {
+	b = binary.BigEndian.AppendUint16(b, AFIIPv6)
 	b = append(b, SAFIUnicast)
 	if nextHop.IsValid() && nextHop.Is6() {
 		nh := nextHop.As16()
@@ -460,8 +484,8 @@ func marshalMPReach(nextHop netip.Addr, nlri []NLRI, addPath bool) []byte {
 	return b
 }
 
-func marshalMPUnreach(nlri []NLRI, addPath bool) []byte {
-	b := binary.BigEndian.AppendUint16(nil, AFIIPv6)
+func appendMPUnreach(b []byte, nlri []NLRI, addPath bool) []byte {
+	b = binary.BigEndian.AppendUint16(b, AFIIPv6)
 	b = append(b, SAFIUnicast)
 	for _, n := range nlri {
 		b = appendNLRI(b, n, addPath)
@@ -474,7 +498,13 @@ func marshalMPUnreach(nlri []NLRI, addPath bool) []byte {
 // It returns the attributes plus any IPv6 NLRI / withdrawals carried in
 // MP_REACH/MP_UNREACH.
 func parseAttrs(data []byte, as4, addPath bool) (*PathAttrs, []NLRI, []NLRI, error) {
-	a := &PathAttrs{}
+	// The set and the backing of a one-segment AS_PATH — nearly every
+	// path there is — come from one allocation.
+	box := &struct {
+		attrs PathAttrs
+		seg   [1]ASPathSegment
+	}{}
+	a := &box.attrs
 	var mpReach, mpUnreach []NLRI
 	var as4Path []ASPathSegment
 	seen := make(map[uint8]bool)
@@ -514,16 +544,13 @@ func parseAttrs(data []byte, as4, addPath bool) (*PathAttrs, []NLRI, []NLRI, err
 			}
 			a.Origin, a.HasOrigin = body[0], true
 		case AttrASPath:
-			segs, err := parseASPath(body, as4)
+			segs, err := parseASPath(body, as4, box.seg[:0])
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			a.ASPath = segs
-			if a.ASPath == nil {
-				a.ASPath = []ASPathSegment{}
-			}
+			a.ASPath = segs // never nil: an empty AS_PATH is present, not absent
 		case AttrAS4Path:
-			segs, err := parseASPath(body, true)
+			segs, err := parseASPath(body, true, nil)
 			if err != nil {
 				return nil, nil, nil, err
 			}

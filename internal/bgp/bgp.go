@@ -85,8 +85,8 @@ const (
 	ErrSubInvalidNextHop   = 8
 	ErrSubMalformedASPath  = 11
 	// Cease subcodes (RFC 4486).
-	CeaseAdminShutdown   = 2
-	CeaseConnectionLimit = 8 // used when enforcement fails closed
+	CeaseAdminShutdown  = 2
+	CeaseOutOfResources = 8 // a session dropped by the output queue's slow-consumer policy
 )
 
 // Error implements the error interface.

@@ -182,10 +182,14 @@ func appendMessage(dst []byte, m Message, opts *codecOpts) ([]byte, error) {
 	dst = m.appendBody(dst, opts)
 	total := len(dst) - start
 	if total > MaxMessageLen {
-		return dst[:start], fmt.Errorf("bgp: message length %d exceeds maximum %d", total, MaxMessageLen)
+		return dst[:start], errMessageTooLong(total)
 	}
 	binary.BigEndian.PutUint16(dst[start+16:], uint16(total))
 	return dst, nil
+}
+
+func errMessageTooLong(total int) error {
+	return fmt.Errorf("bgp: message length %d exceeds maximum %d", total, MaxMessageLen)
 }
 
 // marshalMessage frames a message with the BGP header.
@@ -199,36 +203,17 @@ func marshalMessage(m Message, opts *codecOpts) ([]byte, error) {
 // partial frame is an error.
 func decodeBlock(data []byte, opts *codecOpts) ([]Message, error) {
 	var msgs []Message
-	r := bytes.NewReader(data)
-	for r.Len() > 0 {
-		m, err := readMessage(r, opts)
+	f := &frameReader{r: bytes.NewReader(data)}
+	for {
+		m, err := f.readMessage(opts)
+		if err == io.EOF {
+			return msgs, nil
+		}
 		if err != nil {
 			return msgs, err
 		}
 		msgs = append(msgs, m)
 	}
-	return msgs, nil
-}
-
-// readMessage reads and decodes one message from r.
-func readMessage(r io.Reader, opts *codecOpts) (Message, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if [16]byte(hdr[:16]) != marker {
-		return nil, notif(ErrCodeHeader, 1)
-	}
-	length := int(binary.BigEndian.Uint16(hdr[16:18]))
-	typ := hdr[18]
-	if length < HeaderLen || length > MaxMessageLen {
-		return nil, notif(ErrCodeHeader, ErrSubBadLength)
-	}
-	body := make([]byte, length-HeaderLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return decodeBody(typ, body, opts)
 }
 
 // decodeBody decodes a message payload of the given type.

@@ -2,6 +2,8 @@ package bgp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -10,6 +12,30 @@ import (
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func ip(s string) netip.Addr    { return netip.MustParseAddr(s) }
+
+// readMessage reads and decodes one message from r with a header read
+// and a body read — the session's reader before it got a frame buffer,
+// kept as the reference frameReader is checked against
+// (FuzzFrameReader) and as the plain one-shot decoder of these tests.
+func readMessage(r io.Reader, opts *codecOpts) (Message, error) {
+	var hdr [HeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	if [16]byte(hdr[:16]) != marker {
+		return nil, notif(ErrCodeHeader, 1)
+	}
+	length := int(binary.BigEndian.Uint16(hdr[16:18]))
+	typ := hdr[18]
+	if length < HeaderLen || length > MaxMessageLen {
+		return nil, notif(ErrCodeHeader, ErrSubBadLength)
+	}
+	body := make([]byte, length-HeaderLen)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return decodeBody(typ, body, opts)
+}
 
 // roundTrip marshals and re-decodes a message with the given options.
 func roundTrip(t *testing.T, m Message, opts *codecOpts) Message {

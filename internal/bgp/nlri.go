@@ -33,7 +33,11 @@ func appendNLRI(b []byte, n NLRI, addPath bool) []byte {
 	}
 	bits := n.Prefix.Bits()
 	b = append(b, byte(bits))
-	raw := n.Prefix.Addr().AsSlice()
+	if a := n.Prefix.Addr(); a.Is4() {
+		raw := a.As4()
+		return append(b, raw[:(bits+7)/8]...)
+	}
+	raw := n.Prefix.Addr().As16()
 	return append(b, raw[:(bits+7)/8]...)
 }
 

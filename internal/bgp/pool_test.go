@@ -116,21 +116,31 @@ func baseAttrsASN(asn uint32) *PathAttrs {
 	}
 }
 
-// TestPackBatchMergesSharedAttrRun checks a run of per-route updates
-// under one *PathAttrs collapses into a single multi-NLRI frame with
-// route order intact.
-func TestPackBatchMergesSharedAttrRun(t *testing.T) {
-	s := &Session{}
-	attrs := baseAttrsASN(65001)
-	in := perRouteAdverts(100, attrs)
-	packed := s.packBatch(in)
-	if len(packed) != 1 {
-		t.Fatalf("packed %d updates into %d frames, want 1", len(in), len(packed))
+// packed runs updates through the block encoder — what SendBatch and
+// FanOut queue — and decodes the block back into its frames.
+func packed(t *testing.T, updates []*Update, opts *codecOpts) []*Update {
+	t.Helper()
+	b := encodeUpdates(updates, opts)
+	defer b.buf.drop()
+	if b.err != nil {
+		t.Fatalf("encode: %v", b.err)
 	}
-	if packed[0].Attrs != attrs {
-		t.Fatal("packed frame does not share the run's attribute set")
+	msgs, err := decodeBlock(b.buf.buf, opts)
+	if err != nil {
+		t.Fatalf("decodeBlock: %v", err)
 	}
-	got, want := flattenRoutes(packed), flattenRoutes(in)
+	if len(msgs) != b.msgs {
+		t.Fatalf("block holds %d messages, encoder counted %d", len(msgs), b.msgs)
+	}
+	out := make([]*Update, len(msgs))
+	for i, m := range msgs {
+		out[i] = m.(*Update)
+	}
+	return out
+}
+
+func sameRoutes(t *testing.T, got, want []flatRoute) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("flattened %d routes, want %d", len(got), len(want))
 	}
@@ -141,18 +151,34 @@ func TestPackBatchMergesSharedAttrRun(t *testing.T) {
 	}
 }
 
+// TestPackBatchMergesSharedAttrRun checks a run of per-route updates
+// under one *PathAttrs collapses into a single multi-NLRI frame with
+// route order intact.
+func TestPackBatchMergesSharedAttrRun(t *testing.T) {
+	attrs := baseAttrsASN(65001)
+	in := perRouteAdverts(100, attrs)
+	out := packed(t, in, &codecOpts{})
+	if len(out) != 1 {
+		t.Fatalf("packed %d updates into %d frames, want 1", len(in), len(out))
+	}
+	if out[0].Attrs.FirstASN() != 65001 || len(out[0].NLRI) != 100 {
+		t.Fatalf("packed frame does not carry the run under its attribute set: %d NLRI", len(out[0].NLRI))
+	}
+	sameRoutes(t, flattenRoutes(out), flattenRoutes(in))
+}
+
 // TestPackBatchBudgetSplit checks a run too large for one message
 // splits into frames that each encode within MaxMessageLen.
 func TestPackBatchBudgetSplit(t *testing.T) {
-	s := &Session{}
+	opts := &codecOpts{}
 	in := perRouteAdverts(1500, baseAttrsASN(65001)) // ~6000 B of NLRI, > one 4096 B frame
-	packed := s.packBatch(in)
-	if len(packed) < 2 {
-		t.Fatalf("1500 routes packed into %d frame(s), expected a split", len(packed))
+	out := packed(t, in, opts)
+	if len(out) < 2 {
+		t.Fatalf("1500 routes packed into %d frame(s), expected a split", len(out))
 	}
 	total := 0
-	for i, u := range packed {
-		b, err := appendMessage(nil, u, &s.enc)
+	for i, u := range out {
+		b, err := appendMessage(nil, u, opts)
 		if err != nil {
 			t.Fatalf("frame %d does not encode: %v", i, err)
 		}
@@ -168,9 +194,8 @@ func TestPackBatchBudgetSplit(t *testing.T) {
 
 // TestPackBatchBoundaries checks what packing must NOT merge: runs
 // under different attribute pointers (even if equal by value), and
-// non-packable shapes, which pass through in place.
+// non-packable shapes, which are framed on their own, in place.
 func TestPackBatchBoundaries(t *testing.T) {
-	s := &Session{}
 	a1, a2 := baseAttrsASN(65001), baseAttrsASN(65001) // equal value, distinct pointers
 	wd := func(p string) *Update { return &Update{Withdrawn: []NLRI{{Prefix: pfx(p)}}} }
 	mixed := &Update{Attrs: a1, NLRI: []NLRI{{Prefix: pfx("192.0.2.0/24")}}, Withdrawn: []NLRI{{Prefix: pfx("198.51.100.0/24")}}}
@@ -178,43 +203,31 @@ func TestPackBatchBoundaries(t *testing.T) {
 	in := []*Update{
 		perRouteAdverts(2, a1)[0], perRouteAdverts(2, a1)[1], // run 1: a1
 		{Attrs: a2, NLRI: []NLRI{{Prefix: pfx("172.16.0.0/24")}}}, // pointer boundary
-		wd("203.0.113.0/24"), wd("203.0.113.64/26"),              // withdraw run
-		mixed, // advert+withdraw in one update: passthrough
-		eor,   // IPv6 End-of-RIB: passthrough
+		wd("203.0.113.0/24"), wd("203.0.113.64/26"), // withdraw run
+		mixed, // advert+withdraw in one update: framed as is
+		eor,   // IPv6 End-of-RIB: framed as is
 	}
-	packed := s.packBatch(in)
-	want := []*Update{
-		{Attrs: a1}, // merged run 1 (2 NLRI)
-		in[2],
-		{Withdrawn: []NLRI{{Prefix: pfx("203.0.113.0/24")}, {Prefix: pfx("203.0.113.64/26")}}},
-		mixed,
-		eor,
+	out := packed(t, in, &codecOpts{})
+	if len(out) != 5 {
+		t.Fatalf("packed into %d frames, want 5", len(out))
 	}
-	if len(packed) != len(want) {
-		t.Fatalf("packed into %d frames, want %d", len(packed), len(want))
+	if len(out[0].NLRI) != 2 || len(out[0].Withdrawn) != 0 {
+		t.Fatalf("run 1 not merged under a1: %d NLRI", len(out[0].NLRI))
 	}
-	if len(packed[0].NLRI) != 2 || packed[0].Attrs != a1 {
-		t.Fatalf("run 1 not merged under a1: %d NLRI", len(packed[0].NLRI))
-	}
-	if packed[1] != in[2] {
+	if len(out[1].NLRI) != 1 || out[1].NLRI[0].Prefix != pfx("172.16.0.0/24") {
 		t.Fatal("distinct-pointer update was merged across the attrs boundary")
 	}
-	if len(packed[2].Withdrawn) != 2 {
-		t.Fatalf("withdraw run not merged: %d prefixes", len(packed[2].Withdrawn))
+	if len(out[2].Withdrawn) != 2 || out[2].Attrs != nil {
+		t.Fatalf("withdraw run not merged: %d prefixes", len(out[2].Withdrawn))
 	}
-	if packed[3] != mixed || packed[4] != eor {
-		t.Fatal("non-packable updates did not pass through in place")
+	if len(out[3].NLRI) != 1 || len(out[3].Withdrawn) != 1 {
+		t.Fatal("mixed update was not framed as is")
+	}
+	if fam, ok := out[4].EndOfRIBFamily(); !ok || fam != IPv6Unicast {
+		t.Fatal("IPv6 End-of-RIB was not framed as is")
 	}
 	// Flattened route sequence is invariant under packing.
-	got, wantFlat := flattenRoutes(packed), flattenRoutes(in)
-	if len(got) != len(wantFlat) {
-		t.Fatalf("flattened %d routes, want %d", len(got), len(wantFlat))
-	}
-	for i := range wantFlat {
-		if got[i] != wantFlat[i] {
-			t.Fatalf("route[%d] = %+v, want %+v", i, got[i], wantFlat[i])
-		}
-	}
+	sameRoutes(t, flattenRoutes(out), flattenRoutes(in))
 }
 
 // TestSendBatchSemanticEquality sends the same per-route update
@@ -292,35 +305,25 @@ func TestSendBatchSemanticEquality(t *testing.T) {
 // TestDecodeBlockRoundTrip frames a packed block the way SendBatch does
 // and checks decodeBlock recovers every message.
 func TestDecodeBlockRoundTrip(t *testing.T) {
-	s := &Session{}
-	packed := s.packBatch(perRouteAdverts(1200, baseAttrsASN(65001)))
-	packed = append(packed, &Update{Withdrawn: []NLRI{{Prefix: pfx("203.0.113.0/24")}}})
-	var block []byte
-	for _, u := range packed {
-		var err error
-		if block, err = appendMessage(block, u, &s.enc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	msgs, err := decodeBlock(block, &s.enc)
+	opts := &codecOpts{}
+	in := append(perRouteAdverts(1200, baseAttrsASN(65001)), &Update{Withdrawn: []NLRI{{Prefix: pfx("203.0.113.0/24")}}})
+	b := encodeUpdates(in, opts)
+	defer b.buf.drop()
+	block := b.buf.buf
+	msgs, err := decodeBlock(block, opts)
 	if err != nil {
 		t.Fatalf("decodeBlock: %v", err)
 	}
-	if len(msgs) != len(packed) {
-		t.Fatalf("decoded %d messages, want %d", len(msgs), len(packed))
+	if len(msgs) != b.msgs || len(msgs) >= len(in) {
+		t.Fatalf("decoded %d messages from %d updates, encoder counted %d", len(msgs), len(in), b.msgs)
 	}
 	var got []*Update
 	for _, m := range msgs {
 		got = append(got, m.(*Update))
 	}
-	flat, want := flattenRoutes(got), flattenRoutes(packed)
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("route[%d] = %+v, want %+v", i, flat[i], want[i])
-		}
-	}
+	sameRoutes(t, flattenRoutes(got), flattenRoutes(in))
 	// A truncated block reports an error instead of inventing a message.
-	if _, err := decodeBlock(block[:len(block)-3], &s.enc); err == nil {
+	if _, err := decodeBlock(block[:len(block)-3], opts); err == nil {
 		t.Fatal("truncated block decoded without error")
 	}
 }
@@ -329,20 +332,13 @@ func TestDecodeBlockRoundTrip(t *testing.T) {
 // decoder: it must never panic, and whatever decodes must re-encode.
 // Seeds include real packed blocks in several codec configurations.
 func FuzzDecodeBlock(f *testing.F) {
-	s := &Session{}
 	seed := func(updates []*Update, opts *codecOpts) {
-		var block []byte
-		for _, u := range updates {
-			b, err := appendMessage(block, u, opts)
-			if err != nil {
-				return
-			}
-			block = b
-		}
-		f.Add(block)
+		b := encodeUpdates(updates, opts)
+		f.Add(append([]byte(nil), b.buf.buf...))
+		b.buf.drop()
 	}
-	seed(s.packBatch(perRouteAdverts(1200, baseAttrsASN(65001))), &codecOpts{})
-	seed(s.packBatch(perRouteAdverts(10, baseAttrsASN(4200000001))), &codecOpts{as4: true})
+	seed(perRouteAdverts(1200, baseAttrsASN(65001)), &codecOpts{})
+	seed(perRouteAdverts(10, baseAttrsASN(4200000001)), &codecOpts{as4: true})
 	seed([]*Update{
 		{Withdrawn: []NLRI{{Prefix: pfx("203.0.113.0/24")}, {Prefix: pfx("0.0.0.0/0")}}},
 		EndOfRIB(IPv4Unicast),

@@ -117,15 +117,22 @@ type GracefulRestartConfig struct {
 // NewSession and call Run (usually in a goroutine); send routes with
 // Send.
 type Session struct {
-	cfg    Config
-	conn   net.Conn
-	reader io.Reader
+	cfg  Config
+	conn net.Conn
+	// frames cuts the inbound byte stream into messages.
+	frames frameReader
 
 	state atomic.Int32
 
-	writeMu sync.Mutex
-	enc     codecOpts // applies to what we send
-	dec     codecOpts // applies to what we receive
+	enc codecOpts // applies to what we send
+	dec codecOpts // applies to what we receive
+
+	// out is the output queue every outbound byte crosses; the writer
+	// goroutine (started by Run) drains it and closes writerDone when
+	// it exits. See outqueue.go.
+	out        outQueue
+	writerDone chan struct{}
+	bounds     outBounds
 
 	negotiated struct {
 		remoteASN  uint32
@@ -173,8 +180,9 @@ func NewSession(conn net.Conn, cfg Config) *Session {
 	if len(cfg.Families) == 0 {
 		cfg.Families = []AFISAFI{IPv4Unicast}
 	}
-	s := &Session{cfg: cfg, conn: conn, done: make(chan struct{})}
-	s.reader = &countingReader{r: conn, n: &s.BytesIn}
+	s := &Session{cfg: cfg, conn: conn, done: make(chan struct{}), writerDone: make(chan struct{}), bounds: defaultOutBounds}
+	s.frames.r = &countingReader{r: conn, n: &s.BytesIn}
+	s.out.init()
 	s.metrics = newSessionMetrics(cfg.PeerName)
 	s.state.Store(int32(StateIdle))
 	return s
@@ -269,7 +277,6 @@ func (s *Session) SendEndOfRIB(f AFISAFI) error {
 	if s.State() != StateEstablished {
 		return fmt.Errorf("bgp: session not established (state %s)", s.State())
 	}
-	s.UpdatesOut.Add(1)
 	return s.write(EndOfRIB(f))
 }
 
@@ -290,6 +297,19 @@ func (s *Session) setState(st State) {
 // then processes messages until the session ends. It always returns the
 // terminal error (nil only on clean administrative shutdown).
 func (s *Session) Run() error {
+	s.out.mu.Lock()
+	closed, again := s.out.closed, s.out.started
+	s.out.started = true
+	s.out.mu.Unlock()
+	switch {
+	case again:
+		return errors.New("bgp: Run called twice")
+	case closed: // closed before it ran
+		<-s.done
+		return s.closeErr
+	}
+	go s.runWriter()
+
 	s.setState(StateOpenSent)
 	openASN := uint16(ASTrans)
 	if s.cfg.LocalASN <= 0xffff {
@@ -308,7 +328,7 @@ func (s *Session) Run() error {
 	}
 
 	// Handshake: expect the peer's OPEN.
-	msg, err := readMessage(s.reader, &s.dec)
+	msg, err := s.frames.readMessage(&s.dec)
 	if err != nil {
 		var ne *NotificationError
 		if errors.As(err, &ne) {
@@ -345,7 +365,7 @@ func (s *Session) Run() error {
 	}
 
 	for {
-		msg, err := readMessage(s.reader, &s.dec)
+		msg, err := s.frames.readMessage(&s.dec)
 		if err != nil {
 			var ne *NotificationError
 			if errors.As(err, &ne) {
@@ -454,7 +474,23 @@ func (s *Session) handleMessage(msg Message) error {
 // of a route and all withdrawals go out immediately. Send still reports
 // success for absorbed routes (the coalesced copy is delivered by the
 // session's flush timer, and Close flushes whatever is still pending).
+//
+// Send encodes u before it returns — the caller may reuse u and its
+// attributes at once — and queues the bytes for the session's writer.
+// Like a socket with a send buffer, it returns at once while the peer
+// keeps up and waits (WaitSendRoom) while more than outQueueRoom is
+// queued: a caller that produces faster than the transport takes — a
+// loop announcing a million routes — is paced instead of running its
+// own session into the queue bound. Only FanOut never waits.
 func (s *Session) Send(u *Update) error {
+	if err := s.send(u); err != nil {
+		return err
+	}
+	return s.WaitSendRoom()
+}
+
+// send is Send without the wait.
+func (s *Session) send(u *Update) error {
 	if s.State() != StateEstablished {
 		return fmt.Errorf("bgp: session not established (state %s)", s.State())
 	}
@@ -464,7 +500,6 @@ func (s *Session) Send(u *Update) error {
 			return nil // fully absorbed
 		}
 	}
-	s.UpdatesOut.Add(1)
 	return s.write(u)
 }
 
@@ -596,7 +631,6 @@ func (s *Session) flushPaced(force bool) {
 		if s.State() != StateEstablished {
 			return
 		}
-		s.UpdatesOut.Add(1)
 		_ = s.write(b)
 	}
 }
@@ -614,152 +648,17 @@ func (s *Session) SendRouteRefresh(f AFISAFI) error {
 	return s.write(&RouteRefresh{Family: f})
 }
 
-func (s *Session) write(m Message) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	eb := getEncodeBuffer()
-	defer eb.release()
-	b, err := appendMessage(eb.buf, m, &s.enc)
-	if err != nil {
-		return err
-	}
-	eb.buf = b
-	s.metrics.countOut(m)
-	outBytes.Observe(float64(len(b)))
-	s.BytesOut.Add(uint64(len(b)))
-	_, err = s.conn.Write(b)
-	return err
-}
-
-// sendBlockFlush is the encoded-size threshold at which SendBatch
-// flushes mid-block, bounding pooled-buffer growth on full-table dumps.
-const sendBlockFlush = 256 << 10
-
-// nlriWireSize returns the encoded size of one NLRI entry: optional
-// 4-byte ADD-PATH id, length octet, minimal prefix octets.
-func nlriWireSize(n NLRI, addPath bool) int {
-	sz := 1 + (n.Prefix.Bits()+7)/8
-	if addPath {
-		sz += 4
-	}
-	return sz
-}
-
-// packable reports whether u is a pure IPv4 advertisement (resp. pure
-// IPv4 withdrawal) that packBatch may merge with its neighbors.
-func packableAdvert(u *Update) bool {
-	return u.Attrs != nil && len(u.NLRI) > 0 && !u.eorV6 &&
-		len(u.Withdrawn) == 0 && len(u.MPReach) == 0 && len(u.MPUnreach) == 0
-}
-
-func packableWithdraw(u *Update) bool {
-	return u.Attrs == nil && len(u.Withdrawn) > 0 && !u.eorV6 &&
-		len(u.NLRI) == 0 && len(u.MPReach) == 0 && len(u.MPUnreach) == 0
-}
-
-// packBatch merges runs of per-route updates into packed route blocks —
-// one UPDATE carrying many NLRI under a shared attribute set, filled to
-// the 4096-byte message limit — so a million-route flood crosses the
-// wire (and the peer's decoder) in thousands of frames instead of a
-// million. Only two shapes are packed, and only across consecutive
-// updates so inter-route ordering is preserved exactly: pure IPv4
-// advertisements sharing the same *PathAttrs (pointer identity — the
-// shape table dumps and batched propagation emit), and pure IPv4
-// withdrawals. Everything else passes through unchanged.
-func (s *Session) packBatch(updates []*Update) []*Update {
-	packed := make([]*Update, 0, len(updates))
-	for i := 0; i < len(updates); {
-		u := updates[i]
-		switch {
-		case packableAdvert(u):
-			j := i + 1
-			for j < len(updates) && packableAdvert(updates[j]) && updates[j].Attrs == u.Attrs {
-				j++
-			}
-			if j == i+1 {
-				packed = append(packed, u)
-				i = j
-				continue
-			}
-			// Exact size accounting: attrs encode deterministically, so a
-			// frame filled against this budget never exceeds MaxMessageLen.
-			budget := MaxMessageLen - HeaderLen - 4 -
-				len(appendAttrs(nil, u.Attrs, s.enc.as4, nil, nil, s.enc.addPathV6))
-			remaining := 0
-			for _, v := range updates[i:j] {
-				remaining += len(v.NLRI)
-			}
-			newFrame := func() *Update {
-				return &Update{Attrs: u.Attrs, NLRI: make([]NLRI, 0, min(remaining, budget/4+8))}
-			}
-			frame := newFrame()
-			used := 0
-			for _, v := range updates[i:j] {
-				for _, n := range v.NLRI {
-					sz := nlriWireSize(n, s.enc.addPathV4)
-					if used+sz > budget && len(frame.NLRI) > 0 {
-						packed = append(packed, frame)
-						frame = newFrame()
-						used = 0
-					}
-					frame.NLRI = append(frame.NLRI, n)
-					used += sz
-					remaining--
-				}
-			}
-			if len(frame.NLRI) > 0 {
-				packed = append(packed, frame)
-			}
-			i = j
-		case packableWithdraw(u):
-			j := i + 1
-			for j < len(updates) && packableWithdraw(updates[j]) {
-				j++
-			}
-			if j == i+1 {
-				packed = append(packed, u)
-				i = j
-				continue
-			}
-			budget := MaxMessageLen - HeaderLen - 4
-			frame := &Update{}
-			used := 0
-			for _, v := range updates[i:j] {
-				for _, n := range v.Withdrawn {
-					sz := nlriWireSize(n, s.enc.addPathV4)
-					if used+sz > budget && len(frame.Withdrawn) > 0 {
-						packed = append(packed, frame)
-						frame = &Update{}
-						used = 0
-					}
-					frame.Withdrawn = append(frame.Withdrawn, n)
-					used += sz
-				}
-			}
-			if len(frame.Withdrawn) > 0 {
-				packed = append(packed, frame)
-			}
-			i = j
-		default:
-			packed = append(packed, u)
-			i++
-		}
-	}
-	return packed
-}
-
-// SendBatch transmits a block of UPDATEs as contiguous writes: runs of
-// per-route updates are packed into shared-attribute route blocks
-// (packBatch), the whole block is framed into one pooled buffer under a
-// single acquisition of the session write lock, and delivered with one
-// transport write (chunked at sendBlockFlush) — so per-prefix lock,
-// encode, and per-frame decode costs on both ends are amortized over
-// the block. The receiver sees the same routes with the same attributes
-// in the same order as len(updates) sequential Sends, though frame
-// boundaries differ. MRAI coalescing (when configured) is applied per
-// update exactly as Send applies it. If one update fails to encode, the
-// block's earlier messages are still delivered and the encode error is
-// returned.
+// SendBatch transmits a block of UPDATEs: runs of per-route updates are
+// packed into shared-attribute route blocks and the whole block is
+// framed once (blockEncoder) and queued as one entry, so per-prefix
+// lock, encode, and per-frame decode costs on both ends are amortized
+// over the block. The receiver sees the same routes with the same
+// attributes in the same order as len(updates) sequential Sends, though
+// frame boundaries differ. MRAI coalescing (when configured) is applied
+// per update exactly as Send applies it. If one update fails to encode,
+// the block's earlier messages are still delivered and the encode error
+// is returned. Like Send, SendBatch is done with updates when it
+// returns, and waits for room once the block is queued.
 func (s *Session) SendBatch(updates []*Update) error {
 	if s.State() != StateEstablished {
 		return fmt.Errorf("bgp: session not established (state %s)", s.State())
@@ -776,43 +675,16 @@ func (s *Session) SendBatch(updates []*Update) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	updates = s.packBatch(updates)
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	eb := getEncodeBuffer()
-	defer eb.release()
-	for _, u := range updates {
-		prev := len(eb.buf)
-		b, err := appendMessage(eb.buf, u, &s.enc)
-		if err != nil {
-			if ferr := s.flushBlockLocked(eb); ferr != nil {
-				return ferr
-			}
-			return err
-		}
-		eb.buf = b
-		s.metrics.countOut(u)
-		outBytes.Observe(float64(len(b) - prev))
-		s.BytesOut.Add(uint64(len(b) - prev))
-		s.UpdatesOut.Add(1)
-		if len(eb.buf) >= sendBlockFlush {
-			if err := s.flushBlockLocked(eb); err != nil {
-				return err
-			}
-		}
+	b := encodeUpdates(updates, &s.enc)
+	err := s.enqueueBlock(b)
+	b.buf.drop()
+	if err == nil {
+		err = s.WaitSendRoom()
 	}
-	return s.flushBlockLocked(eb)
-}
-
-// flushBlockLocked writes the accumulated block and resets the buffer
-// for further framing. Called with writeMu held.
-func (s *Session) flushBlockLocked(eb *encodeBuffer) error {
-	if len(eb.buf) == 0 {
-		return nil
+	if err != nil {
+		return err
 	}
-	_, err := s.conn.Write(eb.buf)
-	eb.buf = eb.buf[:0]
-	return err
+	return b.err
 }
 
 func (s *Session) touch() {
@@ -841,25 +713,21 @@ func (s *Session) keepaliveLoop() {
 				return
 			}
 			if err := s.write(&Keepalive{}); err != nil {
-				s.shutdown(err)
-				return
+				return // the session is closing
 			}
 		}
 	}
 }
 
-// Close performs an administrative shutdown (Cease notification).
+// Close performs an administrative shutdown: MRAI-held advertisements
+// and then a Cease are queued, the writer gets outDrainTimeout to
+// deliver them, and the transport is closed — a wedged peer delays
+// Close by that much and no more. OnClose has run when Close returns.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.Flush() // flush-on-close: drain MRAI-held advertisements first
 		_ = s.write(&Notification{Code: ErrCodeCease, Subcode: CeaseAdminShutdown})
-		s.setState(StateIdle)
-		s.closeErr = nil
-		_ = s.conn.Close()
-		close(s.done)
-		if s.cfg.OnClose != nil {
-			s.cfg.OnClose(nil)
-		}
+		s.finish(nil, true)
 	})
 	return nil
 }
@@ -872,17 +740,30 @@ func (s *Session) notifyAndClose(ne *NotificationError) {
 		s.metrics.decodeErrs.Inc()
 	}
 	_ = s.write(&Notification{Code: ne.Code, Subcode: ne.Subcode, Data: ne.Data})
-	s.shutdown(ne)
+	s.closeOnce.Do(func() { s.finish(ne, true) })
 }
 
+// shutdown terminates on a dead transport or a received NOTIFICATION:
+// nothing queued can be delivered any more.
 func (s *Session) shutdown(err error) {
-	s.closeOnce.Do(func() {
-		s.setState(StateIdle)
-		s.closeErr = err
-		_ = s.conn.Close()
-		close(s.done)
-		if s.cfg.OnClose != nil {
-			s.cfg.OnClose(err)
-		}
-	})
+	s.closeOnce.Do(func() { s.finish(err, false) })
+}
+
+// finish is the single terminal path (callers hold closeOnce): it stops
+// the writer — after letting it drain when drain is set — closes the
+// transport and reports the end. A slow-consumer verdict overrides
+// whatever error the dying transport produced first.
+func (s *Session) finish(err error, drain bool) {
+	s.stopWriter(drain)
+	s.out.mu.Lock()
+	if s.out.verdict != nil {
+		err = s.out.verdict
+	}
+	s.out.mu.Unlock()
+	s.closeErr = err // before the state: Run reads it once it sees Idle
+	s.setState(StateIdle)
+	close(s.done)
+	if s.cfg.OnClose != nil {
+		s.cfg.OnClose(err)
+	}
 }

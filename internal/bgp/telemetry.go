@@ -10,6 +10,8 @@ var (
 	// sessionFlaps counts Established sessions that dropped back to Idle.
 	sessionFlaps *telemetry.Counter
 	// outBytes is the size distribution of marshalled outbound messages.
+	// A message is observed when it is encoded — once, however many
+	// sessions the block holding it is fanned out to.
 	outBytes *telemetry.Histogram
 	// mraiBatchSize is the distribution of how many coalesced routes
 	// each MRAI flush delivered — the churn-compression the interval
@@ -38,9 +40,14 @@ var msgTypeNames = [MsgRouteRefresh + 1]string{
 // sessionMetrics holds the per-peer counters a session resolves once at
 // construction so hot paths mutate with a single atomic op.
 type sessionMetrics struct {
+	peer       string
 	msgsIn     [MsgRouteRefresh + 1]*telemetry.Counter
 	msgsOut    [MsgRouteRefresh + 1]*telemetry.Counter
 	decodeErrs *telemetry.Counter
+	// queueBytes is the depth of the session's output queue
+	// (bgp_session_out_queue_bytes{peer}): bytes queued or being
+	// written. Zero whenever the peer keeps up.
+	queueBytes *telemetry.Gauge
 }
 
 func newSessionMetrics(peer string) *sessionMetrics {
@@ -49,7 +56,9 @@ func newSessionMetrics(peer string) *sessionMetrics {
 	}
 	reg := telemetry.Default()
 	m := &sessionMetrics{
+		peer:       peer,
 		decodeErrs: reg.Counter("bgp_decode_errors_total", telemetry.L("peer", peer)),
+		queueBytes: reg.Gauge("bgp_session_out_queue_bytes", telemetry.L("peer", peer)),
 	}
 	for t := MsgOpen; t <= MsgRouteRefresh; t++ {
 		m.msgsIn[t] = reg.Counter("bgp_messages_in_total",
@@ -63,11 +72,5 @@ func newSessionMetrics(peer string) *sessionMetrics {
 func (m *sessionMetrics) countIn(msg Message) {
 	if t := msg.Type(); t >= MsgOpen && t <= MsgRouteRefresh {
 		m.msgsIn[t].Inc()
-	}
-}
-
-func (m *sessionMetrics) countOut(msg Message) {
-	if t := msg.Type(); t >= MsgOpen && t <= MsgRouteRefresh {
-		m.msgsOut[t].Inc()
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"sync"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/guard"
 	"repro/internal/policy"
 	"repro/internal/rib"
+	"repro/internal/rpki"
 	"repro/internal/telemetry"
 )
 
@@ -40,7 +42,11 @@ type expRouteKey struct {
 // RIB mutations and downstream exports are batched: the UPDATE's NLRIs
 // are installed/removed with one shard-lock acquisition per shard
 // (rib.Table.AddBatch/WithdrawBatch), and all resulting exports leave
-// as one block per destination session (exportCollector).
+// as one block per destination class (exportCollector).
+//
+// The decoded UPDATE belongs to this function: its attribute set is
+// stored as is, shared by every route the UPDATE carries, and never
+// written again once stored.
 func (r *Router) handleNeighborUpdate(n *Neighbor, u *bgp.Update) {
 	r.updatesProcessed.Add(1)
 	defer r.syncNeighborRoutesGauge(n)
@@ -49,9 +55,13 @@ func (r *Router) handleNeighborUpdate(n *Neighbor, u *bgp.Update) {
 		remoteID = sess.RemoteID()
 	}
 	col := r.newCollector()
-	defer col.flush()
+	defer col.release()
+	monitored := r.cfg.Monitor != nil
 
-	withdrawn := append(append([]bgp.NLRI(nil), u.Withdrawn...), u.MPUnreach...)
+	withdrawn := u.Withdrawn
+	if len(u.MPUnreach) > 0 {
+		withdrawn = append(withdrawn[:len(withdrawn):len(withdrawn)], u.MPUnreach...)
+	}
 	if len(withdrawn) > 0 {
 		reqs := make([]rib.WithdrawRequest, len(withdrawn))
 		for i, w := range withdrawn {
@@ -63,10 +73,12 @@ func (r *Router) handleNeighborUpdate(n *Neighbor, u *bgp.Update) {
 				continue
 			}
 			suppressed, _ := r.dampNeighborRoute(n, w.Prefix, false)
-			r.emit(telemetry.Event{
-				Kind: telemetry.EventRouteMonitoring, Peer: n.Name, PeerASN: n.ASN,
-				Prefix: w.Prefix, PathID: uint32(w.ID), Withdraw: true,
-			})
+			if monitored {
+				r.emit(telemetry.Event{
+					Kind: telemetry.EventRouteMonitoring, Peer: n.Name, PeerASN: n.ASN,
+					Prefix: w.Prefix, PathID: uint32(w.ID), Withdraw: true,
+				})
+			}
 			if r.defaultTable != nil {
 				r.defaultTable.Withdraw(w.Prefix, n.Name, w.ID)
 			}
@@ -84,82 +96,74 @@ func (r *Router) handleNeighborUpdate(n *Neighbor, u *bgp.Update) {
 		}
 	}
 
-	// Announcements: filter and build the accepted paths first, install
-	// them as one batch per table, then run damping, telemetry, and
-	// export per NLRI against the settled table state.
-	type accepted struct {
-		nlri bgp.NLRI
-		path *rib.Path
-	}
-	var adds []accepted
-	admit := func(nlri bgp.NLRI, attrs *bgp.PathAttrs) {
-		if attrs == nil {
-			return
-		}
-		// AS-path loop prevention (RFC 4271 §9.1.2): a path already
-		// carrying the platform's ASN is one of our own announcements
-		// reflected back — accepting it would loop it into every
-		// experiment's view.
-		for _, hop := range attrs.ASPathFlat() {
-			if hop == r.cfg.ASN {
-				return
-			}
-		}
-		stored := attrs.Clone()
-		// Forwarding next hop: the neighbor itself for a direct
-		// adjacency; route servers are transparent, so their routes keep
-		// the announcing member's next hop (RFC 7947).
-		if nlri.Prefix.Addr().Is4() && !n.RouteServer {
-			stored.NextHop = n.Addr
-		}
-		adds = append(adds, accepted{nlri, &rib.Path{
-			Prefix: nlri.Prefix, ID: nlri.ID, Peer: n.Name, Attrs: stored,
-			EBGP: true, Seq: rib.NextSeq(),
-			PeerAddr: n.Addr, PeerRouterID: remoteID,
-		}})
-	}
-	for _, nlri := range u.NLRI {
-		admit(nlri, u.Attrs)
-	}
-	for _, nlri := range u.MPReach {
-		admit(nlri, u.Attrs)
-	}
-	if len(adds) == 0 {
+	// Announcements: build the accepted paths first, install them as one
+	// batch per table, then run damping, telemetry, and export per NLRI
+	// against the settled table state.
+	//
+	// AS-path loop prevention (RFC 4271 §9.1.2): a path already carrying
+	// the platform's ASN is one of our own announcements reflected back —
+	// accepting it would loop it into every experiment's view.
+	count := len(u.NLRI) + len(u.MPReach)
+	if count == 0 || u.Attrs == nil || u.Attrs.PathContains(r.cfg.ASN) {
 		return
 	}
-	batch := make([]*rib.Path, len(adds))
-	for i, a := range adds {
-		batch[i] = a.path
+	// Forwarding next hop: the neighbor itself for a direct adjacency;
+	// route servers are transparent, so their routes keep the announcing
+	// member's next hop (RFC 7947). IPv6 routes keep the set as received,
+	// so an UPDATE carrying both families needs the one copy made here.
+	v4Attrs, v6Attrs := u.Attrs, u.Attrs
+	if len(u.NLRI) > 0 && !n.RouteServer {
+		if len(u.MPReach) > 0 {
+			c := *u.Attrs
+			v4Attrs = &c
+		}
+		v4Attrs.NextHop = n.Addr
+	}
+	batch := make([]*rib.Path, 0, count)
+	admit := func(nlri bgp.NLRI, attrs *bgp.PathAttrs) {
+		batch = append(batch, &rib.Path{
+			Prefix: nlri.Prefix, ID: nlri.ID, Peer: n.Name, Attrs: attrs,
+			EBGP: true, Seq: rib.NextSeq(),
+			PeerAddr: n.Addr, PeerRouterID: remoteID,
+		})
+	}
+	for _, nlri := range u.NLRI {
+		admit(nlri, v4Attrs)
+	}
+	for _, nlri := range u.MPReach {
+		admit(nlri, v6Attrs)
 	}
 	n.Table.AddBatch(batch)
 	if r.defaultTable != nil {
-		mirror := make([]*rib.Path, len(adds))
-		for i, a := range adds {
-			dp := *a.path
+		mirror := make([]*rib.Path, len(batch))
+		for i, p := range batch {
+			dp := *p
 			mirror[i] = &dp
 		}
 		r.defaultTable.AddBatch(mirror)
 	}
-	for _, a := range adds {
-		suppressed, entered := r.dampNeighborRoute(n, a.nlri.Prefix, true)
-		r.emit(telemetry.Event{
-			Kind: telemetry.EventRouteMonitoring, Peer: n.Name, PeerASN: n.ASN,
-			Prefix: a.nlri.Prefix, PathID: uint32(a.nlri.ID),
-			NextHop: a.path.Attrs.NextHop, ASPath: a.path.Attrs.ASPathFlat(),
-		})
+	for _, p := range batch {
+		suppressed, entered := r.dampNeighborRoute(n, p.Prefix, true)
+		if monitored {
+			r.emit(telemetry.Event{
+				Kind: telemetry.EventRouteMonitoring, Peer: n.Name, PeerASN: n.ASN,
+				Prefix: p.Prefix, PathID: uint32(p.ID),
+				NextHop: p.Attrs.NextHop, ASPath: p.Attrs.ASPathFlat(),
+			})
+		}
 		switch {
 		case suppressed && entered:
 			// The flap that crossed the suppress threshold: retract the
 			// route downstream; the adj-RIB-in copy stays for reuse.
-			r.logf("damping: suppressing %s from %s", a.nlri.Prefix, n.Name)
-			col.exportToExperiments(n, a.nlri.Prefix, nil, true)
-			col.exportToMesh(n, a.nlri.Prefix, nil, true)
+			r.logf("damping: suppressing %s from %s", p.Prefix, n.Name)
+			col.exportToExperiments(n, p.Prefix, nil, true)
+			col.exportToMesh(n, p.Prefix, nil, true)
 		case suppressed:
 			// Still suppressed: withhold, and spare downstream the churn.
 		default:
-			if best := n.Table.Best(a.nlri.Prefix); best != nil {
-				col.exportToExperiments(n, a.nlri.Prefix, best.Attrs, false)
-				col.exportToMesh(n, a.nlri.Prefix, best.Attrs, false)
+			if best := n.Table.Best(p.Prefix); best != nil {
+				col.exportToExperiments(n, p.Prefix, best.Attrs, false)
+				col.exportToMesh(n, p.Prefix, best.Attrs, false)
 			}
 		}
 	}
@@ -188,22 +192,138 @@ func (r *Router) dampNeighborRoute(n *Neighbor, prefix netip.Prefix, announce bo
 	return suppressed, suppressed && !was
 }
 
-// exportCollector accumulates the experiment- and mesh-facing UPDATEs
-// produced while processing one inbound event, then delivers each
-// destination its whole block with a single batched write
-// (bgp.Session.SendBatch) at flush, so per-prefix exports stop paying a
-// session write lock and an encode allocation each.
+// exportList is a run of routes on its way to one class of sessions
+// (experiments, or backbone peers), each with the attribute set that
+// class is to see. A rewritten set is a shallow copy of the stored one
+// with the next hop (and validation stamp) replaced: stored attributes
+// are never modified in place, so the copy may share their slices, and
+// it only has to live until the block is encoded. Consecutive routes
+// from one stored set share one copy — pointer-equal, which is what the
+// block encoder packs into a single UPDATE.
+type exportList struct {
+	routes []bgp.Route
+	attrs  []bgp.PathAttrs // the rewritten sets routes point into
+
+	// The last rewrite and what it was made from.
+	src *bgp.PathAttrs
+	nbr *Neighbor
+	v6  bool
+	rov rpki.State
+	out *bgp.PathAttrs
+}
+
+// withdraw adds the withdrawal of neighbor n's route for prefix.
+func (l *exportList) withdraw(n *Neighbor, prefix netip.Prefix) {
+	l.routes = append(l.routes, bgp.Route{NLRI: bgp.NLRI{Prefix: prefix, ID: bgp.PathID(n.ID)}})
+}
+
+// advertise adds neighbor n's route for prefix under attrs rewritten by
+// rewrite, which is only called when the previous route's copy cannot
+// be reused (rov is the route's validation state where the class is
+// stamped with one, zero otherwise).
+func (l *exportList) advertise(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, rov rpki.State, rewrite func(out *bgp.PathAttrs, v6 bool)) {
+	v6 := prefix.Addr().Is6()
+	if l.out == nil || l.src != attrs || l.nbr != n || l.v6 != v6 || l.rov != rov {
+		l.attrs = append(l.attrs, *attrs)
+		l.src, l.nbr, l.v6, l.rov, l.out = attrs, n, v6, rov, &l.attrs[len(l.attrs)-1]
+		rewrite(l.out, v6)
+	}
+	l.routes = append(l.routes, bgp.Route{NLRI: bgp.NLRI{Prefix: prefix, ID: bgp.PathID(n.ID)}, Attrs: l.out})
+}
+
+// reset empties the list for reuse, dropping its references.
+func (l *exportList) reset() {
+	clear(l.routes)
+	clear(l.attrs)
+	*l = exportList{routes: l.routes[:0], attrs: l.attrs[:0]}
+}
+
+// toExperiments adds one route of neighbor n (or its withdrawal) as
+// experiments see it: next hop rewritten to the neighbor's local pool
+// address, the neighbor ID as the ADD-PATH path ID, the RPKI validation
+// state stamped on when a validator is configured.
+func (r *Router) toExperiments(l *exportList, n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) {
+	if withdraw {
+		l.withdraw(n, prefix)
+		return
+	}
+	r.metrics.nexthopRewrites.Inc()
+	st := r.validationState(n, prefix, attrs)
+	l.advertise(n, prefix, attrs, st, func(out *bgp.PathAttrs, v6 bool) {
+		if r.cfg.Validator != nil {
+			out.LargeCommunities = stampValidation(r.cfg.ASN, attrs.LargeCommunities, st)
+		}
+		if v6 {
+			out.MPNextHop, out.NextHop = localIP6(n.GlobalIP), netip.Addr{}
+		} else {
+			out.NextHop = n.LocalIP
+		}
+	})
+}
+
+// toMesh adds one locally learned neighbor route (or its withdrawal) as
+// backbone peers see it: the neighbor's GlobalIP as next hop and its
+// platform ID as the path ID, so remote PoPs can reconstruct
+// per-neighbor tables (Fig. 5).
+func (r *Router) toMesh(l *exportList, n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) {
+	if withdraw {
+		l.withdraw(n, prefix)
+		return
+	}
+	l.advertise(n, prefix, attrs, 0, func(out *bgp.PathAttrs, v6 bool) {
+		if v6 {
+			out.MPNextHop, out.NextHop = localIP6(n.GlobalIP), netip.Addr{}
+		} else {
+			out.NextHop = n.GlobalIP
+		}
+	})
+}
+
+// exportChunk is how many routes a collector gathers per class before
+// it fans them out: enough to amortize a fan-out's fixed costs (the
+// session snapshot, one queue lock per session) to nothing, few enough
+// that a session loss withdrawing a whole table streams out in blocks
+// and the collector's buffers stay small enough to pool.
+const exportChunk = 512
+
+// exportCollector accumulates the experiment- and mesh-facing routes
+// produced while processing one inbound event and fans each class's run
+// out as one block (bgp.FanOut): built once, encoded once, the bytes
+// appended to every session's output queue. Nothing here touches a
+// session's transport or waits for a peer, so the goroutine processing
+// the event — a neighbor's read loop, a timer — is never held up by an
+// experiment that does not read.
+//
+// A route exported while a destination session is not yet Established is
+// not lost to it: the session turns Established before its table dump
+// reads the first route, and the fan-out looks at the session after the
+// table was changed, so either the fan-out sees it Established or the
+// dump sees the change.
 type exportCollector struct {
-	r    *Router
-	exp  []*bgp.Update
-	mesh []*bgp.Update
+	r         *Router
+	exp, mesh exportList
+	sessions  []*bgp.Session // fan-out scratch
 	// Destination existence is checked once per collection so a fan-out
 	// with no experiments (or no mesh peers) costs nothing per route.
 	expChecked, meshChecked bool
 	haveExp, haveMesh       bool
 }
 
-func (r *Router) newCollector() *exportCollector { return &exportCollector{r: r} }
+var collectorPool = sync.Pool{New: func() any { return new(exportCollector) }}
+
+// newCollector checks a collector out; release sends what it gathered
+// and returns it.
+func (r *Router) newCollector() *exportCollector {
+	c := collectorPool.Get().(*exportCollector)
+	c.r = r
+	return c
+}
+
+func (c *exportCollector) release() {
+	c.flush()
+	*c = exportCollector{exp: c.exp, mesh: c.mesh, sessions: c.sessions}
+	collectorPool.Put(c)
+}
 
 // exportToExperiments queues one route (or withdrawal) from neighbor n
 // for every connected experiment.
@@ -217,7 +337,10 @@ func (c *exportCollector) exportToExperiments(n *Neighbor, prefix netip.Prefix, 
 	if !c.haveExp {
 		return
 	}
-	c.exp = append(c.exp, c.r.experimentUpdate(n, prefix, attrs, withdraw))
+	c.r.toExperiments(&c.exp, n, prefix, attrs, withdraw)
+	if len(c.exp.routes) >= exportChunk {
+		c.flush()
+	}
 }
 
 // exportToMesh queues one locally learned neighbor route (or
@@ -232,47 +355,50 @@ func (c *exportCollector) exportToMesh(n *Neighbor, prefix netip.Prefix, attrs *
 	if !c.haveMesh {
 		return
 	}
-	c.mesh = append(c.mesh, c.r.meshUpdate(n, prefix, attrs, withdraw))
+	c.r.toMesh(&c.mesh, n, prefix, attrs, withdraw)
+	if len(c.mesh.routes) >= exportChunk {
+		c.flush()
+	}
 }
 
-// flush delivers the accumulated blocks and resets the collector.
+// flush fans the accumulated runs out and empties the collector. The
+// destination sessions are looked up now, after the table changes the
+// routes describe (see the type's comment).
 func (c *exportCollector) flush() {
 	r := c.r
-	if len(c.exp) > 0 {
+	if len(c.exp.routes) > 0 {
 		r.mu.Lock()
-		sessions := make([]*bgp.Session, 0, len(r.experiments))
 		for _, e := range r.experiments {
-			sessions = append(sessions, e.session)
+			c.sessions = append(c.sessions, e.session)
 		}
 		r.mu.Unlock()
-		for _, s := range sessions {
-			if s.State() != bgp.StateEstablished {
-				continue
-			}
-			if err := s.SendBatch(c.exp); err != nil {
-				r.logf("export to experiment: %v", err)
-				continue
-			}
-			r.metrics.addPathExports.Add(uint64(len(c.exp)))
-		}
-		c.exp = c.exp[:0]
+		r.metrics.addPathExports.Add(uint64(c.fanOut(&c.exp, "experiments")))
 	}
-	if len(c.mesh) > 0 {
+	if len(c.mesh.routes) > 0 {
 		r.mu.Lock()
-		peers := make([]*meshPeer, 0, len(r.meshPeers))
 		for _, p := range r.meshPeers {
-			peers = append(peers, p)
-		}
-		r.mu.Unlock()
-		for _, p := range peers {
-			if s := p.sess(); s != nil && s.State() == bgp.StateEstablished {
-				if err := s.SendBatch(c.mesh); err != nil {
-					r.logf("mesh export to %s: %v", p.name, err)
-				}
+			if s := p.sess(); s != nil {
+				c.sessions = append(c.sessions, s)
 			}
 		}
-		c.mesh = c.mesh[:0]
+		r.mu.Unlock()
+		c.fanOut(&c.mesh, "backbone peers")
 	}
+}
+
+// fanOut sends l to the sessions gathered in c.sessions and empties
+// both. It returns the number of route exports made (routes × sessions
+// that took them).
+func (c *exportCollector) fanOut(l *exportList, class string) int {
+	took, err := bgp.FanOut(c.sessions, l.routes)
+	if err != nil {
+		c.r.logf("export to %s: %v", class, err)
+	}
+	exports := took * len(l.routes)
+	l.reset()
+	clear(c.sessions)
+	c.sessions = c.sessions[:0]
+	return exports
 }
 
 // exportToExperiments sends one route (or withdrawal) from neighbor n to
@@ -281,31 +407,15 @@ func (c *exportCollector) flush() {
 func (r *Router) exportToExperiments(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) {
 	c := r.newCollector()
 	c.exportToExperiments(n, prefix, attrs, withdraw)
-	c.flush()
+	c.release()
 }
 
-// experimentUpdate builds the experiment-facing UPDATE for one route of
-// neighbor n: next hop rewritten to the neighbor's local pool address and
-// the neighbor ID carried as the ADD-PATH path ID.
-func (r *Router) experimentUpdate(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) *bgp.Update {
-	nlri := bgp.NLRI{Prefix: prefix, ID: bgp.PathID(n.ID)}
-	v6 := prefix.Addr().Is6()
-	if withdraw {
-		if v6 {
-			return &bgp.Update{Attrs: &bgp.PathAttrs{}, MPUnreach: []bgp.NLRI{nlri}}
-		}
-		return &bgp.Update{Withdrawn: []bgp.NLRI{nlri}}
-	}
-	out := attrs.Clone()
-	out = r.stampValidation(n, prefix, out)
-	r.metrics.nexthopRewrites.Inc()
-	if v6 {
-		out.MPNextHop = localIP6(n.GlobalIP)
-		out.NextHop = netip.Addr{}
-		return &bgp.Update{Attrs: out, MPReach: []bgp.NLRI{nlri}}
-	}
-	out.NextHop = n.LocalIP
-	return &bgp.Update{Attrs: out, NLRI: []bgp.NLRI{nlri}}
+// exportToMesh relays a locally learned neighbor route to every backbone
+// peer. A batch of one; multi-route callers hold their own collector.
+func (r *Router) exportToMesh(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) {
+	c := r.newCollector()
+	c.exportToMesh(n, prefix, attrs, withdraw)
+	c.release()
 }
 
 // localIP6 derives the IPv6 next hop exposed to experiments for a
@@ -316,30 +426,6 @@ func localIP6(globalIP netip.Addr) netip.Addr {
 	raw[0], raw[1], raw[2], raw[3] = 0xfd, 0x47, 0x00, 0x65
 	copy(raw[12:], g[:])
 	return netip.AddrFrom16(raw)
-}
-
-// meshUpdate builds the backbone-facing UPDATE for one neighbor route
-// or its withdrawal.
-func (r *Router) meshUpdate(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) *bgp.Update {
-	if withdraw {
-		nlri := bgp.NLRI{Prefix: prefix, ID: bgp.PathID(n.ID)}
-		if prefix.Addr().Is6() {
-			return &bgp.Update{Attrs: &bgp.PathAttrs{}, MPUnreach: []bgp.NLRI{nlri}}
-		}
-		return &bgp.Update{Withdrawn: []bgp.NLRI{nlri}}
-	}
-	return r.meshUpdateForNeighborRoute(n, prefix, attrs)
-}
-
-// exportToMesh relays a locally learned neighbor route to every backbone
-// peer with the neighbor's GlobalIP as next hop and its platform ID as
-// the path ID, so remote PoPs can reconstruct per-neighbor tables
-// (Fig. 5). A batch of one; multi-route callers hold their own
-// collector.
-func (r *Router) exportToMesh(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) {
-	c := r.newCollector()
-	c.exportToMesh(n, prefix, attrs, withdraw)
-	c.flush()
 }
 
 // experimentGRTime is the graceful-restart window advertised on
@@ -397,13 +483,67 @@ func (r *Router) ConnectExperiment(name string, expASN uint32, conn net.Conn) (*
 	return sess, nil
 }
 
-// dumpBlockSize bounds how many UPDATEs a table replay hands to one
-// SendBatch call, so a million-route dump streams in blocks instead of
-// materializing one giant frame run.
+// dumpBlockSize is how many routes a table dump reads, encodes and
+// queues per step: a block every few tens of microseconds keeps the
+// table's read locks short and gets the first routes to the peer long
+// before the walk ends, while still packing well.
 const dumpBlockSize = 128
 
+// streamTable sends the best route of every prefix in neighbor n's
+// table to sess, as class add sees it, a block at a time. Unlike the
+// fan-out it waits for room in the session's queue — on the session's
+// own goroutine (dumps run from its callbacks), between blocks, and
+// with no table lock held — so a dump can neither overflow a healthy
+// peer's queue nor hold anything up but itself.
+//
+// Ordering invariant: a block is read, encoded and queued inside one
+// hold of the table's read locks (rib.Table.ReadBest), so it precedes in
+// the queue the incremental export of any change made after it was
+// read, and it reflects every change made before. With incremental
+// exports of one prefix queued in the order its changes were made, the
+// last message a session gets for a (prefix, path ID) is the newest
+// state, dump or no dump. Lock order: table read locks, then the router
+// mutex (validation bookkeeping) or a session's queue mutex, both
+// leaves.
+func (r *Router) streamTable(sess *bgp.Session, n *Neighbor, add func(*exportList, *Neighbor, netip.Prefix, *bgp.PathAttrs, bool)) (sent int, err error) {
+	var (
+		list   exportList
+		target = []*bgp.Session{sess}
+		buf    = make([]rib.Route, dumpBlockSize)
+		after  netip.Prefix
+	)
+	for {
+		got := n.Table.ReadBest(after, buf, func(routes []rib.Route) {
+			if len(routes) == 0 {
+				return
+			}
+			for _, rt := range routes {
+				add(&list, n, rt.Prefix, rt.Best.Attrs, false)
+			}
+			var took int
+			if took, err = bgp.FanOut(target, list.routes); err == nil && took == 0 {
+				err = fmt.Errorf("session is %s", sess.State())
+			}
+			list.reset()
+		})
+		if err != nil {
+			return sent, err
+		}
+		sent += got
+		if got < len(buf) {
+			return sent, nil
+		}
+		after = buf[got-1].Prefix
+		if err = sess.WaitSendRoom(); err != nil {
+			return sent, err
+		}
+	}
+}
+
 // dumpTablesToExperiment replays every neighbor's routes to a newly
-// established experiment session in batched blocks.
+// established experiment session: one route per prefix per neighbor, the
+// decision-process best, matching what incremental exports deliver
+// (route servers hold several member paths per prefix).
 func (r *Router) dumpTablesToExperiment(e *expConn) {
 	r.logf("experiment %s established, dumping tables", e.name)
 	r.mu.Lock()
@@ -413,31 +553,11 @@ func (r *Router) dumpTablesToExperiment(e *expConn) {
 	}
 	r.mu.Unlock()
 	for _, n := range neighbors {
-		type entry struct {
-			prefix netip.Prefix
-			attrs  *bgp.PathAttrs
-		}
-		var entries []entry
-		// One route per prefix per neighbor: the decision-process best,
-		// matching what incremental exports deliver (route servers hold
-		// several member paths per prefix). Entries are collected first —
-		// experimentUpdate may take router locks, which must not nest
-		// inside the table's shard locks.
-		n.Table.WalkBest(func(prefix netip.Prefix, best *rib.Path) bool {
-			entries = append(entries, entry{prefix, best.Attrs})
-			return true
-		})
-		for start := 0; start < len(entries); start += dumpBlockSize {
-			end := min(start+dumpBlockSize, len(entries))
-			us := make([]*bgp.Update, 0, end-start)
-			for _, en := range entries[start:end] {
-				us = append(us, r.experimentUpdate(n, en.prefix, en.attrs, false))
-			}
-			if err := e.session.SendBatch(us); err != nil {
-				r.logf("table dump to %s: %v", e.name, err)
-				return
-			}
-			r.metrics.addPathExports.Add(uint64(end - start))
+		sent, err := r.streamTable(e.session, n, r.toExperiments)
+		r.metrics.addPathExports.Add(uint64(sent))
+		if err != nil {
+			r.logf("table dump to %s: %v", e.name, err)
+			return
 		}
 	}
 	// End-of-RIB after the initial dump (RFC 4724 §3): lets a restarting
@@ -818,7 +938,7 @@ func (r *Router) neighborDown(n *Neighbor, err error) {
 		col.exportToExperiments(n, p.Prefix, nil, true)
 		col.exportToMesh(n, p.Prefix, nil, true)
 	}
-	col.flush()
+	col.release()
 	r.mu.Lock()
 	delete(r.byRealMAC, n.realMAC)
 	r.mu.Unlock()

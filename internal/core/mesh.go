@@ -123,8 +123,10 @@ func (r *Router) meshSessionConfig(p *meshPeer) bgp.Config {
 }
 
 // dumpToMeshPeer replays local state to a newly established backbone
-// peer: every local neighbor's routes (next hop GlobalIP, path ID = the
-// neighbor's platform ID) and every local experiment announcement.
+// peer: every local neighbor's best routes (next hop GlobalIP, path ID =
+// the neighbor's platform ID — what incremental exports relay), streamed
+// under the same ordering invariant as an experiment's dump
+// (streamTable), and every local experiment announcement.
 func (r *Router) dumpToMeshPeer(p *meshPeer) {
 	r.logf("backbone peer %s established", p.name)
 	s := p.sess()
@@ -140,27 +142,9 @@ func (r *Router) dumpToMeshPeer(p *meshPeer) {
 	r.mu.Unlock()
 
 	for _, n := range neighbors {
-		type entry struct {
-			prefix netip.Prefix
-			attrs  *bgp.PathAttrs
-		}
-		var entries []entry
-		n.Table.Walk(func(prefix netip.Prefix, paths []*rib.Path) bool {
-			for _, pt := range paths {
-				entries = append(entries, entry{prefix, pt.Attrs})
-			}
-			return true
-		})
-		for start := 0; start < len(entries); start += dumpBlockSize {
-			end := min(start+dumpBlockSize, len(entries))
-			us := make([]*bgp.Update, 0, end-start)
-			for _, en := range entries[start:end] {
-				us = append(us, r.meshUpdateForNeighborRoute(n, en.prefix, en.attrs))
-			}
-			if err := s.SendBatch(us); err != nil {
-				r.logf("mesh dump to %s: %v", p.name, err)
-				return
-			}
+		if _, err := r.streamTable(s, n, r.toMesh); err != nil {
+			r.logf("mesh dump to %s: %v", p.name, err)
+			return
 		}
 	}
 
@@ -236,18 +220,6 @@ func (r *Router) dumpToMeshPeer(p *meshPeer) {
 			return
 		}
 	}
-}
-
-func (r *Router) meshUpdateForNeighborRoute(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs) *bgp.Update {
-	nlri := bgp.NLRI{Prefix: prefix, ID: bgp.PathID(n.ID)}
-	out := attrs.Clone()
-	if prefix.Addr().Is6() {
-		out.MPNextHop = localIP6(n.GlobalIP)
-		out.NextHop = netip.Addr{}
-		return &bgp.Update{Attrs: out, MPReach: []bgp.NLRI{nlri}}
-	}
-	out.NextHop = n.GlobalIP
-	return &bgp.Update{Attrs: out, NLRI: []bgp.NLRI{nlri}}
 }
 
 // handleMeshUpdate processes routes from another PoP. Routes whose next
@@ -454,7 +426,7 @@ func (r *Router) meshPeerDown(p *meshPeer, err error) {
 		for _, pt := range removed {
 			col.exportToExperiments(n, pt.Prefix, nil, true)
 		}
-		col.flush()
+		col.release()
 	}
 	owner := "mesh:" + p.name
 	var prefixes []netip.Prefix

@@ -60,23 +60,23 @@ func (r *Router) sweepNeighborStale(n *Neighbor, v6 bool) {
 	}
 	r.syncNeighborRoutesGauge(n)
 	seen := make(map[netip.Prefix]bool, len(removed))
+	col := r.newCollector()
+	defer col.release()
 	for _, p := range removed {
 		if seen[p.Prefix] {
 			continue
 		}
 		seen[p.Prefix] = true
-		if best := n.Table.Best(p.Prefix); best != nil {
-			// A fresh (re-advertised) path survives: re-export it so
-			// downstream state converges on the post-restart route.
-			r.exportToExperiments(n, p.Prefix, best.Attrs, false)
-			if !n.Remote {
-				r.exportToMesh(n, p.Prefix, best.Attrs, false)
-			}
-		} else {
-			r.exportToExperiments(n, p.Prefix, nil, true)
-			if !n.Remote {
-				r.exportToMesh(n, p.Prefix, nil, true)
-			}
+		// A fresh (re-advertised) path that survives is re-exported, so
+		// downstream state converges on the post-restart route.
+		best := n.Table.Best(p.Prefix)
+		var attrs *bgp.PathAttrs
+		if best != nil {
+			attrs = best.Attrs
+		}
+		col.exportToExperiments(n, p.Prefix, attrs, best == nil)
+		if !n.Remote {
+			col.exportToMesh(n, p.Prefix, attrs, best == nil)
 		}
 	}
 }

@@ -39,35 +39,39 @@ func ValidationStateFrom(platformASN uint32, large []bgp.LargeCommunity) (st rpk
 	return 0, false
 }
 
-// stampValidation classifies (prefix, origin of attrs) and replaces any
-// existing validation-state community with the fresh verdict, recording
-// it for RevalidateExports. Returns attrs unchanged when no validator
-// is configured.
-func (r *Router) stampValidation(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs) *bgp.PathAttrs {
+// validationState classifies (prefix, origin of attrs) and records the
+// verdict for RevalidateExports. It returns 0 when no validator is
+// configured.
+func (r *Router) validationState(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs) rpki.State {
 	if r.cfg.Validator == nil {
-		return attrs
+		return 0
 	}
 	origin := attrs.OriginASN()
 	if origin == 0 {
 		origin = n.ASN
 	}
 	st := r.cfg.Validator.Validate(prefix, origin)
-	kept := attrs.LargeCommunities[:0:0]
-	for _, c := range attrs.LargeCommunities {
-		// A neighbor asserting our own stamp is spoofing; drop it.
-		if c.Global == r.cfg.ASN && c.Local1 == largeFnValidationState {
-			continue
-		}
-		kept = append(kept, c)
-	}
-	attrs.LargeCommunities = append(kept, ValidationStateCommunity(r.cfg.ASN, st))
 	r.mu.Lock()
 	if r.rovStates == nil {
 		r.rovStates = make(map[rovKey]rpki.State)
 	}
 	r.rovStates[rovKey{n.Name, prefix}] = st
 	r.mu.Unlock()
-	return attrs
+	return st
+}
+
+// stampValidation returns large with any existing validation-state
+// community replaced by the fresh verdict, in a slice of its own.
+func stampValidation(platformASN uint32, large []bgp.LargeCommunity, st rpki.State) []bgp.LargeCommunity {
+	kept := make([]bgp.LargeCommunity, 0, len(large)+1)
+	for _, c := range large {
+		// A neighbor asserting our own stamp is spoofing; drop it.
+		if c.Global == platformASN && c.Local1 == largeFnValidationState {
+			continue
+		}
+		kept = append(kept, c)
+	}
+	return append(kept, ValidationStateCommunity(platformASN, st))
 }
 
 // RevalidateExports re-examines every neighbor route previously
@@ -108,8 +112,10 @@ func (r *Router) RevalidateExports() {
 			changed = append(changed, entry{prefix, best.Attrs})
 			return true
 		})
+		col := r.newCollector()
 		for _, e := range changed {
-			r.exportToExperiments(n, e.prefix, e.attrs, false)
+			col.exportToExperiments(n, e.prefix, e.attrs, false)
 		}
+		col.release()
 	}
 }

@@ -54,7 +54,7 @@ func (t *Table) DampedCount() int {
 	n := 0
 	t.rlockAll()
 	defer t.runlockAll()
-	t.walkLocked(func(_ netip.Prefix, paths []*Path) bool {
+	t.walkLocked(netip.Prefix{}, func(_ netip.Prefix, paths []*Path) bool {
 		for _, e := range paths {
 			if e.Damped {
 				n++

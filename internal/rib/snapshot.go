@@ -239,11 +239,18 @@ func (st *snapTrie) buildRoot() {
 // The table view is captured under all shard read locks (so it is
 // atomic); the flatten itself runs after the locks are released.
 func (t *Table) BuildSnapshot() *Snapshot {
-	tmp4, tmp6 := NewTrie[*Path](false), NewTrie[*Path](true)
 	routes := 0
 	t.rlockAll()
 	version := t.version.Load()
-	t.walkLocked(func(p netip.Prefix, paths []*Path) bool {
+	// The scratch tries are sized for the prefixes the shards hold right
+	// now, so a rebuild costs a fixed number of allocations, not one per
+	// route.
+	n4, n6 := t.spill.trie.v4.Len(), t.spill.trie.v6.Len()
+	for _, sh := range t.shards {
+		n4, n6 = n4+sh.trie.v4.Len(), n6+sh.trie.v6.Len()
+	}
+	tmp4, tmp6 := newTrieSized[*Path](false, n4), newTrieSized[*Path](true, n6)
+	t.walkLocked(netip.Prefix{}, func(p netip.Prefix, paths []*Path) bool {
 		if b := Best(paths); b != nil {
 			if p.Addr().Is6() {
 				tmp6.Insert(p, b)

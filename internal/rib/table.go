@@ -466,29 +466,37 @@ func cmpPrefix(a, b netip.Prefix) int {
 func (t *Table) Walk(fn func(prefix netip.Prefix, paths []*Path) bool) {
 	t.rlockAll()
 	defer t.runlockAll()
-	t.walkLocked(fn)
+	t.walkLocked(netip.Prefix{}, fn)
 }
 
-// walkLocked implements Walk; callers hold all shard read locks (or
+// walkLocked implements Walk, from the start or (after valid) from the
+// prefix following after; callers hold all shard read locks (or
 // otherwise have exclusive access).
-func (t *Table) walkLocked(fn func(prefix netip.Prefix, paths []*Path) bool) {
-	if t.walkFamilyLocked(false, fn) {
-		t.walkFamilyLocked(true, fn)
+func (t *Table) walkLocked(after netip.Prefix, fn func(prefix netip.Prefix, paths []*Path) bool) {
+	if after.IsValid() && after.Addr().Is6() {
+		t.walkFamilyLocked(true, after, fn)
+	} else if t.walkFamilyLocked(false, after, fn) {
+		t.walkFamilyLocked(true, netip.Prefix{}, fn)
 	}
 }
 
-func (t *Table) walkFamilyLocked(v6 bool, fn func(prefix netip.Prefix, paths []*Path) bool) bool {
+func (t *Table) walkFamilyLocked(v6 bool, after netip.Prefix, fn func(prefix netip.Prefix, paths []*Path) bool) bool {
 	var spill []tableEntry
 	if t.shardBits > 0 {
-		t.spill.trie.walkFamily(v6, func(p netip.Prefix, paths []*Path) bool {
+		t.spill.trie.walkFamily(v6, after, func(p netip.Prefix, paths []*Path) bool {
 			spill = append(spill, tableEntry{p, paths})
 			return true
 		})
 	}
+	shards := t.shards
+	if after.IsValid() {
+		// Earlier shards hold only smaller addresses.
+		shards = shards[t.addrShard(after.Addr()):]
+	}
 	si := 0
 	cont := true
-	for _, sh := range t.shards {
-		sh.trie.walkFamily(v6, func(p netip.Prefix, paths []*Path) bool {
+	for _, sh := range shards {
+		sh.trie.walkFamily(v6, after, func(p netip.Prefix, paths []*Path) bool {
 			for si < len(spill) && cmpPrefix(spill[si].prefix, p) < 0 {
 				if !fn(spill[si].prefix, spill[si].paths) {
 					cont = false
@@ -522,6 +530,38 @@ func (t *Table) WalkBest(fn func(prefix netip.Prefix, best *Path) bool) {
 		}
 		return true
 	})
+}
+
+// Route is a prefix with its decision-process winner.
+type Route struct {
+	Prefix netip.Prefix
+	Best   *Path
+}
+
+// ReadBest is the resumable WalkBest table dumps stream from: it fills
+// buf with the routes that follow after in Walk order (the zero Prefix
+// starts at the beginning) and calls fn on them while still holding the
+// table's read locks — what fn does with the routes is atomic with
+// respect to every mutation of the table, which is what lets a dump
+// order its blocks against incremental exports. fn must not block. It
+// returns how many routes it read: fewer than len(buf) means the table
+// is exhausted, otherwise the caller continues from
+// buf[len(buf)-1].Prefix, with the locks released in between.
+func (t *Table) ReadBest(after netip.Prefix, buf []Route, fn func([]Route)) int {
+	t.rlockAll()
+	defer t.runlockAll()
+	n := 0
+	if len(buf) > 0 {
+		t.walkLocked(after, func(p netip.Prefix, paths []*Path) bool {
+			if b := Best(paths); b != nil {
+				buf[n] = Route{p, b}
+				n++
+			}
+			return n < len(buf)
+		})
+	}
+	fn(buf[:n])
+	return n
 }
 
 // Prefixes returns the number of distinct prefixes in the table.

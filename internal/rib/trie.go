@@ -41,6 +41,10 @@ type Trie[V any] struct {
 	// currently being filled.
 	arena []trieNode[V]
 	free  *trieNode[V]
+	// boxes, when it has room, is where a node's first value is stored
+	// instead of a heap object of its own. Only a trie built for a
+	// known number of prefixes has any (newTrieSized).
+	boxes []V
 }
 
 // trieArenaMax caps arena chunk size; chunks double from 8 up to this,
@@ -50,6 +54,17 @@ const trieArenaMax = 4096
 // NewTrie creates a trie for IPv4 (v6=false) or IPv6 (v6=true) prefixes.
 func NewTrie[V any](v6 bool) *Trie[V] {
 	t := &Trie[V]{v6: v6}
+	t.root = t.newNode(0, 0, 0)
+	return t
+}
+
+// newTrieSized creates a trie that will hold n prefixes and is then
+// thrown away (the snapshot builder's scratch tries): its nodes — a
+// radix trie over n prefixes has at most 2n, root included — and its
+// value boxes come from two allocations made here, so filling it
+// allocates nothing more.
+func newTrieSized[V any](v6 bool, n int) *Trie[V] {
+	t := &Trie[V]{v6: v6, arena: make([]trieNode[V], 0, 2*n+1), boxes: make([]V, 0, n)}
 	t.root = t.newNode(0, 0, 0)
 	return t
 }
@@ -162,15 +177,22 @@ func (t *Trie[V]) Upsert(p netip.Prefix, fn func(old V, ok bool) V) {
 	p = t.check(p)
 	hi, lo, _ := addrHalves(p.Addr())
 	pb := p.Bits()
+	// A node keeps the box its first value got: later values overwrite
+	// it in place. Nothing holds a pointer into a box — Get, Lookup and
+	// Walk hand out copies.
 	set := func(n *trieNode[V]) {
-		if n.value == nil {
-			t.size++
-			v := fn(*new(V), false)
-			n.value = &v
+		if n.value != nil {
+			*n.value = fn(*n.value, true)
 			return
 		}
-		v := fn(*n.value, true)
-		n.value = &v
+		t.size++
+		if len(t.boxes) < cap(t.boxes) {
+			t.boxes = t.boxes[:len(t.boxes)+1]
+			n.value = &t.boxes[len(t.boxes)-1]
+		} else {
+			n.value = new(V)
+		}
+		*n.value = fn(*n.value, false)
 	}
 	n := t.root
 	for {
@@ -326,6 +348,34 @@ func (t *Trie[V]) Walk(fn func(p netip.Prefix, v V) bool) {
 	rec(t.root)
 }
 
+// walkAfter is Walk restricted to the prefixes that follow after in
+// walk order — (address, length), which is what depth-first preorder
+// over masked keys produces — so a walk interrupted at after resumes
+// where it stopped. Subtrees that end before after's address are
+// skipped whole: a resumed walk costs the descent to its cursor, not a
+// scan from the root.
+func (t *Trie[V]) walkAfter(after netip.Prefix, fn func(p netip.Prefix, v V) bool) {
+	chi, clo, _ := addrHalves(after.Addr())
+	cb := uint8(after.Bits())
+	var rec func(n *trieNode[V]) bool
+	rec = func(n *trieNode[V]) bool {
+		if n == nil {
+			return true
+		}
+		// Every key below n lies inside n's range.
+		maskHi, maskLo := mask128(int(n.bits))
+		if lastHi, lastLo := n.hi|^maskHi, n.lo|^maskLo; lastHi < chi || (lastHi == chi && lastLo < clo) {
+			return true
+		}
+		follows := n.hi > chi || (n.hi == chi && (n.lo > clo || (n.lo == clo && n.bits > cb)))
+		if follows && n.value != nil && !fn(t.nodePrefix(n), *n.value) {
+			return false
+		}
+		return rec(n.children[0]) && rec(n.children[1])
+	}
+	rec(t.root)
+}
+
 // DualTrie pairs an IPv4 and an IPv6 trie behind one interface.
 type DualTrie[V any] struct {
 	v4, v6 *Trie[V]
@@ -365,17 +415,22 @@ func (d *DualTrie[V]) Lookup(a netip.Addr) (netip.Prefix, V, bool) {
 // Len returns the number of stored prefixes across both families.
 func (d *DualTrie[V]) Len() int { return d.v4.Len() + d.v6.Len() }
 
-// walkFamily visits one family's entries in depth-first order,
+// walkFamily visits one family's entries in depth-first order —
+// those following after, when after is a prefix of that family —
 // reporting whether the walk ran to completion.
-func (d *DualTrie[V]) walkFamily(v6 bool, fn func(p netip.Prefix, v V) bool) bool {
+func (d *DualTrie[V]) walkFamily(v6 bool, after netip.Prefix, fn func(p netip.Prefix, v V) bool) bool {
 	done := true
-	d.pick(v6).Walk(func(p netip.Prefix, v V) bool {
+	visit := func(p netip.Prefix, v V) bool {
 		if !fn(p, v) {
 			done = false
-			return false
 		}
-		return true
-	})
+		return done
+	}
+	if after.IsValid() {
+		d.pick(v6).walkAfter(after, visit)
+	} else {
+		d.pick(v6).Walk(visit)
+	}
 	return done
 }
 

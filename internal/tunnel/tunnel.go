@@ -26,8 +26,9 @@ const (
 	chanData    = 1 // layer-2 frames
 )
 
-// maxFrame bounds one mux frame.
-const maxFrame = 64 * 1024
+// maxFrame bounds one mux frame's payload: the largest value the mux
+// header's two-byte length field can carry.
+const maxFrame = 0xffff
 
 // Credentials maps experiment names to shared keys. The configuration
 // pipeline generates it from approved experiments.
@@ -151,7 +152,9 @@ type controlConn struct {
 
 func (c *controlConn) Read(p []byte) (int, error) { return c.t.control.Read(p) }
 func (c *controlConn) Write(p []byte) (int, error) {
-	// Chunk writes above the mux frame limit.
+	// Chunk writes above the mux frame limit. (bgp.Session's writer caps
+	// its coalesced writes at the same 65535 bytes, so a write normally
+	// crosses as one frame; a single larger block is cut here.)
 	total := 0
 	for len(p) > 0 {
 		n := len(p)

@@ -253,3 +253,91 @@ func TestNameTooLong(t *testing.T) {
 		t.Fatal("oversized name accepted")
 	}
 }
+
+// TestControlCarriesLargeBlock pushes single writes far above one mux
+// frame through the control channel: a 300 KiB byte pattern, then a
+// 300 KiB block of packed UPDATEs that a BGP session on the far side
+// decodes. A write of exactly 65536 bytes used to be framed with length
+// zero and desynchronize the stream (a dropped neighbor's withdrawals
+// reach that size).
+func TestControlCarriesLargeBlock(t *testing.T) {
+	srv, cli := pair(t, Credentials{"exp1": "k"}, "exp1", "k")
+	defer srv.Close()
+	defer cli.Close()
+
+	for _, size := range []int{1 << 16, 300 << 10} {
+		pattern := make([]byte, size)
+		for i := range pattern {
+			pattern[i] = byte(i * 7)
+		}
+		werr := make(chan error, 1)
+		go func() {
+			_, err := srv.Control().Write(pattern)
+			werr <- err
+		}()
+		got := make([]byte, size)
+		rerr := make(chan error, 1)
+		go func() {
+			_, err := io.ReadFull(cli.Control(), got)
+			rerr <- err
+		}()
+		select {
+		case err := <-rerr:
+			if err != nil {
+				t.Fatalf("%d-byte write: read: %v", size, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d-byte write did not arrive whole", size)
+		}
+		if err := <-werr; err != nil {
+			t.Fatalf("%d-byte write: %v", size, err)
+		}
+		if !bytes.Equal(got, pattern) {
+			t.Fatalf("%d-byte write arrived corrupted", size)
+		}
+	}
+
+	const routes = 60000 // four bytes each on the wire: a block of about 300 KiB
+	established := make(chan struct{}, 2)
+	received := make(chan int, 1024)
+	sa := bgp.NewSession(srv.Control(), bgp.Config{
+		LocalASN: 47065, RemoteASN: 61574, LocalID: netip.MustParseAddr("10.0.0.1"),
+		OnEstablished: func() { established <- struct{}{} },
+	})
+	sb := bgp.NewSession(cli.Control(), bgp.Config{
+		LocalASN: 61574, RemoteASN: 47065, LocalID: netip.MustParseAddr("10.0.0.2"),
+		OnEstablished: func() { established <- struct{}{} },
+		OnUpdate:      func(u *bgp.Update) { received <- len(u.Withdrawn) },
+	})
+	go sa.Run()
+	go sb.Run()
+	defer sa.Close()
+	defer sb.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-established:
+		case <-time.After(5 * time.Second):
+			t.Fatal("BGP over tunnel did not establish")
+		}
+	}
+	block := make([]*bgp.Update, routes)
+	for i := range block {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+		block[i] = &bgp.Update{Withdrawn: []bgp.NLRI{{Prefix: p}}}
+	}
+	before := sa.BytesOut.Load()
+	if err := sa.SendBatch(block); err != nil {
+		t.Fatal(err)
+	}
+	if sent := sa.BytesOut.Load() - before; sent < 200<<10 {
+		t.Fatalf("block is only %d bytes, too small to span mux frames", sent)
+	}
+	for got := 0; got < routes; {
+		select {
+		case n := <-received:
+			got += n
+		case <-time.After(5 * time.Second):
+			t.Fatalf("decoded %d of %d routes before the stream stalled", got, routes)
+		}
+	}
+}
