@@ -11,12 +11,12 @@ import (
 	"time"
 )
 
-// teHTTPClient bounds the remote TE verbs like the metrics and history
-// scrapes: a wedged peeringd fails the query instead of hanging the CLI.
-var teHTTPClient = &http.Client{Timeout: 10 * time.Second}
+// apiHTTPClient bounds the remote history and TE verbs like the metrics
+// scrape: a wedged peeringd fails the query instead of hanging the CLI.
+var apiHTTPClient = &http.Client{Timeout: 10 * time.Second}
 
 // runCatchmentCommand implements `peering-cli catchment [flags]`,
-// fetching the current catchment map from the /catchment endpoint of a
+// fetching the current catchment map from the /v1/catchment endpoint of a
 // running `peeringd -te -metrics` instance.
 func runCatchmentCommand(args []string) error {
 	usage := `usage: peering-cli catchment [flags]
@@ -39,11 +39,11 @@ flags:
 	if *prefix != "" {
 		q.Set("prefix", *prefix)
 	}
-	return teGet(*addr, "/catchment", q)
+	return apiGet(*addr, "/v1/catchment", q)
 }
 
 // runTECommand implements `peering-cli te status [flags]`, fetching the
-// closed-loop controller's progress from /te/status.
+// closed-loop controller's progress from /v1/te/status.
 func runTECommand(args []string) error {
 	usage := `usage: peering-cli te status [flags]
 
@@ -62,11 +62,11 @@ flags:
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	return teGet(*addr, "/te/status", nil)
+	return apiGet(*addr, "/v1/te/status", nil)
 }
 
 // teGet fetches one JSON endpoint and prints the body verbatim.
-func teGet(addr, path string, q url.Values) error {
+func apiGet(addr, path string, q url.Values) error {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -75,7 +75,7 @@ func teGet(addr, path string, q url.Values) error {
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
-	resp, err := teHTTPClient.Get(u)
+	resp, err := apiHTTPClient.Get(u)
 	if err != nil {
 		return err
 	}

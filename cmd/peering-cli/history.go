@@ -3,8 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"net/netip"
 	"net/url"
 	"os"
@@ -14,13 +12,8 @@ import (
 	"repro/internal/history"
 )
 
-// historyHTTPClient is the bounded client for the remote history verbs:
-// like the metrics scrape, a wedged peeringd must fail the query, not
-// hang the CLI.
-var historyHTTPClient = &http.Client{Timeout: 10 * time.Second}
-
 // runHistoryCommand implements `peering-cli history <verb> [flags]`,
-// querying the /history/* endpoints of a running `peeringd -history
+// querying the /v1/history/* endpoints of a running `peeringd -history
 // -metrics` instance.
 func runHistoryCommand(args []string) error {
 	usage := `usage: peering-cli history <verb> [flags]
@@ -77,28 +70,7 @@ flags:
 		return fmt.Errorf("unknown history verb %q\n%s", verb, usage)
 	}
 
-	base := *addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	u := strings.TrimRight(base, "/") + "/history/" + verb
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	resp, err := historyHTTPClient.Get(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peering-cli: %s returned %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
-	}
-	_, err = fmt.Print(string(body))
-	return err
+	return apiGet(*addr, "/v1/history/"+verb, q)
 }
 
 // executeHistory implements the REPL's history verb against the local

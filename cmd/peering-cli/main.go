@@ -18,10 +18,10 @@
 // Invoked as `peering-cli metrics [address]` it instead fetches and
 // renders the plain-text exposition served by `peeringd -metrics`
 // (default address localhost:9179) and exits. Invoked as `peering-cli
-// history <verb> [flags]` it queries the /history/* endpoints of a
+// history <verb> [flags]` it queries the /v1/history/* endpoints of a
 // `peeringd -history -metrics` instance (see runHistoryCommand).
 // Invoked as `peering-cli catchment [flags]` or `peering-cli te status
-// [flags]` it queries the /catchment and /te/status endpoints of a
+// [flags]` it queries the /v1/catchment and /v1/te/status endpoints of a
 // `peeringd -te -metrics` instance (see runCatchmentCommand and
 // runTECommand). Invoked as `peering-cli watch [flags]` it tails the
 // control plane's /v1/watch SSE event stream until interrupted (see

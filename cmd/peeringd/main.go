@@ -5,8 +5,9 @@
 // status lines. With -metrics it serves the platform's plain-text
 // metric exposition over HTTP for peering-cli or any scraper, plus the
 // declarative control plane under /v1 (experiment CRUD, deploy verbs,
-// fleet/RIB/health queries, and the /v1/watch SSE event stream) and a
-// JSON index of every mounted endpoint at /. SIGINT/SIGTERM drain the
+// fleet/RIB/health/catchment queries, the /v1/watch SSE event stream,
+// and with -history and -te the /v1/history/* and /v1/te/status
+// inspection endpoints) and a JSON index of every mounted endpoint at /. SIGINT/SIGTERM drain the
 // API server — in-flight requests and watch streams — before the
 // platform shuts down. The
 // convergence-safety layer is opt-in: -damping enables RFC 2439
@@ -18,6 +19,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,10 +58,10 @@ func main() {
 	dampingHalfLife := flag.Duration("damping", 0, "enable RFC 2439 route-flap damping with this half-life (e.g. 15s; 0 = off)")
 	mrai := flag.Duration("mrai", 0, "pace neighbor UPDATE batches at this minimum route advertisement interval (0 = off)")
 	guardOn := flag.Bool("guard", false, "run the overload watchdog: healthy/degraded/shedding states per PoP with load shedding")
-	historyDir := flag.String("history", "", "record every route event into a durable segment log under this directory, enabling time-travel queries (/history/* with -metrics, peering-cli history)")
+	historyDir := flag.String("history", "", "record every route event into a durable segment log under this directory, enabling time-travel queries (/v1/history/* with -metrics, peering-cli history)")
 	historyRetention := flag.Duration("history-retention", 0, "delete sealed history segments older than this window (0 = keep everything)")
 	stateDir := flag.String("state-dir", "", "persist the control plane's desired state (WAL + snapshot) under this directory; on startup the store is recovered from it, so experiment specs and deploy revisions survive a crash (with -metrics)")
-	tePrefix := flag.String("te", "", "run closed-loop traffic engineering on this anycast prefix (e.g. 184.164.224.0/24): announce it at every PoP, resolve the catchment of -clients weighted clients, and steer per-PoP load to equal targets; serves /catchment and /te/status with -metrics (peering-cli catchment|te)")
+	tePrefix := flag.String("te", "", "run closed-loop traffic engineering on this anycast prefix (e.g. 184.164.224.0/24): announce it at every PoP, resolve the catchment of -clients weighted clients, and steer per-PoP load to equal targets; serves /v1/catchment and /v1/te/status with -metrics (peering-cli catchment|te)")
 	teClients := flag.Int("clients", 100000, "weighted clients placed across the synthetic Internet for -te catchment resolution")
 	flag.Parse()
 
@@ -212,7 +214,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("te setup: %v", err)
 		}
-		fmt.Printf("te: steering %s across %d PoPs (%d weighted clients); inspect /te/status\n",
+		fmt.Printf("te: steering %s across %d PoPs (%d weighted clients); inspect /v1/te/status\n",
 			teAnycast, len(popList), *teClients)
 		go func() {
 			res, err := te.Run()
@@ -242,8 +244,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /metrics", serveMetrics)
 		cp, err = peering.NewControlPlane(platform, peering.ControlPlaneConfig{
 			Logf:     log.Printf,
 			StateDir: *stateDir,
@@ -251,25 +251,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cp.API.Register(mux)
-		endpoints := append([]string{"/metrics"}, cp.API.Endpoints()...)
-		if hist != nil {
-			registerHistoryHandlers(mux, hist)
-			endpoints = append(endpoints, "/history/state", "/history/between", "/history/diff", "/history/stats")
-		}
-		if te != nil {
-			registerTEHandlers(mux, platform, te)
-			endpoints = append(endpoints, "/catchment", "/te/status")
-		}
-		// The root serves a JSON index of everything mounted; any other
-		// unregistered path 404s (the "GET /{$}" pattern matches "/"
-		// exactly instead of swallowing the whole tree).
-		mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(map[string]any{"service": "peeringd", "endpoints": endpoints})
-		})
+		mux := apiMux(cp, hist, te)
 		fmt.Printf("serving API on http://%s/ (metrics at /metrics, control plane at /v1)\n", ln.Addr())
 		srv = &http.Server{Handler: mux}
 		go func() {
@@ -346,102 +328,130 @@ func main() {
 	}
 }
 
-// registerHistoryHandlers mounts the history store's query layer on the
-// metrics mux as JSON endpoints, the transport peering-cli's history
-// verb speaks:
-//
-//	/history/state?prefix=P[&at=RFC3339]
-//	/history/between?prefix=P[&from=RFC3339][&to=RFC3339]
-//	/history/diff?a=POP&b=POP[&at=RFC3339]
-//	/history/stats
-func registerHistoryHandlers(mux *http.ServeMux, hist *history.Store) {
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+// apiMux mounts everything peeringd serves over HTTP — one surface:
+// the metrics exposition, the control plane and, beside it under /v1,
+// the history store's queries and the TE controller's status (hist and
+// te may be nil) — plus, at /, a JSON index of all of it. Every route is
+// method-qualified; anything unregistered 404s.
+func apiMux(cp *peering.ControlPlane, hist *history.Store, te *peering.TEController) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", serveMetrics)
+	cp.API.Register(mux)
+	endpoints := append([]string{indexEntry("/metrics", "plain-text metrics exposition")}, cp.API.Endpoints()...)
+	if hist != nil {
+		endpoints = append(endpoints, registerHistoryHandlers(mux, hist)...)
 	}
-	parseTime := func(w http.ResponseWriter, r *http.Request, key string, fallback time.Time) (time.Time, bool) {
+	if te != nil {
+		mux.HandleFunc("GET /v1/te/status", func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, te.Status())
+		})
+		endpoints = append(endpoints, indexEntry("/v1/te/status", "TE controller progress: rounds, shares, actions"))
+	}
+	// The "GET /{$}" pattern matches "/" exactly instead of swallowing
+	// the whole tree.
+	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, map[string]any{"service": "peeringd", "endpoints": endpoints})
+	})
+	return mux
+}
+
+// indexEntry formats one GET endpoint the way the control plane's index
+// lists its own.
+func indexEntry(path, doc string) string { return fmt.Sprintf("%-6s %-40s %s", "GET", path, doc) }
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// badRequest marks a query error as the caller's (400) rather than the
+// store's (500).
+type badRequest struct{ error }
+
+// registerHistoryHandlers mounts the history store's query layer as
+// JSON endpoints, the transport peering-cli's history verb speaks, and
+// returns their index entries.
+func registerHistoryHandlers(mux *http.ServeMux, hist *history.Store) (index []string) {
+	handle := func(verb, params, doc string, query func(r *http.Request) (any, error)) {
+		index = append(index, indexEntry("/v1/history/"+verb+params, doc))
+		mux.HandleFunc("GET /v1/history/"+verb, func(w http.ResponseWriter, r *http.Request) {
+			v, err := query(r)
+			switch {
+			case errors.As(err, new(badRequest)):
+				http.Error(w, err.Error(), http.StatusBadRequest)
+			case err != nil:
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			default:
+				writeJSON(w, v)
+			}
+		})
+	}
+	timeParam := func(r *http.Request, key string, fallback time.Time) (time.Time, error) {
 		s := r.FormValue(key)
 		if s == "" {
-			return fallback, true
+			return fallback, nil
 		}
 		at, err := time.Parse(time.RFC3339Nano, s)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad %s: %v (want RFC 3339)", key, err), http.StatusBadRequest)
-			return time.Time{}, false
+			return at, badRequest{fmt.Errorf("bad %s: %v (want RFC 3339)", key, err)}
 		}
-		return at, true
+		return at, nil
 	}
-	parsePrefix := func(w http.ResponseWriter, r *http.Request) (netip.Prefix, bool) {
+	prefixParam := func(r *http.Request) (netip.Prefix, error) {
 		prefix, err := netip.ParsePrefix(r.FormValue("prefix"))
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad prefix: %v", err), http.StatusBadRequest)
-			return netip.Prefix{}, false
+			return prefix, badRequest{fmt.Errorf("bad prefix: %v", err)}
 		}
-		return prefix, true
+		return prefix, nil
 	}
-	mux.HandleFunc("/history/state", func(w http.ResponseWriter, r *http.Request) {
-		prefix, ok := parsePrefix(w, r)
-		if !ok {
-			return
-		}
-		at, ok := parseTime(w, r, "at", time.Now())
-		if !ok {
-			return
-		}
-		state, err := hist.StateAt(prefix, at)
+	handle("state", "?prefix=P[&at=T]", "routes alive for a prefix at an instant (RFC 3339)", func(r *http.Request) (any, error) {
+		prefix, err := prefixParam(r)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return nil, err
 		}
-		writeJSON(w, state)
-	})
-	mux.HandleFunc("/history/between", func(w http.ResponseWriter, r *http.Request) {
-		prefix, ok := parsePrefix(w, r)
-		if !ok {
-			return
-		}
-		from, ok := parseTime(w, r, "from", time.Time{})
-		if !ok {
-			return
-		}
-		to, ok := parseTime(w, r, "to", time.Now())
-		if !ok {
-			return
-		}
-		events, err := hist.Between(prefix, from, to)
+		at, err := timeParam(r, "at", time.Now())
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return nil, err
 		}
-		writeJSON(w, events)
+		return hist.StateAt(prefix, at)
 	})
-	mux.HandleFunc("/history/diff", func(w http.ResponseWriter, r *http.Request) {
+	handle("between", "?prefix=P[&from=T][&to=T]", "a prefix's stored events in a time range", func(r *http.Request) (any, error) {
+		prefix, err := prefixParam(r)
+		if err != nil {
+			return nil, err
+		}
+		from, err := timeParam(r, "from", time.Time{})
+		if err != nil {
+			return nil, err
+		}
+		to, err := timeParam(r, "to", time.Now())
+		if err != nil {
+			return nil, err
+		}
+		return hist.Between(prefix, from, to)
+	})
+	handle("diff", "?a=POP&b=POP[&at=T]", "routes visible at exactly one of two PoPs", func(r *http.Request) (any, error) {
 		a, b := r.FormValue("a"), r.FormValue("b")
 		if a == "" || b == "" {
-			http.Error(w, "want a=POP&b=POP", http.StatusBadRequest)
-			return
+			return nil, badRequest{errors.New("want a=POP&b=POP")}
 		}
-		at, ok := parseTime(w, r, "at", time.Now())
-		if !ok {
-			return
-		}
-		diff, err := hist.DiffPoPs(a, b, at)
+		at, err := timeParam(r, "at", time.Now())
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return nil, err
 		}
-		writeJSON(w, diff)
+		return hist.DiffPoPs(a, b, at)
 	})
-	mux.HandleFunc("/history/stats", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, struct {
+	handle("stats", "", "store accounting and the vantage table", func(*http.Request) (any, error) {
+		return struct {
 			history.Stats
 			Vantages []string `json:"vantages"`
-		}{hist.Stats(), hist.Vantages()})
+		}{hist.Stats(), hist.Vantages()}, nil
 	})
+	return index
 }
 
 // parseChaosSpec builds a fault injector from the -chaos flag, a

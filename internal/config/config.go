@@ -1,10 +1,11 @@
 // Package config implements Peering's intent-based configuration
 // pipeline (§5): a central desired-state model describing experiments,
-// PoPs, and interconnections; validation; a versioned store with canary
-// deployment and rollback; and generators that transform the model into
-// per-service configurations (routing-engine config text, enforcement
-// engine registrations, VPN credentials, and network-controller
-// intents).
+// PoPs, and interconnections; validation; and generators that transform
+// the model into per-service configurations (routing-engine config
+// text, enforcement engine registrations, VPN credentials, and
+// network-controller intents). The model's versioned store — revisions,
+// canary deployment, rollback — is internal/ctlplane's Store, which
+// derives a Model per revision on demand.
 package config
 
 import (

@@ -1,7 +1,6 @@
 package config
 
 import (
-	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -182,86 +181,5 @@ func TestRenderVPNConfig(t *testing.T) {
 	}
 	if strings.Contains(text, "pending") {
 		t.Error("unapproved credential issued")
-	}
-}
-
-func TestStoreVersioning(t *testing.T) {
-	s := NewStore()
-	if _, n := s.Latest(); n != 0 {
-		t.Fatal("empty store should report rev 0")
-	}
-	m := sampleModel()
-	r1, err := s.Put(m)
-	if err != nil || r1 != 1 {
-		t.Fatalf("put: %d %v", r1, err)
-	}
-	m2 := sampleModel()
-	m2.Experiments[0].Approved = false
-	r2, _ := s.Put(m2)
-	if r2 != 2 {
-		t.Fatalf("rev2 = %d", r2)
-	}
-	got, err := s.Get(1)
-	if err != nil || !got.Experiments[0].Approved {
-		t.Error("rev 1 mutated")
-	}
-	r3, err := s.Rollback(1)
-	if err != nil || r3 != 3 {
-		t.Fatalf("rollback: %d %v", r3, err)
-	}
-	latest, n := s.Latest()
-	if n != 3 || !latest.Experiments[0].Approved {
-		t.Error("rollback content wrong")
-	}
-	if _, err := s.Get(99); err == nil {
-		t.Error("missing revision fetched")
-	}
-	bad := sampleModel()
-	bad.PoPs[0].Neighbors[0].ID = 0
-	if _, err := s.Put(bad); err == nil {
-		t.Error("invalid model stored")
-	}
-}
-
-func TestDeployerCanaryThenPromote(t *testing.T) {
-	s := NewStore()
-	rev, _ := s.Put(sampleModel())
-	applied := make(map[string]int)
-	d := NewDeployer(s, func(pop string, m Model) error {
-		applied[pop]++
-		return nil
-	})
-	if err := d.Canary(rev, []string{"amsix"}); err != nil {
-		t.Fatal(err)
-	}
-	if applied["amsix"] != 1 || applied["seattle"] != 0 {
-		t.Fatalf("after canary: %v", applied)
-	}
-	if err := d.Promote(rev); err != nil {
-		t.Fatal(err)
-	}
-	// The canary PoP is not re-applied.
-	if applied["amsix"] != 1 || applied["seattle"] != 1 {
-		t.Fatalf("after promote: %v", applied)
-	}
-	dep := d.Deployed()
-	if dep["amsix"] != rev || dep["seattle"] != rev {
-		t.Errorf("deployed = %v", dep)
-	}
-	if fleet := d.Fleet(); len(fleet) != 2 || fleet[0] != "amsix" {
-		t.Errorf("fleet = %v", fleet)
-	}
-}
-
-func TestDeployerApplyFailure(t *testing.T) {
-	s := NewStore()
-	rev, _ := s.Put(sampleModel())
-	boom := errors.New("apply failed")
-	d := NewDeployer(s, func(pop string, m Model) error { return boom })
-	if err := d.Canary(rev, []string{"amsix"}); !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
-	}
-	if len(d.Deployed()) != 0 {
-		t.Error("failed apply recorded as deployed")
 	}
 }

@@ -32,13 +32,13 @@ func TestDampedRouteWithheldButRetained(t *testing.T) {
 		f.n1.withdraw(prefix)
 		f.n1.announce(prefix, []uint32{n1ASN}, "192.0.2.1")
 	}
-	waitFor(t, "suppressed route withdrawn from experiment", func() bool {
+	// The route is also absent between each flap's withdraw and
+	// re-announce, so absence alone does not mean the suppression has
+	// happened yet.
+	waitFor(t, "route suppressed and withdrawn from experiment", func() bool {
 		_, ok := x1.routes()[nlri]
-		return !ok
+		return !ok && f.router.Damper().Suppressed(guard.Key{Peer: "N1", Prefix: pfx(prefix)})
 	})
-	if !f.router.Damper().Suppressed(guard.Key{Peer: "N1", Prefix: pfx(prefix)}) {
-		t.Fatal("damper does not report the route suppressed")
-	}
 	// The announcement survives in the adj-RIB-in, marked damped — it
 	// must be reusable without the neighbor re-announcing.
 	if n := f.nbr1.Table.PathCount(); n != 1 {

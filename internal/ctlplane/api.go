@@ -14,15 +14,6 @@ import (
 	"repro/internal/config"
 )
 
-// Deploy bundles the canary/promote/rollback machinery the API's
-// /v1/deploy verbs drive: the mirrored revision log plus the deployer
-// that pushes a revision to PoPs (§5: "we canary the new configuration
-// on a subset of our production fleet").
-type Deploy struct {
-	Store    *config.Store
-	Deployer *config.Deployer
-}
-
 // Queries are the read-only platform views unified under /v1/. Any nil
 // hook 404s its endpoint.
 type Queries struct {
@@ -33,8 +24,9 @@ type Queries struct {
 	RIB func(pop, table string, prefix netip.Prefix) (any, error)
 	// Health returns the guard ladder report.
 	Health func() any
-	// Catchment returns the current anycast catchment map (TE runs).
-	Catchment func() (any, error)
+	// Catchment returns the current anycast catchment map (TE runs) for
+	// prefix, or for the platform's TE prefix when it is the zero value.
+	Catchment func(prefix netip.Prefix) (any, error)
 }
 
 // Server is the control plane's HTTP/JSON surface. Mount on a mux with
@@ -43,7 +35,7 @@ type Server struct {
 	store   *Store
 	rec     *Reconciler
 	hub     *Hub
-	deploy  *Deploy
+	deploy  func(pop string, m config.Model) error
 	queries Queries
 	logf    func(format string, args ...any)
 
@@ -55,9 +47,11 @@ type ServerConfig struct {
 	Store      *Store
 	Reconciler *Reconciler
 	Hub        *Hub
-	Deploy     *Deploy
-	Queries    Queries
-	Logf       func(format string, args ...any)
+	// Deploy pushes one derived model to one PoP; the /v1/deploy verbs
+	// roll revisions out through it. Nil leaves them unmounted.
+	Deploy  func(pop string, m config.Model) error
+	Queries Queries
+	Logf    func(format string, args ...any)
 }
 
 // NewServer builds the API server.
@@ -73,38 +67,63 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 }
 
-// Endpoints returns the mounted endpoint list, the /v1/ (and /) index
-// payload.
-func (s *Server) Endpoints() []string {
-	eps := []string{
-		"GET  /v1/                               this index",
-		"GET  /v1/experiments                    list experiment objects + status",
-		"POST /v1/experiments[?dry_run=1]        create (idempotent; dry_run validates only)",
-		"GET  /v1/experiments/{name}             one object + convergence status",
-		"PATCH /v1/experiments/{name}            CAS update {revision, spec}",
-		"DELETE /v1/experiments/{name}[?revision=N]  tombstone + teardown",
-		"GET  /v1/status                         reconciler summary",
-		"GET  /v1/watch?types=a,b                SSE event stream",
+// route is one endpoint: its mux pattern, what the index says about it
+// (hint completes the path with its parameters), the request-counter
+// label, and the handler.
+type route struct {
+	pattern, hint, doc, label string
+	handler                   http.HandlerFunc
+}
+
+// routes is the one list both the index and the mux are built from;
+// every route lives under /v1/, and a nil hook leaves its endpoint out.
+func (s *Server) routes() []route {
+	rs := []route{
+		{"GET /v1/{$}", "", "this index", "index", s.handleIndex},
+		{"GET /v1/experiments", "", "list experiment objects + status", "list", s.handleList},
+		{"POST /v1/experiments", "[?dry_run=1]", "create (idempotent; dry_run validates only)", "create", s.handleCreate},
+		{"GET /v1/experiments/{name}", "", "one object + convergence status", "get", s.handleGet},
+		{"PATCH /v1/experiments/{name}", "", "CAS update {revision, spec}", "update", s.handleUpdate},
+		{"DELETE /v1/experiments/{name}", "[?revision=N]", "tombstone + teardown", "delete", s.handleDelete},
+		{"GET /v1/status", "", "reconciler summary", "status", s.handleStatus},
+	}
+	if s.hub != nil {
+		rs = append(rs, route{"GET /v1/watch", "?types=a,b", "SSE event stream", "watch", s.hub.ServeHTTP})
 	}
 	if s.deploy != nil {
-		eps = append(eps,
-			"GET  /v1/deploy                         revision log + per-PoP deployment",
-			"POST /v1/deploy/canary                  {revision, pops}",
-			"POST /v1/deploy/promote                 {revision}",
-			"POST /v1/deploy/rollback                {revision}",
+		rs = append(rs,
+			route{"GET /v1/deploy", "", "latest revision, commit notes, per-PoP deployment", "deploy-status", s.handleDeployStatus},
+			route{"POST /v1/deploy/canary", "", "{revision, pops}", "canary", s.handleDeployVerb("canary")},
+			route{"POST /v1/deploy/promote", "", "{revision}", "promote", s.handleDeployVerb("promote")},
+			route{"POST /v1/deploy/rollback", "", "{revision}", "rollback", s.handleDeployVerb("rollback")},
 		)
 	}
 	if s.queries.Fleet != nil {
-		eps = append(eps, "GET  /v1/fleet                          PoPs and interconnections")
+		rs = append(rs, route{"GET /v1/fleet", "", "PoPs and interconnections", "fleet", func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, http.StatusOK, s.queries.Fleet())
+		}})
 	}
 	if s.queries.RIB != nil {
-		eps = append(eps, "GET  /v1/rib?pop=P[&table=T][&prefix=X] routes at a PoP")
+		rs = append(rs, route{"GET /v1/rib", "?pop=P[&table=T][&prefix=X]", "routes at a PoP", "rib", s.handleRIB})
 	}
 	if s.queries.Health != nil {
-		eps = append(eps, "GET  /v1/health                         guard ladder report")
+		rs = append(rs, route{"GET /v1/health", "", "guard ladder report", "health", func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, http.StatusOK, s.queries.Health())
+		}})
 	}
 	if s.queries.Catchment != nil {
-		eps = append(eps, "GET  /v1/catchment                      anycast catchment map")
+		rs = append(rs, route{"GET /v1/catchment", "[?prefix=X]", "anycast catchment map", "catchment", s.handleCatchment})
+	}
+	return rs
+}
+
+// Endpoints returns the mounted endpoint list, the /v1/ (and /) index
+// payload.
+func (s *Server) Endpoints() []string {
+	var eps []string
+	for _, r := range s.routes() {
+		method, path, _ := strings.Cut(r.pattern, " ")
+		eps = append(eps, fmt.Sprintf("%-6s %-40s %s", method, strings.TrimSuffix(path, "{$}")+r.hint, r.doc))
 	}
 	sort.Strings(eps)
 	return eps
@@ -112,47 +131,8 @@ func (s *Server) Endpoints() []string {
 
 // Register mounts the API on mux.
 func (s *Server) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /v1/{$}", s.count("index", s.handleIndex))
-	mux.HandleFunc("GET /v1/experiments", s.count("list", s.handleList))
-	mux.HandleFunc("POST /v1/experiments", s.count("create", s.handleCreate))
-	mux.HandleFunc("GET /v1/experiments/{name}", s.count("get", s.handleGet))
-	mux.HandleFunc("PATCH /v1/experiments/{name}", s.count("update", s.handleUpdate))
-	mux.HandleFunc("DELETE /v1/experiments/{name}", s.count("delete", s.handleDelete))
-	mux.HandleFunc("GET /v1/status", s.count("status", s.handleStatus))
-	if s.hub != nil {
-		mux.Handle("GET /v1/watch", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			s.mRequests.inc("watch")
-			s.hub.ServeHTTP(w, r)
-		}))
-	}
-	if s.deploy != nil {
-		mux.HandleFunc("GET /v1/deploy", s.count("deploy-status", s.handleDeployStatus))
-		mux.HandleFunc("POST /v1/deploy/canary", s.count("canary", s.handleDeployVerb("canary")))
-		mux.HandleFunc("POST /v1/deploy/promote", s.count("promote", s.handleDeployVerb("promote")))
-		mux.HandleFunc("POST /v1/deploy/rollback", s.count("rollback", s.handleDeployVerb("rollback")))
-	}
-	if s.queries.Fleet != nil {
-		mux.HandleFunc("GET /v1/fleet", s.count("fleet", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, s.queries.Fleet())
-		}))
-	}
-	if s.queries.RIB != nil {
-		mux.HandleFunc("GET /v1/rib", s.count("rib", s.handleRIB))
-	}
-	if s.queries.Health != nil {
-		mux.HandleFunc("GET /v1/health", s.count("health", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, s.queries.Health())
-		}))
-	}
-	if s.queries.Catchment != nil {
-		mux.HandleFunc("GET /v1/catchment", s.count("catchment", func(w http.ResponseWriter, r *http.Request) {
-			v, err := s.queries.Catchment()
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, v)
-		}))
+	for _, r := range s.routes() {
+		mux.HandleFunc(r.pattern, s.count(r.label, r.handler))
 	}
 }
 
@@ -382,6 +362,34 @@ func (s *Server) subscribers() int {
 	return s.hub.Subscribers()
 }
 
+// prefixParam parses the optional prefix= query parameter (the zero
+// Prefix when absent), answering 400 itself when it is malformed.
+func prefixParam(w http.ResponseWriter, r *http.Request) (netip.Prefix, bool) {
+	raw := r.FormValue("prefix")
+	if raw == "" {
+		return netip.Prefix{}, true
+	}
+	p, err := netip.ParsePrefix(raw)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("ctlplane: bad prefix: %v", err))
+		return netip.Prefix{}, false
+	}
+	return p, true
+}
+
+func (s *Server) handleCatchment(w http.ResponseWriter, r *http.Request) {
+	prefix, ok := prefixParam(w, r)
+	if !ok {
+		return
+	}
+	v, err := s.queries.Catchment(prefix)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
 func (s *Server) handleRIB(w http.ResponseWriter, r *http.Request) {
 	pop := r.FormValue("pop")
 	if pop == "" {
@@ -392,14 +400,9 @@ func (s *Server) handleRIB(w http.ResponseWriter, r *http.Request) {
 	if table == "" {
 		table = "experiments"
 	}
-	var prefix netip.Prefix
-	if raw := r.FormValue("prefix"); raw != "" {
-		p, err := netip.ParsePrefix(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("ctlplane: bad prefix: %v", err))
-			return
-		}
-		prefix = p
+	prefix, ok := prefixParam(w, r)
+	if !ok {
+		return
 	}
 	v, err := s.queries.RIB(pop, table, prefix)
 	if err != nil {
@@ -411,7 +414,7 @@ func (s *Server) handleRIB(w http.ResponseWriter, r *http.Request) {
 
 // deployRequest is the body of the deploy verbs.
 type deployRequest struct {
-	Revision int      `json:"revision"`
+	Revision int64    `json:"revision"`
 	PoPs     []string `json:"pops,omitempty"`
 }
 
@@ -438,30 +441,29 @@ func (s *Server) handleDeployVerb(verb string) http.HandlerFunc {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("ctlplane: canary requires pops"))
 				return
 			}
-			err = s.deploy.Deployer.Canary(req.Revision, req.PoPs)
+			err = s.store.Canary(req.Revision, req.PoPs, s.deploy)
 			result["pops"] = req.PoPs
 		case "promote":
-			err = s.deploy.Deployer.Promote(req.Revision)
+			err = s.store.Promote(req.Revision, s.deploy)
 		case "rollback":
-			var newRev int
-			newRev, err = s.deploy.Store.Rollback(req.Revision)
-			result["new_revision"] = newRev
+			var newRev int64
+			if newRev, err = s.store.Rollback(req.Revision); err == nil {
+				result["new_revision"] = newRev
+			}
 		}
+		// A failed canary/promote leaves a partial rollout, and a revision
+		// that is unknown, no longer retained or does not validate leaves
+		// none: either way the per-PoP truth rides along with the error.
+		result["deployed"] = s.store.Deployed()
 		if err != nil {
-			// A failed canary/promote leaves a partial rollout; surface
-			// the per-PoP truth alongside the error.
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":    err.Error(),
-				"verb":     verb,
-				"revision": req.Revision,
-				"deployed": s.deploy.Deployer.Deployed(),
-			})
+			result["error"] = err.Error()
+			status := http.StatusConflict
+			if errors.Is(err, ErrStoreFailed) {
+				status = http.StatusServiceUnavailable
+			}
+			writeJSON(w, status, result)
 			return
 		}
-		deployed := s.deploy.Deployer.Deployed()
-		result["deployed"] = deployed
-		newRev, _ := result["new_revision"].(int)
-		s.store.LogDeploy(verb, req.Revision, req.PoPs, newRev, deployed)
 		if s.hub != nil {
 			s.hub.Publish(StreamDeploy, result)
 		}
@@ -470,10 +472,9 @@ func (s *Server) handleDeployVerb(verb string) http.HandlerFunc {
 }
 
 func (s *Server) handleDeployStatus(w http.ResponseWriter, _ *http.Request) {
-	_, latest := s.deploy.Store.Latest()
 	writeJSON(w, http.StatusOK, struct {
-		Latest   int            `json:"latest_revision"`
-		Notes    map[int]string `json:"notes"`
-		Deployed map[string]int `json:"deployed"`
-	}{latest, s.deploy.Store.Notes(), s.deploy.Deployer.Deployed()})
+		Latest   int64            `json:"latest_revision"`
+		Notes    map[int64]string `json:"notes"`
+		Deployed map[string]int64 `json:"deployed"`
+	}{s.store.Revision(), s.store.Notes(), s.store.Deployed()})
 }

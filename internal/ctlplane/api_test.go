@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -27,17 +26,7 @@ type apiHarness struct {
 func newAPIHarness(t *testing.T) *apiHarness {
 	t.Helper()
 	act := newFakeActuator()
-	cfgStore := config.NewStore()
-	store := NewStore(StoreConfig{
-		Config: cfgStore,
-		BaseModel: func() config.Model {
-			return config.Model{
-				PlatformASN: 47065,
-				GlobalPool:  netip.MustParsePrefix("184.164.224.0/19"),
-				PoPs:        []config.PoPSpec{{Name: "seattle"}, {Name: "amsterdam"}},
-			}
-		},
-	})
+	store := NewStore(StoreConfig{BaseModel: testBase})
 	hub := NewHub()
 	store.OnChange(func(c Change) { hub.Publish(StreamStore, c) })
 	rec := NewReconciler(store, act, hub, ReconcilerConfig{
@@ -49,14 +38,13 @@ func newAPIHarness(t *testing.T) *apiHarness {
 	})
 	go rec.Run()
 
-	deployer := config.NewDeployer(cfgStore, func(pop string, m config.Model) error { return nil })
 	api := NewServer(ServerConfig{
 		Store:      store,
 		Reconciler: rec,
 		Hub:        hub,
-		Deploy:     &Deploy{Store: cfgStore, Deployer: deployer},
+		Deploy:     func(pop string, m config.Model) error { return nil },
 		Queries: Queries{
-			Fleet: func() any { return []string{"seattle", "amsterdam"} },
+			Fleet: func() any { return []string{"seattle", "amsix"} },
 		},
 		Logf: t.Logf,
 	})
@@ -221,38 +209,65 @@ func TestAPIDeployVerbs(t *testing.T) {
 	h := newAPIHarness(t)
 	h.do(t, "POST", "/v1/experiments", testSpec("alpha"))
 
-	// The create mirrored a config revision; canary it to one PoP.
+	// The create is a deployable revision; canary it to one PoP.
 	obj, _ := h.store.Get("alpha")
-	if obj.ConfigRev == 0 {
-		t.Fatal("create did not mirror a config revision")
-	}
 	resp, body := h.do(t, "POST", "/v1/deploy/canary",
-		map[string]any{"revision": obj.ConfigRev, "pops": []string{"seattle"}})
+		map[string]any{"revision": obj.Revision, "pops": []string{"seattle"}})
 	if resp.StatusCode != 200 {
 		t.Fatalf("canary -> %d %s", resp.StatusCode, body)
 	}
-	resp, body = h.do(t, "POST", "/v1/deploy/promote", map[string]any{"revision": obj.ConfigRev})
+	resp, body = h.do(t, "POST", "/v1/deploy/promote", map[string]any{"revision": obj.Revision})
 	if resp.StatusCode != 200 {
 		t.Fatalf("promote -> %d %s", resp.StatusCode, body)
 	}
-	var result map[string]any
+	var result struct {
+		Error       string           `json:"error"`
+		NewRevision int64            `json:"new_revision"`
+		Deployed    map[string]int64 `json:"deployed"`
+	}
 	json.Unmarshal(body, &result)
-	deployed, _ := result["deployed"].(map[string]any)
-	if len(deployed) != 2 {
-		t.Fatalf("promote deployed = %v, want both PoPs", deployed)
+	if len(result.Deployed) != 2 {
+		t.Fatalf("promote deployed = %v, want both PoPs", result.Deployed)
 	}
 	resp, body = h.do(t, "GET", "/v1/deploy", nil)
-	if resp.StatusCode != 200 || !strings.Contains(string(body), "created alpha") {
+	if resp.StatusCode != 200 || !strings.Contains(string(body), "created alpha") ||
+		!strings.Contains(string(body), `"latest_revision": 1`) {
 		t.Fatalf("deploy status -> %d %s", resp.StatusCode, body)
 	}
-	resp, body = h.do(t, "POST", "/v1/deploy/rollback", map[string]any{"revision": obj.ConfigRev})
-	if resp.StatusCode != 200 {
-		t.Fatalf("rollback -> %d %s", resp.StatusCode, body)
+	resp, body = h.do(t, "POST", "/v1/deploy/rollback", map[string]any{"revision": obj.Revision})
+	json.Unmarshal(body, &result)
+	if resp.StatusCode != 200 || result.NewRevision != obj.Revision+1 {
+		t.Fatalf("rollback -> %d %s, want new_revision %d", resp.StatusCode, body, obj.Revision+1)
 	}
-	// Bad revision surfaces as conflict with the deployment truth.
-	resp, _ = h.do(t, "POST", "/v1/deploy/promote", map[string]any{"revision": 9999})
-	if resp.StatusCode != 409 {
-		t.Fatalf("bad promote -> %d, want 409", resp.StatusCode)
+	// Promoting the rollback revision deploys the old model under the
+	// new number.
+	resp, body = h.do(t, "POST", "/v1/deploy/promote", map[string]any{"revision": result.NewRevision})
+	json.Unmarshal(body, &result)
+	if resp.StatusCode != 200 || result.Deployed["seattle"] != obj.Revision+1 {
+		t.Fatalf("promote of the rollback -> %d %s", resp.StatusCode, body)
+	}
+	// Bad revision surfaces as conflict with the reason and the
+	// deployment truth.
+	resp, body = h.do(t, "POST", "/v1/deploy/promote", map[string]any{"revision": 9999})
+	json.Unmarshal(body, &result)
+	if resp.StatusCode != 409 || !strings.Contains(result.Error, "no revision 9999") ||
+		result.Deployed["seattle"] != obj.Revision+1 || result.Deployed["amsix"] != obj.Revision+1 {
+		t.Fatalf("bad promote -> %d %s, want 409 with the reason and the deployed map", resp.StatusCode, body)
+	}
+	resp, body = h.do(t, "POST", "/v1/deploy/rollback", map[string]any{"revision": 9999})
+	if resp.StatusCode != 409 || strings.Contains(string(body), "new_revision") {
+		t.Fatalf("bad rollback -> %d %s, want 409 and no new revision", resp.StatusCode, body)
+	}
+}
+
+// TestAPIOverlapIs409: the store refuses an allocation that overlaps a
+// live experiment's where the caller can see it.
+func TestAPIOverlapIs409(t *testing.T) {
+	h := newAPIHarness(t)
+	h.do(t, "POST", "/v1/experiments", testSpec("alpha"))
+	resp, body := h.do(t, "POST", "/v1/experiments", testSpec("beta"))
+	if resp.StatusCode != 409 || !strings.Contains(string(body), "alpha") {
+		t.Fatalf("overlapping create -> %d %s, want 409 naming alpha", resp.StatusCode, body)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 var (
 	// ErrNotFound: no object with that name.
 	ErrNotFound = errors.New("ctlplane: no such experiment")
-	// ErrConflict: the caller's revision is stale (CAS failure) or a
-	// create collided with a different existing spec.
+	// ErrConflict: the caller's revision is stale (CAS failure), a create
+	// collided with a different existing spec, or the spec's allocation
+	// overlaps another experiment's.
 	ErrConflict = errors.New("ctlplane: revision conflict")
 	// ErrDeleting: the object is being torn down and cannot be updated.
 	ErrDeleting = errors.New("ctlplane: experiment is being deleted")
@@ -29,9 +30,11 @@ var (
 // versioning metadata the CAS protocol needs.
 type Object struct {
 	Spec Spec `json:"spec"`
-	// Revision increments on every accepted change to this object. The
-	// counter is store-global, so revisions also totally order changes
-	// across objects.
+	// Revision is the store revision of the commit that last changed
+	// this object. The counter is store-global, so revisions totally
+	// order changes across objects, and it is the deploy revision:
+	// canarying an object's revision rolls out the desired state as of
+	// that commit.
 	Revision int64 `json:"revision"`
 	// CreatedAt / UpdatedAt are wall-clock bookkeeping.
 	CreatedAt time.Time `json:"created_at"`
@@ -39,9 +42,23 @@ type Object struct {
 	// Deleting marks a tombstone: the reconciler is withdrawing the
 	// experiment's state; the object disappears when teardown finishes.
 	Deleting bool `json:"deleting,omitempty"`
-	// ConfigRev is the revision this change produced in the mirrored
-	// config.Store (0 when the store runs unmirrored).
-	ConfigRev int `json:"config_rev,omitempty"`
+
+	// alloc is Spec.Prefixes parsed, once, when the object enters the
+	// store (commit or replay).
+	alloc []netip.Prefix
+}
+
+// parseAllocation fills alloc from the spec.
+func (o *Object) parseAllocation() error {
+	o.alloc = make([]netip.Prefix, 0, len(o.Spec.Prefixes))
+	for _, raw := range o.Spec.Prefixes {
+		p, err := netip.ParsePrefix(raw)
+		if err != nil {
+			return fmt.Errorf("ctlplane: experiment %s: bad prefix %q: %v", o.Spec.Name, raw, err)
+		}
+		o.alloc = append(o.alloc, p)
+	}
+	return nil
 }
 
 // ChangeKind classifies a store commit for watchers.
@@ -62,28 +79,74 @@ type Change struct {
 	Revision int64      `json:"revision"`
 }
 
-// Store is the versioned desired-state database behind the API: named
-// experiment objects with per-object revisions and optimistic
-// concurrency. It extends internal/config's revision-log model — every
-// accepted commit also renders the full desired state into a
-// config.Model revision in the mirrored config.Store, so the existing
-// canary/promote/rollback machinery (config.Deployer) operates on
-// exactly the state the reconciler converges.
+// revisionWindow is how many revisions stay deployable. It equals the
+// WAL's default compaction interval, so a snapshot never carries more
+// history than one log's worth, and at a pointer plus ~350 snapshot
+// bytes per revision it keeps memory and snapshot size O(objects +
+// window) however long the daemon runs. A rollout is canaried, promoted
+// or rolled back within hours of its commit, not a thousand commits
+// later; no caller needs another value, so it is not configurable.
+const revisionWindow = 1024
+
+// revision is one entry of the revision log. A commit's entry is its
+// delta: the object as committed — the very *Object the store serves,
+// so retaining a revision costs a pointer, not a copy — or nil when the
+// commit took the experiment out of the desired set (tombstone,
+// removal). A rollback's entry names the older revision whose desired
+// state it reproduces; it changes nothing for the revisions after it.
+type revision struct {
+	Kind       ChangeKind `json:"kind,omitempty"`
+	Name       string     `json:"name,omitempty"`
+	Object     *Object    `json:"object,omitempty"`
+	RollbackOf int64      `json:"rollback_of,omitempty"`
+}
+
+// fold applies the revision's delta to an experiment set.
+func (r revision) fold(set map[string]*Object) {
+	switch {
+	case r.RollbackOf != 0:
+	case r.Object != nil:
+		set[r.Name] = r.Object
+	default:
+		delete(set, r.Name)
+	}
+}
+
+// Store is the versioned desired-state database behind the API — the
+// one copy of §5's central model: named experiment objects with
+// optimistic concurrency, a store-global revision counter that numbers
+// every commit and rollback, the last revisionWindow revisions kept as
+// deltas from which ModelAt derives a config.Model on demand, and the
+// per-PoP map of which revision each PoP runs. Stored objects are
+// copy-on-write: a commit installs a fresh *Object and never modifies
+// one already stored, which is what lets revisions and readers share
+// them.
 type Store struct {
 	mu      sync.Mutex
 	objects map[string]*Object
 	nextRev int64
 
-	// cfg is the mirrored config revision log (nil = unmirrored).
-	cfg *config.Store
-	// base supplies the non-experiment half of the mirrored model
-	// (platform ASN, PoP specs); nil mirrors experiments only.
+	// window is the retained tail of the revision log, oldest first:
+	// window[i] is revision nextRev-len(window)+1+i. settled is the
+	// experiment set as of the revision before window[0] — what the
+	// entries that left the window folded into.
+	window  []revision
+	settled map[string]*Object
+	// base supplies the platform half of a derived model (platform ASN,
+	// PoP specs, experiments approved outside the control plane); nil
+	// derives experiments only. Never called under mu.
 	base func() config.Model
+	// deployed is the revision each PoP runs.
+	deployed map[string]int64
+	// acts holds the last-known actuation fingerprints (LogAct).
+	acts map[AnnKey]string
 
 	// onCommit pokes the reconciler (set once, before use).
 	onCommit func()
 	// onChange publishes store transitions to the watch hub.
 	onChange func(Change)
+	// notify is what a commit leaves for unlock to call.
+	notify func()
 
 	// wal, when set, makes every commit durable before it is
 	// acknowledged; walErr fails the store closed after a log-write
@@ -91,11 +154,6 @@ type Store struct {
 	// reconciliation pass tears down on restart).
 	wal    *WAL
 	walErr error
-	// acts mirrors the last-known actuation fingerprints (LogAct), and
-	// deployed the per-PoP deploy map (LogDeploy) — both are snapshotted
-	// at compaction so recovery starts with exact knowledge.
-	acts     map[AnnKey]string
-	deployed map[string]int
 	// crashHook, when set, fires at the seeded chaos injection points
 	// around the WAL write ("pre-wal-write", "post-wal-pre-actuate").
 	// Test-only; nil in production.
@@ -108,9 +166,7 @@ type Store struct {
 
 // StoreConfig configures a Store.
 type StoreConfig struct {
-	// Config, when set, receives a rendered Model revision per commit.
-	Config *config.Store
-	// BaseModel supplies PlatformASN/GlobalPool/PoPs for the mirror.
+	// BaseModel supplies PlatformASN/GlobalPool/PoPs for derived models.
 	BaseModel func() config.Model
 	// CrashHook fires at the seeded crash-injection points around the
 	// durable write. Test-only; leave nil in production.
@@ -122,8 +178,9 @@ type StoreConfig struct {
 func NewStore(cfg StoreConfig) *Store {
 	s := &Store{
 		objects:   make(map[string]*Object),
-		cfg:       cfg.Config,
+		settled:   make(map[string]*Object),
 		base:      cfg.BaseModel,
+		deployed:  make(map[string]int64),
 		acts:      make(map[AnnKey]string),
 		crashHook: cfg.CrashHook,
 	}
@@ -135,43 +192,28 @@ func NewStore(cfg StoreConfig) *Store {
 
 // RecoverStore opens the durable desired-state log in dir, replays
 // snapshot + WAL, and returns a store resuming exactly where the last
-// process stopped: objects with their revisions, the mirrored config
-// revision log with its commit notes, and the recovered actuation
-// fingerprints (for budget-free re-adoption). The mirrored config
-// store must be empty — recovery reproduces its revision numbering.
+// process stopped: objects with their revisions, the retained revision
+// log, the deployed map, and the actuation fingerprints (for
+// budget-free re-adoption). The returned state summarises what was
+// recovered; it is nil when the directory held no prior state.
 func RecoverStore(cfg StoreConfig, dir string) (*Store, *WAL, *RecoveredState, error) {
-	wal, rec, err := OpenWAL(dir)
+	wal, snap, recs, err := openWAL(dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	s := NewStore(cfg)
-	if rec != nil {
-		if s.cfg != nil {
-			if _, latest := s.cfg.Latest(); latest != 0 {
-				wal.Close()
-				return nil, nil, nil, fmt.Errorf("ctlplane: mirrored config store already has %d revisions; recovery needs an empty one", latest)
-			}
-			for i, cr := range rec.Config {
-				if _, err := s.cfg.PutNoted(cr.Model, cr.Note); err != nil {
-					wal.Close()
-					return nil, nil, nil, fmt.Errorf("ctlplane: recovering config revision %d: %w", i+1, err)
-				}
-			}
+	var rec *RecoveredState
+	if snap != nil || len(recs) > 0 {
+		if wal.seq, err = s.replay(snap, recs); err != nil {
+			wal.Close()
+			return nil, nil, nil, err
 		}
-		s.nextRev = rec.NextRev
-		for i := range rec.Objects {
-			obj := rec.Objects[i]
-			obj.Spec = obj.Spec.Clone()
-			s.objects[obj.Spec.Name] = &obj
+		rec = &RecoveredState{
+			Seq: wal.seq, NextRev: s.nextRev, Objects: s.List(),
+			Deployed: s.Deployed(), Acts: make(map[AnnKey]string, len(s.acts)),
 		}
-		for key, fp := range rec.Acts {
-			s.acts[key] = fp
-		}
-		if len(rec.Deployed) > 0 {
-			s.deployed = make(map[string]int, len(rec.Deployed))
-			for pop, rev := range rec.Deployed {
-				s.deployed[pop] = rev
-			}
+		for key, fp := range s.acts {
+			rec.Acts[key] = fp
 		}
 		s.mObjects.Set(int64(len(s.objects)))
 	}
@@ -180,53 +222,12 @@ func RecoverStore(cfg StoreConfig, dir string) (*Store, *WAL, *RecoveredState, e
 	return s, wal, rec, nil
 }
 
-// walSnapshotLocked builds the compaction checkpoint. Called by the WAL
-// with s.mu already held (compaction runs inside commitLocked).
-func (s *Store) walSnapshotLocked() walSnapshot {
-	snap := walSnapshot{NextRev: s.nextRev}
-	names := make([]string, 0, len(s.objects))
-	for name := range s.objects {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		snap.Objects = append(snap.Objects, *s.objects[name])
-	}
-	if s.cfg != nil {
-		notes := s.cfg.Notes()
-		for i, m := range s.cfg.Revisions() {
-			snap.Config = append(snap.Config, ConfigRev{Model: m, Note: notes[i+1]})
-		}
-	}
-	if len(s.deployed) > 0 {
-		snap.Deployed = make(map[string]int, len(s.deployed))
-		for pop, rev := range s.deployed {
-			snap.Deployed[pop] = rev
-		}
-	}
-	keys := make([]AnnKey, 0, len(s.acts))
-	for key := range s.acts {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	for _, key := range keys {
-		snap.Acts = append(snap.Acts, walAct{
-			Op: "announce", Experiment: key.Experiment, PoP: key.PoP,
-			Prefix: key.Prefix.String(), Version: key.Version, Fp: s.acts[key],
-		})
-	}
-	return snap
-}
-
 // Close closes the durable log, if any.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	wal := s.wal
-	s.mu.Unlock()
-	if wal == nil {
+	if s.wal == nil {
 		return nil
 	}
-	return wal.Close()
+	return s.wal.Close()
 }
 
 // failedLocked reports the fail-closed state after a WAL write error.
@@ -243,65 +244,123 @@ func (s *Store) OnCommit(fn func()) { s.onCommit = fn }
 // OnChange registers the watch-hub publication hook.
 func (s *Store) OnChange(fn func(Change)) { s.onChange = fn }
 
-// commitLocked finalizes a mutation: bumps the global revision counter,
-// mirrors the model, appends the durable commit record (fsynced before
-// the commit is acknowledged), and schedules notifications. Caller
-// holds s.mu and must fire the returned function after unlocking.
-func (s *Store) commitLocked(obj *Object, name string, kind ChangeKind) func() {
-	s.nextRev++
-	rev := s.nextRev
-	if obj != nil {
-		obj.Revision = rev
-		obj.UpdatedAt = time.Now()
-	}
-	var model *config.Model
-	note := ""
-	if s.cfg != nil {
-		m := s.renderLocked()
-		note = fmt.Sprintf("%s %s @%d", kind, name, rev)
-		if cfgRev, err := s.cfg.PutNoted(m, note); err == nil {
-			if obj != nil {
-				obj.ConfigRev = cfgRev
+// applyCommitLocked is the one place a commit changes store state; the
+// live path and WAL replay both go through it. c.Object belongs to the
+// store from here on.
+func (s *Store) applyCommitLocked(c walCommit) {
+	s.nextRev = c.Revision
+	rev := revision{Kind: c.Kind, Name: c.Name}
+	if c.Kind == ChangeRemoved {
+		delete(s.objects, c.Name)
+		for key := range s.acts {
+			if key.Experiment == c.Name {
+				delete(s.acts, key)
 			}
-			model = &m
+		}
+	} else {
+		s.objects[c.Name] = c.Object
+		if !c.Object.Deleting {
+			rev.Object = c.Object
 		}
 	}
+	s.pushLocked(rev)
+}
+
+// applyDeployLocked is applyCommitLocked's counterpart for deploy
+// records: a rollback appends a revision aliasing an older one; a canary
+// or promote moves the PoPs it reached to its revision.
+func (s *Store) applyDeployLocked(d walDeploy) error {
+	if d.Verb == "rollback" {
+		if _, err := s.commitIndexLocked(d.Revision); err != nil {
+			return err
+		}
+		s.nextRev = d.NewRevision
+		s.pushLocked(revision{RollbackOf: d.Revision})
+	}
+	for _, pop := range d.PoPs {
+		s.deployed[pop] = d.Revision
+	}
+	return nil
+}
+
+// applyActLocked records or forgets one actuation fingerprint.
+func (s *Store) applyActLocked(a walAct) {
+	if a.Op == "announce" {
+		s.acts[a.Key] = a.Fp
+	} else {
+		delete(s.acts, a.Key)
+	}
+}
+
+// pushLocked appends a revision to the log and folds the one that
+// leaves the window into the settled set.
+func (s *Store) pushLocked(r revision) {
+	s.window = append(s.window, r)
+	if len(s.window) > revisionWindow {
+		s.window[0].fold(s.settled)
+		s.window[0] = revision{} // the backing array outlives the reslice
+		s.window = s.window[1:]
+	}
+}
+
+// logLocked appends one record to the durable log, if there is one,
+// and compacts the log when it is due; a failure fails the store closed.
+func (s *Store) logLocked(typ byte, body any) {
+	if s.wal == nil || s.walErr != nil {
+		return
+	}
+	if s.walErr = s.wal.append(typ, body); s.walErr == nil {
+		s.walErr = s.wal.compactIfDue()
+	}
+}
+
+// unlock releases the store lock, then fires the notifications of the
+// commit made under it, if there was one. It must be deferred directly.
+func (s *Store) unlock() {
+	// A panic under the lock is the seeded crash hook standing in for the
+	// process dying mid-commit, with memory possibly ahead of the log. A
+	// dead process releases nothing, so neither does this: the store
+	// stays locked and whatever outlives the "crash" (the old reconciler,
+	// in the crash soak) sees no more of it.
+	if r := recover(); r != nil {
+		panic(r)
+	}
+	notify := s.notify
+	s.notify = nil
+	s.mu.Unlock()
+	if notify != nil {
+		notify()
+	}
+}
+
+// commitLocked finalizes a mutation: numbers it, applies it, appends
+// the durable commit record (fsynced before the commit is
+// acknowledged), and leaves the notifications for unlock to fire. obj
+// is the object as it stands after the commit (nil for a removal).
+func (s *Store) commitLocked(kind ChangeKind, name string, obj *Object) {
+	c := walCommit{Kind: kind, Name: name, Revision: s.nextRev + 1, Object: obj}
+	if obj != nil {
+		obj.Revision = c.Revision
+		obj.UpdatedAt = time.Now()
+	}
+	s.applyCommitLocked(c)
 	if s.wal != nil {
 		if s.crashHook != nil {
 			s.crashHook("pre-wal-write")
 		}
-		recObj := obj
-		if kind == ChangeRemoved {
-			recObj = nil
-			for key := range s.acts {
-				if key.Experiment == name {
-					delete(s.acts, key)
-				}
-			}
-		}
-		if err := s.wal.append(walTypeCommit, walCommit{
-			Kind: kind, Name: name, Revision: rev,
-			Object: recObj, Model: model, Note: note,
-		}); err != nil {
-			// Fail closed: this commit raced the log (its actuation will
-			// surface as an orphan after restart) and no further
-			// mutations are accepted.
-			s.walErr = err
-		}
+		// On failure this commit raced the log (its actuation will surface
+		// as an orphan after restart) and no further mutations are
+		// accepted.
+		s.logLocked(walTypeCommit, c)
 		if s.crashHook != nil {
 			s.crashHook("post-wal-pre-actuate")
-		}
-		if s.walErr == nil && s.wal.needsCompact() {
-			if err := s.wal.Compact(); err != nil {
-				s.walErr = err
-			}
 		}
 	}
 	s.mCommits.Inc()
 	s.mObjects.Set(int64(len(s.objects)))
-	change := Change{Kind: kind, Name: name, Revision: rev}
+	change := Change{Kind: kind, Name: name, Revision: c.Revision}
 	onCommit, onChange := s.onCommit, s.onChange
-	return func() {
+	s.notify = func() {
 		if onChange != nil {
 			onChange(change)
 		}
@@ -311,68 +370,82 @@ func (s *Store) commitLocked(obj *Object, name string, kind ChangeKind) func() {
 	}
 }
 
-// renderLocked builds the mirrored config.Model from the live objects.
-func (s *Store) renderLocked() config.Model {
-	var m config.Model
-	if s.base != nil {
-		m = s.base()
+// currentLocked returns the named object of a store that still accepts
+// mutations.
+func (s *Store) currentLocked(name string) (*Object, error) {
+	if err := s.failedLocked(); err != nil {
+		return nil, err
 	}
-	names := make([]string, 0, len(s.objects))
-	for name, obj := range s.objects {
-		if !obj.Deleting {
-			names = append(names, name)
+	obj, ok := s.objects[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+	}
+	return obj, nil
+}
+
+// staleLocked is the CAS failure: the caller's revision is not cur's.
+func (s *Store) staleLocked(cur *Object, rev int64) error {
+	s.mConflict.Inc()
+	return fmt.Errorf("%w: experiment %s is at revision %d, not %d",
+		ErrConflict, cur.Spec.Name, cur.Revision, rev)
+}
+
+// overlapLocked refuses an allocation that overlaps a live
+// (non-tombstoned) experiment's: §3.3's prefix-ownership enforcement
+// assumes allocations are disjoint, and a model that breaks the rule
+// fails Validate only at deploy time, where the commit can no longer be
+// refused.
+func (s *Store) overlapLocked(obj *Object) error {
+	for name, other := range s.objects {
+		if name == obj.Spec.Name || other.Deleting {
+			continue
+		}
+		for _, p := range obj.alloc {
+			for _, q := range other.alloc {
+				if p.Overlaps(q) {
+					s.mConflict.Inc()
+					return fmt.Errorf("%w: experiment %s: prefix %s overlaps %s, allocated to experiment %s",
+						ErrConflict, obj.Spec.Name, p, q, name)
+				}
+			}
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		spec := s.objects[name].Spec
-		prefixes := make([]netip.Prefix, 0, len(spec.Prefixes))
-		for _, raw := range spec.Prefixes {
-			prefixes = append(prefixes, netip.MustParsePrefix(raw))
-		}
-		m.Experiments = append(m.Experiments, config.ExperimentSpec{
-			Name:     spec.Name,
-			Owner:    spec.Owner,
-			ASNs:     []uint32{spec.ASN},
-			Prefixes: prefixes,
-			Caps:     CapsFor(spec),
-			Approved: true,
-		})
-	}
-	return m
+	return nil
 }
 
 // Create stores a new experiment. Re-creating an identical spec is an
 // idempotent no-op returning the existing object (created=false); a
-// name collision with a different spec is ErrConflict.
+// name collision with a different spec, or an allocation overlapping
+// another experiment's, is ErrConflict.
 func (s *Store) Create(spec Spec) (Object, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return Object{}, false, err
 	}
+	obj := &Object{Spec: spec.Clone(), CreatedAt: time.Now()}
+	if err := obj.parseAllocation(); err != nil {
+		return Object{}, false, err
+	}
 	s.mu.Lock()
+	defer s.unlock()
 	if err := s.failedLocked(); err != nil {
-		s.mu.Unlock()
 		return Object{}, false, err
 	}
 	if existing, ok := s.objects[spec.Name]; ok {
-		defer s.mu.Unlock()
-		if existing.Deleting {
+		switch {
+		case existing.Deleting:
 			return Object{}, false, fmt.Errorf("%w (recreate after teardown finishes)", ErrDeleting)
-		}
-		if existing.Spec.Equal(spec) {
+		case existing.Spec.Equal(spec):
 			return *existing, false, nil
 		}
 		s.mConflict.Inc()
 		return Object{}, false, fmt.Errorf("%w: experiment %s exists at revision %d with a different spec",
 			ErrConflict, spec.Name, existing.Revision)
 	}
-	obj := &Object{Spec: spec.Clone(), CreatedAt: time.Now()}
-	s.objects[spec.Name] = obj
-	notify := s.commitLocked(obj, spec.Name, ChangeCreated)
-	out := *obj
-	s.mu.Unlock()
-	notify()
-	return out, true, nil
+	if err := s.overlapLocked(obj); err != nil {
+		return Object{}, false, err
+	}
+	s.commitLocked(ChangeCreated, spec.Name, obj)
+	return *obj, true, nil
 }
 
 // Update replaces an object's spec, gated on the caller's revision
@@ -386,37 +459,28 @@ func (s *Store) Update(name string, rev int64, spec Spec) (Object, error) {
 		return Object{}, fmt.Errorf("ctlplane: spec name %q does not match object %q", spec.Name, name)
 	}
 	s.mu.Lock()
-	if err := s.failedLocked(); err != nil {
-		s.mu.Unlock()
+	defer s.unlock()
+	cur, err := s.currentLocked(name)
+	switch {
+	case err != nil:
+		return Object{}, err
+	case cur.Deleting:
+		return Object{}, fmt.Errorf("%w: %s", ErrDeleting, name)
+	case cur.Revision != rev:
+		return *cur, s.staleLocked(cur, rev)
+	case cur.Spec.Equal(spec):
+		return *cur, nil
+	}
+	next := *cur
+	next.Spec = spec.Clone()
+	if err = next.parseAllocation(); err == nil {
+		err = s.overlapLocked(&next)
+	}
+	if err != nil {
 		return Object{}, err
 	}
-	obj, ok := s.objects[name]
-	if !ok {
-		s.mu.Unlock()
-		return Object{}, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if obj.Deleting {
-		s.mu.Unlock()
-		return Object{}, fmt.Errorf("%w: %s", ErrDeleting, name)
-	}
-	if obj.Revision != rev {
-		s.mConflict.Inc()
-		cur := *obj
-		s.mu.Unlock()
-		return cur, fmt.Errorf("%w: experiment %s is at revision %d, not %d",
-			ErrConflict, name, cur.Revision, rev)
-	}
-	if obj.Spec.Equal(spec) {
-		out := *obj
-		s.mu.Unlock()
-		return out, nil
-	}
-	obj.Spec = spec.Clone()
-	notify := s.commitLocked(obj, name, ChangeUpdated)
-	out := *obj
-	s.mu.Unlock()
-	notify()
-	return out, nil
+	s.commitLocked(ChangeUpdated, name, &next)
+	return next, nil
 }
 
 // Delete tombstones an object for teardown. rev 0 deletes
@@ -424,33 +488,20 @@ func (s *Store) Update(name string, rev int64, spec Spec) (Object, error) {
 // remains visible (Deleting=true) until the reconciler calls Remove.
 func (s *Store) Delete(name string, rev int64) (Object, error) {
 	s.mu.Lock()
-	if err := s.failedLocked(); err != nil {
-		s.mu.Unlock()
+	defer s.unlock()
+	cur, err := s.currentLocked(name)
+	switch {
+	case err != nil:
 		return Object{}, err
+	case cur.Deleting:
+		return *cur, nil // idempotent
+	case rev != 0 && cur.Revision != rev:
+		return *cur, s.staleLocked(cur, rev)
 	}
-	obj, ok := s.objects[name]
-	if !ok {
-		s.mu.Unlock()
-		return Object{}, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if obj.Deleting {
-		out := *obj
-		s.mu.Unlock()
-		return out, nil // idempotent
-	}
-	if rev != 0 && obj.Revision != rev {
-		s.mConflict.Inc()
-		cur := *obj
-		s.mu.Unlock()
-		return cur, fmt.Errorf("%w: experiment %s is at revision %d, not %d",
-			ErrConflict, name, cur.Revision, rev)
-	}
-	obj.Deleting = true
-	notify := s.commitLocked(obj, name, ChangeDeleted)
-	out := *obj
-	s.mu.Unlock()
-	notify()
-	return out, nil
+	next := *cur
+	next.Deleting = true
+	s.commitLocked(ChangeDeleted, name, &next)
+	return next, nil
 }
 
 // Remove drops a tombstoned object once the reconciler has finished
@@ -458,23 +509,15 @@ func (s *Store) Delete(name string, rev int64) (Object, error) {
 // reconciler only calls this after Delete.
 func (s *Store) Remove(name string) error {
 	s.mu.Lock()
-	if err := s.failedLocked(); err != nil {
-		s.mu.Unlock()
+	defer s.unlock()
+	obj, err := s.currentLocked(name)
+	if err != nil {
 		return err
 	}
-	obj, ok := s.objects[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
 	if !obj.Deleting {
-		s.mu.Unlock()
 		return fmt.Errorf("ctlplane: experiment %s is not marked for deletion", name)
 	}
-	delete(s.objects, name)
-	notify := s.commitLocked(nil, name, ChangeRemoved)
-	s.mu.Unlock()
-	notify()
+	s.commitLocked(ChangeRemoved, name, nil)
 	return nil
 }
 
@@ -493,12 +536,7 @@ func (s *Store) Get(name string) (Object, error) {
 func (s *Store) List() []Object {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Object, 0, len(s.objects))
-	for _, obj := range s.objects {
-		out = append(out, *obj)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
-	return out
+	return sortedObjects(s.objects)
 }
 
 // LogAct records one successful actuation in the durable log: op is
@@ -510,51 +548,207 @@ func (s *Store) List() []Object {
 func (s *Store) LogAct(op string, key AnnKey, fp string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if op == "announce" {
-		s.acts[key] = fp
-	} else {
-		delete(s.acts, key)
-	}
-	if s.wal == nil || s.walErr != nil {
-		return
-	}
-	if err := s.wal.append(walTypeAct, walAct{
-		Op: op, Experiment: key.Experiment, PoP: key.PoP,
-		Prefix: key.Prefix.String(), Version: key.Version, Fp: fp,
-	}); err != nil {
-		s.walErr = err
-	}
-}
-
-// LogDeploy records one deploy-plane operation (canary / promote /
-// rollback) with the resulting per-PoP deployed map, so deploy state
-// survives a restart alongside the specs it rolls out.
-func (s *Store) LogDeploy(verb string, rev int, pops []string, newRev int, deployed map[string]int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(deployed) > 0 {
-		if s.deployed == nil {
-			s.deployed = make(map[string]int, len(deployed))
-		}
-		for pop, r := range deployed {
-			s.deployed[pop] = r
-		}
-	}
-	if s.wal == nil || s.walErr != nil {
-		return
-	}
-	if err := s.wal.append(walTypeDeploy, walDeploy{
-		Verb: verb, Revision: rev, PoPs: pops,
-		NewRevision: newRev, Deployed: deployed,
-	}); err != nil {
-		s.walErr = err
-	}
+	a := walAct{Op: op, Key: key, Fp: fp}
+	s.applyActLocked(a)
+	s.logLocked(walTypeAct, a)
 }
 
 // Revision returns the store's global revision counter (the revision of
-// the most recent commit).
+// the most recent commit or rollback).
 func (s *Store) Revision() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.nextRev
+}
+
+// oldestLocked is the oldest retained revision.
+func (s *Store) oldestLocked() int64 { return s.nextRev - int64(len(s.window)) + 1 }
+
+// commitIndexLocked returns the window index of the commit whose
+// desired state revision rev has — rev itself, or what it rolls back to.
+func (s *Store) commitIndexLocked(rev int64) (int, error) {
+	for {
+		if rev < 1 || rev > s.nextRev {
+			return 0, fmt.Errorf("ctlplane: no revision %d (latest is %d)", rev, s.nextRev)
+		}
+		oldest := s.oldestLocked()
+		if rev < oldest {
+			return 0, fmt.Errorf("ctlplane: revision %d is no longer retained (oldest retained revision is %d)", rev, oldest)
+		}
+		r := s.window[rev-oldest]
+		if r.RollbackOf == 0 {
+			return int(rev - oldest), nil
+		}
+		rev = r.RollbackOf
+	}
+}
+
+// ModelAt derives the desired-state model as of a retained revision:
+// the experiment half by folding the revision log's deltas over the
+// settled set, the platform half from BaseModel as it reads now.
+func (s *Store) ModelAt(rev int64) (config.Model, error) {
+	s.mu.Lock()
+	i, err := s.commitIndexLocked(rev)
+	if err != nil {
+		s.mu.Unlock()
+		return config.Model{}, err
+	}
+	set := make(map[string]*Object, len(s.settled))
+	for name, obj := range s.settled {
+		set[name] = obj
+	}
+	for _, r := range s.window[:i+1] {
+		r.fold(set)
+	}
+	s.mu.Unlock()
+
+	var m config.Model
+	if s.base != nil {
+		m = s.base()
+	}
+	names := make([]string, 0, len(set))
+	for name := range set {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		obj := set[name]
+		m.Experiments = append(m.Experiments, config.ExperimentSpec{
+			Name:     name,
+			Owner:    obj.Spec.Owner,
+			ASNs:     []uint32{obj.Spec.ASN},
+			Prefixes: append([]netip.Prefix(nil), obj.alloc...),
+			Caps:     CapsFor(obj.Spec),
+			Approved: true,
+		})
+	}
+	return m, nil
+}
+
+// Notes returns the commit note of every retained commit revision,
+// "created foo @3"-style, so the revision log reads like a change
+// history. Rollback revisions carry none.
+func (s *Store) Notes() map[int64]string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[int64]string, len(s.window))
+	oldest := s.oldestLocked()
+	for i, r := range s.window {
+		if r.RollbackOf == 0 {
+			rev := oldest + int64(i)
+			out[rev] = fmt.Sprintf("%s %s @%d", r.Kind, r.Name, rev)
+		}
+	}
+	return out
+}
+
+// Deployed returns a copy of the revision each PoP runs.
+func (s *Store) Deployed() map[string]int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]int64, len(s.deployed))
+	for pop, rev := range s.deployed {
+		out[pop] = rev
+	}
+	return out
+}
+
+// Canary applies revision rev to the named PoPs only (§5: "we canary
+// the new configuration on a subset of our production fleet"). apply
+// pushes the derived model to one PoP.
+func (s *Store) Canary(rev int64, pops []string, apply func(pop string, m config.Model) error) error {
+	return s.rollout("canary", rev, pops, apply)
+}
+
+// Promote applies revision rev to every PoP of the model that is not
+// already running it.
+func (s *Store) Promote(rev int64, apply func(pop string, m config.Model) error) error {
+	return s.rollout("promote", rev, nil, apply)
+}
+
+// rollout derives and validates the model, applies it PoP by PoP
+// outside the store lock, and then — whether or not every apply
+// succeeded — moves the PoPs that took it in the deployed map and writes
+// the verb's one deploy record, so a partial rollout is as durable as a
+// complete one.
+func (s *Store) rollout(verb string, rev int64, pops []string, apply func(pop string, m config.Model) error) error {
+	m, err := s.ModelAt(rev)
+	if err == nil {
+		err = m.Validate()
+	}
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	err = s.failedLocked()
+	if verb == "promote" {
+		for _, pop := range m.PoPs {
+			if s.deployed[pop.Name] != rev {
+				pops = append(pops, pop.Name)
+			}
+		}
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	d := walDeploy{Verb: verb, Revision: rev}
+	for _, pop := range pops {
+		if err = apply(pop, m); err != nil {
+			err = fmt.Errorf("ctlplane: %s %s: %w", verb, pop, err)
+			break
+		}
+		d.PoPs = append(d.PoPs, pop)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_ = s.applyDeployLocked(d) // only a rollback can be refused
+	s.logLocked(walTypeDeploy, d)
+	return err
+}
+
+// Rollback appends a revision reproducing retained revision rev and
+// returns its number; promoting that deploys the old desired state. It
+// does not change the stored objects.
+func (s *Store) Rollback(rev int64) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.failedLocked(); err != nil {
+		return 0, err
+	}
+	d := walDeploy{Verb: "rollback", Revision: rev, NewRevision: s.nextRev + 1}
+	if err := s.applyDeployLocked(d); err != nil {
+		return 0, err
+	}
+	s.logLocked(walTypeDeploy, d)
+	return d.NewRevision, nil
+}
+
+// walSnapshotLocked builds the compaction checkpoint. Called by the WAL
+// with s.mu already held (compaction runs inside logLocked).
+func (s *Store) walSnapshotLocked() walSnapshot {
+	snap := walSnapshot{
+		NextRev: s.nextRev, Objects: sortedObjects(s.objects),
+		Settled: sortedObjects(s.settled), Window: s.window,
+		Deployed: s.deployed,
+	}
+	keys := make([]AnnKey, 0, len(s.acts))
+	for key := range s.acts {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	for _, key := range keys {
+		snap.Acts = append(snap.Acts, walAct{Op: "announce", Key: key, Fp: s.acts[key]})
+	}
+	return snap
+}
+
+// sortedObjects copies a set's objects out, sorted by name.
+func sortedObjects(set map[string]*Object) []Object {
+	out := make([]Object, 0, len(set))
+	for _, obj := range set {
+		out = append(out, *obj)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
+	return out
 }

@@ -3,20 +3,34 @@ package ctlplane
 import (
 	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 )
 
-func testSpec(name string) Spec {
+// testSpec is the one-experiment fixture; two experiments alive in the
+// same store need testSpecAt, because allocations may not overlap.
+func testSpec(name string) Spec { return testSpecAt(name, "184.164.224.0/24") }
+
+func testSpecAt(name, prefix string) Spec {
 	return Spec{
 		Name:     name,
 		Owner:    "researcher@example.edu",
 		ASN:      61001,
-		Prefixes: []string{"184.164.224.0/24"},
+		Prefixes: []string{prefix},
 		Announcements: []Announcement{
-			{Prefix: "184.164.224.0/24", PoPs: []string{"seattle"}},
+			{Prefix: prefix, PoPs: []string{"seattle"}},
 		},
+	}
+}
+
+// testBase is the platform half the store tests derive models over.
+func testBase() config.Model {
+	return config.Model{
+		PlatformASN: 47065,
+		GlobalPool:  netip.MustParsePrefix("184.164.224.0/19"),
+		PoPs:        []config.PoPSpec{{Name: "seattle"}, {Name: "amsix"}},
 	}
 }
 
@@ -114,43 +128,157 @@ func TestStoreDeleteLifecycle(t *testing.T) {
 	}
 }
 
+// TestStoreMirrorsConfigRevisions: every commit is a deployable
+// revision whose derived model holds exactly the live experiments.
 func TestStoreMirrorsConfigRevisions(t *testing.T) {
-	cfg := config.NewStore()
-	s := NewStore(StoreConfig{
-		Config: cfg,
-		BaseModel: func() config.Model {
-			return config.Model{
-				PlatformASN: 47065,
-				GlobalPool:  netip.MustParsePrefix("184.164.224.0/19"),
-				PoPs:        []config.PoPSpec{{Name: "seattle"}},
-			}
-		},
-	})
+	s := NewStore(StoreConfig{BaseModel: testBase})
 	obj, _, err := s.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if obj.ConfigRev == 0 {
-		t.Fatal("Create did not mirror a config revision")
-	}
-	m, err := cfg.Get(obj.ConfigRev)
+	m, err := s.ModelAt(obj.Revision)
 	if err != nil {
-		t.Fatalf("config.Get(%d): %v", obj.ConfigRev, err)
+		t.Fatalf("ModelAt(%d): %v", obj.Revision, err)
+	}
+	if m.PlatformASN != 47065 || len(m.PoPs) != 2 {
+		t.Fatalf("derived model lost its platform half: %+v", m)
 	}
 	if len(m.Experiments) != 1 || m.Experiments[0].Name != "alpha" {
-		t.Fatalf("mirrored model experiments = %+v", m.Experiments)
+		t.Fatalf("derived model experiments = %+v", m.Experiments)
 	}
 	if !m.Experiments[0].Approved {
-		t.Fatal("mirrored experiment not approved")
+		t.Fatal("derived experiment not approved")
 	}
-	if note := cfg.Note(obj.ConfigRev); note == "" {
-		t.Fatal("mirrored revision has no commit note")
+	if got, want := m.Experiments[0].Prefixes, []netip.Prefix{netip.MustParsePrefix("184.164.224.0/24")}; len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("derived allocation = %v, want %v", got, want)
 	}
-	// Tombstoning renders the experiment out of the mirror.
+	if note := s.Notes()[obj.Revision]; note != "created alpha @1" {
+		t.Fatalf("revision %d note = %q", obj.Revision, note)
+	}
+	// Tombstoning takes the experiment out of the next revision, and
+	// leaves the earlier one as it was.
 	tomb, _ := s.Delete("alpha", obj.Revision)
-	m, _ = cfg.Get(tomb.ConfigRev)
-	if len(m.Experiments) != 0 {
-		t.Fatalf("tombstoned experiment still mirrored: %+v", m.Experiments)
+	if m, _ = s.ModelAt(tomb.Revision); len(m.Experiments) != 0 {
+		t.Fatalf("tombstoned experiment still in the model: %+v", m.Experiments)
+	}
+	if m, _ = s.ModelAt(obj.Revision); len(m.Experiments) != 1 {
+		t.Fatalf("revision %d changed after a later commit: %+v", obj.Revision, m.Experiments)
+	}
+}
+
+// TestStoreRevisionNumbering is the revision log's contract, ported
+// from the config store it replaces: commits and rollbacks number
+// consecutively, a retained revision never changes, a rollback
+// reproduces the old desired state under a new number without touching
+// the objects, and an unknown revision is an error.
+func TestStoreRevisionNumbering(t *testing.T) {
+	s := NewStore(StoreConfig{BaseModel: testBase})
+	if s.Revision() != 0 {
+		t.Fatal("empty store should report revision 0")
+	}
+	if _, err := s.ModelAt(1); err == nil {
+		t.Fatal("empty store derived a model for revision 1")
+	}
+	alpha, _, _ := s.Create(testSpec("alpha"))
+	beta, _, _ := s.Create(testSpecAt("beta", "184.164.225.0/24"))
+	if alpha.Revision != 1 || beta.Revision != 2 {
+		t.Fatalf("revisions = %d, %d, want 1, 2", alpha.Revision, beta.Revision)
+	}
+	tomb, _ := s.Delete("beta", 0)
+	if tomb.Revision != 3 {
+		t.Fatalf("tombstone revision = %d, want 3", tomb.Revision)
+	}
+	if m, err := s.ModelAt(2); err != nil || len(m.Experiments) != 2 {
+		t.Fatalf("ModelAt(2) = %+v, %v; want alpha and beta", m.Experiments, err)
+	}
+	newRev, err := s.Rollback(2)
+	if err != nil || newRev != 4 || s.Revision() != 4 {
+		t.Fatalf("Rollback(2) = %d, %v (store at %d), want revision 4", newRev, err, s.Revision())
+	}
+	if m, err := s.ModelAt(4); err != nil || len(m.Experiments) != 2 {
+		t.Fatalf("rolled-back model = %+v, %v; want alpha and beta again", m.Experiments, err)
+	}
+	if obj, _ := s.Get("beta"); !obj.Deleting {
+		t.Fatal("rollback resurrected the tombstoned object")
+	}
+	if _, ok := s.Notes()[4]; ok {
+		t.Fatal("rollback revision carries a commit note")
+	}
+	// The commit after a rollback continues from the objects, not from
+	// the rolled-back model; a rollback of a rollback still resolves.
+	s.Remove("beta")
+	if m, _ := s.ModelAt(5); len(m.Experiments) != 1 {
+		t.Fatalf("ModelAt(5) = %+v, want alpha only", m.Experiments)
+	}
+	if again, err := s.Rollback(4); err != nil || again != 6 {
+		t.Fatalf("Rollback(4) = %d, %v, want revision 6", again, err)
+	} else if m, _ := s.ModelAt(again); len(m.Experiments) != 2 {
+		t.Fatalf("rollback of a rollback = %+v, want alpha and beta", m.Experiments)
+	}
+	for _, rev := range []int64{0, -1, 99} {
+		if _, err := s.ModelAt(rev); err == nil {
+			t.Errorf("ModelAt(%d) succeeded", rev)
+		}
+		if _, err := s.Rollback(rev); err == nil {
+			t.Errorf("Rollback(%d) succeeded", rev)
+		}
+	}
+	if s.Revision() != 6 {
+		t.Fatalf("failed rollbacks moved the revision counter to %d", s.Revision())
+	}
+}
+
+// TestStoreRejectsOverlappingAllocation: two live experiments may never
+// own overlapping address space, and the refusal names both sides.
+func TestStoreRejectsOverlappingAllocation(t *testing.T) {
+	s := NewStore(StoreConfig{})
+	alpha, _, err := s.Create(testSpecAt("alpha", "184.164.224.0/23"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = s.Create(testSpecAt("beta", "184.164.225.0/24"))
+	if !errors.Is(err, ErrConflict) {
+		t.Fatalf("overlapping Create = %v, want ErrConflict", err)
+	}
+	for _, want := range []string{"alpha", "beta", "184.164.224.0/23", "184.164.225.0/24"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("overlap error %q does not name %s", err, want)
+		}
+	}
+	if s.Revision() != alpha.Revision {
+		t.Fatalf("refused create moved the revision to %d", s.Revision())
+	}
+
+	beta, _, err := s.Create(testSpecAt("beta", "184.164.226.0/24"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Update("beta", beta.Revision, testSpecAt("beta", "184.164.224.0/24")); !errors.Is(err, ErrConflict) {
+		t.Fatalf("Update into an overlap = %v, want ErrConflict", err)
+	}
+	if cur, _ := s.Get("beta"); cur.Revision != beta.Revision || cur.Spec.Prefixes[0] != "184.164.226.0/24" {
+		t.Fatalf("refused update changed beta: %+v", cur)
+	}
+	// An experiment does not conflict with itself.
+	if _, err := s.Update("alpha", alpha.Revision, testSpecAt("alpha", "184.164.224.0/24")); err != nil {
+		t.Fatalf("Update within own allocation: %v", err)
+	}
+
+	// A tombstone no longer owns its allocation: the create refused
+	// above goes through once alpha is being torn down, and alpha can
+	// then only come back somewhere else.
+	if _, err := s.Delete("alpha", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Create(testSpecAt("gamma", "184.164.224.0/24")); err != nil {
+		t.Fatalf("Create over a tombstone's allocation: %v", err)
+	}
+	s.Remove("alpha")
+	if _, _, err := s.Create(testSpecAt("alpha", "184.164.224.0/23")); !errors.Is(err, ErrConflict) {
+		t.Fatalf("re-Create over gamma's allocation = %v, want ErrConflict", err)
+	}
+	if _, _, err := s.Create(testSpecAt("alpha", "184.164.228.0/23")); err != nil {
+		t.Fatalf("re-Create after teardown: %v", err)
 	}
 }
 

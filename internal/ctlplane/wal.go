@@ -1,18 +1,16 @@
 package ctlplane
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"net/netip"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
-
-	"repro/internal/config"
 )
 
 // Durable desired-state layer: a write-ahead log plus snapshot making
@@ -20,10 +18,10 @@ import (
 // tombstone / remove), every deploy operation, and every successful
 // actuation fingerprint is appended to the WAL and fsynced before the
 // commit is acknowledged; on startup the snapshot and WAL replay
-// rebuild desired state exactly — per-object revisions, the mirrored
-// config revision log with its commit notes, the deployed map, and the
-// fingerprints announcements were actuated with (so recovery re-adopts
-// matching installs without burning the §4.7 update budget).
+// rebuild desired state exactly — per-object revisions, the retained
+// revision log, the deployed map, and the fingerprints announcements
+// were actuated with (so recovery re-adopts matching installs without
+// burning the §4.7 update budget).
 //
 // The on-disk discipline mirrors internal/history's segment log:
 // length-prefixed CRC-32C records, fsync-on-commit, snapshot-then-
@@ -39,10 +37,14 @@ import (
 // (same discipline as internal/history).
 var walCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// walMagic / snapMagic head the two files in a state directory.
+// walMagic / snapMagic head the two files in a state directory. Format
+// 2 numbers deploy revisions by the store's own revision counter; a
+// format-1 directory (whose deployed map is numbered by the mirrored
+// config store that no longer exists) is refused as bad magic rather
+// than replayed under the wrong numbering.
 var (
-	walMagic  = []byte("vbgpwal1")
-	snapMagic = []byte("vbgpsnp1")
+	walMagic  = []byte("vbgpwal2")
+	snapMagic = []byte("vbgpsnp2")
 )
 
 // File names inside the state directory.
@@ -52,8 +54,8 @@ const (
 )
 
 // maxWALRecord bounds one frame's payload; anything larger mid-file is
-// corruption, not data (a spec is capped at 1 MiB; a full-model commit
-// record stays well under this).
+// corruption, not data (the largest record is a commit carrying one
+// object, and a spec is capped at 1 MiB).
 const maxWALRecord = 8 << 20
 
 // defaultCompactEvery is how many appended records trigger an automatic
@@ -67,29 +69,25 @@ const (
 	walTypeAct    byte = 3
 )
 
-// walCommit is the durable form of one Store commit. Created, updated
-// and deleted commits carry the full object; removed commits carry only
-// the name. Model and Note reproduce the commit's mirrored config
-// revision verbatim, so replay rebuilds the config.Store revision log
-// byte-for-byte (including revision numbering and commit notes).
+// walCommit is the durable form of one Store commit: the delta. Created,
+// updated and deleted commits carry the object as committed; removed
+// commits carry only the name.
 type walCommit struct {
-	Kind     ChangeKind    `json:"kind"`
-	Name     string        `json:"name"`
-	Revision int64         `json:"revision"`
-	Object   *Object       `json:"object,omitempty"`
-	Model    *config.Model `json:"model,omitempty"`
-	Note     string        `json:"note,omitempty"`
+	Kind     ChangeKind `json:"kind"`
+	Name     string     `json:"name"`
+	Revision int64      `json:"revision"`
+	Object   *Object    `json:"object,omitempty"`
 }
 
-// walDeploy is one deploy-plane operation. Deployed snapshots the
-// per-PoP revision map after the operation (replay restores it without
-// re-applying); NewRevision records the revision a rollback appended.
+// walDeploy is one deploy-plane operation: PoPs are the PoPs a canary or
+// promote reached — all it was aimed at, or those before the one that
+// failed — which replay moves to Revision without re-applying;
+// NewRevision is the revision a rollback of Revision appended.
 type walDeploy struct {
-	Verb        string         `json:"verb"`
-	Revision    int            `json:"revision"`
-	PoPs        []string       `json:"pops,omitempty"`
-	NewRevision int            `json:"new_revision,omitempty"`
-	Deployed    map[string]int `json:"deployed,omitempty"`
+	Verb        string   `json:"verb"`
+	Revision    int64    `json:"revision"`
+	PoPs        []string `json:"pops,omitempty"`
+	NewRevision int64    `json:"new_revision,omitempty"`
 }
 
 // walAct is one successful actuation: the fingerprint an announcement
@@ -97,55 +95,37 @@ type walDeploy struct {
 // Recovery hands these to the actuator so matching installs are
 // re-adopted with exact knob knowledge instead of re-announced.
 type walAct struct {
-	Op         string `json:"op"` // "announce" | "withdraw"
-	Experiment string `json:"experiment"`
-	PoP        string `json:"pop"`
-	Prefix     string `json:"prefix"`
-	Version    uint32 `json:"version"`
-	Fp         string `json:"fp,omitempty"`
+	Op  string `json:"op"` // "announce" | "withdraw"
+	Key AnnKey `json:"key"`
+	Fp  string `json:"fp,omitempty"`
 }
 
-// key rebuilds the in-memory announcement key.
-func (a walAct) key() (AnnKey, error) {
-	p, err := netip.ParsePrefix(a.Prefix)
-	if err != nil {
-		return AnnKey{}, fmt.Errorf("bad act prefix %q: %v", a.Prefix, err)
-	}
-	return AnnKey{Experiment: a.Experiment, PoP: a.PoP, Prefix: p, Version: a.Version}, nil
-}
-
-// walSnapshot is the compaction checkpoint: full store, config-mirror,
-// deploy and actuation state as of sequence Seq. WAL records with
-// seq <= Seq are superseded.
+// walSnapshot is the compaction checkpoint: objects, the retained
+// revision log (Window, with the experiment set it folds over in
+// Settled), deploy and actuation state as of sequence Seq. WAL records
+// with seq <= Seq are superseded.
 type walSnapshot struct {
-	Seq      uint64         `json:"seq"`
-	NextRev  int64          `json:"next_rev"`
-	Objects  []Object       `json:"objects,omitempty"`
-	Config   []ConfigRev    `json:"config,omitempty"`
-	Deployed map[string]int `json:"deployed,omitempty"`
-	Acts     []walAct       `json:"acts,omitempty"`
+	Seq      uint64           `json:"seq"`
+	NextRev  int64            `json:"next_rev"`
+	Objects  []Object         `json:"objects,omitempty"`
+	Settled  []Object         `json:"settled,omitempty"`
+	Window   []revision       `json:"window,omitempty"`
+	Deployed map[string]int64 `json:"deployed,omitempty"`
+	Acts     []walAct         `json:"acts,omitempty"`
 }
 
-// ConfigRev is one recovered config.Store revision: the model and its
-// commit note.
-type ConfigRev struct {
-	Model config.Model `json:"model"`
-	Note  string       `json:"note,omitempty"`
-}
-
-// RecoveredState is what OpenWAL rebuilds from snapshot + replay: the
-// input to a Store resuming after a restart.
+// RecoveredState summarises what RecoverStore rebuilt from snapshot +
+// replay.
 type RecoveredState struct {
 	// Seq is the last replayed WAL sequence number.
 	Seq uint64
-	// NextRev seeds the store's global revision counter.
+	// NextRev is the store's global revision counter.
 	NextRev int64
-	// Objects are the surviving desired objects (tombstones included).
+	// Objects are the surviving desired objects (tombstones included),
+	// sorted by name.
 	Objects []Object
-	// Config reproduces the mirrored config.Store revision log.
-	Config []ConfigRev
 	// Deployed is the per-PoP deployed-revision map.
-	Deployed map[string]int
+	Deployed map[string]int64
 	// Acts maps each announcement believed installed to the fingerprint
 	// it was actuated with — the recovery reconciliation pass re-adopts
 	// matching installs instead of re-announcing them.
@@ -169,7 +149,6 @@ type WAL struct {
 
 	mAppends  metric
 	mCompacts metric
-	mReplays  metric
 }
 
 // encodeFrame wraps a payload as one length-prefixed CRC'd frame.
@@ -194,11 +173,27 @@ func encodeRecord(seq uint64, typ byte, body any) ([]byte, error) {
 	return payload, nil
 }
 
-// walRecord is one decoded record.
+// walRecord is one decoded record; body is a *walCommit, *walDeploy or
+// *walAct according to typ.
 type walRecord struct {
 	seq  uint64
 	typ  byte
-	body []byte
+	body any
+}
+
+// decodeStrict parses exactly one JSON value into v: unknown fields and
+// anything after the value are errors, so a record written by a
+// different format never half-decodes.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data")
+	}
+	return nil
 }
 
 // DecodeWALRecord parses one frame payload (the bytes after the
@@ -211,11 +206,11 @@ func DecodeWALRecord(payload []byte) (walRecord, error) {
 	}
 	rec.seq = binary.BigEndian.Uint64(payload[0:8])
 	rec.typ = payload[8]
-	rec.body = payload[9:]
+	body := payload[9:]
 	switch rec.typ {
 	case walTypeCommit:
 		var c walCommit
-		if err := json.Unmarshal(rec.body, &c); err != nil {
+		if err := decodeStrict(body, &c); err != nil {
 			return rec, fmt.Errorf("ctlplane: bad commit record: %v", err)
 		}
 		switch c.Kind {
@@ -229,27 +224,45 @@ func DecodeWALRecord(payload []byte) (walRecord, error) {
 		if c.Revision <= 0 {
 			return rec, fmt.Errorf("ctlplane: commit record has revision %d", c.Revision)
 		}
+		if (c.Object == nil) != (c.Kind == ChangeRemoved) {
+			return rec, fmt.Errorf("ctlplane: %s commit record with object=%v", c.Kind, c.Object != nil)
+		}
+		if c.Object != nil {
+			if c.Object.Spec.Name != c.Name {
+				return rec, fmt.Errorf("ctlplane: commit record for %s carries object %s", c.Name, c.Object.Spec.Name)
+			}
+			if err := c.Object.parseAllocation(); err != nil {
+				return rec, err
+			}
+		}
+		rec.body = &c
 	case walTypeDeploy:
 		var d walDeploy
-		if err := json.Unmarshal(rec.body, &d); err != nil {
+		if err := decodeStrict(body, &d); err != nil {
 			return rec, fmt.Errorf("ctlplane: bad deploy record: %v", err)
 		}
 		switch d.Verb {
-		case "canary", "promote", "rollback":
+		case "canary", "promote":
+		case "rollback":
+			if d.NewRevision <= 0 {
+				return rec, fmt.Errorf("ctlplane: rollback record has new revision %d", d.NewRevision)
+			}
 		default:
 			return rec, fmt.Errorf("ctlplane: deploy record has unknown verb %q", d.Verb)
 		}
+		rec.body = &d
 	case walTypeAct:
 		var a walAct
-		if err := json.Unmarshal(rec.body, &a); err != nil {
+		if err := decodeStrict(body, &a); err != nil {
 			return rec, fmt.Errorf("ctlplane: bad act record: %v", err)
 		}
 		if a.Op != "announce" && a.Op != "withdraw" {
 			return rec, fmt.Errorf("ctlplane: act record has unknown op %q", a.Op)
 		}
-		if _, err := a.key(); err != nil {
-			return rec, fmt.Errorf("ctlplane: %v", err)
+		if !a.Key.Prefix.IsValid() {
+			return rec, fmt.Errorf("ctlplane: act record for %s has no prefix", a.Key.Experiment)
 		}
+		rec.body = &a
 	default:
 		return rec, fmt.Errorf("ctlplane: unknown wal record type %d", rec.typ)
 	}
@@ -352,193 +365,149 @@ func loadSnapshot(path string) (*walSnapshot, error) {
 		return nil, &walCorruptionError{name, int64(len(snapMagic)), "checksum mismatch"}
 	}
 	var snap walSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
+	if err := decodeStrict(payload, &snap); err != nil {
 		return nil, &walCorruptionError{name, int64(len(snapMagic) + 8), fmt.Sprintf("bad snapshot body: %v", err)}
 	}
 	return &snap, nil
 }
 
-// OpenWAL opens (creating if needed) the durable desired-state log in
-// dir and replays snapshot + WAL into a RecoveredState. A torn tail is
-// truncated; anything else wrong with the files fails closed. The
-// returned state is nil when the directory held no prior state.
-func OpenWAL(dir string) (*WAL, *RecoveredState, error) {
+// openWAL opens (creating if needed) the durable desired-state log in
+// dir and returns it with the verified snapshot (nil when there is
+// none) and the intact records for the store to replay. A torn tail is
+// truncated; anything else wrong with the files fails closed.
+func openWAL(dir string) (*WAL, *walSnapshot, []walRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("ctlplane: state dir: %w", err)
+		return nil, nil, nil, fmt.Errorf("ctlplane: state dir: %w", err)
 	}
 	snap, err := loadSnapshot(filepath.Join(dir, snapFileName))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	walPath := filepath.Join(dir, walFileName)
 	data, err := os.ReadFile(walPath)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	recs, truncateAt, err := decodeWALFile(walFileName, data)
 	if err != nil {
-		return nil, nil, err
-	}
-
-	w := &WAL{
-		dir:          dir,
-		CompactEvery: defaultCompactEvery,
-		mAppends:     counter("ctlplane_wal_appends_total"),
-		mCompacts:    counter("ctlplane_wal_compactions_total"),
-		mReplays:     counter("ctlplane_wal_replayed_records_total"),
-	}
-
-	fresh := snap == nil && len(recs) == 0 && truncateAt <= 0
-	var rec *RecoveredState
-	if !fresh {
-		rec, err = replay(snap, recs)
-		if err != nil {
-			return nil, nil, err
-		}
-		w.appended = len(recs)
-	}
-	if rec != nil {
-		w.seq = rec.Seq
+		return nil, nil, nil, err
 	}
 
 	f, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if len(data) == 0 {
-		if _, err := f.Write(walMagic); err != nil {
-			f.Close()
-			return nil, nil, err
+	switch {
+	case len(data) == 0:
+		if _, err = f.Write(walMagic); err == nil {
+			err = f.Sync()
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	} else if truncateAt >= 0 {
+	case truncateAt >= 0:
 		// Drop the torn tail so the next append starts on a frame
 		// boundary.
-		if err := f.Truncate(truncateAt); err != nil {
-			f.Close()
-			return nil, nil, err
+		if err = f.Truncate(truncateAt); err == nil {
+			if _, err = f.Seek(truncateAt, io.SeekStart); err == nil {
+				err = f.Sync()
+			}
 		}
-		if _, err := f.Seek(truncateAt, 0); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	} else {
-		if _, err := f.Seek(0, 2); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
+	default:
+		_, err = f.Seek(0, io.SeekEnd)
 	}
-	w.f = f
-	return w, rec, nil
+	if err != nil {
+		f.Close()
+		return nil, nil, nil, err
+	}
+	return &WAL{
+		dir:          dir,
+		f:            f,
+		appended:     len(recs),
+		CompactEvery: defaultCompactEvery,
+		mAppends:     counter("ctlplane_wal_appends_total"),
+		mCompacts:    counter("ctlplane_wal_compactions_total"),
+	}, snap, recs, nil
 }
 
-// replay folds WAL records over the snapshot baseline.
-func replay(snap *walSnapshot, recs []walRecord) (*RecoveredState, error) {
-	st := &RecoveredState{
-		Deployed: make(map[string]int),
-		Acts:     make(map[AnnKey]string),
-	}
-	objects := make(map[string]Object)
+// replay rebuilds a fresh store from the snapshot baseline and the WAL
+// records after it, applying each record through the same functions
+// the live path uses, and returns the last sequence number replayed.
+// The revision log is numbered by position, so a record whose revision
+// is not the next one is refused.
+func (s *Store) replay(snap *walSnapshot, recs []walRecord) (seq uint64, err error) {
 	if snap != nil {
-		st.Seq = snap.Seq
-		st.NextRev = snap.NextRev
-		for _, obj := range snap.Objects {
-			objects[obj.Spec.Name] = obj
+		seq = snap.Seq
+		s.nextRev = snap.NextRev
+		if len(snap.Window) > revisionWindow || int64(len(snap.Window)) > snap.NextRev {
+			return 0, fmt.Errorf("ctlplane: %s: %d retained revisions at revision %d", snapFileName, len(snap.Window), snap.NextRev)
 		}
-		st.Config = append(st.Config, snap.Config...)
+		s.window = snap.Window
+		var bad error
+		index := func(obj *Object, into map[string]*Object) {
+			if err := obj.parseAllocation(); err != nil && bad == nil {
+				bad = fmt.Errorf("ctlplane: %s: %v", snapFileName, err)
+			}
+			if into != nil {
+				into[obj.Spec.Name] = obj
+			}
+		}
+		for i := range snap.Objects {
+			index(&snap.Objects[i], s.objects)
+		}
+		for i := range snap.Settled {
+			index(&snap.Settled[i], s.settled)
+		}
+		for _, r := range snap.Window {
+			if r.Object != nil {
+				index(r.Object, nil)
+			}
+		}
+		if bad != nil {
+			return 0, bad
+		}
 		for pop, rev := range snap.Deployed {
-			st.Deployed[pop] = rev
+			s.deployed[pop] = rev
 		}
 		for _, a := range snap.Acts {
-			key, err := a.key()
-			if err != nil {
-				return nil, fmt.Errorf("ctlplane: %s: %v", snapFileName, err)
-			}
-			st.Acts[key] = a.Fp
+			s.acts[a.Key] = a.Fp
 		}
 	}
 	for _, r := range recs {
-		if r.seq <= st.Seq {
+		if r.seq <= seq {
 			// Superseded by the snapshot (a crash between snapshot write
 			// and WAL truncate leaves the old records behind).
 			continue
 		}
-		st.Seq = r.seq
-		switch r.typ {
-		case walTypeCommit:
-			var c walCommit
-			if err := json.Unmarshal(r.body, &c); err != nil {
-				return nil, fmt.Errorf("ctlplane: wal seq %d: %v", r.seq, err)
+		seq = r.seq
+		switch b := r.body.(type) {
+		case *walCommit:
+			if err := s.nextRevisionIs(b.Revision); err != nil {
+				return 0, fmt.Errorf("ctlplane: wal seq %d: %v", r.seq, err)
 			}
-			if c.Revision <= st.NextRev {
-				return nil, fmt.Errorf("ctlplane: wal seq %d: duplicate revision %d (store already at %d)", r.seq, c.Revision, st.NextRev)
-			}
-			st.NextRev = c.Revision
-			switch c.Kind {
-			case ChangeCreated, ChangeUpdated, ChangeDeleted:
-				if c.Object == nil {
-					return nil, fmt.Errorf("ctlplane: wal seq %d: %s commit without object", r.seq, c.Kind)
-				}
-				objects[c.Name] = *c.Object
-			case ChangeRemoved:
-				delete(objects, c.Name)
-				for key := range st.Acts {
-					if key.Experiment == c.Name {
-						delete(st.Acts, key)
-					}
+			s.applyCommitLocked(*b)
+		case *walDeploy:
+			if b.Verb == "rollback" {
+				if err := s.nextRevisionIs(b.NewRevision); err != nil {
+					return 0, fmt.Errorf("ctlplane: wal seq %d: %v", r.seq, err)
 				}
 			}
-			if c.Model != nil {
-				st.Config = append(st.Config, ConfigRev{Model: *c.Model, Note: c.Note})
+			if err := s.applyDeployLocked(*b); err != nil {
+				return 0, fmt.Errorf("ctlplane: wal seq %d: %v", r.seq, err)
 			}
-		case walTypeDeploy:
-			var d walDeploy
-			if err := json.Unmarshal(r.body, &d); err != nil {
-				return nil, fmt.Errorf("ctlplane: wal seq %d: %v", r.seq, err)
-			}
-			if d.Verb == "rollback" {
-				if d.Revision < 1 || d.Revision > len(st.Config) {
-					return nil, fmt.Errorf("ctlplane: wal seq %d: rollback to unknown revision %d", r.seq, d.Revision)
-				}
-				st.Config = append(st.Config, ConfigRev{Model: st.Config[d.Revision-1].Model})
-			}
-			for pop, rev := range d.Deployed {
-				st.Deployed[pop] = rev
-			}
-		case walTypeAct:
-			var a walAct
-			if err := json.Unmarshal(r.body, &a); err != nil {
-				return nil, fmt.Errorf("ctlplane: wal seq %d: %v", r.seq, err)
-			}
-			key, err := a.key()
-			if err != nil {
-				return nil, fmt.Errorf("ctlplane: wal seq %d: %v", r.seq, err)
-			}
-			if a.Op == "announce" {
-				st.Acts[key] = a.Fp
-			} else {
-				delete(st.Acts, key)
-			}
+		case *walAct:
+			s.applyActLocked(*b)
 		}
 	}
-	names := make([]string, 0, len(objects))
-	for name := range objects {
-		names = append(names, name)
+	return seq, nil
+}
+
+// nextRevisionIs checks a replayed record's revision number.
+func (s *Store) nextRevisionIs(rev int64) error {
+	switch {
+	case rev <= s.nextRev:
+		return fmt.Errorf("duplicate revision %d (store already at %d)", rev, s.nextRev)
+	case rev != s.nextRev+1:
+		return fmt.Errorf("revision %d does not follow %d", rev, s.nextRev)
 	}
-	// Deterministic recovery order (List() sorts too, but the store
-	// seeds from this slice directly).
-	sort.Strings(names)
-	for _, name := range names {
-		st.Objects = append(st.Objects, objects[name])
-	}
-	return st, nil
+	return nil
 }
 
 // append writes one record and fsyncs it — the durability point every
@@ -565,27 +534,20 @@ func (w *WAL) append(typ byte, body any) error {
 	return nil
 }
 
-// needsCompact reports whether the appended-record count passed the
-// compaction threshold.
-func (w *WAL) needsCompact() bool {
+// compactIfDue, once CompactEvery records have been appended,
+// checkpoints the current state into the snapshot file (written
+// atomically: temp file + rename) and truncates the WAL — the
+// snapshot-then-truncate discipline. The caller holds the owning
+// store's lock (the snapshot hook reads store state directly).
+func (w *WAL) compactIfDue() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	every := w.CompactEvery
 	if every <= 0 {
 		every = defaultCompactEvery
 	}
-	return w.appended >= every
-}
-
-// Compact checkpoints the current state into the snapshot file
-// (written atomically: temp file + rename) and truncates the WAL —
-// the snapshot-then-truncate discipline. The caller must hold the
-// owning store's lock (the snapshot hook reads store state directly).
-func (w *WAL) Compact() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil || w.snapshot == nil {
-		return fmt.Errorf("ctlplane: wal not ready to compact")
+	if w.appended < every || w.f == nil || w.snapshot == nil {
+		return nil
 	}
 	snap := w.snapshot()
 	snap.Seq = w.seq
@@ -617,13 +579,6 @@ func (w *WAL) Compact() error {
 	w.appended = 0
 	w.mCompacts.Inc()
 	return nil
-}
-
-// Seq returns the last appended sequence number.
-func (w *WAL) Seq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
 }
 
 // Close closes the log file. Outstanding records are already fsynced.

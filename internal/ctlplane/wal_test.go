@@ -1,33 +1,39 @@
 package ctlplane
 
 import (
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 )
 
-// recoverTestStore opens a durable store in dir with a fresh mirrored
-// config store.
-func recoverTestStore(t *testing.T, dir string) (*Store, *WAL, *RecoveredState, *config.Store) {
+// recoverTestStore opens a durable store in dir.
+func recoverTestStore(t *testing.T, dir string) (*Store, *WAL, *RecoveredState) {
 	t.Helper()
-	cfg := config.NewStore()
-	s, w, rec, err := RecoverStore(StoreConfig{
-		Config: cfg,
-		BaseModel: func() config.Model {
-			return config.Model{
-				PlatformASN: 47065,
-				PoPs:        []config.PoPSpec{{Name: "seattle"}},
-			}
-		},
-	}, dir)
+	s, w, rec, err := RecoverStore(StoreConfig{BaseModel: testBase}, dir)
 	if err != nil {
 		t.Fatalf("RecoverStore: %v", err)
 	}
-	return s, w, rec, cfg
+	return s, w, rec
+}
+
+// revisionLog derives the model of every retained revision.
+func revisionLog(t *testing.T, s *Store) map[int64]config.Model {
+	t.Helper()
+	out := make(map[int64]config.Model)
+	for rev := s.Revision(); rev >= 1; rev-- {
+		m, err := s.ModelAt(rev)
+		if err != nil {
+			break // older than the window
+		}
+		out[rev] = m
+	}
+	return out
 }
 
 func actKey(exp, pop, prefix string, version uint32) AnnKey {
@@ -36,7 +42,7 @@ func actKey(exp, pop, prefix string, version uint32) AnnKey {
 
 func TestWALRecoverRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	s, _, rec, cfg := recoverTestStore(t, dir)
+	s, _, rec := recoverTestStore(t, dir)
 	if rec != nil {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
@@ -51,7 +57,7 @@ func TestWALRecoverRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if _, _, err := s.Create(testSpec("beta")); err != nil {
+	if _, _, err := s.Create(testSpecAt("beta", "184.164.226.0/24")); err != nil {
 		t.Fatalf("Create beta: %v", err)
 	}
 	if _, err := s.Delete("beta", 0); err != nil {
@@ -65,17 +71,28 @@ func TestWALRecoverRoundtrip(t *testing.T) {
 	s.LogAct("announce", keep, "fp-keep")
 	s.LogAct("announce", drop, "fp-drop")
 	s.LogAct("withdraw", drop, "")
-	s.LogDeploy("canary", 3, []string{"seattle"}, 0, map[string]int{"seattle": 3})
-	s.LogDeploy("promote", 3, nil, 0, map[string]int{"seattle": 3, "amsix": 3})
+	applied := func(string, config.Model) error { return nil }
+	if err := s.Canary(3, []string{"seattle"}, applied); err != nil {
+		t.Fatalf("Canary: %v", err)
+	}
+	if err := s.Promote(3, applied); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	if _, err := s.Rollback(2); err != nil {
+		t.Fatalf("Rollback: %v", err)
+	}
 
 	wantRev := s.Revision()
-	wantNotes := cfg.Notes()
-	wantModels := cfg.Revisions()
+	wantNotes := s.Notes()
+	wantModels := revisionLog(t, s)
+	if len(wantNotes) != 5 || len(wantModels) != 6 {
+		t.Fatalf("revision log before restart: %d notes, %d models, want 5 commits + 1 rollback", len(wantNotes), len(wantModels))
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2, _, rec2, cfg2 := recoverTestStore(t, dir)
+	s2, _, rec2 := recoverTestStore(t, dir)
 	defer s2.Close()
 	if rec2 == nil {
 		t.Fatal("no recovered state after restart")
@@ -100,23 +117,16 @@ func TestWALRecoverRoundtrip(t *testing.T) {
 	if rec2.Deployed["seattle"] != 3 || rec2.Deployed["amsix"] != 3 {
 		t.Fatalf("recovered deployed = %v", rec2.Deployed)
 	}
-	// The mirrored config revision log is rebuilt byte-for-byte:
-	// numbering and commit notes included.
-	gotModels := cfg2.Revisions()
-	if len(gotModels) != len(wantModels) {
-		t.Fatalf("recovered %d config revisions, want %d", len(gotModels), len(wantModels))
+	if got := s2.Deployed(); !reflect.DeepEqual(got, rec2.Deployed) {
+		t.Fatalf("store deployed = %v, recovered state says %v", got, rec2.Deployed)
 	}
-	for i := range wantModels {
-		if len(gotModels[i].Experiments) != len(wantModels[i].Experiments) {
-			t.Fatalf("config revision %d: %d experiments, want %d",
-				i+1, len(gotModels[i].Experiments), len(wantModels[i].Experiments))
-		}
+	// The revision log comes back exactly: numbering, commit notes, and
+	// every retained revision's model.
+	if got := s2.Notes(); !reflect.DeepEqual(got, wantNotes) {
+		t.Fatalf("recovered notes = %v, want %v", got, wantNotes)
 	}
-	gotNotes := cfg2.Notes()
-	for rev, note := range wantNotes {
-		if gotNotes[rev] != note {
-			t.Fatalf("config revision %d note = %q, want %q", rev, gotNotes[rev], note)
-		}
+	if got := revisionLog(t, s2); !reflect.DeepEqual(got, wantModels) {
+		t.Fatalf("recovered revision log = %+v, want %+v", got, wantModels)
 	}
 }
 
@@ -138,17 +148,14 @@ func TestWALTornTailTruncated(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, _, _, _ := recoverTestStore(t, dir)
+			s, _, _ := recoverTestStore(t, dir)
 			if _, _, err := s.Create(testSpec("alpha")); err != nil {
 				t.Fatalf("Create: %v", err)
 			}
 			s.Close()
 
 			// A valid frame to mangle for the bad-CRC case.
-			payload, err := encodeRecord(99, walTypeAct, walAct{
-				Op: "announce", Experiment: "alpha", PoP: "seattle",
-				Prefix: "184.164.224.0/24", Version: 1, Fp: "fp",
-			})
+			payload, err := encodeRecord(99, walTypeAct, walAct{Op: "announce", Key: actKey("alpha", "seattle", "184.164.224.0/24", 1), Fp: "fp"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,16 +169,16 @@ func TestWALTornTailTruncated(t *testing.T) {
 			f.Close()
 
 			// Recovery truncates the torn tail and proceeds.
-			s2, _, rec, _ := recoverTestStore(t, dir)
+			s2, _, rec := recoverTestStore(t, dir)
 			if rec == nil || len(rec.Objects) != 1 || rec.Objects[0].Spec.Name != "alpha" {
 				t.Fatalf("recovered state after torn tail = %+v", rec)
 			}
 			// The log is writable again on a clean frame boundary.
-			if _, _, err := s2.Create(testSpec("beta")); err != nil {
+			if _, _, err := s2.Create(testSpecAt("beta", "184.164.226.0/24")); err != nil {
 				t.Fatalf("Create after torn-tail recovery: %v", err)
 			}
 			s2.Close()
-			s3, _, rec3, _ := recoverTestStore(t, dir)
+			s3, _, rec3 := recoverTestStore(t, dir)
 			if len(rec3.Objects) != 2 {
 				t.Fatalf("recovered %d objects after re-append, want 2", len(rec3.Objects))
 			}
@@ -182,11 +189,11 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALMidFileCorruptionFailsClosed(t *testing.T) {
 	dir := t.TempDir()
-	s, _, _, _ := recoverTestStore(t, dir)
+	s, _, _ := recoverTestStore(t, dir)
 	if _, _, err := s.Create(testSpec("alpha")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Create(testSpec("beta")); err != nil {
+	if _, _, err := s.Create(testSpecAt("beta", "184.164.226.0/24")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -214,12 +221,12 @@ func TestWALMidFileCorruptionFailsClosed(t *testing.T) {
 
 func TestWALDuplicateRevisionRejected(t *testing.T) {
 	dir := t.TempDir()
-	obj := &Object{Spec: testSpec("alpha"), Revision: 5}
+	obj := &Object{Spec: testSpec("alpha"), Revision: 1}
 	var data []byte
 	data = append(data, walMagic...)
 	for seq := uint64(1); seq <= 2; seq++ {
 		payload, err := encodeRecord(seq, walTypeCommit, walCommit{
-			Kind: ChangeCreated, Name: "alpha", Revision: 5, Object: obj,
+			Kind: ChangeCreated, Name: "alpha", Revision: 1, Object: obj,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -229,20 +236,20 @@ func TestWALDuplicateRevisionRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := OpenWAL(dir)
+	_, _, _, err := RecoverStore(StoreConfig{}, dir)
 	if err == nil || !strings.Contains(err.Error(), "duplicate revision") {
-		t.Fatalf("OpenWAL with duplicate revision = %v, want duplicate-revision error", err)
+		t.Fatalf("RecoverStore with duplicate revision = %v, want duplicate-revision error", err)
 	}
 }
 
 func TestWALSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, w, _, cfg := recoverTestStore(t, dir)
+	s, w, _ := recoverTestStore(t, dir)
 	w.CompactEvery = 2
 
 	names := []string{"a1", "a2", "a3", "a4", "a5"}
-	for _, name := range names {
-		if _, _, err := s.Create(testSpec(name)); err != nil {
+	for i, name := range names {
+		if _, _, err := s.Create(testSpecAt(name, fmt.Sprintf("184.164.%d.0/24", 224+i))); err != nil {
 			t.Fatalf("Create %s: %v", name, err)
 		}
 	}
@@ -250,10 +257,10 @@ func TestWALSnapshotCompaction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, snapFileName)); err != nil {
 		t.Fatalf("no snapshot after %d commits with CompactEvery=2: %v", len(names), err)
 	}
-	wantNotes := cfg.Notes()
+	wantNotes, wantModels := s.Notes(), revisionLog(t, s)
 	s.Close()
 
-	s2, _, rec, cfg2 := recoverTestStore(t, dir)
+	s2, _, rec := recoverTestStore(t, dir)
 	defer s2.Close()
 	if len(rec.Objects) != len(names) {
 		t.Fatalf("recovered %d objects, want %d", len(rec.Objects), len(names))
@@ -266,10 +273,49 @@ func TestWALSnapshotCompaction(t *testing.T) {
 	if rec.Acts[actKey("a1", "seattle", "184.164.224.0/24", 1)] != "fp1" {
 		t.Fatalf("act lost across compaction: %v", rec.Acts)
 	}
-	gotNotes := cfg2.Notes()
-	for rev, note := range wantNotes {
-		if gotNotes[rev] != note {
-			t.Fatalf("config note %d = %q, want %q after compaction", rev, gotNotes[rev], note)
+	if got := s2.Notes(); len(got) != len(names) || !reflect.DeepEqual(got, wantNotes) {
+		t.Fatalf("notes after compaction = %v, want %v", got, wantNotes)
+	}
+	if got := revisionLog(t, s2); !reflect.DeepEqual(got, wantModels) {
+		t.Fatalf("revision log after compaction = %+v, want %+v", got, wantModels)
+	}
+}
+
+// TestWALRefusesOtherFormats: a state directory written by format 1
+// numbered its deployed map by a counter that no longer exists, so it
+// is refused outright rather than replayed under the wrong numbering;
+// and within format 2 a record body with a field this code does not
+// know, or with bytes after it, is corruption, not something to skip.
+func TestWALRefusesOtherFormats(t *testing.T) {
+	for _, file := range []string{walFileName, snapFileName} {
+		dir := t.TempDir()
+		magic := "vbgpwal1"
+		if file == snapFileName {
+			magic = "vbgpsnp1"
 		}
+		if err := os.WriteFile(filepath.Join(dir, file), append([]byte(magic), encodeFrame([]byte("{}"))...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := RecoverStore(StoreConfig{}, dir)
+		if err == nil || !strings.Contains(err.Error(), "bad magic") || !strings.Contains(err.Error(), "refusing to recover") {
+			t.Errorf("RecoverStore over a format-1 %s = %v, want the bad-magic corruption error", file, err)
+		}
+	}
+
+	for name, body := range map[string]string{
+		"unknown field":  `{"kind":"removed","name":"alpha","revision":2,"note":"removed alpha @2"}`,
+		"trailing value": `{"kind":"removed","name":"alpha","revision":2}{}`,
+		"trailing brace": `{"kind":"removed","name":"alpha","revision":2}}`,
+		"missing object": `{"kind":"created","name":"alpha","revision":2}`,
+		"bad allocation": `{"kind":"created","name":"alpha","revision":2,"object":{"spec":{"name":"alpha","owner":"o","asn":1,"prefixes":["not a prefix"]},"revision":2,"created_at":"2026-01-01T00:00:00Z","updated_at":"2026-01-01T00:00:00Z"}}`,
+	} {
+		payload := append([]byte{0, 0, 0, 0, 0, 0, 0, 1, walTypeCommit}, body...)
+		if _, err := DecodeWALRecord(payload); err == nil {
+			t.Errorf("%s: commit record %s decoded", name, body)
+		}
+	}
+	ok := append([]byte{0, 0, 0, 0, 0, 0, 0, 1, walTypeCommit}, `{"kind":"removed","name":"alpha","revision":2} `...)
+	if _, err := DecodeWALRecord(ok); err != nil {
+		t.Errorf("well-formed record refused: %v", err)
 	}
 }

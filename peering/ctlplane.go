@@ -27,7 +27,6 @@ type ControlPlane struct {
 	Hub        *ctlplane.Hub
 	Reconciler *ctlplane.Reconciler
 	API        *ctlplane.Server
-	Deployer   *config.Deployer
 
 	act       *platformActuator
 	closeOnce sync.Once
@@ -75,10 +74,10 @@ func NewControlPlane(p *Platform, cfg ControlPlaneConfig) (*ControlPlane, error)
 		recovered:        make(map[ctlplane.AnnKey]string),
 	}
 	storeCfg := ctlplane.StoreConfig{
-		// Every accepted commit renders the full desired state into the
-		// platform's versioned config store, so the §5 canary/promote/
-		// rollback machinery operates on exactly the reconciled state.
-		Config: p.Store,
+		// The platform half of every model the store derives for a deploy
+		// verb; the experiment half is the store's own revision log, so
+		// the §5 canary/promote/rollback machinery operates on exactly the
+		// reconciled state.
 		BaseModel: func() config.Model {
 			return p.controlPlaneBaseModel(act.managedNames())
 		},
@@ -96,8 +95,8 @@ func NewControlPlane(p *Platform, cfg ControlPlaneConfig) (*ControlPlane, error)
 		}
 		// rec is nil on a pristine state directory: nothing to adopt.
 		if rec != nil {
-			cfg.Logf("control plane: recovered %d object(s), %d config revision(s), %d actuation record(s) from %s (wal seq %d)",
-				len(rec.Objects), len(rec.Config), len(rec.Acts), cfg.StateDir, rec.Seq)
+			cfg.Logf("control plane: recovered %d object(s) at revision %d, %d actuation record(s) from %s (wal seq %d)",
+				len(rec.Objects), rec.NextRev, len(rec.Acts), cfg.StateDir, rec.Seq)
 			// The WAL's actuation records are the proof obligations for
 			// budget-free adoption: the reconciler re-claims a retained
 			// route only when its fingerprint matches what was logged.
@@ -112,22 +111,17 @@ func NewControlPlane(p *Platform, cfg ControlPlaneConfig) (*ControlPlane, error)
 	store.OnChange(func(c ctlplane.Change) { hub.Publish(ctlplane.StreamStore, c) })
 	reconciler := ctlplane.NewReconciler(store, act, hub, cfg.Reconciler)
 
-	deployer := config.NewDeployer(p.Store, func(pop string, m config.Model) error {
-		if p.PoP(pop) == nil {
-			return fmt.Errorf("peering: unknown pop %s", pop)
-		}
-		m.SyncPolicy(p.Engine)
-		return nil
-	})
-	if rec != nil {
-		deployer.Restore(rec.Deployed)
-	}
-
 	api := ctlplane.NewServer(ctlplane.ServerConfig{
 		Store:      store,
 		Reconciler: reconciler,
 		Hub:        hub,
-		Deploy:     &ctlplane.Deploy{Store: p.Store, Deployer: deployer},
+		Deploy: func(pop string, m config.Model) error {
+			if p.PoP(pop) == nil {
+				return fmt.Errorf("peering: unknown pop %s", pop)
+			}
+			m.SyncPolicy(p.Engine)
+			return nil
+		},
 		Queries: ctlplane.Queries{
 			Fleet:     p.fleetView,
 			RIB:       p.ribView,
@@ -151,7 +145,7 @@ func NewControlPlane(p *Platform, cfg ControlPlaneConfig) (*ControlPlane, error)
 	go reconciler.Run()
 	return &ControlPlane{
 		Platform: p, Store: store, Hub: hub,
-		Reconciler: reconciler, API: api, Deployer: deployer, act: act,
+		Reconciler: reconciler, API: api, act: act,
 	}, nil
 }
 
@@ -168,10 +162,10 @@ func (cp *ControlPlane) Close() {
 	})
 }
 
-// controlPlaneBaseModel renders the non-experiment half of the mirrored
-// model — platform identity, PoPs — plus any experiment approved
-// outside the control plane (managed excludes control-plane-owned
-// proposals so they are not mirrored twice).
+// controlPlaneBaseModel renders the platform half of a derived model —
+// platform identity, PoPs — plus any experiment approved outside the
+// control plane (managed excludes control-plane-owned proposals, which
+// the store's revision log supplies).
 func (p *Platform) controlPlaneBaseModel(managed map[string]bool) config.Model {
 	m := config.Model{PlatformASN: p.cfg.ASN, GlobalPool: p.cfg.GlobalPool}
 	for _, name := range p.PoPs() {
@@ -281,17 +275,26 @@ func (p *Platform) ribView(popName, table string, prefix netip.Prefix) (any, err
 }
 
 // catchmentQuery returns the /v1/catchment hook, or nil when the
-// platform has no TE configuration to measure against.
-func (p *Platform) catchmentQuery() func() (any, error) {
+// platform has no TE configuration to measure against. The map is
+// resolved for the population a running TE controller steers, else the
+// configured one; with neither it is the per-PoP views alone.
+func (p *Platform) catchmentQuery() func(netip.Prefix) (any, error) {
 	te := p.cfg.TE
 	if te == nil || !te.Prefix.IsValid() {
 		return nil
 	}
-	return func() (any, error) {
-		if len(te.Populations) == 0 {
-			return p.CatchmentViews(te.Prefix), nil
+	return func(prefix netip.Prefix) (any, error) {
+		if !prefix.IsValid() {
+			prefix = te.Prefix
 		}
-		return p.ResolveCatchments(te.Prefix, te.Populations)
+		pops := te.Populations
+		if ctl := p.teController.Load(); ctl != nil {
+			pops = ctl.Populations()
+		}
+		if len(pops) == 0 {
+			return p.CatchmentViews(prefix), nil
+		}
+		return p.ResolveCatchments(prefix, pops)
 	}
 }
 

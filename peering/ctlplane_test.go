@@ -215,13 +215,13 @@ func TestControlPlaneHTTPLifecycle(t *testing.T) {
 		}
 	}
 
-	// The mirror recorded config revisions; canary then promote the
-	// latest onto the fleet over HTTP.
+	// Every commit is a deployable revision; canary then promote the
+	// object's onto the fleet over HTTP.
 	code, body = httpJSON(t, srv, "GET", "/v1/experiments/steering", nil)
 	json.Unmarshal(body, &view)
-	cfgRev := view.Object.ConfigRev
+	cfgRev := view.Object.Revision
 	if cfgRev == 0 {
-		t.Fatal("no mirrored config revision")
+		t.Fatal("no revision to deploy")
 	}
 	code, body = httpJSON(t, srv, "POST", "/v1/deploy/canary",
 		map[string]any{"revision": cfgRev, "pops": []string{"amsix"}})
@@ -233,7 +233,7 @@ func TestControlPlaneHTTPLifecycle(t *testing.T) {
 		t.Fatalf("promote -> %d %s", code, body)
 	}
 	var deployResult struct {
-		Deployed map[string]int `json:"deployed"`
+		Deployed map[string]int64 `json:"deployed"`
 	}
 	json.Unmarshal(body, &deployResult)
 	if deployResult.Deployed["amsix"] != cfgRev || deployResult.Deployed["seattle"] != cfgRev {
@@ -382,8 +382,8 @@ func TestControlPlaneValidationRejectsUnknownPoP(t *testing.T) {
 	}
 }
 
-// TestControlPlaneCoexistsWithManualExperiments checks the mirror keeps
-// out-of-band experiments: an experiment approved through the manual
+// TestControlPlaneCoexistsWithManualExperiments checks a derived model
+// keeps out-of-band experiments: an experiment approved through the manual
 // workflow survives a control-plane commit + promote cycle.
 func TestControlPlaneCoexistsWithManualExperiments(t *testing.T) {
 	p, _, srv := ctlplaneTestbed(t)
@@ -417,7 +417,7 @@ func TestControlPlaneCoexistsWithManualExperiments(t *testing.T) {
 	_, body = httpJSON(t, srv, "GET", "/v1/experiments/managed", nil)
 	json.Unmarshal(body, &view)
 	code, body = httpJSON(t, srv, "POST", "/v1/deploy/promote",
-		map[string]any{"revision": view.Object.ConfigRev})
+		map[string]any{"revision": view.Object.Revision})
 	if code != 200 {
 		t.Fatalf("promote -> %d %s", code, body)
 	}

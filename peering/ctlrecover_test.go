@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/config"
 	"repro/internal/ctlplane"
 	"repro/internal/rib"
 )
@@ -262,10 +261,7 @@ func TestControlPlaneCrashRestartSoak(t *testing.T) {
 				})
 			}
 
-			// init respawns peeringd over the same dataplane. The config
-			// mirror is controller state and died with the process; the
-			// recovery replay rebuilds it from the WAL.
-			p.Store = config.NewStore()
+			// init respawns peeringd over the same dataplane.
 			cp2 := startRecoverableCP(t, p, dir, nil, nil)
 			t.Cleanup(cp2.Close)
 

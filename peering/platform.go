@@ -20,10 +20,10 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/history"
@@ -92,7 +92,6 @@ type PlatformConfig struct {
 type Platform struct {
 	cfg    PlatformConfig
 	Engine *policy.Engine
-	Store  *config.Store
 
 	globalPool *core.Pool
 	monitor    *telemetry.Emitter
@@ -115,6 +114,10 @@ type Platform struct {
 	guardOnce   sync.Once
 	monitorDone chan struct{}
 
+	// teController is the most recent NewTEController result: the
+	// /v1/catchment query resolves for the population it steers.
+	teController atomic.Pointer[TEController]
+
 	// sinkMu guards the optional control-plane taps: eventSink receives
 	// a copy of every monitoring event the station consumes, healthSink
 	// every guard-ladder transition. Both may be nil.
@@ -131,7 +134,6 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 	p := &Platform{
 		cfg:        cfg,
 		Engine:     policy.NewEngine(cfg.ASN),
-		Store:      config.NewStore(),
 		globalPool: core.NewPool(cfg.GlobalPool),
 		monitor:    telemetry.NewEmitter(nil, 0),
 		station:    telemetry.NewStation(nil),

@@ -299,7 +299,9 @@ func (p *Platform) NewTEController(client *Client, cfg *TEConfig) (*TEController
 			excluded:  make(map[uint32]bool),
 		}
 	}
-	return &TEController{platform: p, client: client, cfg: base, act: act, pops: pops}, nil
+	te := &TEController{platform: p, client: client, cfg: base, act: act, pops: pops}
+	p.teController.Store(te)
+	return te, nil
 }
 
 // Populations returns the client placement under engineering.

@@ -2,9 +2,10 @@
 # Black-box smoke test of the peeringd control-plane API: boot a small
 # platform with a durable state dir, drive a full experiment lifecycle
 # purely over HTTP — index, dry-run, create, idempotent re-create,
-# convergence, RIB query, stale CAS — kill the daemon with SIGKILL and
-# check specs and deploy revisions survive the restart, then delete and
-# check the daemon drains cleanly on SIGTERM.
+# convergence, RIB query, stale CAS, the unversioned endpoints of earlier
+# releases gone — kill the daemon with SIGKILL and check specs and deploy
+# revisions survive the restart, then delete and check the daemon drains
+# cleanly on SIGTERM.
 #
 # Usage: scripts/api_smoke.sh [host:port]   (default 127.0.0.1:19179)
 set -euo pipefail
@@ -50,6 +51,10 @@ boot() {
 boot
 curl -fsS "$base/" | grep -q '"service": "peeringd"' || fail "root index is not the JSON service index"
 [ "$(req GET /no-such-path)" = 404 ] || fail "unknown path did not 404"
+# One HTTP surface: everything but / and /metrics lives under /v1.
+for legacy in /catchment /history/stats; do
+    [ "$(req GET "$legacy")" = 404 ] || fail "legacy endpoint $legacy still answers"
+done
 say "index + 404 ok"
 
 spec='{"name":"smoke","owner":"ci","asn":61574,"prefixes":["184.164.224.0/24"],"announcements":[{"prefix":"184.164.224.0/24","pops":["pop00","pop01"]}]}'
@@ -83,15 +88,14 @@ req GET /v1/experiments/smoke >/dev/null
 grep -q '"phase": "converged"' "$workdir/last.json" || fail "stale PATCH disturbed the object"
 say "stale CAS rejected with 409"
 
-# Crash phase: promote the mirrored revision, SIGKILL the daemon, and
+# Crash phase: promote the object's revision, SIGKILL the daemon, and
 # restart it over the same state dir. The WAL must bring back the spec
 # at its exact revision and the deploy map, and the recovered reconciler
 # must re-actuate the experiment on the rebuilt platform.
 req GET /v1/experiments/smoke >/dev/null
 rev=$(sed -n 's/.*"revision": \([0-9]*\).*/\1/p' "$workdir/last.json" | head -1)
-cfgrev=$(sed -n 's/.*"config_rev": \([0-9]*\).*/\1/p' "$workdir/last.json" | head -1)
-[ -n "$cfgrev" ] || fail "no mirrored config revision before the crash"
-[ "$(req POST /v1/deploy/promote "{\"revision\":$cfgrev}")" = 200 ] || fail "promote before the crash failed"
+[ -n "$rev" ] || fail "no object revision before the crash"
+[ "$(req POST /v1/deploy/promote "{\"revision\":$rev}")" = 200 ] || fail "promote before the crash failed"
 
 say "killing peeringd with SIGKILL"
 kill -9 "$pd"
@@ -111,7 +115,9 @@ grep -q '"phase": "converged"' "$workdir/last.json" || fail "experiment never re
 [ "$(req GET "/v1/rib?pop=pop00&table=experiments")" = 200 ] || fail "rib query after restart failed"
 grep -q '184.164.224.0/24' "$workdir/last.json" || fail "announcement not re-actuated after the crash"
 [ "$(req GET /v1/deploy)" = 200 ] || fail "deploy status after restart failed"
-grep -q "\"pop00\": $cfgrev" "$workdir/last.json" || fail "deploy revisions did not survive the crash: $(cat "$workdir/last.json")"
+for pop in pop00 pop01; do
+    grep -q "\"$pop\": $rev" "$workdir/last.json" || fail "deploy revision of $pop did not survive the crash: $(cat "$workdir/last.json")"
+done
 say "crash ok: spec (revision $rev), actuation, and deploy map survived kill -9"
 
 [ "$(req DELETE /v1/experiments/smoke)" = 202 ] || fail "delete did not return 202"
