@@ -280,6 +280,7 @@ func BenchmarkDataPlaneForward(b *testing.B) {
 		Src: ipa("184.164.224.1"), Dst: dst, Payload: make([]byte, 64)}
 	frame := ethernet.Frame{Dst: nbr.LocalMAC, Src: tx.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()}
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx.Send(&frame)

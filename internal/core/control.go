@@ -475,7 +475,6 @@ func (r *Router) ConnectExperiment(name string, expASN uint32, conn net.Conn) (*
 			return nil, fmt.Errorf("core: experiment %s already connected", name)
 		}
 	}
-	e.tunnelIP = r.tunnelIPs[name]
 	r.experiments[name] = e
 	r.mu.Unlock()
 
@@ -615,10 +614,10 @@ func (r *Router) handleExperimentUpdate(e *expConn, u *bgp.Update) {
 			return
 		}
 
-		if v4 := cleaned.NextHop; v4.IsValid() && v4.Is4() {
-			r.mu.Lock()
-			e.tunnelIP = v4
-			r.mu.Unlock()
+		// The next hop is where the experiment wants its traffic: checked
+		// per route, published only when it moves.
+		if v4 := cleaned.NextHop; v4.IsValid() && v4.Is4() && r.fwd.Load().tunnelIP[e.name] != v4 {
+			r.SetExperimentTunnelIP(e.name, v4)
 		}
 
 		r.emit(telemetry.Event{
@@ -815,8 +814,8 @@ func (r *Router) relayExperimentRouteToMesh(prefix netip.Prefix, id bgp.PathID, 
 	for _, p := range r.meshPeers {
 		peers = append(peers, p)
 	}
-	bb := r.bbIfc
 	r.mu.Unlock()
+	bb := r.fwd.Load().bbIfc
 	if len(peers) == 0 || bb == nil {
 		return
 	}
@@ -939,7 +938,12 @@ func (r *Router) neighborDown(n *Neighbor, err error) {
 		col.exportToMesh(n, p.Prefix, nil, true)
 	}
 	col.release()
+	// Stop attributing inbound frames to the neighbor; its resolved MAC
+	// stays known for forwarding toward it.
 	r.mu.Lock()
-	delete(r.byRealMAC, n.realMAC)
+	cur := r.fwd.Load()
+	if mac := cur.byLocalMAC[n.LocalMAC].realMAC; cur.byRealMAC[mac] == n {
+		r.publishFwd(func(st *fwdState) { st.byRealMAC = withoutEntry(st.byRealMAC, mac) })
+	}
 	r.mu.Unlock()
 }

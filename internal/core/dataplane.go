@@ -3,11 +3,78 @@ package core
 import (
 	"net/netip"
 
-	"repro/internal/bgp"
 	"repro/internal/ethernet"
 	"repro/internal/netsim"
 	"repro/internal/rib"
 )
+
+// fwdState is everything about the router's topology that the data plane
+// reads: immutable once published behind Router.fwd, and replaced
+// copy-on-write — only the map that changes is copied — by publishFwd's
+// handful of control-plane callers, under Router.mu and only when a value
+// actually changes. Forwarding a packet loads it once and takes no lock.
+type fwdState struct {
+	// expIfc and bbIfc are the router's experiment-LAN and backbone
+	// interfaces (nil until added).
+	expIfc, bbIfc *netsim.Interface
+	// byLocalMAC maps a per-neighbor MAC — the destination MAC an
+	// experiment picks a route with — to the neighbor.
+	byLocalMAC map[ethernet.MAC]fwdNeighbor
+	// byRealMAC maps a local neighbor's own MAC to it, attributing inbound
+	// frames to the neighbor that delivered them.
+	byRealMAC map[ethernet.MAC]*Neighbor
+	// byLocalIP maps a local-pool next hop to its neighbor: the proxy ARP
+	// of Fig. 2b.
+	byLocalIP map[netip.Addr]*Neighbor
+	// tunnelIP maps an experiment to the address it is reached at on the
+	// experiment LAN — registered with SetExperimentTunnelIP or learned
+	// from the next hop of its announcements, whichever came last — and
+	// byTunnelIP is its inverse.
+	tunnelIP   map[string]netip.Addr
+	byTunnelIP map[netip.Addr]string
+}
+
+// fwdNeighbor is what the data plane knows of one neighbor.
+type fwdNeighbor struct {
+	n *Neighbor
+	// realMAC is a local neighbor's resolved MAC, zero until ARP answers.
+	realMAC ethernet.MAC
+}
+
+// dropReason says why the forwarder refused a frame addressed to it; the
+// closed set of core_dataplane_drops_total's reason label.
+type dropReason int
+
+const (
+	dropNoRoute dropReason = iota
+	dropNoMAC
+	dropTTLExpired
+	dropMalformed
+	dropUnsupportedEthertype
+	numDropReasons
+)
+
+var dropReasonNames = [numDropReasons]string{
+	dropNoRoute:              "no-route",
+	dropNoMAC:                "no-mac",
+	dropTTLExpired:           "ttl-expired",
+	dropMalformed:            "malformed",
+	dropUnsupportedEthertype: "unsupported-ethertype",
+}
+
+// drop counts one refused frame, on the labelled series and — for the
+// three reasons that have one — the router's exported counter.
+func (r *Router) drop(why dropReason) {
+	r.metrics.drops[why].Inc()
+	switch why {
+	case dropNoRoute:
+		r.DroppedNoRoute.Add(1)
+	case dropNoMAC:
+		r.DroppedNoMAC.Add(1)
+	case dropTTLExpired:
+		r.TTLExpired.Add(1)
+	}
+}
 
 // handleFrame is the router's data plane (paper §3.2.2, Fig. 2b). The
 // destination MAC of each frame selects the forwarding behavior:
@@ -18,69 +85,71 @@ import (
 //   - the interface's own MAC means inbound traffic for an experiment
 //     prefix, forwarded toward the announcing experiment with the source
 //     MAC rewritten to identify the delivering neighbor.
+//
+// The packet stays wire bytes: its IPv4 header is validated where it lies
+// in the received buffer — which is the sender's, possibly shared with
+// other receivers, and never written — and send copies it once, with the
+// new Ethernet header, into the buffer it transmits. Only IPv4 is
+// forwarded; a frame of another type addressed to the router is counted
+// as dropped (ARP, which the interface answers itself, is not a drop).
 func (r *Router) handleFrame(ifc *netsim.Interface, frame *ethernet.Frame) {
+	st := r.fwd.Load()
+	via, selected := st.byLocalMAC[frame.Dst]
+	if !selected && frame.Dst != ifc.MAC() {
+		return // flooded past the router, not sent to it
+	}
 	if frame.Type != ethernet.TypeIPv4 {
+		if frame.Type != ethernet.TypeARP {
+			r.drop(dropUnsupportedEthertype)
+		}
 		return
 	}
-	var ip ethernet.IPv4
-	if ip.DecodeFromBytes(frame.Payload) != nil {
+	_, total, ok := ethernet.CheckIPv4(frame.Payload)
+	if !ok {
+		r.drop(dropMalformed)
 		return
 	}
-
-	r.mu.Lock()
-	n := r.byLocalMAC[frame.Dst]
-	r.mu.Unlock()
-
-	if n != nil {
+	pkt := frame.Payload[:total]
+	if selected {
 		r.metrics.tableSelections.Inc()
-		r.forwardViaNeighbor(ifc, frame, &ip, n)
+		r.forwardViaNeighbor(st, ifc, frame.Src, pkt, via)
 		return
 	}
-	if frame.Dst == ifc.MAC() {
-		r.forwardInbound(ifc, frame, &ip)
-	}
+	r.forwardInbound(st, ifc, frame.Src, pkt)
+}
+
+// Offsets into a validated IPv4 header.
+const (
+	ipTTL = 8
+	ipSrc = 12
+	ipDst = 16
+)
+
+func ipAddrAt(pkt []byte, off int) netip.Addr {
+	return netip.AddrFrom4([4]byte(pkt[off : off+4]))
 }
 
 // forwardViaNeighbor enacts the experiment's per-packet route selection:
 // look up the destination in the chosen neighbor's table and forward via
 // that neighbor (locally, or across the backbone for a remote neighbor).
-func (r *Router) forwardViaNeighbor(in *netsim.Interface, frame *ethernet.Frame, ip *ethernet.IPv4, n *Neighbor) {
-	path := n.Table.Lookup(ip.Dst)
+// src is the received frame's source MAC, pkt the validated packet.
+func (r *Router) forwardViaNeighbor(st *fwdState, in *netsim.Interface, src ethernet.MAC, pkt []byte, via fwdNeighbor) {
+	n := via.n
+	path := n.Table.Lookup(ipAddrAt(pkt, ipDst))
 	if path == nil {
-		r.DroppedNoRoute.Add(1)
+		r.drop(dropNoRoute)
 		return
 	}
-	if ip.TTL <= 1 {
-		r.TTLExpired.Add(1)
-		r.sendTimeExceeded(in, ip)
+	if pkt[ipTTL] <= 1 {
+		r.drop(dropTTLExpired)
+		r.sendTimeExceeded(st, in, pkt)
 		return
 	}
-	fwd := *ip
-	fwd.TTL--
-	fwd.Payload = append([]byte(nil), ip.Payload...)
-
 	if n.Remote {
 		// Fig. 5: resolve the remote external neighbor's GlobalIP on the
 		// backbone; the owning router answers with the derived MAC and
 		// repeats the lookup in its own per-neighbor table.
-		r.mu.Lock()
-		bb := r.bbIfc
-		r.mu.Unlock()
-		if bb == nil {
-			r.DroppedNoRoute.Add(1)
-			return
-		}
-		nh := path.NextHop()
-		dstMAC, err := bb.Resolve(bb.PrimaryAddr(), nh, arpTimeout)
-		if err != nil {
-			r.DroppedNoMAC.Add(1)
-			return
-		}
-		r.Forwarded.Add(1)
-		r.metrics.backboneForwards.Inc()
-		bb.Send(&ethernet.Frame{
-			Dst: dstMAC, Src: frame.Src, Type: ethernet.TypeIPv4, Payload: fwd.Marshal(),
-		})
+		r.sendOverBackbone(st, path.NextHop(), src, pkt)
 		return
 	}
 
@@ -90,158 +159,136 @@ func (r *Router) forwardViaNeighbor(in *netsim.Interface, frame *ethernet.Frame,
 	if !nh.IsValid() {
 		nh = n.Addr
 	}
-	dstMAC := n.realMAC
+	dstMAC := via.realMAC
 	if dstMAC.IsZero() || nh != n.Addr {
 		var err error
 		dstMAC, err = n.ifc.Resolve(n.ifc.PrimaryAddr(), nh, arpTimeout)
 		if err != nil {
-			r.DroppedNoMAC.Add(1)
+			r.drop(dropNoMAC)
 			return
 		}
 		if nh == n.Addr {
-			r.mu.Lock()
-			n.realMAC = dstMAC
-			r.byRealMAC[dstMAC] = n
-			r.mu.Unlock()
+			r.learnNeighborMAC(n, dstMAC)
 		}
 	}
-	r.Forwarded.Add(1)
-	n.ifc.Send(&ethernet.Frame{
-		Dst: dstMAC, Src: n.ifc.MAC(), Type: ethernet.TypeIPv4, Payload: fwd.Marshal(),
-	})
+	r.send(n.ifc, dstMAC, n.ifc.MAC(), pkt)
 }
 
 // forwardInbound delivers traffic destined to experiment prefixes:
 // locally connected experiments get the frame on the experiment LAN with
 // the source MAC rewritten to the delivering neighbor's assigned MAC;
 // prefixes announced at other PoPs are forwarded across the backbone.
-func (r *Router) forwardInbound(in *netsim.Interface, frame *ethernet.Frame, ip *ethernet.IPv4) {
-	path := r.expRoutes.Lookup(ip.Dst)
-	if path == nil {
+func (r *Router) forwardInbound(st *fwdState, in *netsim.Interface, src ethernet.MAC, pkt []byte) {
+	dst := ipAddrAt(pkt, ipDst)
+	var owner string
+	var nh netip.Addr
+	if path := r.expRoutes.Lookup(dst); path != nil {
+		owner, nh = path.Peer, path.NextHop()
+	} else {
 		// Traffic for an experiment's tunnel address (hosted services,
 		// probe replies) is delivered even without an announcement —
 		// including addresses registered ahead of the BGP session.
-		r.mu.Lock()
-		var owner string
-		for name, e := range r.experiments {
-			if e.tunnelIP == ip.Dst {
-				owner = name
-				break
-			}
-		}
-		if owner == "" {
-			for name, addr := range r.tunnelIPs {
-				if addr == ip.Dst {
-					owner = name
-					break
-				}
-			}
-		}
-		r.mu.Unlock()
-		if owner == "" {
-			r.DroppedNoRoute.Add(1)
+		var ok bool
+		if owner, ok = st.byTunnelIP[dst]; !ok {
+			r.drop(dropNoRoute)
 			return
 		}
-		path = &rib.Path{Peer: owner, Attrs: &bgp.PathAttrs{NextHop: ip.Dst}}
+		nh = dst
 	}
-	if ip.TTL <= 1 {
-		r.TTLExpired.Add(1)
-		r.sendTimeExceeded(in, ip)
+	if pkt[ipTTL] <= 1 {
+		r.drop(dropTTLExpired)
+		r.sendTimeExceeded(st, in, pkt)
 		return
 	}
-	fwd := *ip
-	fwd.TTL--
-	fwd.Payload = append([]byte(nil), ip.Payload...)
+	src = r.attributionMAC(st, src)
 
-	srcMAC := r.attributionMAC(frame.Src)
-
-	if isMeshOwner(path.Peer) {
-		r.mu.Lock()
-		bb := r.bbIfc
-		r.mu.Unlock()
-		if bb == nil {
-			r.DroppedNoRoute.Add(1)
-			return
-		}
-		dstMAC, err := bb.Resolve(bb.PrimaryAddr(), path.NextHop(), arpTimeout)
-		if err != nil {
-			r.DroppedNoMAC.Add(1)
-			return
-		}
-		r.Forwarded.Add(1)
-		r.metrics.backboneForwards.Inc()
-		bb.Send(&ethernet.Frame{Dst: dstMAC, Src: srcMAC, Type: ethernet.TypeIPv4, Payload: fwd.Marshal()})
+	if isMeshOwner(owner) {
+		r.sendOverBackbone(st, nh, src, pkt)
 		return
 	}
-
-	r.mu.Lock()
-	expIfc := r.expIfc
-	var tunnelIP netip.Addr
-	if e := r.experiments[path.Peer]; e != nil {
-		tunnelIP = e.tunnelIP
-	} else {
-		tunnelIP = r.tunnelIPs[path.Peer]
-	}
-	r.mu.Unlock()
-	if expIfc == nil {
-		r.DroppedNoRoute.Add(1)
+	if st.expIfc == nil {
+		r.drop(dropNoRoute)
 		return
 	}
-	if !tunnelIP.IsValid() {
-		tunnelIP = path.NextHop() // fall back to the announced next hop
+	if tunnelIP := st.tunnelIP[owner]; tunnelIP.IsValid() {
+		nh = tunnelIP // otherwise fall back to the announced next hop
 	}
-	if !tunnelIP.IsValid() {
-		r.DroppedNoMAC.Add(1)
+	if !nh.IsValid() {
+		r.drop(dropNoMAC)
 		return
 	}
-	dstMAC, err := expIfc.Resolve(expIfc.PrimaryAddr(), tunnelIP, arpTimeout)
+	dstMAC, err := st.expIfc.Resolve(st.expIfc.PrimaryAddr(), nh, arpTimeout)
 	if err != nil {
-		r.DroppedNoMAC.Add(1)
+		r.drop(dropNoMAC)
 		return
 	}
-	if srcMAC.IsZero() {
-		srcMAC = expIfc.MAC()
+	r.send(st.expIfc, dstMAC, src, pkt)
+}
+
+// sendOverBackbone forwards pkt to the router that answers for nh on the
+// backbone, keeping src so attribution survives the extra hop.
+func (r *Router) sendOverBackbone(st *fwdState, nh netip.Addr, src ethernet.MAC, pkt []byte) {
+	bb := st.bbIfc
+	if bb == nil {
+		r.drop(dropNoRoute)
+		return
+	}
+	dstMAC, err := bb.Resolve(bb.PrimaryAddr(), nh, arpTimeout)
+	if err != nil {
+		r.drop(dropNoMAC)
+		return
+	}
+	r.metrics.backboneForwards.Inc()
+	r.send(bb, dstMAC, src, pkt)
+}
+
+// send puts pkt on the wire out of an interface: the new Ethernet header
+// and the packet are written once into a pooled buffer, the TTL is
+// decremented and the header checksum patched there, and the buffer goes
+// back to the pool when the synchronous delivery returns. A zero src
+// means the interface's own MAC.
+func (r *Router) send(out *netsim.Interface, dst, src ethernet.MAC, pkt []byte) {
+	if src.IsZero() {
+		src = out.MAC()
 	}
 	r.Forwarded.Add(1)
-	expIfc.Send(&ethernet.Frame{Dst: dstMAC, Src: srcMAC, Type: ethernet.TypeIPv4, Payload: fwd.Marshal()})
+	frame := ethernet.Frame{Dst: dst, Src: src, Type: ethernet.TypeIPv4, Payload: pkt}
+	buf := ethernet.GetBuffer()
+	buf.B = frame.AppendTo(buf.B)
+	ethernet.DecrementTTL(buf.B[ethernet.HeaderLen:])
+	out.SendRaw(buf.B)
+	buf.Release()
 }
 
 // sendTimeExceeded emits an ICMP time-exceeded for an expired packet,
 // sourced from the ingress interface's PRIMARY address — the kernel
 // behavior Peering's network controller preserves so traceroutes show
-// the intended hop identity (§5).
-func (r *Router) sendTimeExceeded(in *netsim.Interface, ip *ethernet.IPv4) {
+// the intended hop identity (§5). This is the slow path and uses the
+// struct codec.
+func (r *Router) sendTimeExceeded(st *fwdState, in *netsim.Interface, pkt []byte) {
 	src := in.PrimaryAddr()
-	if !src.IsValid() || !ip.Src.IsValid() {
+	if !src.IsValid() {
 		return
 	}
-	orig := ip.Marshal()
-	if len(orig) > ethernet.IPv4HeaderLen+8 {
-		orig = orig[:ethernet.IPv4HeaderLen+8]
-	}
+	// RFC 792: the offending header and the first 64 bits of its data.
+	orig := pkt[:min(len(pkt), int(pkt[0]&0x0f)*4+8)]
 	exceeded := ethernet.ICMP{Type: ethernet.ICMPTimeExceed, Data: orig}
 	reply := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoICMP,
-		Src: src, Dst: ip.Src, Payload: exceeded.Marshal()}
+		Src: src, Dst: ipAddrAt(pkt, ipSrc), Payload: exceeded.Marshal()}
 	// Route the error back the way inbound experiment traffic goes.
-	var fr ethernet.Frame
-	fr.Type = ethernet.TypeIPv4
-	fr.Payload = reply.Marshal()
-	fr.Dst = in.MAC() // loop through the inbound path locally
-	r.forwardInbound(in, &fr, &reply)
+	r.forwardInbound(st, in, ethernet.MAC{}, reply.Marshal())
 }
 
 // attributionMAC maps the frame's source to the per-neighbor MAC
 // experiments use to identify the delivering neighbor. A frame from a
 // local neighbor matches its real MAC; a frame relayed over the backbone
 // already carries a derived per-neighbor MAC, which is preserved.
-func (r *Router) attributionMAC(src ethernet.MAC) ethernet.MAC {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n, ok := r.byRealMAC[src]; ok {
+func (r *Router) attributionMAC(st *fwdState, src ethernet.MAC) ethernet.MAC {
+	if n, ok := st.byRealMAC[src]; ok {
 		r.metrics.macRewrites.Inc()
 		return n.LocalMAC
 	}
-	if _, ok := r.byLocalMAC[src]; ok {
+	if _, ok := st.byLocalMAC[src]; ok {
 		return src // already attributed by another PoP
 	}
 	if src[0] == 0x02 && src[1] == 0x7f {

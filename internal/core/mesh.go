@@ -165,9 +165,9 @@ func (r *Router) dumpToMeshPeer(p *meshPeer) {
 		return true
 	})
 	r.mu.Lock()
-	bb := r.bbIfc
 	lan := r.expLANPrefix
 	r.mu.Unlock()
+	bb := r.fwd.Load().bbIfc
 	if bb == nil {
 		return
 	}
@@ -317,9 +317,12 @@ func (r *Router) remoteNeighbor(globalIP netip.Addr, id uint32, asn uint32) (*Ne
 	}
 	n.Table.EnableAutoSnapshot(r.snapshotEvery())
 	r.neighbors[name] = n
-	r.byLocalMAC[n.LocalMAC] = n
-	if r.expIfc != nil {
-		r.expIfc.AddMAC(n.LocalMAC)
+	r.publishFwd(func(st *fwdState) {
+		st.byLocalMAC = withEntry(st.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n})
+		st.byLocalIP = withEntry(st.byLocalIP, n.LocalIP, n)
+	})
+	if expIfc := r.fwd.Load().expIfc; expIfc != nil {
+		expIfc.AddMAC(n.LocalMAC)
 	}
 	return n, nil
 }

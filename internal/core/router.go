@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
 	"sync"
@@ -113,8 +114,7 @@ type Neighbor struct {
 	// AdjOut holds experiment announcements exported to this neighbor.
 	AdjOut *rib.Table
 
-	ifc     *netsim.Interface // attachment of local neighbors
-	realMAC ethernet.MAC      // local neighbor's resolved MAC
+	ifc *netsim.Interface // attachment of local neighbors
 
 	// sessMu guards session, which is replaced on every reconnect when
 	// the neighbor is supervised.
@@ -154,9 +154,6 @@ type expConn struct {
 	// gr is the graceful-restart retention window for this experiment's
 	// routes after its session drops.
 	gr time.Duration
-	// tunnelIP is the experiment's address on the experiment LAN,
-	// learned from its announcements' next hop.
-	tunnelIP netip.Addr
 }
 
 // meshPeer is a backbone session to another vBGP router.
@@ -199,26 +196,23 @@ type Router struct {
 
 	mu           sync.Mutex
 	ifcs         map[string]*netsim.Interface
-	expIfc       *netsim.Interface
 	expLANPrefix netip.Prefix
-	bbIfc        *netsim.Interface
 	neighbors    map[string]*Neighbor
-	byLocalMAC   map[ethernet.MAC]*Neighbor
 	byGlobalIP   map[netip.Addr]*Neighbor // local neighbors, for backbone ARP
-	byRealMAC    map[ethernet.MAC]*Neighbor
 	experiments  map[string]*expConn
 	meshPeers    map[string]*meshPeer
 	// expTargets records each experiment announcement's export policy.
 	expTargets map[expRouteKey]targetSet
-	// tunnelIPs records experiment tunnel addresses registered before
-	// the BGP session connects.
-	tunnelIPs map[string]netip.Addr
 	// expStale holds per-experiment graceful-restart flush timers.
 	expStale map[string]*time.Timer
 	// rovStates records the validation state last stamped on each
 	// neighbor route exported to experiments, so RevalidateExports can
 	// re-export exactly the routes whose state flipped.
 	rovStates map[rovKey]rpki.State
+
+	// fwd is the topology the data plane forwards by (dataplane.go),
+	// republished under mu by publishFwd.
+	fwd atomic.Pointer[fwdState]
 
 	// expRoutes maps experiment prefixes to the connected experiment (or
 	// the backbone peer fronting it) for inbound forwarding.
@@ -267,16 +261,20 @@ func NewRouter(cfg Config) *Router {
 		globalPool:  gp,
 		ifcs:        make(map[string]*netsim.Interface),
 		neighbors:   make(map[string]*Neighbor),
-		byLocalMAC:  make(map[ethernet.MAC]*Neighbor),
 		byGlobalIP:  make(map[netip.Addr]*Neighbor),
-		byRealMAC:   make(map[ethernet.MAC]*Neighbor),
 		experiments: make(map[string]*expConn),
 		meshPeers:   make(map[string]*meshPeer),
-		tunnelIPs:   make(map[string]netip.Addr),
 		expStale:    make(map[string]*time.Timer),
 		expRoutes:   rib.NewTable(cfg.Name + ":exp-routes"),
 		metrics:     newRouterMetrics(cfg.Name),
 	}
+	r.fwd.Store(&fwdState{
+		byLocalMAC: map[ethernet.MAC]fwdNeighbor{},
+		byRealMAC:  map[ethernet.MAC]*Neighbor{},
+		byLocalIP:  map[netip.Addr]*Neighbor{},
+		tunnelIP:   map[string]netip.Addr{},
+		byTunnelIP: map[netip.Addr]string{},
+	})
 	r.expRoutes.EnableAutoSnapshot(r.snapshotEvery())
 	if cfg.MaintainDefaultTable {
 		r.defaultTable = rib.NewTable(cfg.Name + ":default")
@@ -346,12 +344,36 @@ func (r *Router) AddInterface(name, role string, addr netip.Prefix, seg *netsim.
 	r.ifcs[name] = ifc
 	switch role {
 	case "experiment":
-		r.expIfc = ifc
 		r.expLANPrefix = addr.Masked()
+		r.publishFwd(func(st *fwdState) { st.expIfc = ifc })
 	case "backbone":
-		r.bbIfc = ifc
+		r.publishFwd(func(st *fwdState) { st.bbIfc = ifc })
 	}
 	return ifc
+}
+
+// publishFwd installs a modified copy of the forwarding state; r.mu must
+// be held. change gets a shallow copy and must replace (withEntry,
+// withoutEntry), not write into, the maps it alters — readers hold the
+// old ones.
+func (r *Router) publishFwd(change func(st *fwdState)) {
+	next := *r.fwd.Load()
+	change(&next)
+	r.fwd.Store(&next)
+}
+
+// withEntry returns a copy of m with k mapped to v.
+func withEntry[K comparable, V any](m map[K]V, k K, v V) map[K]V {
+	m = maps.Clone(m)
+	m[k] = v
+	return m
+}
+
+// withoutEntry returns a copy of m without k.
+func withoutEntry[K comparable, V any](m map[K]V, k K) map[K]V {
+	m = maps.Clone(m)
+	delete(m, k)
+	return m
 }
 
 // deriveIfcMAC builds a stable unicast MAC from the router and interface
@@ -385,12 +407,8 @@ func (r *Router) Interface(name string) *netsim.Interface {
 // answerExperimentARP implements the proxy-ARP of Fig. 2b: requests for a
 // neighbor's LocalIP are answered with the neighbor's LocalMAC.
 func (r *Router) answerExperimentARP(target netip.Addr) (ethernet.MAC, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, n := range r.neighbors {
-		if n.LocalIP == target {
-			return n.LocalMAC, true
-		}
+	if n, ok := r.fwd.Load().byLocalIP[target]; ok {
+		return n.LocalMAC, true
 	}
 	return ethernet.MAC{}, false
 }
@@ -480,15 +498,19 @@ func (r *Router) AddNeighbor(cfg NeighborConfig) (*Neighbor, error) {
 	}
 	n.Table.EnableAutoSnapshot(r.snapshotEvery())
 	r.neighbors[cfg.Name] = n
-	r.byLocalMAC[n.LocalMAC] = n
 	r.byGlobalIP[globalIP] = n
+	r.publishFwd(func(st *fwdState) {
+		st.byLocalMAC = withEntry(st.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n})
+		st.byLocalIP = withEntry(st.byLocalIP, n.LocalIP, n)
+	})
 	// Frames for the neighbor's MAC arrive on the experiment LAN and the
 	// backbone; accept them there.
-	if r.expIfc != nil {
-		r.expIfc.AddMAC(n.LocalMAC)
+	st := r.fwd.Load()
+	if st.expIfc != nil {
+		st.expIfc.AddMAC(n.LocalMAC)
 	}
-	if r.bbIfc != nil {
-		r.bbIfc.AddMAC(n.LocalMAC)
+	if st.bbIfc != nil {
+		st.bbIfc.AddMAC(n.LocalMAC)
 	}
 	r.mu.Unlock()
 
@@ -552,10 +574,21 @@ func (r *Router) resolveNeighborMAC(n *Neighbor) {
 		r.logf("ARP for neighbor %s (%s): %v", n.Name, n.Addr, err)
 		return
 	}
+	r.learnNeighborMAC(n, mac)
+}
+
+// learnNeighborMAC publishes a local neighbor's resolved MAC to the data
+// plane, if it is news.
+func (r *Router) learnNeighborMAC(n *Neighbor, mac ethernet.MAC) {
 	r.mu.Lock()
-	n.realMAC = mac
-	r.byRealMAC[mac] = n
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if st := r.fwd.Load(); st.byLocalMAC[n.LocalMAC].realMAC == mac && st.byRealMAC[mac] == n {
+		return
+	}
+	r.publishFwd(func(st *fwdState) {
+		st.byLocalMAC = withEntry(st.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n, realMAC: mac})
+		st.byRealMAC = withEntry(st.byRealMAC, mac, n)
+	})
 }
 
 // SetNeighborRateLimit polices traffic the router forwards via one
@@ -572,8 +605,6 @@ func (r *Router) SetNeighborRateLimit(name string, pps uint64, windowShift uint)
 	if err != nil {
 		return nil, err
 	}
-	mac := n.realMAC
-	nbr := n
 	n.ifc.AddEgressFilter(netsim.FilterFunc(func(data []byte) netsim.Verdict {
 		var fr ethernet.Frame
 		if fr.DecodeFromBytes(data) != nil || fr.Type != ethernet.TypeIPv4 {
@@ -581,8 +612,7 @@ func (r *Router) SetNeighborRateLimit(name string, pps uint64, windowShift uint)
 		}
 		// Only police frames actually destined to this neighbor (the
 		// interface may be shared, e.g. an IXP fabric).
-		_ = mac
-		if fr.Dst != nbr.realMAC && !nbr.realMAC.IsZero() {
+		if mac := r.fwd.Load().byLocalMAC[n.LocalMAC].realMAC; fr.Dst != mac && !mac.IsZero() {
 			return netsim.VerdictPass
 		}
 		if prog.Run(data) == bpf.VerdictPass {
@@ -634,10 +664,40 @@ func (r *Router) RouteCount() int {
 func (r *Router) SetExperimentTunnelIP(name string, ip netip.Addr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tunnelIPs[name] = ip
-	if e := r.experiments[name]; e != nil {
-		e.tunnelIP = ip
+	r.setTunnelIPLocked(name, ip)
+}
+
+// ClearExperimentTunnelIP forgets the experiment's tunnel address when
+// its tunnel goes away — if it is still ip: a redialling client may
+// already have registered its next tunnel's address under the name.
+// Traffic for the address is then refused as unroutable at once instead
+// of waiting out an ARP that nobody answers.
+func (r *Router) ClearExperimentTunnelIP(name string, ip netip.Addr) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.fwd.Load().tunnelIP[name] == ip {
+		r.setTunnelIPLocked(name, netip.Addr{})
 	}
+}
+
+// setTunnelIPLocked makes ip — nothing, for the zero Addr — the address
+// the named experiment is reached at; r.mu must be held.
+func (r *Router) setTunnelIPLocked(name string, ip netip.Addr) {
+	cur := r.fwd.Load().tunnelIP[name]
+	if cur == ip {
+		return
+	}
+	r.publishFwd(func(st *fwdState) {
+		st.tunnelIP, st.byTunnelIP = maps.Clone(st.tunnelIP), maps.Clone(st.byTunnelIP)
+		if st.byTunnelIP[cur] == name {
+			delete(st.byTunnelIP, cur)
+		}
+		if ip.IsValid() {
+			st.tunnelIP[name], st.byTunnelIP[ip] = ip, name
+		} else {
+			delete(st.tunnelIP, name)
+		}
+	})
 }
 
 // ExperimentRoutes exposes the experiment-prefix table (tests and the

@@ -19,6 +19,9 @@ type routerMetrics struct {
 	// macRewrites counts inbound frames whose source MAC was rewritten
 	// to a per-neighbor attribution MAC.
 	macRewrites *telemetry.Counter
+	// drops counts frames addressed to the forwarder that it refused, by
+	// reason (core_dataplane_drops_total{pop,reason}).
+	drops [numDropReasons]*telemetry.Counter
 	// nexthopRewrites counts neighbor routes re-advertised to
 	// experiments with the next hop rewritten to a local pool address.
 	nexthopRewrites *telemetry.Counter
@@ -38,7 +41,7 @@ type routerMetrics struct {
 func newRouterMetrics(pop string) routerMetrics {
 	reg := telemetry.Default()
 	pl := telemetry.L("pop", pop)
-	return routerMetrics{
+	m := routerMetrics{
 		tableSelections:  reg.Counter("core_table_selections_total", pl),
 		backboneForwards: reg.Counter("core_backbone_forwards_total", pl),
 		macRewrites:      reg.Counter("core_mac_rewrites_total", pl),
@@ -50,6 +53,10 @@ func newRouterMetrics(pop string) routerMetrics {
 		shedAnnouncements: reg.Counter("guard_shed_announcements_total", pl),
 		shedSessions:      reg.Counter("guard_shed_sessions_total", pl),
 	}
+	for why, name := range dropReasonNames {
+		m.drops[why] = reg.Counter("core_dataplane_drops_total", pl, telemetry.L("reason", name))
+	}
+	return m
 }
 
 // emit sends a monitoring event to the configured station hook, filling

@@ -46,7 +46,7 @@ func (b *Bridge) AttachSegment(seg *Segment) {
 	mac := deriveBridgeMAC(b.Name, len(b.ports))
 	ifc := NewInterface(b.Name+"-"+seg.Name, mac)
 	ifc.SetPromiscuous(true)
-	ifc.SetHandler(func(in *Interface, fr *ethernet.Frame) { b.relay(seg, in, fr) })
+	ifc.SetRawHandler(func(_ *Interface, data []byte) { b.relay(seg, data) })
 	ifc.Attach(seg)
 	b.ports[seg] = ifc
 }
@@ -69,22 +69,24 @@ func (b *Bridge) Lookup(mac ethernet.MAC) (*Segment, bool) {
 	return seg, ok
 }
 
-// relay learns the source and forwards or floods the frame.
-func (b *Bridge) relay(ingress *Segment, in *Interface, fr *ethernet.Frame) {
+// relay learns the source and forwards or floods the frame, passing the
+// received bytes on as they are.
+func (b *Bridge) relay(ingress *Segment, data []byte) {
+	dst, src := ethernet.MAC(data[0:6]), ethernet.MAC(data[6:12])
 	b.mu.Lock()
 	// Never learn or re-forward our own port MACs (split horizon for
 	// frames another bridge port already re-injected).
 	for _, p := range b.ports {
-		if fr.Src == p.MAC() {
+		if src == p.MAC() {
 			b.mu.Unlock()
 			return
 		}
 	}
-	b.fdb[fr.Src] = ingress
+	b.fdb[src] = ingress
 	var targets []*Interface
-	if dst, known := b.fdb[fr.Dst]; known && !fr.Dst.IsMulticast() {
-		if dst != ingress {
-			targets = append(targets, b.ports[dst])
+	if to, known := b.fdb[dst]; known && !dst.IsMulticast() {
+		if to != ingress {
+			targets = append(targets, b.ports[to])
 			b.Forwarded.Add(1)
 		}
 		// Known on the ingress segment: nothing to do.
@@ -98,8 +100,7 @@ func (b *Bridge) relay(ingress *Segment, in *Interface, fr *ethernet.Frame) {
 	}
 	b.mu.Unlock()
 
-	copy := fr.Clone()
 	for _, port := range targets {
-		port.Send(&copy)
+		port.SendRaw(data)
 	}
 }

@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,10 +13,17 @@ import (
 	"repro/internal/ethernet"
 )
 
-// Handler receives a decoded frame from an interface. The frame's payload
-// aliases a buffer owned by the caller; handlers that retain it must use
-// Frame.Clone.
+// Handler receives a decoded frame from an interface. The frame and the
+// buffer its payload aliases are the sender's, shared with every other
+// receiver of a flooded frame, and reused once the handler returns:
+// handlers must not write either, and one that retains the frame must
+// use Frame.Clone.
 type Handler func(ifc *Interface, frame *ethernet.Frame)
+
+// RawHandler receives a frame as the bytes on the wire, for ports that
+// only move them elsewhere (a bridge port, a tunnel tap). Ownership is as
+// for Handler: no writing, no retaining past the call.
+type RawHandler func(ifc *Interface, data []byte)
 
 // ARPResponder decides whether the interface answers an ARP request for
 // target, and with which MAC. vBGP installs a responder that answers for
@@ -34,19 +43,17 @@ type Interface struct {
 
 	mac ethernet.MAC
 
-	mu        sync.RWMutex
-	seg       *Segment
-	addrs     []netip.Addr // addrs[0] is the primary address
+	// mu serializes the writers of state and guards what only they and
+	// the ARP miss path touch. It is held across the calls that update
+	// the segment's port table, so attachment and the accepted MACs
+	// change atomically with respect to each other.
+	mu        sync.Mutex
 	extraMACs map[ethernet.MAC]bool
-	handler   Handler
-	responder ARPResponder
-	ingress   []Filter
-	egress    []Filter
 	promisc   bool
+	arpWait   map[netip.Addr][]chan ethernet.MAC
 
-	arpMu    sync.Mutex
-	arpCache map[netip.Addr]ethernet.MAC
-	arpWait  map[netip.Addr][]chan ethernet.MAC
+	// state is everything sending and receiving a frame reads.
+	state atomic.Pointer[ifcState]
 
 	// RxFrames/TxFrames/RxDrops count traffic through the interface.
 	// RxDrops counts frames discarded by ingress filters.
@@ -56,54 +63,91 @@ type Interface struct {
 	TxDrops  atomic.Uint64
 }
 
+// ifcState is an interface's per-packet configuration: immutable once
+// published, replaced copy-on-write under Interface.mu.
+type ifcState struct {
+	seg        *Segment
+	addrs      []netip.Addr // addrs[0] is the primary address
+	handler    Handler
+	rawHandler RawHandler
+	responder  ARPResponder
+	ingress    []Filter
+	egress     []Filter
+	arp        map[netip.Addr]ethernet.MAC
+}
+
 // NewInterface creates a detached interface with the given MAC.
 func NewInterface(name string, mac ethernet.MAC) *Interface {
-	return &Interface{
+	ifc := &Interface{
 		Name: name, mac: mac,
 		extraMACs: make(map[ethernet.MAC]bool),
-		arpCache:  make(map[netip.Addr]ethernet.MAC),
 		arpWait:   make(map[netip.Addr][]chan ethernet.MAC),
 	}
+	ifc.state.Store(&ifcState{arp: map[netip.Addr]ethernet.MAC{}})
+	return ifc
+}
+
+// update publishes a modified copy of the interface's state. change gets
+// a shallow copy and must replace, not write into, the slices and maps it
+// alters.
+func (ifc *Interface) update(change func(st *ifcState)) {
+	ifc.mu.Lock()
+	defer ifc.mu.Unlock()
+	next := *ifc.state.Load()
+	change(&next)
+	ifc.state.Store(&next)
 }
 
 // MAC returns the interface's primary MAC address.
 func (ifc *Interface) MAC() ethernet.MAC { return ifc.mac }
 
+// macsLocked returns every MAC the interface accepts; mu must be held.
+func (ifc *Interface) macsLocked() []ethernet.MAC {
+	macs := make([]ethernet.MAC, 0, 1+len(ifc.extraMACs))
+	macs = append(macs, ifc.mac)
+	for m := range ifc.extraMACs {
+		macs = append(macs, m)
+	}
+	return macs
+}
+
 // Attach connects the interface to a segment, detaching it from any
 // previous segment.
 func (ifc *Interface) Attach(seg *Segment) {
 	ifc.mu.Lock()
-	old := ifc.seg
-	ifc.seg = seg
-	ifc.mu.Unlock()
+	defer ifc.mu.Unlock()
+	next := *ifc.state.Load()
+	old := next.seg
+	next.seg = seg
+	ifc.state.Store(&next)
+	macs := ifc.macsLocked()
 	if old != nil {
-		old.detach(ifc)
+		old.detach(ifc, macs, ifc.promisc)
 	}
 	if seg != nil {
-		seg.attach(ifc)
+		seg.attach(ifc, macs, ifc.promisc)
 	}
 }
 
 // Segment returns the segment the interface is attached to, or nil.
-func (ifc *Interface) Segment() *Segment {
-	ifc.mu.RLock()
-	defer ifc.mu.RUnlock()
-	return ifc.seg
-}
+func (ifc *Interface) Segment() *Segment { return ifc.state.Load().seg }
 
 // SetHandler installs the receive handler.
 func (ifc *Interface) SetHandler(h Handler) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	ifc.handler = h
+	ifc.update(func(st *ifcState) { st.handler = h })
+}
+
+// SetRawHandler installs a receive handler taking the frame's wire bytes;
+// it replaces the decoded-frame Handler for everything but the ARP
+// traffic the interface answers itself.
+func (ifc *Interface) SetRawHandler(h RawHandler) {
+	ifc.update(func(st *ifcState) { st.rawHandler = h })
 }
 
 // SetARPResponder installs a proxy-ARP responder consulted for requests
 // whose target is not one of the interface's own addresses.
 func (ifc *Interface) SetARPResponder(r ARPResponder) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	ifc.responder = r
+	ifc.update(func(st *ifcState) { st.responder = r })
 }
 
 // SetPromiscuous makes the interface accept unicast frames regardless of
@@ -111,170 +155,158 @@ func (ifc *Interface) SetARPResponder(r ARPResponder) {
 func (ifc *Interface) SetPromiscuous(on bool) {
 	ifc.mu.Lock()
 	defer ifc.mu.Unlock()
+	if ifc.promisc == on {
+		return
+	}
 	ifc.promisc = on
+	if seg := ifc.state.Load().seg; seg != nil {
+		seg.setPromiscuous(ifc, ifc.macsLocked(), on)
+	}
 }
 
 // AddIngressFilter appends a filter run on every received frame before the
 // handler. If any filter returns VerdictDrop the frame is discarded, as
 // with an XDP program returning XDP_DROP.
 func (ifc *Interface) AddIngressFilter(f Filter) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	ifc.ingress = append(ifc.ingress, f)
+	ifc.update(func(st *ifcState) { st.ingress = append(slices.Clip(st.ingress), f) })
 }
 
 // AddEgressFilter appends a filter run on every transmitted frame.
 func (ifc *Interface) AddEgressFilter(f Filter) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	ifc.egress = append(ifc.egress, f)
+	ifc.update(func(st *ifcState) { st.egress = append(slices.Clip(st.egress), f) })
 }
 
 // ClearFilters removes all ingress and egress filters.
 func (ifc *Interface) ClearFilters() {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	ifc.ingress, ifc.egress = nil, nil
+	ifc.update(func(st *ifcState) { st.ingress, st.egress = nil, nil })
 }
 
 // AddMAC makes the interface additionally accept frames destined to mac.
-func (ifc *Interface) AddMAC(mac ethernet.MAC) {
+func (ifc *Interface) AddMAC(mac ethernet.MAC) { ifc.setMAC(mac, true) }
+
+// RemoveMAC stops accepting frames destined to mac.
+func (ifc *Interface) RemoveMAC(mac ethernet.MAC) { ifc.setMAC(mac, false) }
+
+func (ifc *Interface) setMAC(mac ethernet.MAC, add bool) {
 	ifc.mu.Lock()
 	defer ifc.mu.Unlock()
-	ifc.extraMACs[mac] = true
+	if ifc.extraMACs[mac] == add {
+		return
+	}
+	if add {
+		ifc.extraMACs[mac] = true
+	} else {
+		delete(ifc.extraMACs, mac)
+	}
+	// The primary MAC is accepted whether or not it is also listed.
+	if seg := ifc.state.Load().seg; seg != nil && !ifc.promisc && mac != ifc.mac {
+		seg.setMAC(ifc, mac, add)
+	}
 }
 
 // HasMAC reports whether the interface accepts frames destined to mac
 // beyond its primary MAC.
 func (ifc *Interface) HasMAC(mac ethernet.MAC) bool {
-	ifc.mu.RLock()
-	defer ifc.mu.RUnlock()
+	ifc.mu.Lock()
+	defer ifc.mu.Unlock()
 	return ifc.extraMACs[mac]
 }
 
 // ExtraMACs returns the additional MACs the interface accepts.
 func (ifc *Interface) ExtraMACs() []ethernet.MAC {
-	ifc.mu.RLock()
-	defer ifc.mu.RUnlock()
-	out := make([]ethernet.MAC, 0, len(ifc.extraMACs))
-	for m := range ifc.extraMACs {
-		out = append(out, m)
-	}
-	return out
-}
-
-// RemoveMAC stops accepting frames destined to mac.
-func (ifc *Interface) RemoveMAC(mac ethernet.MAC) {
 	ifc.mu.Lock()
 	defer ifc.mu.Unlock()
-	delete(ifc.extraMACs, mac)
-}
-
-func (ifc *Interface) ownsMAC(mac ethernet.MAC) bool {
-	if mac == ifc.mac {
-		return true
-	}
-	ifc.mu.RLock()
-	defer ifc.mu.RUnlock()
-	return ifc.promisc || ifc.extraMACs[mac]
+	return ifc.macsLocked()[1:]
 }
 
 // AddAddr adds an IP address to the interface. The first address added is
 // the primary address.
 func (ifc *Interface) AddAddr(a netip.Addr) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	for _, have := range ifc.addrs {
-		if have == a {
-			return
+	ifc.update(func(st *ifcState) {
+		if !slices.Contains(st.addrs, a) {
+			st.addrs = append(slices.Clip(st.addrs), a)
 		}
-	}
-	ifc.addrs = append(ifc.addrs, a)
+	})
 }
 
 // RemoveAddr removes an IP address from the interface.
 func (ifc *Interface) RemoveAddr(a netip.Addr) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	for i, have := range ifc.addrs {
-		if have == a {
-			ifc.addrs = append(ifc.addrs[:i], ifc.addrs[i+1:]...)
-			return
+	ifc.update(func(st *ifcState) {
+		if i := slices.Index(st.addrs, a); i >= 0 {
+			st.addrs = slices.Delete(slices.Clone(st.addrs), i, i+1)
 		}
-	}
+	})
 }
 
 // SetAddrs replaces the interface's addresses; addrs[0] becomes primary.
 func (ifc *Interface) SetAddrs(addrs []netip.Addr) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	ifc.addrs = append([]netip.Addr(nil), addrs...)
+	ifc.update(func(st *ifcState) { st.addrs = slices.Clone(addrs) })
 }
 
 // Addrs returns the interface's addresses in order; index 0 is primary.
 func (ifc *Interface) Addrs() []netip.Addr {
-	ifc.mu.RLock()
-	defer ifc.mu.RUnlock()
-	return append([]netip.Addr(nil), ifc.addrs...)
+	return append([]netip.Addr(nil), ifc.state.Load().addrs...)
 }
 
 // PrimaryAddr returns the primary address, or the zero Addr if none.
 func (ifc *Interface) PrimaryAddr() netip.Addr {
-	ifc.mu.RLock()
-	defer ifc.mu.RUnlock()
-	if len(ifc.addrs) == 0 {
-		return netip.Addr{}
+	if addrs := ifc.state.Load().addrs; len(addrs) > 0 {
+		return addrs[0]
 	}
-	return ifc.addrs[0]
+	return netip.Addr{}
 }
 
 // HasAddr reports whether a is one of the interface's addresses.
 func (ifc *Interface) HasAddr(a netip.Addr) bool {
-	ifc.mu.RLock()
-	defer ifc.mu.RUnlock()
-	for _, have := range ifc.addrs {
-		if have == a {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ifc.state.Load().addrs, a)
 }
 
-// Send serializes the frame, stamps the interface MAC as source if the
-// frame has a zero source, runs egress filters, and transmits it on the
-// attached segment. It is a no-op if the interface is detached.
+// Send stamps the interface MAC as source if the frame has a zero source,
+// serializes the frame into a pooled buffer, and transmits that with
+// SendRaw; the buffer returns to the pool once every receiver's handler
+// has.
 func (ifc *Interface) Send(frame *ethernet.Frame) {
 	if frame.Src.IsZero() {
 		frame.Src = ifc.mac
 	}
-	ifc.mu.RLock()
-	seg := ifc.seg
-	egress := ifc.egress
-	ifc.mu.RUnlock()
-	if seg == nil {
+	buf := ethernet.GetBuffer()
+	buf.B = frame.AppendTo(buf.B)
+	ifc.SendRaw(buf.B)
+	buf.Release()
+}
+
+// SendRaw transmits a frame the caller already holds as wire bytes: it
+// runs the egress filters and delivers the frame on the attached segment,
+// synchronously. Nothing on the way writes or retains data, so the caller
+// may reuse it — or, having received it, pass it on — as soon as SendRaw
+// returns. It is a no-op if the interface is detached or data is shorter
+// than an Ethernet header.
+func (ifc *Interface) SendRaw(data []byte) {
+	st := ifc.state.Load()
+	if st.seg == nil || len(data) < ethernet.HeaderLen {
 		return
 	}
-	data := frame.Marshal()
-	for _, f := range egress {
+	for _, f := range st.egress {
 		if f.Process(data) == VerdictDrop {
 			ifc.TxDrops.Add(1)
 			return
 		}
 	}
 	ifc.TxFrames.Add(1)
-	seg.transmit(ifc, frame.Dst, data)
+	st.seg.transmit(ifc, data)
 }
+
+// rxFrames recycles the Frame a delivery decodes into: handing a frame
+// to a handler (a func value) would otherwise move it to the heap once
+// per received frame.
+var rxFrames = sync.Pool{New: func() any { return new(ethernet.Frame) }}
 
 // deliver is called by the segment with a serialized frame addressed to
 // this interface (or broadcast). It runs ingress filters, answers ARP
 // requests, and hands other frames to the handler.
 func (ifc *Interface) deliver(data []byte) {
-	ifc.mu.RLock()
-	ingress := ifc.ingress
-	handler := ifc.handler
-	ifc.mu.RUnlock()
-
-	for _, f := range ingress {
+	st := ifc.state.Load()
+	for _, f := range st.ingress {
 		if f.Process(data) == VerdictDrop {
 			ifc.RxDrops.Add(1)
 			return
@@ -282,31 +314,37 @@ func (ifc *Interface) deliver(data []byte) {
 	}
 	ifc.RxFrames.Add(1)
 
-	var frame ethernet.Frame
-	if err := frame.DecodeFromBytes(data); err != nil {
-		return
+	frame := rxFrames.Get().(*ethernet.Frame)
+	_ = frame.DecodeFromBytes(data) // SendRaw admits nothing shorter than a header
+	if frame.Type != ethernet.TypeARP || !ifc.handleARP(st, frame) {
+		switch {
+		case st.rawHandler != nil:
+			st.rawHandler(ifc, data)
+		case st.handler != nil:
+			st.handler(ifc, frame)
+		}
 	}
-	if frame.Type == ethernet.TypeARP && ifc.handleARP(&frame) {
-		return
-	}
-	if handler != nil {
-		handler(ifc, &frame)
-	}
+	frame.Payload = nil
+	rxFrames.Put(frame)
 }
 
 // Resolve returns the MAC for the on-link address target, consulting the
-// interface ARP cache and, on a miss, sending an ARP request and waiting
-// up to timeout for a reply. senderIP is the source protocol address to
-// put in the request (typically the interface's primary address).
+// interface ARP cache — a hit takes no lock — and, on a miss, sending an
+// ARP request and waiting up to timeout for a reply. senderIP is the
+// source protocol address to put in the request (typically the
+// interface's primary address).
 func (ifc *Interface) Resolve(senderIP, target netip.Addr, timeout time.Duration) (ethernet.MAC, error) {
-	ifc.arpMu.Lock()
-	if mac, ok := ifc.arpCache[target]; ok {
-		ifc.arpMu.Unlock()
+	if mac, ok := ifc.state.Load().arp[target]; ok {
+		return mac, nil
+	}
+	ifc.mu.Lock()
+	if mac, ok := ifc.state.Load().arp[target]; ok { // learned since the first look
+		ifc.mu.Unlock()
 		return mac, nil
 	}
 	ch := make(chan ethernet.MAC, 1)
 	ifc.arpWait[target] = append(ifc.arpWait[target], ch)
-	ifc.arpMu.Unlock()
+	ifc.mu.Unlock()
 
 	req := ethernet.NewARPRequest(ifc.mac, senderIP, target)
 	fr := req.Frame(ifc.mac)
@@ -320,13 +358,20 @@ func (ifc *Interface) Resolve(senderIP, target netip.Addr, timeout time.Duration
 	}
 }
 
-// learnARP records a sender's binding and wakes Resolve waiters.
+// learnARP records a sender's binding — republishing the cache only when
+// the binding is new or changed — and wakes Resolve waiters.
 func (ifc *Interface) learnARP(addr netip.Addr, mac ethernet.MAC) {
-	ifc.arpMu.Lock()
-	ifc.arpCache[addr] = mac
+	ifc.mu.Lock()
+	st := ifc.state.Load()
+	if cur, ok := st.arp[addr]; !ok || cur != mac {
+		next := *st
+		next.arp = maps.Clone(st.arp)
+		next.arp[addr] = mac
+		ifc.state.Store(&next)
+	}
 	waiters := ifc.arpWait[addr]
 	delete(ifc.arpWait, addr)
-	ifc.arpMu.Unlock()
+	ifc.mu.Unlock()
 	for _, ch := range waiters {
 		ch <- mac
 	}
@@ -334,15 +379,13 @@ func (ifc *Interface) learnARP(addr netip.Addr, mac ethernet.MAC) {
 
 // FlushARP drops the interface's ARP cache.
 func (ifc *Interface) FlushARP() {
-	ifc.arpMu.Lock()
-	defer ifc.arpMu.Unlock()
-	ifc.arpCache = make(map[netip.Addr]ethernet.MAC)
+	ifc.update(func(st *ifcState) { st.arp = map[netip.Addr]ethernet.MAC{} })
 }
 
 // handleARP answers ARP requests for the interface's own addresses and for
 // any address its ARPResponder claims, and learns bindings from replies.
 // It returns true if the frame was consumed.
-func (ifc *Interface) handleARP(frame *ethernet.Frame) bool {
+func (ifc *Interface) handleARP(st *ifcState, frame *ethernet.Frame) bool {
 	var req ethernet.ARP
 	if err := req.DecodeFromBytes(frame.Payload); err != nil {
 		return true // malformed ARP: consume silently
@@ -354,7 +397,10 @@ func (ifc *Interface) handleARP(frame *ethernet.Frame) bool {
 	if req.Op != ethernet.ARPRequest {
 		return false
 	}
-	answer, ok := ifc.arpAnswer(req.TargetIP)
+	answer, ok := ifc.mac, slices.Contains(st.addrs, req.TargetIP)
+	if !ok && st.responder != nil {
+		answer, ok = st.responder(req.TargetIP)
+	}
 	if !ok {
 		// Not ours: surface to the handler so bridges can relay the
 		// request toward whoever owns the address.
@@ -364,26 +410,6 @@ func (ifc *Interface) handleARP(frame *ethernet.Frame) bool {
 	fr := rep.Frame(ifc.mac)
 	ifc.Send(&fr)
 	return true
-}
-
-func (ifc *Interface) arpAnswer(target netip.Addr) (ethernet.MAC, bool) {
-	ifc.mu.RLock()
-	responder := ifc.responder
-	owns := false
-	for _, a := range ifc.addrs {
-		if a == target {
-			owns = true
-			break
-		}
-	}
-	ifc.mu.RUnlock()
-	if owns {
-		return ifc.mac, true
-	}
-	if responder != nil {
-		return responder(target)
-	}
-	return ethernet.MAC{}, false
 }
 
 // String implements fmt.Stringer.

@@ -4,13 +4,20 @@
 // packet filters.
 //
 // Frames are delivered synchronously: Interface.Send serializes the frame
-// and invokes the receivers' handlers on the calling goroutine. This keeps
-// forwarding deterministic and easy to test; components guard their own
-// state with locks, so segments may be driven from multiple goroutines.
+// into a pooled buffer and invokes the receivers' handlers on the calling
+// goroutine, and the buffer goes back to the pool when the call returns.
+// This keeps forwarding deterministic and easy to test. What a frame
+// crosses on its way — the segment's port table, each interface's
+// configuration and ARP cache — is immutable and published through atomic
+// pointers, so sending and receiving take no lock and segments may be
+// driven from any number of goroutines; the mutexes serialize writers
+// only.
 package netsim
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +35,9 @@ const (
 	VerdictDrop
 )
 
-// Filter inspects a raw frame at an interface hook point. Filters must not
-// retain data.
+// Filter inspects a raw frame at an interface hook point. Filters must
+// neither retain nor write data: the buffer is the sender's, and a
+// flooded frame shares it among every receiver.
 type Filter interface {
 	Process(data []byte) Verdict
 }
@@ -58,69 +66,155 @@ type Segment struct {
 	// consumed by the traffic model.
 	Latency time.Duration
 
-	mu    sync.RWMutex
-	ports []*Interface
+	// mu serializes the writers of table. Interfaces call them holding
+	// their own mutex (lock order: Interface.mu, then Segment.mu); the
+	// segment never calls back into an interface under it.
+	mu    sync.Mutex
+	table atomic.Pointer[portTable]
 
 	// Frames and Bytes count total deliveries across the segment.
 	Frames atomic.Uint64
 	Bytes  atomic.Uint64
 }
 
+// portTable is the segment's forwarding state: immutable once published,
+// replaced copy-on-write — only the member that changes is copied — when
+// a port attaches or detaches or changes the MACs it accepts. A port is
+// in owners or in promisc, never both, so a frame reaches each port once.
+type portTable struct {
+	// ports is every attached port, in attach order.
+	ports []*Interface
+	// owners maps a unicast MAC to the non-promiscuous ports accepting it.
+	owners map[ethernet.MAC][]*Interface
+	// promisc is the ports accepting every unicast frame.
+	promisc []*Interface
+}
+
+var emptyPortTable = &portTable{owners: map[ethernet.MAC][]*Interface{}}
+
 // NewSegment creates a named, unconstrained segment.
 func NewSegment(name string) *Segment {
-	return &Segment{Name: name}
+	return NewLink(name, 0, 0)
 }
 
 // NewLink creates a segment with the given capacity and latency, intended
 // for point-to-point backbone links.
 func NewLink(name string, capacityBps float64, latency time.Duration) *Segment {
-	return &Segment{Name: name, CapacityBps: capacityBps, Latency: latency}
+	s := &Segment{Name: name, CapacityBps: capacityBps, Latency: latency}
+	s.table.Store(emptyPortTable)
+	return s
 }
 
-// attach registers an interface on the segment.
-func (s *Segment) attach(ifc *Interface) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ports = append(s.ports, ifc)
+// without returns ports with p removed — a fresh slice, or ports itself
+// when p is not in it.
+func without(ports []*Interface, p *Interface) []*Interface {
+	i := slices.Index(ports, p)
+	if i < 0 {
+		return ports
+	}
+	return slices.Delete(slices.Clone(ports), i, i+1)
 }
 
-// detach removes an interface from the segment.
-func (s *Segment) detach(ifc *Interface) {
+// with returns a fresh slice of ports with p appended.
+func with(ports []*Interface, p *Interface) []*Interface {
+	return append(slices.Clip(ports), p)
+}
+
+// update publishes a modified copy of the port table. change gets a
+// shallow copy and must replace, not write into, the members it alters.
+func (s *Segment) update(change func(t *portTable)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, p := range s.ports {
-		if p == ifc {
-			s.ports = append(s.ports[:i], s.ports[i+1:]...)
-			return
+	next := *s.table.Load()
+	change(&next)
+	s.table.Store(&next)
+}
+
+// claim returns owners with ifc accepting (add) or no longer accepting
+// each of macs.
+func claim(owners map[ethernet.MAC][]*Interface, ifc *Interface, macs []ethernet.MAC, add bool) map[ethernet.MAC][]*Interface {
+	owners = maps.Clone(owners)
+	for _, m := range macs {
+		cur := owners[m]
+		switch has := slices.Contains(cur, ifc); {
+		case add && !has:
+			owners[m] = with(cur, ifc)
+		case !add && has && len(cur) == 1:
+			delete(owners, m)
+		case !add && has:
+			owners[m] = without(cur, ifc)
 		}
 	}
+	return owners
+}
+
+// attach registers an interface accepting macs — or, when promiscuous,
+// every unicast frame — on the segment.
+func (s *Segment) attach(ifc *Interface, macs []ethernet.MAC, promiscuous bool) {
+	s.update(func(t *portTable) {
+		t.ports = with(t.ports, ifc)
+		if promiscuous {
+			t.promisc = with(t.promisc, ifc)
+		} else {
+			t.owners = claim(t.owners, ifc, macs, true)
+		}
+	})
+}
+
+// detach removes an interface attached with the same arguments.
+func (s *Segment) detach(ifc *Interface, macs []ethernet.MAC, promiscuous bool) {
+	s.update(func(t *portTable) {
+		t.ports = without(t.ports, ifc)
+		if promiscuous {
+			t.promisc = without(t.promisc, ifc)
+		} else {
+			t.owners = claim(t.owners, ifc, macs, false)
+		}
+	})
+}
+
+// setMAC makes the attached, non-promiscuous ifc accept (or stop
+// accepting) frames for mac.
+func (s *Segment) setMAC(ifc *Interface, mac ethernet.MAC, add bool) {
+	s.update(func(t *portTable) {
+		t.owners = claim(t.owners, ifc, []ethernet.MAC{mac}, add)
+	})
+}
+
+// setPromiscuous moves the attached ifc, which accepts macs when it is
+// not promiscuous, between the owner index and the promiscuous list.
+func (s *Segment) setPromiscuous(ifc *Interface, macs []ethernet.MAC, on bool) {
+	s.update(func(t *portTable) {
+		t.owners = claim(t.owners, ifc, macs, !on)
+		if on {
+			t.promisc = with(t.promisc, ifc)
+		} else {
+			t.promisc = without(t.promisc, ifc)
+		}
+	})
 }
 
 // Ports returns a snapshot of the interfaces attached to the segment.
 func (s *Segment) Ports() []*Interface {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*Interface(nil), s.ports...)
+	return slices.Clone(s.table.Load().ports)
 }
 
 // transmit delivers a serialized frame originating at src to the other
-// ports on the segment according to the destination MAC.
-func (s *Segment) transmit(src *Interface, dst ethernet.MAC, data []byte) {
-	s.mu.RLock()
-	ports := s.ports
-	var targets []*Interface
+// ports on the segment according to its destination MAC: one index lookup
+// for a unicast frame, whatever the number of ports.
+func (s *Segment) transmit(src *Interface, data []byte) {
+	t := s.table.Load()
+	dst := ethernet.MAC(data[:6])
 	if dst.IsMulticast() {
-		targets = append(targets, ports...)
-	} else {
-		for _, p := range ports {
-			if p != src && p.ownsMAC(dst) {
-				targets = append(targets, p)
-			}
-		}
+		s.deliver(t.ports, src, data)
+		return
 	}
-	s.mu.RUnlock()
+	s.deliver(t.owners[dst], src, data)
+	s.deliver(t.promisc, src, data)
+}
 
-	for _, p := range targets {
+func (s *Segment) deliver(ports []*Interface, src *Interface, data []byte) {
+	for _, p := range ports {
 		if p == src {
 			continue
 		}

@@ -30,6 +30,17 @@ const (
 // header's two-byte length field can carry.
 const maxFrame = 0xffff
 
+// muxHeaderLen is the mux header: channel tag and payload length.
+const muxHeaderLen = 3
+
+// frameBufCap is the size of a tunnel's reusable read buffer, and the
+// capacity up to which it keeps its write buffer: an Ethernet frame at
+// the 1 500-byte MTU fits with its headers, as do keepalives and single
+// UPDATEs on the control channel. A larger control block gets a buffer of
+// its own, so a tunnel that once carried a table dump does not hold
+// 64 KiB per direction for the rest of its life.
+const frameBufCap = 2048
+
 // Credentials maps experiment names to shared keys. The configuration
 // pipeline generates it from approved experiments.
 type Credentials map[string]string
@@ -46,6 +57,7 @@ type Tunnel struct {
 	carrier net.Conn
 
 	writeMu sync.Mutex
+	wbuf    []byte // mux frame under assembly; guarded by writeMu
 
 	// control buffers inbound control-channel bytes so a late or slow
 	// BGP reader never stalls data-plane frames on the shared carrier.
@@ -65,14 +77,17 @@ func newTunnel(name string, carrier net.Conn) *Tunnel {
 	return t
 }
 
-// OnFrame installs the receiver for data-plane frames.
+// OnFrame installs the receiver for data-plane frames. frame is the
+// tunnel's read buffer, overwritten by the next read: fn must copy what
+// it keeps past its return.
 func (t *Tunnel) OnFrame(fn func(frame []byte)) {
 	t.frameMu.Lock()
 	defer t.frameMu.Unlock()
 	t.onFrame = fn
 }
 
-// SendFrame transmits one layer-2 frame through the tunnel.
+// SendFrame transmits one layer-2 frame through the tunnel. The bytes are
+// copied before it returns.
 func (t *Tunnel) SendFrame(frame []byte) error {
 	if err := t.writeMux(chanData, frame); err != nil {
 		return err
@@ -104,26 +119,33 @@ func (t *Tunnel) writeMux(ch byte, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("tunnel: frame of %d bytes exceeds %d", len(payload), maxFrame)
 	}
-	hdr := [3]byte{ch, byte(len(payload) >> 8), byte(len(payload))}
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	if _, err := t.carrier.Write(hdr[:]); err != nil {
-		return err
+	// Header and payload leave in one carrier write: the reader never
+	// wakes for a header whose payload is still to come.
+	buf := append(t.wbuf[:0], ch, byte(len(payload)>>8), byte(len(payload)))
+	buf = append(buf, payload...)
+	if cap(buf) <= frameBufCap {
+		t.wbuf = buf
 	}
-	_, err := t.carrier.Write(payload)
+	_, err := t.carrier.Write(buf)
 	return err
 }
 
 func (t *Tunnel) readLoop() {
 	defer t.Close()
-	var hdr [3]byte
+	var hdr [muxHeaderLen]byte
+	reuse := make([]byte, frameBufCap)
 	for {
 		if _, err := io.ReadFull(t.carrier, hdr[:]); err != nil {
 			t.closeErr = err
 			return
 		}
 		length := int(hdr[1])<<8 | int(hdr[2])
-		buf := make([]byte, length)
+		buf := reuse[:min(length, len(reuse))]
+		if length > len(reuse) {
+			buf = make([]byte, length)
+		}
 		if _, err := io.ReadFull(t.carrier, buf); err != nil {
 			t.closeErr = err
 			return

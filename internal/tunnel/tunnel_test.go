@@ -341,3 +341,97 @@ func TestControlCarriesLargeBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestInterleavedChannelsThroughReusedBuffers sends data frames of every
+// size class — small, near the reusable buffers' capacity, far above it —
+// interleaved with control writes, from two goroutines on one tunnel.
+// Every data frame must arrive intact and in order although the receiver
+// is handed the same read buffer again and again, the control stream must
+// arrive whole, and a write above the buffers' capacity must not make the
+// tunnel keep a buffer of that size.
+func TestInterleavedChannelsThroughReusedBuffers(t *testing.T) {
+	srv, cli := pair(t, Credentials{"exp1": "k"}, "exp1", "k")
+	defer srv.Close()
+	defer cli.Close()
+
+	const frames = 600
+	sizes := []int{60, 1514, frameBufCap - muxHeaderLen, frameBufCap, frameBufCap + 1, 9000, maxFrame}
+	frame := func(i int) []byte {
+		b := make([]byte, sizes[i%len(sizes)])
+		for j := range b {
+			b[j] = byte(i + j*13)
+		}
+		b[0], b[1] = byte(i>>8), byte(i)
+		return b
+	}
+	type arrival struct {
+		seq  int
+		good bool
+	}
+	arrived := make(chan arrival, frames)
+	// Each frame is checked inside the callback: its slice is the tunnel's
+	// read buffer, which the next read overwrites.
+	srv.OnFrame(func(f []byte) {
+		seq := int(f[0])<<8 | int(f[1])
+		arrived <- arrival{seq, bytes.Equal(f, frame(seq))}
+	})
+
+	control := make([]byte, 400<<10)
+	for i := range control {
+		control[i] = byte(i * 11)
+	}
+	ctlDone := make(chan error, 1)
+	go func() {
+		w := cli.Control()
+		for off := 0; off < len(control); {
+			n := min(1+off%5000, len(control)-off) // writes from a byte to ~5 KB
+			if _, err := w.Write(control[off : off+n]); err != nil {
+				ctlDone <- err
+				return
+			}
+			off += n
+		}
+		ctlDone <- nil
+	}()
+	gotControl := make([]byte, len(control))
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(srv.Control(), gotControl)
+		readDone <- err
+	}()
+	for i := 0; i < frames; i++ {
+		if err := cli.SendFrame(frame(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for want := 0; want < frames; want++ {
+		select {
+		case a := <-arrived:
+			if a.seq != want || !a.good {
+				t.Fatalf("data frame %d: arrived as %d, intact=%v", want, a.seq, a.good)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("data frame %d did not arrive", want)
+		}
+	}
+	for _, ch := range []chan error{ctlDone, readDone} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("control stream stalled")
+		}
+	}
+	if !bytes.Equal(gotControl, control) {
+		t.Error("control stream arrived corrupted")
+	}
+	cli.writeMu.Lock()
+	kept := cap(cli.wbuf)
+	cli.writeMu.Unlock()
+	if kept > frameBufCap {
+		t.Errorf("the tunnel kept a %d-byte write buffer after an oversized frame, want at most %d", kept, frameBufCap)
+	}
+}

@@ -182,8 +182,14 @@ func (c *Client) SendIP(popName string, viaNeighborID uint32, pkt *ethernet.IPv4
 	if !pkt.Src.IsValid() {
 		pkt.Src = pc.local()
 	}
-	fr := ethernet.Frame{Dst: mac, Src: clientMACFor(pc), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()}
-	return pc.transport().SendFrame(fr.Marshal())
+	// Ethernet header, IP header and payload go into one pooled buffer;
+	// the tunnel copies it before SendFrame returns.
+	hdr := ethernet.Frame{Dst: mac, Src: clientMACFor(pc), Type: ethernet.TypeIPv4}
+	buf := ethernet.GetBuffer()
+	buf.B = pkt.AppendTo(hdr.AppendTo(buf.B))
+	err = pc.transport().SendFrame(buf.B)
+	buf.Release()
+	return err
 }
 
 // probeReply is what a probe waiter receives: the responding address

@@ -4,12 +4,14 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/ethernet"
 	"repro/internal/inet"
+	"repro/internal/netsim"
 	"repro/internal/policy"
 )
 
@@ -360,6 +362,18 @@ func TestBGPStopAndStatus(t *testing.T) {
 	}
 }
 
+// neighborLink returns the router's interface on a topology neighbor's
+// link and the host interface standing in for the neighbor at its far end.
+func neighborLink(pop *PoP, ifcName string) (router, neighbor *netsim.Interface) {
+	router = pop.Router.Interface(ifcName)
+	for _, port := range router.Segment().Ports() {
+		if port != router {
+			neighbor = port
+		}
+	}
+	return router, neighbor
+}
+
 func TestInboundTrafficReachesClient(t *testing.T) {
 	p, pop, c := testbed(t)
 	if err := c.OpenTunnel(pop); err != nil {
@@ -392,17 +406,7 @@ func TestInboundTrafficReachesClient(t *testing.T) {
 	if nbr == nil {
 		t.Fatal("peer neighbor missing")
 	}
-	ifc := pop.Router.Interface("nbr-as10000")
-	seg := ifc.Segment()
-	// Find the host interface standing in for the neighbor.
-	var sender interface {
-		Send(*ethernet.Frame)
-	}
-	for _, port := range seg.Ports() {
-		if port != ifc {
-			sender = port
-		}
-	}
+	ifc, sender := neighborLink(pop, "nbr-as10000")
 	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
 		Src: addr("9.9.9.9"), Dst: addr("184.164.224.9"), Payload: []byte("hello")}
 	sender.Send(&ethernet.Frame{Dst: ifc.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
@@ -418,6 +422,43 @@ func TestInboundTrafficReachesClient(t *testing.T) {
 		t.Errorf("delivering-neighbor MAC %s, want %s", fromMAC, nbr.LocalMAC)
 	}
 	_ = p
+}
+
+// TestTunnelAddressUnregisteredWhenTunnelCloses: traffic for the tunnel
+// address reaches the client before it has a BGP session, and once the
+// tunnel is gone the router refuses it as unroutable straight away — the
+// tap's teardown unregisters the address — instead of holding the
+// forwarding goroutine for an ARP timeout on a detached tap.
+func TestTunnelAddressUnregisteredWhenTunnelCloses(t *testing.T) {
+	_, pop, c := testbed(t)
+	if err := c.OpenTunnel(pop); err != nil {
+		t.Fatal(err)
+	}
+	var got atomic.Int64
+	c.OnPacket("amsix", func(*ethernet.IPv4, ethernet.MAC) { got.Add(1) })
+	ifc, sender := neighborLink(pop, "nbr-as10000")
+	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP, Src: addr("9.9.9.9"), Dst: c.LocalIP("amsix")}
+	send := func() { sender.Send(&ethernet.Frame{Dst: ifc.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()}) }
+
+	send()
+	waitFor(t, "packet for the tunnel address at the client", func() bool { return got.Load() == 1 })
+
+	if err := c.CloseTunnel("amsix"); err != nil {
+		t.Fatal(err)
+	}
+	r := pop.Router
+	waitFor(t, "the closed tunnel's address to be refused as unroutable", func() bool {
+		before := r.DroppedNoRoute.Load()
+		start := time.Now()
+		send()
+		if held := time.Since(start); held > 500*time.Millisecond {
+			t.Fatalf("a packet for the closed tunnel's address held the forwarder for %v", held)
+		}
+		return r.DroppedNoRoute.Load() == before+1
+	})
+	if r.DroppedNoMAC.Load() != 0 {
+		t.Errorf("no-mac drops = %d, want 0", r.DroppedNoMAC.Load())
+	}
 }
 
 func TestPingViaChosenNeighbor(t *testing.T) {

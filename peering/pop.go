@@ -208,8 +208,10 @@ func (pop *PoP) ServeTunnel(carrier net.Conn) (*tunnel.Tunnel, error) {
 
 	bridge := netsim.NewInterface(pop.Name+"-tap-"+tun.Name, clientMAC)
 	bridge.AddAddr(clientIP) // answers ARP for the client's tunnel IP
-	bridge.SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
-		_ = tun.SendFrame(fr.Marshal())
+	// The tap moves wire bytes: LAN frames into the tunnel as received,
+	// tunnel frames onto the LAN as read. Neither side keeps the slice.
+	bridge.SetRawHandler(func(_ *netsim.Interface, data []byte) {
+		_ = tun.SendFrame(data)
 	})
 
 	// Data-plane enforcement: experiment frames may only source from the
@@ -223,17 +225,21 @@ func (pop *PoP) ServeTunnel(carrier net.Conn) (*tunnel.Tunnel, error) {
 	bridge.AddEgressFilter(filter)
 
 	tun.OnFrame(func(data []byte) {
-		var fr ethernet.Frame
-		if fr.DecodeFromBytes(data) != nil {
+		if len(data) >= ethernet.HeaderLen && ethernet.MAC(data[6:12]).IsZero() {
+			// No source MAC: Send stamps the tap's.
+			var fr ethernet.Frame
+			_ = fr.DecodeFromBytes(data)
+			bridge.Send(&fr)
 			return
 		}
-		bridge.Send(&fr)
+		bridge.SendRaw(data)
 	})
 	bridge.Attach(pop.expLAN)
 	pop.Router.SetExperimentTunnelIP(tun.Name, clientIP)
 	go func() {
 		<-tun.Done()
 		bridge.Attach(nil)
+		pop.Router.ClearExperimentTunnelIP(tun.Name, clientIP)
 	}()
 	return tun, nil
 }
