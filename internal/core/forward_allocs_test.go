@@ -5,6 +5,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -105,6 +106,20 @@ func TestForwardAllocs(t *testing.T) {
 		if per := testing.AllocsPerRun(5, c.run) / frames; per > 0.01 {
 			t.Errorf("%.3f allocations per %s frame, want 0", per, c.name)
 		}
+	}
+	// A garbage collection between batches must not cost the next batch
+	// anything: the frame path's pools keep their objects across it (a
+	// sync.Pool is emptied by two collections and refills on the packets
+	// that follow).
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	forward()
+	inbound()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d allocations over %d frames forwarded after a GC, want 0", n, 2*frames)
 	}
 	if lookups := r.ExperimentRoutes().Stats(); lookups.SnapshotLookups != lookups.Lookups {
 		t.Errorf("%d of %d experiment-route lookups missed the snapshot", lookups.Lookups-lookups.SnapshotLookups, lookups.Lookups)

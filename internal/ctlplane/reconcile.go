@@ -3,7 +3,9 @@ package ctlplane
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,25 +16,29 @@ import (
 // must flow through the platform's audited enforcement path (the
 // peering implementation drives a normal experiment Client, so policy
 // evaluates and logs each change like any researcher-issued one).
+// Objects passed in are stored, already compiled: read Caps and
+// Allocation rather than re-deriving them from the spec.
 type Actuator interface {
 	// Validate dry-runs a spec against platform state (PoPs exist,
 	// allocation does not collide) without actuating anything.
 	Validate(spec Spec) error
 	// EnsureExperiment registers the experiment (proposal, approval,
 	// credentials, capability grant) and applies spec-level overrides.
-	EnsureExperiment(spec Spec) error
+	EnsureExperiment(obj *Object) error
 	// EnsureSession brings the experiment's tunnel + BGP session at a
 	// PoP to Established.
-	EnsureSession(spec Spec, pop string) error
-	// Announce actuates one announcement atom.
-	Announce(spec Spec, ann CompiledAnn) error
+	EnsureSession(experiment, pop string) error
+	// Announce actuates one announcement atom. It returns a
+	// *RejectedError, without sending, when the platform would refuse
+	// the announcement anyway (an overloaded PoP shedding new ones).
+	Announce(ann CompiledAnn) error
 	// Adopt re-claims an announcement already installed on the platform
 	// (recovered from the durable log after a restart) without
 	// re-sending it, so recovery does not burn the §4.7 per-prefix
 	// update budget. Returns ErrAdoptMismatch when the installed route
 	// does not match the desired announcement, in which case the
 	// reconciler falls back to a normal Announce.
-	Adopt(spec Spec, ann CompiledAnn) error
+	Adopt(obj *Object, ann CompiledAnn) error
 	// Withdraw retracts one announcement atom.
 	Withdraw(experiment, pop string, prefix netip.Prefix, version uint32) error
 	// CloseSession tears down the experiment's session at one PoP.
@@ -41,10 +47,13 @@ type Actuator interface {
 	// enforcement registration).
 	Teardown(experiment string) error
 	// Observed reports the actuator-managed platform state: which
-	// sessions are established and which announcements are installed
-	// (verified against the routers' RIBs), with the fingerprint each
-	// was actuated at.
-	Observed() (Observed, error)
+	// sessions are established, which announcements are installed
+	// (verified against the routers' RIBs) with the fingerprint each was
+	// actuated at, and the engine's rejections since the previous view.
+	// When nothing it reads has changed since the view whose Gen is
+	// since, it returns Observed{Gen: since} and reads nothing more;
+	// since 0 always gets a full view. It is called from one goroutine.
+	Observed(since uint64) (Observed, error)
 }
 
 // ErrAdoptMismatch is returned by Actuator.Adopt when the installed
@@ -63,7 +72,7 @@ const (
 )
 
 // Rejection is one engine-side refusal of an experiment announcement,
-// surfaced from the platform's policy audit log.
+// read from the platform's policy audit log.
 type Rejection struct {
 	Experiment string
 	PoP        string
@@ -71,23 +80,6 @@ type Rejection struct {
 	Kind       string
 	Reason     string
 	At         time.Time
-}
-
-// RejectionSource is an optional Actuator capability: actuators that
-// can read the policy engine's audit log expose the rejections
-// recorded strictly after since. Route install is asynchronous, so a
-// rejected announce otherwise looks identical to a slow one — polling
-// this closes the loop that ROADMAP called "silent non-convergence".
-type RejectionSource interface {
-	Rejections(since time.Time) []Rejection
-}
-
-// ShedSource is an optional Actuator capability reporting per-PoP
-// overload shedding. A shedding router treat-as-withdraws new
-// announcements anyway, so the reconciler skips the send entirely —
-// saving the update budget — and marks the object rejected.
-type ShedSource interface {
-	Shedding(pop string) bool
 }
 
 // RejectedError marks an actuation refused by the platform's admission
@@ -105,11 +97,17 @@ func (e *RejectedError) Error() string {
 // Observed is the actuator's view of current platform state for the
 // experiments it manages.
 type Observed struct {
+	// Gen identifies the platform state the view was read at: it moves
+	// whenever a field below may have changed, and is never 0.
+	Gen uint64
 	// Sessions maps experiment sessions to "established".
 	Sessions map[SessKey]bool
 	// Anns maps installed announcements to the fingerprint they were
 	// actuated with ("" when unknown).
 	Anns map[AnnKey]string
+	// Rejections are the engine's refusals recorded since the previous
+	// full view.
+	Rejections []Rejection
 }
 
 // Phase is an object's convergence state.
@@ -152,8 +150,10 @@ type ObjectStatus struct {
 
 // ReconcilerConfig tunes the loop.
 type ReconcilerConfig struct {
-	// Resync is the periodic full-reconcile interval (observed state
-	// can drift without a store commit). Default 250ms.
+	// Resync is the periodic reconcile interval (observed state can
+	// drift without a store commit). A tick runs a full pass only when
+	// the store or the observed platform changed since the last pass,
+	// or that pass left work pending. Default 250ms.
 	Resync time.Duration
 	// BackoffBase and BackoffMax bound the per-object exponential error
 	// backoff. Defaults 100ms and 5s.
@@ -208,9 +208,12 @@ type Reconciler struct {
 	// not re-tear an experiment while the (asynchronous) observed state
 	// catches up. Run-goroutine only.
 	tornDown map[string]time.Time
-	// rejSince is the high-water mark for RejectionSource polling.
-	// Run-goroutine only.
-	rejSince time.Time
+	// What the last full pass saw, and whether it left nothing pending:
+	// a tick that finds the same store revision and observed generation
+	// after a quiet pass has nothing to do. Run-goroutine only.
+	lastRev int64
+	lastGen uint64
+	quiet   bool
 
 	mRuns      metric
 	mErrors    metric
@@ -251,7 +254,6 @@ func NewReconciler(store *Store, act Actuator, hub *Hub, cfg ReconcilerConfig) *
 		inflightAnn: make(map[AnnKey]actRecord),
 		inflightWd:  make(map[AnnKey]time.Time),
 		tornDown:    make(map[string]time.Time),
-		rejSince:    time.Now(),
 		mRuns:       counter("ctlplane_reconcile_runs_total"),
 		mErrors:     counter("ctlplane_reconcile_errors_total"),
 		mRejected:   counter("ctlplane_reconcile_rejected_total"),
@@ -272,7 +274,7 @@ func NewReconciler(store *Store, act Actuator, hub *Hub, cfg ReconcilerConfig) *
 	return r
 }
 
-// Kick schedules an immediate reconcile pass (coalescing).
+// Kick schedules an immediate full reconcile pass (coalescing).
 func (r *Reconciler) Kick() {
 	select {
 	case r.wake <- struct{}{}:
@@ -286,13 +288,15 @@ func (r *Reconciler) Run() {
 	tick := time.NewTicker(r.cfg.Resync)
 	defer tick.Stop()
 	for {
+		kicked := false
 		select {
 		case <-r.stop:
 			return
 		case <-r.wake:
+			kicked = true
 		case <-tick.C:
 		}
-		if !r.pass() {
+		if !r.pass(kicked) {
 			return
 		}
 	}
@@ -302,7 +306,7 @@ func (r *Reconciler) Run() {
 // crash panic is recovered, reported, and terminates the loop — the
 // reconciler is then as dead as a SIGKILLed process, which is exactly
 // what crash tests simulate. With OnCrash nil, panics propagate.
-func (r *Reconciler) pass() (alive bool) {
+func (r *Reconciler) pass(kicked bool) (alive bool) {
 	alive = true
 	if r.cfg.OnCrash != nil {
 		defer func() {
@@ -312,7 +316,7 @@ func (r *Reconciler) pass() (alive bool) {
 			}
 		}()
 	}
-	r.reconcileOnce()
+	r.reconcileOnce(kicked)
 	return alive
 }
 
@@ -338,11 +342,10 @@ func (r *Reconciler) Status() []ObjectStatus {
 func (r *Reconciler) ObjectStatusFor(name string) (ObjectStatus, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.statuses[name]
-	if !ok {
-		return ObjectStatus{}, false
+	if st, ok := r.statuses[name]; ok {
+		return *st, true
 	}
-	return *st, true
+	return ObjectStatus{}, false
 }
 
 // logf logs through the configured sink.
@@ -395,12 +398,21 @@ func (r *Reconciler) action(kind string, st *ObjectStatus, fn func() error) erro
 	return fn()
 }
 
-// backoffFor computes the exponential per-object retry delay.
-func (r *Reconciler) backoffFor(attempts int) time.Duration {
-	backoff := r.cfg.BackoffBase << min(uint(attempts-1), 16)
+// backOff records a failed attempt: the object waits out an
+// exponential backoff in phase, with kind set when the engine refused
+// it. Returns the backoff. Caller holds r.mu.
+func (r *Reconciler) backOff(st *ObjectStatus, phase Phase, rev int64, kind, msg string) time.Duration {
+	st.Attempts++
+	backoff := r.cfg.BackoffBase << min(uint(st.Attempts-1), 16)
 	if backoff > r.cfg.BackoffMax || backoff <= 0 {
 		backoff = r.cfg.BackoffMax
 	}
+	st.NextRetry = time.Now().Add(backoff)
+	if kind != "" {
+		r.mRejected.Inc()
+		st.RejectKind = kind
+	}
+	r.setPhase(st, phase, rev, msg)
 	return backoff
 }
 
@@ -428,32 +440,38 @@ func (r *Reconciler) setPhase(st *ObjectStatus, phase Phase, rev int64, errMsg s
 	}
 }
 
-// reconcileOnce runs one full diff-and-converge pass over every object.
-func (r *Reconciler) reconcileOnce() {
+// reconcileOnce runs one diff-and-converge pass over every object. An
+// unkicked pass that finds the store at the last pass's revision and
+// the platform at its generation, after a pass that left nothing
+// pending, returns before it lists, observes or allocates anything.
+func (r *Reconciler) reconcileOnce(kicked bool) {
+	rev := r.store.Revision()
+	var since uint64
+	if r.quiet && !kicked && rev == r.lastRev {
+		since = r.lastGen
+	}
+	obs, err := r.act.Observed(since)
+	if err == nil && since != 0 && obs.Gen == since {
+		return
+	}
 	r.mRuns.Inc()
-	objects := r.store.List()
-	obs, err := r.act.Observed()
+	r.quiet = false
 	if err != nil {
 		r.mErrors.Inc()
 		r.logf("ctlplane: observe failed: %v", err)
 		return
 	}
-	if obs.Sessions == nil {
-		obs.Sessions = make(map[SessKey]bool)
-	}
-	if obs.Anns == nil {
-		obs.Anns = make(map[AnnKey]string)
-	}
+	objects := r.store.List()
 
 	now := time.Now()
-	// Expired withdraw records are dead weight once the route is gone
-	// from the observed state (nothing iterates them again).
-	for key, at := range r.inflightWd {
-		if now.Sub(at) >= r.cfg.ActuationGrace {
-			delete(r.inflightWd, key)
-		}
-	}
-	r.pollRejections(now)
+	r.rejectInflight(obs.Rejections)
+	// In-flight records retire once the observed state shows them done
+	// or their grace runs out (the next pass then re-actuates).
+	maps.DeleteFunc(r.inflightAnn, func(_ AnnKey, rec actRecord) bool { return now.Sub(rec.at) >= r.cfg.ActuationGrace })
+	maps.DeleteFunc(r.inflightWd, func(key AnnKey, at time.Time) bool {
+		_, installed := obs.Anns[key]
+		return !installed || now.Sub(at) >= r.cfg.ActuationGrace
+	})
 	live := make(map[string]bool, len(objects))
 	converged := 0
 	for i := range objects {
@@ -476,20 +494,15 @@ func (r *Reconciler) reconcileOnce() {
 		r.mu.Lock()
 		if passErr != nil {
 			r.mErrors.Inc()
-			st.Attempts++
-			backoff := r.backoffFor(st.Attempts)
-			st.NextRetry = time.Now().Add(backoff)
-			phase := PhaseError
+			phase, kind := PhaseError, ""
 			var rej *RejectedError
 			if errors.As(passErr, &rej) {
-				r.mRejected.Inc()
-				st.RejectKind = rej.Kind
-				phase = PhaseRejected
+				phase, kind = PhaseRejected, rej.Kind
 			}
 			if obj.Deleting {
 				phase = PhaseDeleting
 			}
-			r.setPhase(st, phase, obj.Revision, passErr.Error())
+			backoff := r.backOff(st, phase, obj.Revision, kind, passErr.Error())
 			r.logf("ctlplane: reconcile %s@%d failed (attempt %d, retry in %s): %v",
 				obj.Spec.Name, obj.Revision, st.Attempts, backoff, passErr)
 		} else {
@@ -512,6 +525,9 @@ func (r *Reconciler) reconcileOnce() {
 	}
 	r.mConverged.Set(int64(converged))
 	r.mu.Unlock()
+	r.lastRev, r.lastGen = rev, obs.Gen
+	r.quiet = converged == len(objects) &&
+		len(r.inflightAnn) == 0 && len(r.inflightWd) == 0 && len(r.tornDown) == 0
 }
 
 // sweepOrphans tears down platform state whose experiment has no
@@ -542,7 +558,6 @@ func (r *Reconciler) sweepOrphans(obs Observed, live map[string]bool, now time.T
 		if at, ok := r.tornDown[name]; ok && now.Sub(at) < r.cfg.ActuationGrace {
 			continue
 		}
-		name := name
 		if err := r.action("orphan-teardown", nil, func() error { return r.act.Teardown(name) }); err != nil {
 			r.mErrors.Inc()
 			r.logf("ctlplane: orphan teardown %s failed: %v", name, err)
@@ -557,28 +572,17 @@ func (r *Reconciler) sweepOrphans(obs Observed, live map[string]bool, now time.T
 		}
 		r.logf("ctlplane: tore down orphan experiment %s (platform state with no desired object)", name)
 	}
-	for name, at := range r.tornDown {
-		if !orphan[name] && now.Sub(at) >= r.cfg.ActuationGrace {
-			delete(r.tornDown, name)
-		}
-	}
+	// A teardown record retires once a view read after it shows no
+	// state left.
+	maps.DeleteFunc(r.tornDown, func(name string, at time.Time) bool { return !orphan[name] && at.Before(now) })
 }
 
-// pollRejections drains engine-side rejections from the actuator (when
-// it exposes them) and flips the matching objects to PhaseRejected.
-// Route install is asynchronous: the session accepts the update and
-// the router's policy engine refuses it later, so without this the
-// object sits in "converging" forever and every grace expiry re-burns
-// update budget on a prefix the engine will refuse again.
-func (r *Reconciler) pollRejections(now time.Time) {
-	src, ok := r.act.(RejectionSource)
-	if !ok {
-		return
-	}
-	for _, rej := range src.Rejections(r.rejSince) {
-		if rej.At.After(r.rejSince) {
-			r.rejSince = rej.At
-		}
+// rejectInflight flips the objects whose in-flight announcements the
+// engine refused to PhaseRejected. Without it the object sits in
+// "converging", and every grace expiry re-burns update budget on a
+// prefix the engine will refuse again.
+func (r *Reconciler) rejectInflight(rejections []Rejection) {
+	for _, rej := range rejections {
 		// Only a rejection answering an announce this process issued
 		// (and is still waiting on) flips state; stale audit entries
 		// from before the announce are not ours.
@@ -596,14 +600,9 @@ func (r *Reconciler) pollRejections(now time.Time) {
 		if !matched {
 			continue
 		}
-		r.mRejected.Inc()
 		st := r.statusFor(rej.Experiment)
 		r.mu.Lock()
-		st.Attempts++
-		backoff := r.backoffFor(st.Attempts)
-		st.NextRetry = now.Add(backoff)
-		st.RejectKind = rej.Kind
-		r.setPhase(st, PhaseRejected, st.Revision, rej.Reason)
+		backoff := r.backOff(st, PhaseRejected, st.Revision, rej.Kind, rej.Reason)
 		r.mu.Unlock()
 		r.logf("ctlplane: %s rejected at %s (%s): %s — retry in %s",
 			rej.Experiment, rej.PoP, rej.Kind, rej.Reason, backoff)
@@ -634,35 +633,32 @@ func (r *Reconciler) setPhaseLocked(st *ObjectStatus, phase Phase, rev int64, er
 // actuates the difference. Returns nil when the pass issued no failing
 // action; convergence (diff empty) flips the phase to Converged.
 func (r *Reconciler) convergeObject(obj *Object, st *ObjectStatus, obs Observed) error {
-	spec := obj.Spec
-	desiredAnns := spec.Compile()
-	desiredPops := spec.SessionPoPs()
+	name := obj.Spec.Name
 	actions, pending := 0, 0
 	now := time.Now()
 
 	// Registration: once per revision (idempotent in the actuator, but
 	// skipping it keeps steady-state passes read-only).
 	r.mu.Lock()
-	needEnsure := r.ensured[spec.Name] != obj.Revision
+	needEnsure := r.ensured[name] != obj.Revision
 	r.mu.Unlock()
 	if needEnsure {
 		actions++
-		if err := r.action("ensure-experiment", st, func() error { return r.act.EnsureExperiment(spec) }); err != nil {
+		if err := r.action("ensure-experiment", st, func() error { return r.act.EnsureExperiment(obj) }); err != nil {
 			return fmt.Errorf("ensure experiment: %w", err)
 		}
 		r.mu.Lock()
-		r.ensured[spec.Name] = obj.Revision
+		r.ensured[name] = obj.Revision
 		r.mu.Unlock()
 	}
 
 	// Sessions up at every referenced PoP.
-	for _, pop := range desiredPops {
-		if obs.Sessions[SessKey{spec.Name, pop}] {
+	for _, pop := range obj.pops {
+		if obs.Sessions[SessKey{name, pop}] {
 			continue
 		}
 		actions++
-		pop := pop
-		if err := r.action("ensure-session", st, func() error { return r.act.EnsureSession(spec, pop) }); err != nil {
+		if err := r.action("ensure-session", st, func() error { return r.act.EnsureSession(name, pop) }); err != nil {
 			return fmt.Errorf("ensure session at %s: %w", pop, err)
 		}
 	}
@@ -670,13 +666,9 @@ func (r *Reconciler) convergeObject(obj *Object, st *ObjectStatus, obs Observed)
 	// Announcements present at the desired fingerprint. An announce
 	// issued within the grace window counts as pending rather than
 	// missing: install is asynchronous and re-sends burn update budget.
-	desired := make(map[AnnKey]bool, len(desiredAnns))
-	shed, _ := r.act.(ShedSource)
-	for _, ann := range desiredAnns {
-		desired[ann.Key] = true
-		fp := ann.Fingerprint()
+	for _, ann := range obj.atoms {
 		cur, ok := obs.Anns[ann.Key]
-		if ok && cur == fp {
+		if ok && cur == ann.Fingerprint {
 			delete(r.inflightAnn, ann.Key)
 			continue
 		}
@@ -685,10 +677,9 @@ func (r *Reconciler) convergeObject(obj *Object, st *ObjectStatus, obs Observed)
 			// recovered it from the durable log. Adopt it in place
 			// instead of re-announcing: re-sends burn update budget.
 			actions++
-			ann := ann
-			err := r.action("adopt", st, func() error { return r.act.Adopt(spec, ann) })
+			err := r.action("adopt", st, func() error { return r.act.Adopt(obj, ann) })
 			if err == nil {
-				r.store.LogAct("announce", ann.Key, fp)
+				r.store.LogAct("announce", ann.Key, ann.Fingerprint)
 				delete(r.inflightAnn, ann.Key)
 				continue
 			}
@@ -698,37 +689,29 @@ func (r *Reconciler) convergeObject(obj *Object, st *ObjectStatus, obs Observed)
 			// Installed route drifted from the spec; fall through and
 			// re-announce at the desired fingerprint.
 		}
-		if rec, inflight := r.inflightAnn[ann.Key]; inflight && rec.fp == fp && now.Sub(rec.at) < r.cfg.ActuationGrace {
+		if rec, inflight := r.inflightAnn[ann.Key]; inflight && rec.fp == ann.Fingerprint {
 			pending++
 			continue
 		}
-		if shed != nil && shed.Shedding(ann.Key.PoP) {
-			// The router would treat-as-withdraw the announcement
-			// anyway; skipping the send saves the update budget.
-			return &RejectedError{Kind: RejectShedding,
-				Reason: fmt.Sprintf("PoP %s is shedding new announcements (overload)", ann.Key.PoP)}
-		}
 		actions++
-		ann := ann
-		if err := r.action("announce", st, func() error { return r.act.Announce(spec, ann) }); err != nil {
+		if err := r.action("announce", st, func() error { return r.act.Announce(ann) }); err != nil {
 			return fmt.Errorf("announce %s: %w", ann.Key, err)
 		}
-		r.inflightAnn[ann.Key] = actRecord{fp: fp, at: now}
-		r.store.LogAct("announce", ann.Key, fp)
+		r.inflightAnn[ann.Key] = actRecord{fp: ann.Fingerprint, at: now}
+		r.store.LogAct("announce", ann.Key, ann.Fingerprint)
 	}
 
 	// Withdraw strays: observed announcements of this experiment no
 	// longer in the spec. Same grace treatment as announces.
 	for key := range obs.Anns {
-		if key.Experiment != spec.Name || desired[key] {
+		if key.Experiment != name || slices.ContainsFunc(obj.atoms, func(a CompiledAnn) bool { return a.Key == key }) {
 			continue
 		}
-		if at, inflight := r.inflightWd[key]; inflight && now.Sub(at) < r.cfg.ActuationGrace {
+		if _, inflight := r.inflightWd[key]; inflight {
 			pending++
 			continue
 		}
 		actions++
-		key := key
 		if err := r.action("withdraw", st, func() error {
 			return r.act.Withdraw(key.Experiment, key.PoP, key.Prefix, key.Version)
 		}); err != nil {
@@ -739,16 +722,14 @@ func (r *Reconciler) convergeObject(obj *Object, st *ObjectStatus, obs Observed)
 	}
 
 	// Close sessions at PoPs the spec no longer references.
-	wantPop := make(map[string]bool, len(desiredPops))
-	for _, pop := range desiredPops {
-		wantPop[pop] = true
-	}
 	for key := range obs.Sessions {
-		if key.Experiment != spec.Name || wantPop[key.PoP] {
+		if key.Experiment != name {
+			continue
+		}
+		if _, want := slices.BinarySearch(obj.pops, key.PoP); want {
 			continue
 		}
 		actions++
-		key := key
 		if err := r.action("close-session", st, func() error {
 			return r.act.CloseSession(key.Experiment, key.PoP)
 		}); err != nil {
@@ -777,7 +758,6 @@ func (r *Reconciler) teardownObject(obj *Object, st *ObjectStatus, obs Observed)
 		if key.Experiment != name {
 			continue
 		}
-		key := key
 		if err := r.action("withdraw", st, func() error {
 			return r.act.Withdraw(key.Experiment, key.PoP, key.Prefix, key.Version)
 		}); err != nil {
@@ -792,16 +772,8 @@ func (r *Reconciler) teardownObject(obj *Object, st *ObjectStatus, obs Observed)
 	if err := r.store.Remove(name); err != nil {
 		return err
 	}
-	for key := range r.inflightAnn {
-		if key.Experiment == name {
-			delete(r.inflightAnn, key)
-		}
-	}
-	for key := range r.inflightWd {
-		if key.Experiment == name {
-			delete(r.inflightWd, key)
-		}
-	}
+	maps.DeleteFunc(r.inflightAnn, func(key AnnKey, _ actRecord) bool { return key.Experiment == name })
+	maps.DeleteFunc(r.inflightWd, func(key AnnKey, _ time.Time) bool { return key.Experiment == name })
 	r.mu.Lock()
 	delete(r.ensured, name)
 	r.mu.Unlock()

@@ -12,10 +12,10 @@ import (
 // what Observed reports for a graceful-restart-retained route after the
 // actuator that sent it died.
 func seedInstalled(act *fakeActuator, key AnnKey, adoptable bool) {
-	act.mu.Lock()
-	act.anns[key] = ""
-	act.adoptable[key] = adoptable
-	act.mu.Unlock()
+	act.edit(func() {
+		act.anns[key] = ""
+		act.adoptable[key] = adoptable
+	})
 }
 
 func TestReconcilerAdoptsRecoveredInstall(t *testing.T) {
@@ -100,9 +100,7 @@ func TestReconcilerRejectedPhaseDistinguishesKinds(t *testing.T) {
 
 func TestReconcilerShedSkipsAnnounceBudget(t *testing.T) {
 	act := newFakeActuator()
-	act.mu.Lock()
-	act.shedding["seattle"] = true
-	act.mu.Unlock()
+	act.edit(func() { act.shedding["seattle"] = true })
 	store, rec := testReconciler(t, act, nil)
 	store.Create(testSpec("alpha"))
 
@@ -115,30 +113,26 @@ func TestReconcilerShedSkipsAnnounceBudget(t *testing.T) {
 	if n := act.count("announce"); n != 0 {
 		t.Fatalf("announced %d times into a shedding PoP, want 0", n)
 	}
-	act.mu.Lock()
-	act.shedding["seattle"] = false
-	act.mu.Unlock()
+	act.edit(func() { act.shedding["seattle"] = false })
 	waitPhase(t, rec, "alpha", PhaseConverged)
 }
 
 func TestReconcilerAsyncRejectionMatchesInflight(t *testing.T) {
 	act := newFakeActuator()
-	act.mu.Lock()
-	act.holdInstall = true // accepted by the session, never installed
-	act.mu.Unlock()
+	act.edit(func() { act.holdInstall = true }) // accepted by the session, never installed
 	store, rec := testReconciler(t, act, nil)
 	store.Create(testSpec("alpha"))
 	waitPhase(t, rec, "alpha", PhaseConverging)
 
 	// The engine's audit log reports the rejection after the fact.
-	act.mu.Lock()
-	act.rejections = append(act.rejections, Rejection{
-		Experiment: "alpha", PoP: "seattle",
-		Prefix: netip.MustParsePrefix("184.164.224.0/24"),
-		Kind:   RejectRPKI, Reason: "RPKI invalid: origin not authorized",
-		At: time.Now(),
+	act.edit(func() {
+		act.rejections = append(act.rejections, Rejection{
+			Experiment: "alpha", PoP: "seattle",
+			Prefix: netip.MustParsePrefix("184.164.224.0/24"),
+			Kind:   RejectRPKI, Reason: "RPKI invalid: origin not authorized",
+			At: time.Now(),
+		})
 	})
-	act.mu.Unlock()
 
 	st := waitPhase(t, rec, "alpha", PhaseRejected)
 	if st.RejectKind != RejectRPKI {
@@ -154,10 +148,10 @@ func TestReconcilerSweepsOrphans(t *testing.T) {
 	// Platform state with no desired object: a crash-orphaned experiment.
 	ghostKey := AnnKey{Experiment: "ghost", PoP: "seattle",
 		Prefix: netip.MustParsePrefix("184.164.230.0/24")}
-	act.mu.Lock()
-	act.anns[ghostKey] = "fp-ghost"
-	act.sessions[SessKey{Experiment: "ghost", PoP: "seattle"}] = true
-	act.mu.Unlock()
+	act.edit(func() {
+		act.anns[ghostKey] = "fp-ghost"
+		act.sessions[SessKey{Experiment: "ghost", PoP: "seattle"}] = true
+	})
 	store, rec := testReconciler(t, act, nil)
 
 	// A live object rides along untouched.

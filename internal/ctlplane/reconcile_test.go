@@ -21,6 +21,10 @@ type fakeActuator struct {
 	calls map[string]int
 	fail  map[string]error // method name -> forced error
 
+	// gen is the simulated platform's generation: every actuation and
+	// every edit moves it.
+	gen uint64
+
 	// pendingAnns holds announced routes out of Observed() until
 	// released, simulating slow RIB install.
 	holdInstall bool
@@ -31,28 +35,12 @@ type fakeActuator struct {
 	// attributes still match the spec.
 	adoptable map[AnnKey]bool
 
-	// rejections drained by the reconciler's RejectionSource poll.
+	// rejections is the engine's audit of refusals; Observed reports
+	// those after rejRead, the way the platform reads its audit log.
 	rejections []Rejection
+	rejRead    int
 	// shedding marks PoPs reporting overload shed.
 	shedding map[string]bool
-}
-
-func (f *fakeActuator) Rejections(since time.Time) []Rejection {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Rejection, 0, len(f.rejections))
-	for _, rej := range f.rejections {
-		if rej.At.After(since) {
-			out = append(out, rej)
-		}
-	}
-	return out
-}
-
-func (f *fakeActuator) Shedding(pop string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shedding[pop]
 }
 
 func newFakeActuator() *fakeActuator {
@@ -65,11 +53,23 @@ func newFakeActuator() *fakeActuator {
 		pendingAnns: make(map[AnnKey]string),
 		adoptable:   make(map[AnnKey]bool),
 		shedding:    make(map[string]bool),
+		gen:         1,
 	}
+}
+
+// edit applies a test's direct change to the simulated platform.
+func (f *fakeActuator) edit(fn func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fn()
+	f.gen++
 }
 
 func (f *fakeActuator) called(name string) error {
 	f.calls[name]++
+	if name != "validate" && name != "observed" {
+		f.gen++
+	}
 	return f.fail[name]
 }
 
@@ -85,41 +85,46 @@ func (f *fakeActuator) Validate(spec Spec) error {
 	return f.called("validate")
 }
 
-func (f *fakeActuator) EnsureExperiment(spec Spec) error {
+func (f *fakeActuator) EnsureExperiment(obj *Object) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.called("ensure-experiment"); err != nil {
 		return err
 	}
-	f.ensured[spec.Name]++
+	f.ensured[obj.Spec.Name]++
 	return nil
 }
 
-func (f *fakeActuator) EnsureSession(spec Spec, pop string) error {
+func (f *fakeActuator) EnsureSession(experiment, pop string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.called("ensure-session"); err != nil {
 		return err
 	}
-	f.sessions[SessKey{spec.Name, pop}] = true
+	f.sessions[SessKey{experiment, pop}] = true
 	return nil
 }
 
-func (f *fakeActuator) Announce(spec Spec, ann CompiledAnn) error {
+func (f *fakeActuator) Announce(ann CompiledAnn) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.shedding[ann.Key.PoP] {
+		// Refused before the send, like the platform actuator: the
+		// announce count is of updates that reached the platform.
+		return &RejectedError{Kind: RejectShedding, Reason: "PoP " + ann.Key.PoP + " is shedding"}
+	}
 	if err := f.called("announce"); err != nil {
 		return err
 	}
 	if f.holdInstall {
-		f.pendingAnns[ann.Key] = ann.Fingerprint()
+		f.pendingAnns[ann.Key] = ann.Fingerprint
 	} else {
-		f.anns[ann.Key] = ann.Fingerprint()
+		f.anns[ann.Key] = ann.Fingerprint
 	}
 	return nil
 }
 
-func (f *fakeActuator) Adopt(spec Spec, ann CompiledAnn) error {
+func (f *fakeActuator) Adopt(obj *Object, ann CompiledAnn) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.called("adopt"); err != nil {
@@ -132,13 +137,13 @@ func (f *fakeActuator) Adopt(spec Spec, ann CompiledAnn) error {
 	// The fake models fingerprint-unknown recovered routes as "": an
 	// adoptable route either matches the desired fingerprint already or
 	// was seeded by the test as adoptable via adoptable[key].
-	if cur != "" && cur != ann.Fingerprint() {
+	if cur != "" && cur != ann.Fingerprint {
 		return ErrAdoptMismatch
 	}
 	if cur == "" && !f.adoptable[ann.Key] {
 		return ErrAdoptMismatch
 	}
-	f.anns[ann.Key] = ann.Fingerprint()
+	f.anns[ann.Key] = ann.Fingerprint
 	return nil
 }
 
@@ -182,13 +187,18 @@ func (f *fakeActuator) Teardown(experiment string) error {
 	return nil
 }
 
-func (f *fakeActuator) Observed() (Observed, error) {
+func (f *fakeActuator) Observed(since uint64) (Observed, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.gen == since {
+		return Observed{Gen: since}, nil
+	}
 	if err := f.called("observed"); err != nil {
 		return Observed{}, err
 	}
-	obs := Observed{Sessions: make(map[SessKey]bool), Anns: make(map[AnnKey]string)}
+	obs := Observed{Gen: f.gen, Sessions: make(map[SessKey]bool), Anns: make(map[AnnKey]string)}
+	obs.Rejections = f.rejections[f.rejRead:]
+	f.rejRead = len(f.rejections)
 	for k, v := range f.sessions {
 		obs.Sessions[k] = v
 	}
@@ -200,12 +210,12 @@ func (f *fakeActuator) Observed() (Observed, error) {
 
 // releaseInstalls flushes held announcements into the observable RIB.
 func (f *fakeActuator) releaseInstalls() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for k, v := range f.pendingAnns {
-		f.anns[k] = v
-	}
-	f.pendingAnns = make(map[AnnKey]string)
+	f.edit(func() {
+		for k, v := range f.pendingAnns {
+			f.anns[k] = v
+		}
+		f.pendingAnns = make(map[AnnKey]string)
+	})
 }
 
 func (f *fakeActuator) setFail(method string, err error) {
@@ -299,9 +309,7 @@ func TestReconcilerIdempotentSteadyState(t *testing.T) {
 
 func TestReconcilerActuationGrace(t *testing.T) {
 	act := newFakeActuator()
-	act.mu.Lock()
-	act.holdInstall = true // announcements never appear in the RIB...
-	act.mu.Unlock()
+	act.edit(func() { act.holdInstall = true }) // announcements never appear in the RIB...
 	store, rec := testReconciler(t, act, nil)
 	store.Create(testSpec("alpha"))
 
@@ -425,4 +433,39 @@ func TestReconcilerPublishesTransitions(t *testing.T) {
 	if !seen[PhaseConverging] {
 		t.Fatalf("converging transition not streamed; saw %v", seen)
 	}
+}
+
+// TestReconcilerSkipsUnchangedTicks: once converged, resync ticks read
+// only the generation; an edit to the platform or a kick brings back
+// one full view.
+func TestReconcilerSkipsUnchangedTicks(t *testing.T) {
+	act := newFakeActuator()
+	store, rec := testReconciler(t, act, nil)
+	store.Create(testSpec("alpha"))
+	waitPhase(t, rec, "alpha", PhaseConverged)
+
+	// The pass that converged is quiet; later ticks take no full view.
+	views := func() int { return act.count("observed") }
+	deadline := time.Now().Add(5 * time.Second)
+	for prev := -1; views() != prev; {
+		if time.Now().After(deadline) {
+			t.Fatal("full views never stopped")
+		}
+		prev = views()
+		time.Sleep(20 * time.Millisecond) // four ticks
+	}
+	wantMore := func(what string, change func()) {
+		t.Helper()
+		base := views()
+		change()
+		deadline := time.Now().Add(5 * time.Second)
+		for views() == base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no full view followed", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	wantMore("platform edit", func() { act.edit(func() {}) }) // any edit moves the generation
+	wantMore("kick", rec.Kick)
 }

@@ -20,7 +20,8 @@ import (
 	"fmt"
 	"net/netip"
 	"regexp"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -302,7 +303,11 @@ type SessKey struct {
 // CompiledAnn is one (PoP, Prefix, Version) atom expanded from a
 // validated spec, with parsed knobs — what the actuator announces.
 type CompiledAnn struct {
-	Key             AnnKey
+	Key AnnKey
+	// Fingerprint is a stable digest of the knobs below: the reconciler
+	// re-announces when the desired fingerprint differs from the actuated
+	// one, and the WAL's actuation records hold it.
+	Fingerprint     string
 	Prepend         int
 	Poison          []uint32
 	Communities     []Community
@@ -310,68 +315,86 @@ type CompiledAnn struct {
 	ExceptNeighbors []uint32
 }
 
-// Fingerprint is a stable digest of the announcement's knobs: the
-// reconciler re-announces when the desired fingerprint differs from
-// the actuated one.
-func (a CompiledAnn) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "prepend=%d", a.Prepend)
-	writeU32s := func(tag string, v []uint32) {
-		s := append([]uint32(nil), v...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		fmt.Fprintf(&b, " %s=%v", tag, s)
+// fingerprint renders the knob digest, each list sorted:
+// "prepend=1 poison=[64512] to=[] except=[] comms=[47065:1]". Recovered
+// WALs hold fingerprints in this form, so it must not change.
+func (a CompiledAnn) fingerprint() string {
+	b := append(make([]byte, 0, 64), "prepend="...)
+	b = strconv.AppendInt(b, int64(a.Prepend), 10)
+	for i, v := range [][]uint32{a.Poison, a.ToNeighbors, a.ExceptNeighbors} {
+		b = append(b, [...]string{" poison=[", " to=[", " except=["}[i]...)
+		v = slices.Clone(v)
+		slices.Sort(v)
+		for j, x := range v {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendUint(b, uint64(x), 10)
+		}
+		b = append(b, ']')
 	}
-	writeU32s("poison", a.Poison)
-	writeU32s("to", a.ToNeighbors)
-	writeU32s("except", a.ExceptNeighbors)
 	comms := make([]string, len(a.Communities))
 	for i, c := range a.Communities {
 		comms[i] = c.String()
 	}
-	sort.Strings(comms)
-	fmt.Fprintf(&b, " comms=%v", comms)
-	return b.String()
+	slices.Sort(comms)
+	b = append(append(b, " comms=["...), strings.Join(comms, " ")...)
+	return string(append(b, ']'))
 }
 
 // Compile expands a validated spec into its announcement atoms, one per
-// (prefix, version, pop), sorted deterministically.
+// (prefix, version, pop), sorted by key, each fingerprinted. The store
+// compiles every object once, as it enters.
 func (s Spec) Compile() []CompiledAnn {
-	var out []CompiledAnn
+	out, _ := s.compile()
+	return out
+}
+
+// compile is Compile returning an error where an unvalidated spec — a
+// damaged WAL record — has an unparsable prefix or community.
+func (s Spec) compile() ([]CompiledAnn, error) {
+	n := 0
 	for _, a := range s.Announcements {
-		prefix := netip.MustParsePrefix(a.Prefix)
-		comms := make([]Community, 0, len(a.Communities))
+		n += len(a.PoPs)
+	}
+	out := make([]CompiledAnn, 0, n)
+	for _, a := range s.Announcements {
+		prefix, err := netip.ParsePrefix(a.Prefix)
+		if err != nil {
+			return nil, fmt.Errorf("ctlplane: experiment %s: bad announcement prefix %q: %v", s.Name, a.Prefix, err)
+		}
+		var comms []Community
 		for _, raw := range a.Communities {
-			c, _ := ParseCommunity(raw)
+			c, err := ParseCommunity(raw)
+			if err != nil {
+				return nil, err
+			}
 			comms = append(comms, c)
 		}
 		for _, pop := range a.PoPs {
-			out = append(out, CompiledAnn{
+			ann := CompiledAnn{
 				Key:             AnnKey{Experiment: s.Name, PoP: pop, Prefix: prefix, Version: a.Version},
 				Prepend:         a.Prepend,
-				Poison:          append([]uint32(nil), a.Poison...),
+				Poison:          slices.Clone(a.Poison),
 				Communities:     comms,
-				ToNeighbors:     append([]uint32(nil), a.ToNeighbors...),
-				ExceptNeighbors: append([]uint32(nil), a.ExceptNeighbors...),
-			})
+				ToNeighbors:     slices.Clone(a.ToNeighbors),
+				ExceptNeighbors: slices.Clone(a.ExceptNeighbors),
+			}
+			ann.Fingerprint = ann.fingerprint()
+			out = append(out, ann)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
-	return out
+	slices.SortFunc(out, func(x, y CompiledAnn) int { return strings.Compare(x.Key.String(), y.Key.String()) })
+	return out, nil
 }
 
 // SessionPoPs returns the sorted set of PoPs the spec needs a session
 // at (every PoP referenced by any announcement).
 func (s Spec) SessionPoPs() []string {
-	set := make(map[string]bool)
+	var out []string
 	for _, a := range s.Announcements {
-		for _, pop := range a.PoPs {
-			set[pop] = true
-		}
+		out = append(out, a.PoPs...)
 	}
-	out := make([]string, 0, len(set))
-	for pop := range set {
-		out = append(out, pop)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

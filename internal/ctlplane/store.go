@@ -3,12 +3,14 @@ package ctlplane
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/policy"
 )
 
 // Store errors, mapped to HTTP statuses by the API layer.
@@ -43,13 +45,18 @@ type Object struct {
 	// experiment's state; the object disappears when teardown finishes.
 	Deleting bool `json:"deleting,omitempty"`
 
-	// alloc is Spec.Prefixes parsed, once, when the object enters the
-	// store (commit or replay).
-	alloc []netip.Prefix
+	// The spec compiled once, when the object enters the store (commit
+	// or replay). Stored objects are immutable, so copies share these;
+	// the reconciler and the actuator read them instead of re-deriving
+	// them from Spec on every pass.
+	alloc []netip.Prefix      // Spec.Prefixes parsed
+	atoms []CompiledAnn       // Spec.Compile()
+	pops  []string            // Spec.SessionPoPs()
+	caps  policy.Capabilities // CapsFor(Spec)
 }
 
-// parseAllocation fills alloc from the spec.
-func (o *Object) parseAllocation() error {
+// compile fills the compiled fields from the spec.
+func (o *Object) compile() error {
 	o.alloc = make([]netip.Prefix, 0, len(o.Spec.Prefixes))
 	for _, raw := range o.Spec.Prefixes {
 		p, err := netip.ParsePrefix(raw)
@@ -58,8 +65,19 @@ func (o *Object) parseAllocation() error {
 		}
 		o.alloc = append(o.alloc, p)
 	}
+	atoms, err := o.Spec.compile()
+	if err != nil {
+		return err
+	}
+	o.atoms, o.pops, o.caps = atoms, o.Spec.SessionPoPs(), CapsFor(o.Spec)
 	return nil
 }
+
+// Allocation is the spec's prefixes, parsed. Read-only.
+func (o *Object) Allocation() []netip.Prefix { return o.alloc }
+
+// Caps is the capability grant the spec needs (CapsFor).
+func (o *Object) Caps() policy.Capabilities { return o.caps }
 
 // ChangeKind classifies a store commit for watchers.
 type ChangeKind string
@@ -210,10 +228,7 @@ func RecoverStore(cfg StoreConfig, dir string) (*Store, *WAL, *RecoveredState, e
 		}
 		rec = &RecoveredState{
 			Seq: wal.seq, NextRev: s.nextRev, Objects: s.List(),
-			Deployed: s.Deployed(), Acts: make(map[AnnKey]string, len(s.acts)),
-		}
-		for key, fp := range s.acts {
-			rec.Acts[key] = fp
+			Deployed: s.Deployed(), Acts: maps.Clone(s.acts),
 		}
 		s.mObjects.Set(int64(len(s.objects)))
 	}
@@ -252,11 +267,7 @@ func (s *Store) applyCommitLocked(c walCommit) {
 	rev := revision{Kind: c.Kind, Name: c.Name}
 	if c.Kind == ChangeRemoved {
 		delete(s.objects, c.Name)
-		for key := range s.acts {
-			if key.Experiment == c.Name {
-				delete(s.acts, key)
-			}
-		}
+		maps.DeleteFunc(s.acts, func(key AnnKey, _ string) bool { return key.Experiment == c.Name })
 	} else {
 		s.objects[c.Name] = c.Object
 		if !c.Object.Deleting {
@@ -422,7 +433,7 @@ func (s *Store) Create(spec Spec) (Object, bool, error) {
 		return Object{}, false, err
 	}
 	obj := &Object{Spec: spec.Clone(), CreatedAt: time.Now()}
-	if err := obj.parseAllocation(); err != nil {
+	if err := obj.compile(); err != nil {
 		return Object{}, false, err
 	}
 	s.mu.Lock()
@@ -473,7 +484,7 @@ func (s *Store) Update(name string, rev int64, spec Spec) (Object, error) {
 	}
 	next := *cur
 	next.Spec = spec.Clone()
-	if err = next.parseAllocation(); err == nil {
+	if err = next.compile(); err == nil {
 		err = s.overlapLocked(&next)
 	}
 	if err != nil {
@@ -593,10 +604,7 @@ func (s *Store) ModelAt(rev int64) (config.Model, error) {
 		s.mu.Unlock()
 		return config.Model{}, err
 	}
-	set := make(map[string]*Object, len(s.settled))
-	for name, obj := range s.settled {
-		set[name] = obj
-	}
+	set := maps.Clone(s.settled)
 	for _, r := range s.window[:i+1] {
 		r.fold(set)
 	}
@@ -618,7 +626,7 @@ func (s *Store) ModelAt(rev int64) (config.Model, error) {
 			Owner:    obj.Spec.Owner,
 			ASNs:     []uint32{obj.Spec.ASN},
 			Prefixes: append([]netip.Prefix(nil), obj.alloc...),
-			Caps:     CapsFor(obj.Spec),
+			Caps:     obj.caps,
 			Approved: true,
 		})
 	}
@@ -646,11 +654,7 @@ func (s *Store) Notes() map[int64]string {
 func (s *Store) Deployed() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.deployed))
-	for pop, rev := range s.deployed {
-		out[pop] = rev
-	}
-	return out
+	return maps.Clone(s.deployed)
 }
 
 // Canary applies revision rev to the named PoPs only (§5: "we canary

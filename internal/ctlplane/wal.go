@@ -231,7 +231,7 @@ func DecodeWALRecord(payload []byte) (walRecord, error) {
 			if c.Object.Spec.Name != c.Name {
 				return rec, fmt.Errorf("ctlplane: commit record for %s carries object %s", c.Name, c.Object.Spec.Name)
 			}
-			if err := c.Object.parseAllocation(); err != nil {
+			if err := c.Object.compile(); err != nil {
 				return rec, err
 			}
 		}
@@ -442,7 +442,7 @@ func (s *Store) replay(snap *walSnapshot, recs []walRecord) (seq uint64, err err
 		s.window = snap.Window
 		var bad error
 		index := func(obj *Object, into map[string]*Object) {
-			if err := obj.parseAllocation(); err != nil && bad == nil {
+			if err := obj.compile(); err != nil && bad == nil {
 				bad = fmt.Errorf("ctlplane: %s: %v", snapFileName, err)
 			}
 			if into != nil {

@@ -299,7 +299,7 @@ func (ifc *Interface) SendRaw(data []byte) {
 // rxFrames recycles the Frame a delivery decodes into: handing a frame
 // to a handler (a func value) would otherwise move it to the heap once
 // per received frame.
-var rxFrames = sync.Pool{New: func() any { return new(ethernet.Frame) }}
+var rxFrames ethernet.FreeList[ethernet.Frame]
 
 // deliver is called by the segment with a serialized frame addressed to
 // this interface (or broadcast). It runs ingress filters, answers ARP
@@ -314,7 +314,10 @@ func (ifc *Interface) deliver(data []byte) {
 	}
 	ifc.RxFrames.Add(1)
 
-	frame := rxFrames.Get().(*ethernet.Frame)
+	frame := rxFrames.Get()
+	if frame == nil {
+		frame = new(ethernet.Frame)
+	}
 	_ = frame.DecodeFromBytes(data) // SendRaw admits nothing shorter than a header
 	if frame.Type != ethernet.TypeARP || !ifc.handleARP(st, frame) {
 		switch {

@@ -30,11 +30,16 @@ func (b *buffer) Write(p []byte) (int, error) { return b.write(p) }
 // Close marks the buffer closed; reads drain then return EOF.
 func (b *buffer) Close() error { b.close(); return nil }
 
-// buffer is one direction of the pipe: an unbounded byte queue.
+// buffer is one direction of the pipe: an unbounded byte queue. The
+// unread bytes are data[off:]. Reads advance off and reset the slice
+// when they drain it; a write that would grow the array first reclaims
+// the read prefix, so a queue that keeps pace with its reader reuses
+// one backing array for its whole life.
 type buffer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	data   []byte
+	off    int
 	closed bool
 }
 
@@ -50,6 +55,18 @@ func (b *buffer) write(p []byte) (int, error) {
 	if b.closed {
 		return 0, io.ErrClosedPipe
 	}
+	if len(b.data)+len(p) > cap(b.data) && b.off > 0 {
+		// Compact when the read prefix is at least as long as the unread
+		// rest, so a compaction never copies more than it frees; otherwise
+		// double the array, copying only the unread bytes.
+		live := b.data[b.off:]
+		if b.off >= len(live) {
+			live = b.data[:copy(b.data, live)]
+		} else {
+			live = append(make([]byte, 0, 2*cap(b.data)+len(p)), live...)
+		}
+		b.data, b.off = live, 0
+	}
 	b.data = append(b.data, p...)
 	b.cond.Broadcast()
 	return len(p), nil
@@ -58,14 +75,17 @@ func (b *buffer) write(p []byte) (int, error) {
 func (b *buffer) read(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.data) == 0 && !b.closed {
+	for b.off == len(b.data) && !b.closed {
 		b.cond.Wait()
 	}
-	if len(b.data) == 0 {
+	if b.off == len(b.data) {
 		return 0, io.EOF
 	}
-	n := copy(p, b.data)
-	b.data = b.data[n:]
+	n := copy(p, b.data[b.off:])
+	b.off += n
+	if b.off == len(b.data) {
+		b.data, b.off = b.data[:0], 0
+	}
 	return n, nil
 }
 

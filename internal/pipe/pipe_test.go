@@ -133,3 +133,59 @@ func TestAddrsAndDeadlinesPresent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSteadyWriteReadReusesArray(t *testing.T) {
+	b := NewBuffer()
+	msg, out := make([]byte, 300), make([]byte, 200)
+	step := func() { // two reads drain each write
+		b.Write(msg)
+		b.Read(out)
+		b.Read(out)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("steady write/read allocates %.1f per round, want 0", allocs)
+	}
+}
+
+func TestOrderSurvivesCompaction(t *testing.T) {
+	b := NewBuffer()
+	var want, got []byte
+	next := byte(0)
+	write := func(n int) {
+		chunk := make([]byte, n)
+		for i := range chunk {
+			chunk[i] = next
+			next++
+		}
+		want = append(want, chunk...)
+		b.Write(chunk)
+	}
+	read := func(n int) {
+		buf := make([]byte, n)
+		m, err := b.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, buf[:m]...)
+	}
+	write(64)
+	compactions := 0
+	for round := 0; round < 200; round++ {
+		read(40) // leave a read prefix longer than the unread rest
+		c, off := cap(b.data), b.off
+		write(24 + round%16)
+		if off > 0 && b.off == 0 && cap(b.data) == c {
+			compactions++
+		}
+	}
+	for b.off < len(b.data) {
+		read(64)
+	}
+	if compactions == 0 {
+		t.Fatal("no write compacted the buffer in place")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("byte order broken across %d compactions", compactions)
+	}
+}

@@ -157,6 +157,7 @@ type Engine struct {
 	failed      bool
 	audit       []AuditEntry
 	auditCap    int
+	auditSeq    uint64 // decisions ever recorded; the last entry's number
 	validator   rpki.Validator
 	damper      *guard.Damper
 }
@@ -247,7 +248,25 @@ func (en *Engine) Audit() []AuditEntry {
 	return append([]AuditEntry(nil), en.audit...)
 }
 
+// AuditSince returns a copy of the decisions recorded after the first
+// seq ever recorded (nil when there are none), and the number of
+// decisions recorded so far — the seq to pass next time. Decisions
+// evicted from the log in between are not returned.
+func (en *Engine) AuditSince(seq uint64) ([]AuditEntry, uint64) {
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	if seq >= en.auditSeq {
+		return nil, en.auditSeq
+	}
+	n := len(en.audit)
+	if fresh := en.auditSeq - seq; fresh < uint64(n) {
+		n = int(fresh)
+	}
+	return append([]AuditEntry(nil), en.audit[len(en.audit)-n:]...), en.auditSeq
+}
+
 func (en *Engine) record(e AuditEntry) {
+	en.auditSeq++
 	if len(en.audit) >= en.auditCap {
 		// Evict the oldest half: attribution needs recency, so the most
 		// recent decisions always survive.

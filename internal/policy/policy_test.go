@@ -426,3 +426,30 @@ func TestRateLimitDayBoundary(t *testing.T) {
 		t.Fatalf("update 24h+ε after the first rejected: %v", res.Reasons)
 	}
 }
+
+func TestAuditSinceReadsOnlyNewEntries(t *testing.T) {
+	en := NewEngine(47065)
+	en.auditCap = 4
+	p := netip.MustParsePrefix("184.164.224.0/24")
+	if got, seq := en.AuditSince(0); got != nil || seq != 0 {
+		t.Fatalf("empty log: %v, seq %d", got, seq)
+	}
+	for i := 0; i < 3; i++ {
+		en.EvaluateWithdraw(fmt.Sprintf("exp%d", i), "amsix", p)
+	}
+	got, seq := en.AuditSince(1)
+	if seq != 3 || len(got) != 2 || got[0].Experiment != "exp1" || got[1].Experiment != "exp2" {
+		t.Fatalf("since 1: %v, seq %d; want exp1, exp2 at seq 3", got, seq)
+	}
+	if got, _ := en.AuditSince(seq); got != nil {
+		t.Fatalf("nothing new since %d, got %v", seq, got)
+	}
+	// Entries evicted in between are gone; the survivors still come back.
+	for i := 3; i < 8; i++ {
+		en.EvaluateWithdraw(fmt.Sprintf("exp%d", i), "amsix", p)
+	}
+	got, seq = en.AuditSince(3)
+	if seq != 8 || len(got) == 0 || got[len(got)-1].Experiment != "exp7" || len(got) != len(en.Audit()) {
+		t.Fatalf("after eviction: %v, seq %d; want the retained tail ending exp7 at seq 8", got, seq)
+	}
+}

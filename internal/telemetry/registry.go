@@ -193,7 +193,11 @@ func seriesKey(name string, labels []Label) (string, []Label) {
 	return b.String(), sorted
 }
 
-func (r *Registry) lookup(name string, kind Kind, labels []Label) *metric {
+// lookup returns the series for (name, labels), creating it — value
+// included — under the lock, so every caller of a series gets the same
+// value and Snapshot never sees a series without one. buckets is read
+// only when a histogram is created.
+func (r *Registry) lookup(name string, kind Kind, labels []Label, buckets []float64) *metric {
 	key, sorted := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -204,6 +208,16 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *metric {
 		return m
 	}
 	m := &metric{name: name, labels: sorted, kind: kind}
+	switch kind {
+	case KindCounter:
+		m.c = &Counter{}
+	case KindGauge:
+		m.g = &Gauge{}
+	case KindHistogram:
+		bounds := append([]float64(nil), buckets...)
+		sort.Float64s(bounds)
+		m.h = &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	}
 	r.metrics[key] = m
 	return m
 }
@@ -211,33 +225,19 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *metric {
 // Counter returns the counter for (name, labels), creating it on first
 // use. Callers on hot paths should resolve once and keep the pointer.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	m := r.lookup(name, KindCounter, labels)
-	if m.c == nil {
-		m.c = &Counter{}
-	}
-	return m.c
+	return r.lookup(name, KindCounter, labels, nil).c
 }
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	m := r.lookup(name, KindGauge, labels)
-	if m.g == nil {
-		m.g = &Gauge{}
-	}
-	return m.g
+	return r.lookup(name, KindGauge, labels, nil).g
 }
 
 // Histogram returns the histogram for (name, labels) with the given
 // bucket upper bounds, creating it on first use. Later calls for the
 // same series ignore buckets (the first registration wins).
 func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
-	m := r.lookup(name, KindHistogram, labels)
-	if m.h == nil {
-		bounds := append([]float64(nil), buckets...)
-		sort.Float64s(bounds)
-		m.h = &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-	}
-	return m.h
+	return r.lookup(name, KindHistogram, labels, buckets).h
 }
 
 // Snapshot returns the state of every registered series, sorted by name

@@ -2,7 +2,10 @@ package peering
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -73,6 +76,9 @@ func NewControlPlane(p *Platform, cfg ControlPlaneConfig) (*ControlPlane, error)
 		runtimes:         make(map[string]*expRuntime),
 		recovered:        make(map[ctlplane.AnnKey]string),
 	}
+	// Rejections recorded before this control plane answer no announce
+	// of its own.
+	_, act.auditSeq = p.Engine.AuditSince(math.MaxUint64)
 	storeCfg := ctlplane.StoreConfig{
 		// The platform half of every model the store derives for a deploy
 		// verb; the experiment half is the store's own revision log, so
@@ -100,9 +106,7 @@ func NewControlPlane(p *Platform, cfg ControlPlaneConfig) (*ControlPlane, error)
 			// The WAL's actuation records are the proof obligations for
 			// budget-free adoption: the reconciler re-claims a retained
 			// route only when its fingerprint matches what was logged.
-			for key, fp := range rec.Acts {
-				act.recovered[key] = fp
-			}
+			maps.Copy(act.recovered, rec.Acts)
 		}
 	} else {
 		store = ctlplane.NewStore(storeCfg)
@@ -323,6 +327,9 @@ type platformActuator struct {
 	// as proof that a graceful-restart-retained route still matches the
 	// recovered desired state.
 	recovered map[ctlplane.AnnKey]string
+	// auditSeq is how far Observed has read the policy audit log.
+	// Observed's goroutine only.
+	auditSeq uint64
 }
 
 // managedNames snapshots the experiments the actuator owns.
@@ -362,22 +369,14 @@ func (a *platformActuator) Validate(spec ctlplane.Spec) error {
 	return nil
 }
 
-// specPrefixes parses a validated spec's allocation.
-func specPrefixes(spec ctlplane.Spec) []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(spec.Prefixes))
-	for _, raw := range spec.Prefixes {
-		out = append(out, netip.MustParsePrefix(raw))
-	}
-	return out
-}
-
 // EnsureExperiment registers the experiment through the §4.6 workflow
 // on first sight (proposal, approval, credential issue) and refreshes
 // the enforcement registration on spec changes — without re-issuing
 // credentials, so open tunnels survive updates.
-func (a *platformActuator) EnsureExperiment(spec ctlplane.Spec) error {
-	caps := ctlplane.CapsFor(spec)
-	prefixes := specPrefixes(spec)
+func (a *platformActuator) EnsureExperiment(obj *ctlplane.Object) error {
+	spec := obj.Spec
+	caps := obj.Caps()
+	prefixes := slices.Clone(obj.Allocation())
 	rt := a.runtime(spec.Name)
 	if rt == nil {
 		plan := spec.Plan
@@ -436,36 +435,32 @@ func (a *platformActuator) EnsureExperiment(spec ctlplane.Spec) error {
 
 // EnsureSession brings the experiment's tunnel and BGP session at a PoP
 // to Established, repairing dead tunnels along the way.
-func (a *platformActuator) EnsureSession(spec ctlplane.Spec, popName string) error {
-	rt := a.runtime(spec.Name)
+func (a *platformActuator) EnsureSession(experiment, popName string) error {
+	rt := a.runtime(experiment)
 	if rt == nil {
-		return fmt.Errorf("peering: experiment %s not registered", spec.Name)
+		return fmt.Errorf("peering: experiment %s not registered", experiment)
 	}
 	pop := a.p.PoP(popName)
 	if pop == nil {
 		return fmt.Errorf("peering: unknown pop %s", popName)
 	}
-	if rt.client.BGPStatus(popName) == bgp.StateEstablished {
-		a.mu.Lock()
-		rt.pops[popName] = true
-		a.mu.Unlock()
-		return nil
-	}
-	if rt.client.TunnelStatus(popName) != "up" {
-		// Either no tunnel or a dead one; clear any carcass and redial.
-		_ = rt.client.CloseTunnel(popName)
-		if err := rt.client.OpenTunnel(pop); err != nil {
+	if rt.client.BGPStatus(popName) != bgp.StateEstablished {
+		if rt.client.TunnelStatus(popName) != "up" {
+			// Either no tunnel or a dead one; clear any carcass and redial.
+			_ = rt.client.CloseTunnel(popName)
+			if err := rt.client.OpenTunnel(pop); err != nil {
+				return err
+			}
+		}
+		if rt.client.BGPStatus(popName) == bgp.StateIdle {
+			_ = rt.client.StopBGP(popName) // drop a dead session object, if any
+			if err := rt.client.StartBGP(popName); err != nil {
+				return err
+			}
+		}
+		if err := rt.client.WaitEstablished(popName, a.establishTimeout); err != nil {
 			return err
 		}
-	}
-	if rt.client.BGPStatus(popName) == bgp.StateIdle {
-		_ = rt.client.StopBGP(popName) // drop a dead session object, if any
-		if err := rt.client.StartBGP(popName); err != nil {
-			return err
-		}
-	}
-	if err := rt.client.WaitEstablished(popName, a.establishTimeout); err != nil {
-		return err
 	}
 	a.mu.Lock()
 	rt.pops[popName] = true
@@ -504,16 +499,22 @@ func annOptions(ann ctlplane.CompiledAnn) []AnnounceOption {
 }
 
 // Announce actuates one announcement atom through the audited client.
-func (a *platformActuator) Announce(spec ctlplane.Spec, ann ctlplane.CompiledAnn) error {
-	rt := a.runtime(spec.Name)
+// A PoP whose overload guard is shedding would treat the announcement
+// as withdrawn, so it is refused before the send burns update budget.
+func (a *platformActuator) Announce(ann ctlplane.CompiledAnn) error {
+	rt := a.runtime(ann.Key.Experiment)
 	if rt == nil {
-		return fmt.Errorf("peering: experiment %s not registered", spec.Name)
+		return fmt.Errorf("peering: experiment %s not registered", ann.Key.Experiment)
+	}
+	if a.p.PoPHealth(ann.Key.PoP) == guard.Shedding {
+		return &ctlplane.RejectedError{Kind: ctlplane.RejectShedding,
+			Reason: fmt.Sprintf("PoP %s is shedding new announcements (overload)", ann.Key.PoP)}
 	}
 	if err := rt.client.Announce(ann.Key.PoP, ann.Key.Prefix, annOptions(ann)...); err != nil {
 		return err
 	}
 	a.mu.Lock()
-	rt.sent[ann.Key] = ann.Fingerprint()
+	rt.sent[ann.Key] = ann.Fingerprint
 	a.mu.Unlock()
 	return nil
 }
@@ -542,7 +543,8 @@ func expectedASPath(asn uint32, ann ctlplane.CompiledAnn) []uint32 {
 // fingerprint AND the installed path's AS path must have the shape this
 // atom would build. Anything less falls back to a normal re-announce
 // via ErrAdoptMismatch.
-func (a *platformActuator) Adopt(spec ctlplane.Spec, ann ctlplane.CompiledAnn) error {
+func (a *platformActuator) Adopt(obj *ctlplane.Object, ann ctlplane.CompiledAnn) error {
+	spec := obj.Spec
 	rt := a.runtime(spec.Name)
 	if rt == nil {
 		return fmt.Errorf("peering: experiment %s not registered", spec.Name)
@@ -551,11 +553,10 @@ func (a *platformActuator) Adopt(spec ctlplane.Spec, ann ctlplane.CompiledAnn) e
 	if pop == nil {
 		return fmt.Errorf("peering: unknown pop %s", ann.Key.PoP)
 	}
-	fp := ann.Fingerprint()
 	a.mu.Lock()
 	logged, ok := a.recovered[ann.Key]
 	a.mu.Unlock()
-	if !ok || logged != fp {
+	if !ok || logged != ann.Fingerprint {
 		return ctlplane.ErrAdoptMismatch
 	}
 	var installed *rib.Path
@@ -565,18 +566,9 @@ func (a *platformActuator) Adopt(spec ctlplane.Spec, ann ctlplane.CompiledAnn) e
 			break
 		}
 	}
-	if installed == nil || installed.Attrs == nil {
+	if installed == nil || installed.Attrs == nil ||
+		!slices.Equal(installed.Attrs.ASPathFlat(), expectedASPath(spec.ASN, ann)) {
 		return ctlplane.ErrAdoptMismatch
-	}
-	want := expectedASPath(spec.ASN, ann)
-	got := installed.Attrs.ASPathFlat()
-	if len(got) != len(want) {
-		return ctlplane.ErrAdoptMismatch
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return ctlplane.ErrAdoptMismatch
-		}
 	}
 	// Record the announcement client-side (replayed on reconnect exactly
 	// like a sent one) and clear the stale mark router-side so neither
@@ -586,7 +578,7 @@ func (a *platformActuator) Adopt(spec ctlplane.Spec, ann ctlplane.CompiledAnn) e
 	}
 	pop.Router.AdoptExperimentRoute(spec.Name, ann.Key.Prefix, bgp.PathID(ann.Key.Version))
 	a.mu.Lock()
-	rt.sent[ann.Key] = fp
+	rt.sent[ann.Key] = ann.Fingerprint
 	delete(a.recovered, ann.Key)
 	a.mu.Unlock()
 	return nil
@@ -617,11 +609,7 @@ func (a *platformActuator) CloseSession(experiment, popName string) error {
 	_ = rt.client.CloseTunnel(popName)
 	a.mu.Lock()
 	delete(rt.pops, popName)
-	for key := range rt.sent {
-		if key.PoP == popName {
-			delete(rt.sent, key)
-		}
-	}
+	maps.DeleteFunc(rt.sent, func(key ctlplane.AnnKey, _ string) bool { return key.PoP == popName })
 	a.mu.Unlock()
 	return nil
 }
@@ -651,23 +639,111 @@ func (a *platformActuator) Teardown(experiment string) error {
 	a.p.Forget(experiment)
 	a.mu.Lock()
 	delete(a.runtimes, experiment)
-	for key := range a.recovered {
-		if key.Experiment == experiment {
-			delete(a.recovered, key)
-		}
-	}
+	maps.DeleteFunc(a.recovered, func(key ctlplane.AnnKey, _ string) bool { return key.Experiment == experiment })
 	a.mu.Unlock()
 	return nil
 }
 
-// Rejections reports engine-side rejections recorded after since,
-// classified from the audit trail so the reconciler can surface why an
-// actuation was refused (damping, rate limit, RPKI, generic policy)
-// and when retrying makes sense.
-func (a *platformActuator) Rejections(since time.Time) []ctlplane.Rejection {
+// Observed reports ground truth for the managed experiments: session
+// establishment straight from the BGP state machines, announcement
+// presence from each PoP router's experiment RIB (the §4.1 authority on
+// what is actually installed), fingerprinted by the actuator's own
+// send records, and the engine's rejections from the policy audit log.
+func (a *platformActuator) Observed(since uint64) (ctlplane.Observed, error) {
+	audit, seq := a.p.Engine.AuditSince(a.auditSeq)
+	obs := ctlplane.Observed{Gen: a.generation(seq)}
+	if obs.Gen == since {
+		return obs, nil
+	}
+	a.auditSeq = seq
+	obs.Rejections = rejections(audit)
+	obs.Sessions = make(map[ctlplane.SessKey]bool)
+	obs.Anns = make(map[ctlplane.AnnKey]string)
+	// Managed proposals without a runtime are crash leftovers: their
+	// client died with the previous process, but their routes may still
+	// be installed (graceful-restart retention). Include them so the
+	// reconciler can adopt survivors and sweep orphans.
+	leftover := make(map[string]bool)
+	for _, prop := range a.p.Proposals() {
+		leftover[prop.Name] = prop.Managed
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for name, rt := range a.runtimes {
+		for pop := range rt.pops {
+			if rt.client.BGPStatus(pop) == bgp.StateEstablished {
+				obs.Sessions[ctlplane.SessKey{Experiment: name, PoP: pop}] = true
+			}
+		}
+	}
+	for _, popName := range a.p.PoPs() {
+		a.p.PoP(popName).Router.ExperimentRoutes().Walk(func(prefix netip.Prefix, paths []*rib.Path) bool {
+			for _, path := range paths {
+				rt := a.runtimes[path.Peer]
+				if rt == nil && !leftover[path.Peer] {
+					continue
+				}
+				key := ctlplane.AnnKey{Experiment: path.Peer, PoP: popName, Prefix: prefix, Version: uint32(path.ID)}
+				obs.Anns[key] = ""
+				if rt != nil {
+					obs.Anns[key] = rt.sent[key]
+				}
+			}
+			return true
+		})
+	}
+	return obs, nil
+}
+
+// generation digests the counters behind every input of Observed: the
+// policy audit and proposal sequences, each PoP's experiment-table
+// version and health state, and the BGP state of every managed session.
+// A change to any of them changes it, barring a 64-bit collision. It
+// takes locks but allocates nothing, so an idle reconcile tick is free.
+func (a *platformActuator) generation(auditSeq uint64) uint64 {
+	p := a.p
+	p.mu.Lock()
+	counters := auditSeq + p.proposalSeq
+	var states uint64
+	for name, pop := range p.pops {
+		counters += pop.Router.ExperimentRoutes().Stats().Version
+		if pop.health != nil {
+			states += digest(name, "", uint64(pop.health.State()))
+		}
+	}
+	p.mu.Unlock()
+	a.mu.Lock()
+	for name, rt := range a.runtimes {
+		for pop := range rt.pops {
+			states += digest(name, pop, uint64(rt.client.BGPStatus(pop)))
+		}
+	}
+	a.mu.Unlock()
+	// Counters only grow, so their sum changes whenever one does;
+	// states are summed as hashes so map order does not matter.
+	return max(counters*0x9e3779b97f4a7c15+states, 1)
+}
+
+// digest hashes one (name, pop, state) input of the generation (FNV-1a).
+func digest(name, pop string, state uint64) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, s := range [...]string{name, pop} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+		h = (h ^ 0xff) * prime // separator: ("ab", "c") is not ("a", "bc")
+	}
+	return (h ^ state) * prime
+}
+
+// rejections classifies the engine's refusals among audit entries, so
+// the reconciler can surface why an actuation was refused (damping,
+// rate limit, RPKI, generic policy) and when retrying makes sense.
+func rejections(audit []policy.AuditEntry) []ctlplane.Rejection {
 	var out []ctlplane.Rejection
-	for _, e := range a.p.Engine.Audit() {
-		if e.Action != policy.ActionReject || !e.Time.After(since) {
+	for _, e := range audit {
+		if e.Action != policy.ActionReject {
 			continue
 		}
 		reason := strings.Join(e.Reasons, "; ")
@@ -686,82 +762,4 @@ func (a *platformActuator) Rejections(since time.Time) []ctlplane.Rejection {
 		})
 	}
 	return out
-}
-
-// Shedding reports whether a PoP's overload guard is refusing work, so
-// the reconciler can mark objects rejected without burning their update
-// budget on announcements the guard would drop.
-func (a *platformActuator) Shedding(pop string) bool {
-	return a.p.PoPHealth(pop) == guard.Shedding
-}
-
-// Observed reports ground truth for the managed experiments: session
-// establishment straight from the BGP state machines, announcement
-// presence from each PoP router's experiment RIB (the §4.1 authority on
-// what is actually installed), fingerprinted by the actuator's own
-// send records.
-func (a *platformActuator) Observed() (ctlplane.Observed, error) {
-	obs := ctlplane.Observed{
-		Sessions: make(map[ctlplane.SessKey]bool),
-		Anns:     make(map[ctlplane.AnnKey]string),
-	}
-	a.mu.Lock()
-	type rtView struct {
-		client *Client
-		pops   []string
-	}
-	views := make(map[string]rtView, len(a.runtimes))
-	for name, rt := range a.runtimes {
-		v := rtView{client: rt.client}
-		for pop := range rt.pops {
-			v.pops = append(v.pops, pop)
-		}
-		views[name] = v
-	}
-	a.mu.Unlock()
-	// Managed proposals without a runtime are crash leftovers: their
-	// client died with the previous process, but their routes may still
-	// be installed (graceful-restart retention). Include them so the
-	// reconciler can adopt survivors and sweep orphans.
-	for _, prop := range a.p.Proposals() {
-		if prop.Managed {
-			if _, ok := views[prop.Name]; !ok {
-				views[prop.Name] = rtView{}
-			}
-		}
-	}
-
-	for name, v := range views {
-		if v.client == nil {
-			continue
-		}
-		for _, pop := range v.pops {
-			if v.client.BGPStatus(pop) == bgp.StateEstablished {
-				obs.Sessions[ctlplane.SessKey{Experiment: name, PoP: pop}] = true
-			}
-		}
-	}
-	for _, popName := range a.p.PoPs() {
-		pop := a.p.PoP(popName)
-		pop.Router.ExperimentRoutes().Walk(func(prefix netip.Prefix, paths []*rib.Path) bool {
-			for _, path := range paths {
-				if _, managed := views[path.Peer]; !managed {
-					continue
-				}
-				key := ctlplane.AnnKey{
-					Experiment: path.Peer, PoP: popName,
-					Prefix: prefix, Version: uint32(path.ID),
-				}
-				a.mu.Lock()
-				fp := ""
-				if rt := a.runtimes[path.Peer]; rt != nil {
-					fp = rt.sent[key]
-				}
-				a.mu.Unlock()
-				obs.Anns[key] = fp
-			}
-			return true
-		})
-	}
-	return obs, nil
 }

@@ -14,7 +14,9 @@ import (
 
 	"net/netip"
 
+	"repro/internal/bgp"
 	"repro/internal/ctlplane"
+	"repro/internal/guard"
 	"repro/internal/rib"
 	"repro/internal/telemetry"
 )
@@ -430,4 +432,103 @@ func TestControlPlaneCoexistsWithManualExperiments(t *testing.T) {
 	if !found["manual"] || !found["managed"] {
 		t.Fatalf("promote disturbed registrations: %v", names)
 	}
+}
+
+// quietControlPlane runs a control plane over a one-PoP platform with n
+// specs, each announcing its /24, and returns once every spec has
+// converged and resync ticks no longer run passes.
+func quietControlPlane(t *testing.T, guardCfg *GuardConfig, n int) (*Platform, *PoP, *ControlPlane) {
+	t.Helper()
+	p := NewPlatform(PlatformConfig{ASN: 47065, Guard: guardCfg})
+	pop, err := p.AddPoP(PoPConfig{
+		Name: "amsix", RouterID: addr("198.51.100.1"),
+		LocalPool: pfx("127.65.0.0/16"), ExpLAN: pfx("100.65.0.0/16"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := NewControlPlane(p, ControlPlaneConfig{
+		Reconciler: ctlplane.ReconcilerConfig{Resync: 10 * time.Millisecond, MaxActionsPerSecond: 1e6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cp.Close()
+		p.Close()
+	})
+	for i := 0; i < n; i++ {
+		prefix := fmt.Sprintf("10.%d.%d.0/24", i>>8, i&255)
+		if _, _, err := cp.Store.Create(ctlplane.Spec{
+			Name: fmt.Sprintf("quiet-%03d", i), Owner: "o", ASN: 64600 + uint32(i),
+			Prefixes:      []string{prefix},
+			Announcements: []ctlplane.Announcement{{Prefix: prefix, PoPs: []string{"amsix"}}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReconcileQuiet(t, cp, n)
+	return p, pop, cp
+}
+
+// reconcileRuns reads the reconciler's pass counter.
+func reconcileRuns() float64 { return telemetry.Default().Value("ctlplane_reconcile_runs_total") }
+
+// waitReconcileQuiet waits until n specs have converged and five resync
+// ticks in a row ran no pass.
+func waitReconcileQuiet(t *testing.T, cp *ControlPlane, n int) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		converged := 0
+		for _, st := range cp.Reconciler.Status() {
+			if st.Phase == ctlplane.PhaseConverged {
+				converged++
+			}
+		}
+		before := reconcileRuns()
+		time.Sleep(50 * time.Millisecond)
+		if converged == n && reconcileRuns() == before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d specs converged; reconcile passes still running", converged, n)
+		}
+	}
+}
+
+// TestObservedInputsForcePass: an idle reconciler skips its ticks only
+// while nothing Observed reads has changed. Changing any one input —
+// with the store untouched — makes the next tick run a full pass.
+func TestObservedInputsForcePass(t *testing.T) {
+	gcfg := DefaultGuardConfig()
+	gcfg.SampleInterval = time.Hour // the test moves the health state itself
+	p, pop, cp := quietControlPlane(t, gcfg, 2)
+	outsider := pfx("10.99.0.0/24")
+	for _, c := range []struct {
+		input  string
+		change func()
+	}{
+		{"experiment-table version", func() {
+			pop.Router.ExperimentRoutes().Add(&rib.Path{Prefix: outsider, Peer: "outsider", EBGP: true,
+				Seq: rib.NextSeq(), Attrs: &bgp.PathAttrs{NextHop: addr("100.65.0.99")}})
+		}},
+		{"audit sequence", func() { p.Engine.EvaluateWithdraw("outsider", "amsix", outsider) }},
+		{"managed session state", func() { cp.act.runtime("quiet-000").client.StopBGP("amsix") }},
+		{"proposals", func() {
+			if err := p.Submit(Proposal{Name: "outsider", Owner: "o", Plan: "p"}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"PoP health", func() { pop.Health().Observe(guard.Pressure{UpdateRate: 5_000}) }}, // degraded
+	} {
+		before := reconcileRuns()
+		c.change()
+		waitFor(t, c.input+" change to run a pass", func() bool { return reconcileRuns() > before })
+		waitReconcileQuiet(t, cp, 2)
+	}
+	// And a kick runs one with nothing changed.
+	before := reconcileRuns()
+	cp.Reconciler.Kick()
+	waitFor(t, "a kick to run a pass", func() bool { return reconcileRuns() > before })
 }

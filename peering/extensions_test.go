@@ -115,7 +115,15 @@ func TestAttachContainer(t *testing.T) {
 	if ct.Iface.TxDrops.Load() != txBefore+1 {
 		t.Error("spoofed container frame not dropped")
 	}
-	// Legitimate container traffic (sourced from its address) passes.
+	// Legitimate container traffic (sourced from its address) passes,
+	// once the router has resolved the neighbor's MAC: until then the
+	// forwarder's own ARP can time out under load and count the frame
+	// no-mac instead.
+	rifc := pop.Router.Interface("nbr-as1000")
+	waitFor(t, "router resolves as1000", func() bool {
+		_, err := rifc.Resolve(rifc.PrimaryAddr(), nbr.Addr, time.Second)
+		return err == nil
+	})
 	legit := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
 		Src: ct.Addr, Dst: probe.Addr().Next()}
 	fwdBefore := pop.Router.Forwarded.Load()

@@ -102,6 +102,7 @@ type Platform struct {
 	pops           map[string]*PoP
 	creds          tunnel.Credentials
 	proposals      map[string]*Proposal
+	proposalSeq    uint64 // bumped when a proposal is filed or forgotten
 	nextNeighborID uint32
 	keySeq         int
 	backbone       *netsim.Segment

@@ -65,6 +65,7 @@ func (p *Platform) Submit(prop Proposal) error {
 	}
 	prop.Status = StatusPending
 	p.proposals[prop.Name] = &prop
+	p.proposalSeq++
 	return nil
 }
 
@@ -142,7 +143,10 @@ func (p *Platform) Reject(name, reason string) error {
 // teardown so a deleted experiment's name can be recreated.
 func (p *Platform) Forget(name string) {
 	p.mu.Lock()
-	delete(p.proposals, name)
+	if _, ok := p.proposals[name]; ok {
+		delete(p.proposals, name)
+		p.proposalSeq++
+	}
 	delete(p.creds, name)
 	p.mu.Unlock()
 	p.Engine.Unregister(name)
