@@ -27,13 +27,16 @@ type fig5 struct {
 	engine *policy.Engine
 }
 
-func newFig5(t *testing.T) *fig5 {
+func newFig5(t *testing.T) *fig5 { return newFig5With(t, platformASN) }
+
+// newFig5With is newFig5 for a platform with the given ASN.
+func newFig5With(t *testing.T, asn uint32) *fig5 {
 	t.Helper()
 	f := &fig5{
 		bb:     netsim.NewSegment("backbone"),
 		expLAN: netsim.NewSegment("exp-lan"),
 		n2LAN:  netsim.NewSegment("n2-lan"),
-		engine: policy.NewEngine(platformASN),
+		engine: policy.NewEngine(asn),
 	}
 	f.engine.Register(&policy.Experiment{
 		Name:     "X1",
@@ -42,10 +45,10 @@ func newFig5(t *testing.T) *fig5 {
 	})
 	shared := NewPool(DefaultGlobalPool)
 
-	f.e1 = NewRouter(Config{Name: "e1", ASN: platformASN, RouterID: ip("198.51.100.1"),
+	f.e1 = NewRouter(Config{Name: "e1", ASN: asn, RouterID: ip("198.51.100.1"),
 		GlobalPool: shared, Enforcer: f.engine,
 		LocalPool: pfx("127.65.0.0/16")})
-	f.e2 = NewRouter(Config{Name: "e2", ASN: platformASN, RouterID: ip("198.51.100.2"),
+	f.e2 = NewRouter(Config{Name: "e2", ASN: asn, RouterID: ip("198.51.100.2"),
 		GlobalPool: shared, Enforcer: f.engine,
 		LocalPool: pfx("127.66.0.0/16")})
 
@@ -67,7 +70,7 @@ func newFig5(t *testing.T) *fig5 {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f.n1 = newTestPeer(t, c1n, n1ASN, platformASN, "192.0.2.1", false)
+	f.n1 = newTestPeer(t, c1n, n1ASN, asn, "192.0.2.1", false)
 
 	// Neighbor N2 at E2.
 	f.n2Host = netsim.NewHost("N2")
@@ -78,7 +81,7 @@ func newFig5(t *testing.T) *fig5 {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f.n2 = newTestPeer(t, c2n, n2ASN, platformASN, "198.18.0.1", false)
+	f.n2 = newTestPeer(t, c2n, n2ASN, asn, "198.18.0.1", false)
 
 	f.n1.waitEstablished()
 	f.n2.waitEstablished()
@@ -210,6 +213,51 @@ func TestBackboneExperimentAnnouncementAtRemotePoP(t *testing.T) {
 	}
 }
 
+// TestLargeCommunityControlsCrossBackbone: on a platform whose ASN needs
+// four bytes, where only the large-community form of the controls can
+// name it, an experiment's blacklist holds at the remote PoP, and
+// neither PoP's experiment-LAN prefix reaches the other PoP's neighbors.
+func TestLargeCommunityControlsCrossBackbone(t *testing.T) {
+	const asn = 4200000001
+	f := newFig5With(t, asn)
+	cr, ce := pipe.New()
+	if _, err := f.e1.ConnectExperiment("X1", expASN, cr); err != nil {
+		t.Fatal(err)
+	}
+	x1 := newTestPeer(t, ce, expASN, asn, "100.65.0.1", true)
+	x1.waitEstablished()
+	u := &bgp.Update{
+		Attrs: &bgp.PathAttrs{
+			Origin: bgp.OriginIGP, HasOrigin: true,
+			ASPath:           []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{expASN}}},
+			NextHop:          ip("100.65.0.1"),
+			LargeCommunities: []bgp.LargeCommunity{LargeNoExportTo(asn, 2)},
+		},
+		NLRI: []bgp.NLRI{{Prefix: pfx("10.1.0.0/24")}},
+	}
+	if err := x1.sess.Send(u); err != nil {
+		t.Fatal(err)
+	}
+
+	waitFor(t, "announcement at N1", func() bool {
+		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
+		return ok
+	})
+	relayed := func(r *Router, prefix string) func() bool {
+		return func() bool { return len(r.ExperimentRoutes().Paths(pfx(prefix))) > 0 }
+	}
+	waitFor(t, "the announcement relayed to E2", relayed(f.e2, "10.1.0.0/24"))
+	waitFor(t, "E1's experiment LAN relayed to E2", relayed(f.e2, "100.65.0.0/24"))
+	waitFor(t, "E2's experiment LAN relayed to E1", relayed(f.e1, "100.66.0.0/24"))
+	time.Sleep(50 * time.Millisecond)
+	for nlri := range f.n2.routes() {
+		t.Errorf("N2 at E2 holds %s", nlri.Prefix)
+	}
+	if _, leaked := f.n1.routes()[bgp.NLRI{Prefix: pfx("100.66.0.0/24")}]; leaked {
+		t.Error("E2's experiment LAN leaked to N1 at E1")
+	}
+}
+
 func TestBackboneInboundTrafficReachesExperiment(t *testing.T) {
 	f := newFig5(t)
 	cr, ce := pipe.New()
@@ -324,7 +372,7 @@ func TestMeshPeerDownWithdrawsRemoteRoutes(t *testing.T) {
 
 	// The backbone session dies: remote-neighbor routes must be
 	// withdrawn from experiments.
-	f.e1.meshPeers["e2"].session.Close()
+	f.e1.topo.Load().meshPeers["e2"].session.Close()
 	waitFor(t, "remote route withdrawn", func() bool { return len(x1.routes()) == 0 })
 }
 

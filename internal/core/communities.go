@@ -10,9 +10,13 @@ import "repro/internal/bgp"
 // Control communities are consumed by vBGP and stripped before export to
 // the Internet.
 //
-// The scheme requires the platform ASN to fit in 16 bits (true of
-// Peering's primary ASN, 47065); platforms with 4-byte ASNs would use
-// large communities instead.
+// The standard form requires the platform ASN to fit in 16 bits (true of
+// Peering's primary ASN, 47065). The large-community form (RFC 8092,
+// below) is the 4-byte one and works for any platform ASN. An
+// announcement's control communities, of both forms, are stored with
+// the route as the experiment sent them and relayed across the backbone
+// as sent: they are the record of its export policy, read where a
+// neighbor's export is decided and stripped where it is made.
 const (
 	// NoExportBase offsets blacklist community values.
 	NoExportBase = 10000
@@ -60,82 +64,99 @@ func LargeNoExportTo(platformASN, neighborID uint32) bgp.LargeCommunity {
 	return bgp.LargeCommunity{Global: platformASN, Local1: largeFnNoExportTo, Local2: neighborID}
 }
 
-// targetSet is the parsed export policy of one announcement.
-type targetSet struct {
-	// allow, when non-empty, whitelists neighbor IDs.
-	allow map[uint32]bool
-	// deny blacklists neighbor IDs.
-	deny map[uint32]bool
+// control classifies a standard community: ok reports whether it is a
+// control community addressed to platformASN, id the neighbor it names
+// and deny whether it blacklists that neighbor rather than whitelisting
+// it. Value 0 controls nothing.
+func control(platformASN uint32, c bgp.Community) (id uint32, deny, ok bool) {
+	if uint32(c.ASN()) != platformASN {
+		return 0, false, false
+	}
+	switch v := uint32(c.Value()); {
+	case v >= NoExportBase && v <= NoExportBase+maxNeighborID:
+		return v - NoExportBase, true, true
+	case v > 0:
+		return v, false, true
+	}
+	return 0, false, false
 }
 
-// parseTargets extracts the control communities addressed to platformASN
-// from comms and returns the export policy along with the remaining
-// (non-control) communities.
-func parseTargets(platformASN uint32, comms []bgp.Community) (targetSet, []bgp.Community) {
-	ts := targetSet{allow: map[uint32]bool{}, deny: map[uint32]bool{}}
-	var rest []bgp.Community
-	for _, c := range comms {
-		if uint32(c.ASN()) != platformASN {
-			rest = append(rest, c)
-			continue
-		}
-		v := uint32(c.Value())
+// largeControl is control for large communities.
+func largeControl(platformASN uint32, c bgp.LargeCommunity) (id uint32, deny, ok bool) {
+	if c.Global != platformASN {
+		return 0, false, false
+	}
+	switch c.Local1 {
+	case largeFnAnnounceTo:
+		return c.Local2, false, true
+	case largeFnNoExportTo:
+		return c.Local2, true, true
+	}
+	return 0, false, false
+}
+
+// exportsTo reports whether an announcement carrying attrs goes to the
+// neighbor with platform ID id: not when a control community blacklists
+// it, and — when any whitelists a neighbor — only when one whitelists it.
+func exportsTo(platformASN uint32, attrs *bgp.PathAttrs, id uint32) bool {
+	var denied, whitelist, listed bool
+	note := func(cid uint32, deny, ok bool) {
 		switch {
-		case v >= NoExportBase && v <= NoExportBase+maxNeighborID:
-			ts.deny[v-NoExportBase] = true
-		case v > 0:
-			ts.allow[v] = true
+		case !ok:
+		case deny:
+			denied = denied || cid == id
 		default:
-			rest = append(rest, c)
+			whitelist, listed = true, listed || cid == id
 		}
 	}
-	return ts, rest
+	for _, c := range attrs.Communities {
+		note(control(platformASN, c))
+	}
+	for _, c := range attrs.LargeCommunities {
+		note(largeControl(platformASN, c))
+	}
+	return !denied && (!whitelist || listed)
 }
 
-// parseLargeTargets folds large-community controls (RFC 8092) into an
-// existing target set, returning the remaining non-control large
-// communities.
-func parseLargeTargets(platformASN uint32, ts targetSet, large []bgp.LargeCommunity) (targetSet, []bgp.LargeCommunity) {
-	var rest []bgp.LargeCommunity
-	for _, c := range large {
-		if c.Global != platformASN {
-			rest = append(rest, c)
-			continue
+// splitControls returns a shallow copy of attrs without the control
+// communities addressed to platformASN, and those control communities;
+// any of the slices may be attrs' own (partition).
+func splitControls(platformASN uint32, attrs *bgp.PathAttrs) (rest bgp.PathAttrs, ctl []bgp.Community, ctlLarge []bgp.LargeCommunity) {
+	rest = *attrs
+	rest.Communities, ctl = partition(attrs.Communities, func(c bgp.Community) bool {
+		_, _, ok := control(platformASN, c)
+		return ok
+	})
+	rest.LargeCommunities, ctlLarge = partition(attrs.LargeCommunities, func(c bgp.LargeCommunity) bool {
+		_, _, ok := largeControl(platformASN, c)
+		return ok
+	})
+	return rest, ctl, ctlLarge
+}
+
+// partition splits s, in order, into the elements in does not hold for
+// and those it holds for. A side that gets every element is s itself, a
+// side that gets none is nil.
+func partition[E any](s []E, in func(E) bool) (out, matched []E) {
+	n := 0
+	for _, e := range s {
+		if in(e) {
+			n++
 		}
-		switch c.Local1 {
-		case largeFnAnnounceTo:
-			ts.allow[c.Local2] = true
-		case largeFnNoExportTo:
-			ts.deny[c.Local2] = true
-		default:
-			rest = append(rest, c)
+	}
+	switch n {
+	case 0:
+		return s, nil
+	case len(s):
+		return nil, s
+	}
+	out, matched = make([]E, 0, len(s)-n), make([]E, 0, n)
+	for _, e := range s {
+		if in(e) {
+			matched = append(matched, e)
+		} else {
+			out = append(out, e)
 		}
 	}
-	return ts, rest
-}
-
-// controlCommunities re-encodes the target set as communities, used when
-// relaying an experiment announcement across the backbone so the remote
-// PoP can apply the same export policy.
-func (ts targetSet) controlCommunities(platformASN uint32) []bgp.Community {
-	var out []bgp.Community
-	for id := range ts.allow {
-		out = append(out, AnnounceTo(platformASN, id))
-	}
-	for id := range ts.deny {
-		out = append(out, NoExportTo(platformASN, id))
-	}
-	return out
-}
-
-// includes reports whether the neighbor with the given ID is an export
-// target.
-func (ts targetSet) includes(id uint32) bool {
-	if ts.deny[id] {
-		return false
-	}
-	if len(ts.allow) > 0 {
-		return ts.allow[id]
-	}
-	return true
+	return out, matched
 }

@@ -1,11 +1,81 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 )
+
+// targetSet is the export policy of one announcement, parsed into sets:
+// the reference the control-community scan (exportsTo) and strip
+// (splitControls) are held to.
+type targetSet struct {
+	// allow, when non-empty, whitelists neighbor IDs.
+	allow map[uint32]bool
+	// deny blacklists neighbor IDs.
+	deny map[uint32]bool
+}
+
+// parseTargets extracts the control communities addressed to platformASN
+// from comms and returns the export policy along with the remaining
+// (non-control) communities.
+func parseTargets(platformASN uint32, comms []bgp.Community) (targetSet, []bgp.Community) {
+	ts := targetSet{allow: map[uint32]bool{}, deny: map[uint32]bool{}}
+	var rest []bgp.Community
+	for _, c := range comms {
+		if uint32(c.ASN()) != platformASN {
+			rest = append(rest, c)
+			continue
+		}
+		v := uint32(c.Value())
+		switch {
+		case v >= NoExportBase && v <= NoExportBase+maxNeighborID:
+			ts.deny[v-NoExportBase] = true
+		case v > 0:
+			ts.allow[v] = true
+		default:
+			rest = append(rest, c)
+		}
+	}
+	return ts, rest
+}
+
+// parseLargeTargets folds large-community controls (RFC 8092) into an
+// existing target set, returning the remaining non-control large
+// communities.
+func parseLargeTargets(platformASN uint32, ts targetSet, large []bgp.LargeCommunity) (targetSet, []bgp.LargeCommunity) {
+	var rest []bgp.LargeCommunity
+	for _, c := range large {
+		if c.Global != platformASN {
+			rest = append(rest, c)
+			continue
+		}
+		switch c.Local1 {
+		case largeFnAnnounceTo:
+			ts.allow[c.Local2] = true
+		case largeFnNoExportTo:
+			ts.deny[c.Local2] = true
+		default:
+			rest = append(rest, c)
+		}
+	}
+	return ts, rest
+}
+
+// includes reports whether the neighbor with the given ID is an export
+// target.
+func (ts targetSet) includes(id uint32) bool {
+	if ts.deny[id] {
+		return false
+	}
+	if len(ts.allow) > 0 {
+		return ts.allow[id]
+	}
+	return true
+}
 
 func TestParseTargetsWhitelistBlacklist(t *testing.T) {
 	comms := []bgp.Community{
@@ -43,18 +113,81 @@ func TestParseTargetsEmptyMeansAll(t *testing.T) {
 	}
 }
 
+// TestParseTargetsRoundTrip: the control communities an announcement is
+// stored and relayed with decide every neighbor as the parsed set does,
+// and the strip at neighbor export leaves none of them.
 func TestParseTargetsRoundTrip(t *testing.T) {
-	ts, _ := parseTargets(platformASN, []bgp.Community{
+	comms := []bgp.Community{
 		AnnounceTo(platformASN, 1), AnnounceTo(platformASN, 2), NoExportTo(platformASN, 3),
-	})
-	re := ts.controlCommunities(platformASN)
-	ts2, rest := parseTargets(platformASN, re)
-	if len(rest) != 0 {
-		t.Errorf("re-encoded controls left a remainder: %v", rest)
+	}
+	ts, _ := parseTargets(platformASN, comms)
+	relayed := &bgp.PathAttrs{Communities: comms}
+	if rest, _, _ := splitControls(platformASN, relayed); len(rest.Communities) != 0 {
+		t.Errorf("stripped controls left a remainder: %v", rest.Communities)
 	}
 	for id := uint32(1); id <= 4; id++ {
-		if ts.includes(id) != ts2.includes(id) {
-			t.Errorf("neighbor %d differs after round trip", id)
+		if ts.includes(id) != exportsTo(platformASN, relayed, id) {
+			t.Errorf("neighbor %d differs between the parsed set and the relayed communities", id)
+		}
+	}
+}
+
+// TestControlScanMatchesOracle holds the scan and the strip to the
+// parsed target set on random mixes of whitelist and blacklist
+// communities in both forms, with foreign ASNs (including a standard
+// community whose ASN is a 4-byte platform ASN cut to 16 bits), unknown
+// large-community functions and zero values, for a 2-byte and a 4-byte
+// platform ASN.
+func TestControlScanMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20191209))
+	ids := []uint32{0, 1, 2, 3, 7, 9998, internalOnlyID, NoExportBase, 20000, 65535}
+	pick := func() uint32 { return ids[rng.Intn(len(ids))] }
+	for _, asn := range []uint32{platformASN, 4200000001} {
+		for trial := 0; trial < 2000; trial++ {
+			attrs := &bgp.PathAttrs{}
+			for i := rng.Intn(6); i > 0; i-- {
+				hi := uint16(asn)
+				if rng.Intn(4) == 0 {
+					hi = uint16(rng.Intn(1 << 16))
+				}
+				var v uint16
+				switch rng.Intn(4) {
+				case 0:
+					v = uint16(pick())
+				case 1:
+					v = uint16(NoExportBase + pick()%(maxNeighborID+1))
+				case 2:
+					v = 0
+				default:
+					v = uint16(rng.Intn(1 << 16))
+				}
+				attrs.Communities = append(attrs.Communities, bgp.NewCommunity(hi, v))
+			}
+			for i := rng.Intn(4); i > 0; i-- {
+				global := asn
+				if rng.Intn(4) == 0 {
+					global = rng.Uint32()
+				}
+				attrs.LargeCommunities = append(attrs.LargeCommunities,
+					bgp.LargeCommunity{Global: global, Local1: uint32(rng.Intn(5)), Local2: pick()})
+			}
+
+			ts, rest := parseTargets(asn, attrs.Communities)
+			ts, restLarge := parseLargeTargets(asn, ts, attrs.LargeCommunities)
+			got, ctl, ctlLarge := splitControls(asn, attrs)
+			if !slices.Equal(got.Communities, rest) || !slices.Equal(got.LargeCommunities, restLarge) {
+				t.Fatalf("AS%d %v %v: strip kept %v %v, oracle %v %v", asn, attrs.Communities, attrs.LargeCommunities,
+					got.Communities, got.LargeCommunities, rest, restLarge)
+			}
+			if len(ctl)+len(rest) != len(attrs.Communities) || len(ctlLarge)+len(restLarge) != len(attrs.LargeCommunities) {
+				t.Fatalf("AS%d %v %v: strip split off %v %v", asn, attrs.Communities, attrs.LargeCommunities, ctl, ctlLarge)
+			}
+			for _, id := range ids {
+				if want := ts.includes(id); exportsTo(asn, attrs, id) != want {
+					t.Fatalf("AS%d %v %v: neighbor %d exported %v, oracle %v", asn, attrs.Communities, attrs.LargeCommunities,
+						id, !want, want)
+				}
+			}
 		}
 	}
 }

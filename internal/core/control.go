@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/guard"
+	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/rib"
 	"repro/internal/rpki"
@@ -20,16 +21,6 @@ const arpTimeout = 2 * time.Second
 // meshExpFlag marks experiment-route NLRIs on backbone sessions,
 // separating their version IDs from neighbor platform IDs.
 const meshExpFlag bgp.PathID = 1 << 31
-
-// expRouteKey identifies one version of one experiment announcement. An
-// experiment may announce the same prefix several times with different
-// ADD-PATH IDs, each version carrying different attributes and targeting
-// different neighbors (§2.2.2's prepend-to-N1, plain-to-N2 example).
-type expRouteKey struct {
-	prefix netip.Prefix
-	owner  string
-	id     bgp.PathID
-}
 
 // handleNeighborUpdate processes an UPDATE from a local external
 // neighbor: it stores routes in the neighbor's own table with forwarding
@@ -328,11 +319,12 @@ func (c *exportCollector) release() {
 // exportToExperiments queues one route (or withdrawal) from neighbor n
 // for every connected experiment.
 func (c *exportCollector) exportToExperiments(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) {
+	if withdraw {
+		c.r.forgetValidation(n, prefix)
+	}
 	if !c.expChecked {
 		c.expChecked = true
-		c.r.mu.Lock()
-		c.haveExp = len(c.r.experiments) > 0
-		c.r.mu.Unlock()
+		c.haveExp = len(c.r.topo.Load().experiments) > 0
 	}
 	if !c.haveExp {
 		return
@@ -348,9 +340,7 @@ func (c *exportCollector) exportToExperiments(n *Neighbor, prefix netip.Prefix, 
 func (c *exportCollector) exportToMesh(n *Neighbor, prefix netip.Prefix, attrs *bgp.PathAttrs, withdraw bool) {
 	if !c.meshChecked {
 		c.meshChecked = true
-		c.r.mu.Lock()
-		c.haveMesh = len(c.r.meshPeers) > 0
-		c.r.mu.Unlock()
+		c.haveMesh = len(c.r.topo.Load().meshPeers) > 0
 	}
 	if !c.haveMesh {
 		return
@@ -367,21 +357,17 @@ func (c *exportCollector) exportToMesh(n *Neighbor, prefix netip.Prefix, attrs *
 func (c *exportCollector) flush() {
 	r := c.r
 	if len(c.exp.routes) > 0 {
-		r.mu.Lock()
-		for _, e := range r.experiments {
+		for _, e := range r.topo.Load().experiments {
 			c.sessions = append(c.sessions, e.session)
 		}
-		r.mu.Unlock()
 		r.metrics.addPathExports.Add(uint64(c.fanOut(&c.exp, "experiments")))
 	}
 	if len(c.mesh.routes) > 0 {
-		r.mu.Lock()
-		for _, p := range r.meshPeers {
+		for _, p := range r.topo.Load().meshPeers {
 			if s := p.sess(); s != nil {
 				c.sessions = append(c.sessions, s)
 			}
 		}
-		r.mu.Unlock()
 		c.fanOut(&c.mesh, "backbone peers")
 	}
 }
@@ -465,7 +451,7 @@ func (r *Router) ConnectExperiment(name string, expASN uint32, conn net.Conn) (*
 	e.session = sess
 
 	r.mu.Lock()
-	if old, dup := r.experiments[name]; dup {
+	if old, dup := r.topo.Load().experiments[name]; dup {
 		// Allow replacement only when the previous session is dead; a
 		// live session under the same name is a configuration error.
 		select {
@@ -475,7 +461,7 @@ func (r *Router) ConnectExperiment(name string, expASN uint32, conn net.Conn) (*
 			return nil, fmt.Errorf("core: experiment %s already connected", name)
 		}
 	}
-	r.experiments[name] = e
+	r.publish(func(t *topology) { t.experiments = withEntry(t.experiments, name, e) })
 	r.mu.Unlock()
 
 	go sess.Run()
@@ -501,9 +487,7 @@ const dumpBlockSize = 128
 // read, and it reflects every change made before. With incremental
 // exports of one prefix queued in the order its changes were made, the
 // last message a session gets for a (prefix, path ID) is the newest
-// state, dump or no dump. Lock order: table read locks, then the router
-// mutex (validation bookkeeping) or a session's queue mutex, both
-// leaves.
+// state, dump or no dump.
 func (r *Router) streamTable(sess *bgp.Session, n *Neighbor, add func(*exportList, *Neighbor, netip.Prefix, *bgp.PathAttrs, bool)) (sent int, err error) {
 	var (
 		list   exportList
@@ -545,13 +529,7 @@ func (r *Router) streamTable(sess *bgp.Session, n *Neighbor, add func(*exportLis
 // (route servers hold several member paths per prefix).
 func (r *Router) dumpTablesToExperiment(e *expConn) {
 	r.logf("experiment %s established, dumping tables", e.name)
-	r.mu.Lock()
-	neighbors := make([]*Neighbor, 0, len(r.neighbors))
-	for _, n := range r.neighbors {
-		neighbors = append(neighbors, n)
-	}
-	r.mu.Unlock()
-	for _, n := range neighbors {
+	for _, n := range r.topo.Load().neighbors {
 		sent, err := r.streamTable(e.session, n, r.toExperiments)
 		r.metrics.addPathExports.Add(uint64(sent))
 		if err != nil {
@@ -585,22 +563,23 @@ func (r *Router) handleExperimentUpdate(e *expConn, u *bgp.Update) {
 		if attrs == nil {
 			return
 		}
-		// Control communities are platform-directed: extract them before
-		// policy evaluation so they do not count against (or get caught
-		// by) the experiment's community capability.
-		targets, rest := parseTargets(r.cfg.ASN, attrs.Communities)
-		targets, restLarge := parseLargeTargets(r.cfg.ASN, targets, attrs.LargeCommunities)
-		cleaned := attrs.Clone()
-		cleaned.Communities = rest
-		cleaned.LargeCommunities = restLarge
-
+		// Control communities are platform-directed: policy evaluates the
+		// announcement without them, so they do not count against (or get
+		// caught by) the experiment's community capability, and the route
+		// is stored with them — they are its export policy.
+		var stored *bgp.PathAttrs
 		if r.cfg.Enforcer != nil {
-			res := r.cfg.Enforcer.EvaluateAnnouncement(e.name, r.cfg.Name, nlri.Prefix, cleaned)
+			view, ctl, ctlLarge := splitControls(r.cfg.ASN, attrs)
+			res := r.cfg.Enforcer.EvaluateAnnouncement(e.name, r.cfg.Name, nlri.Prefix, &view)
 			if res.Action == policy.ActionReject {
 				r.logf("rejected announcement %s from %s: %v", nlri.Prefix, e.name, res.Reasons)
 				return
 			}
-			cleaned = res.Attrs
+			stored = res.Attrs
+			stored.Communities = append(stored.Communities, ctl...)
+			stored.LargeCommunities = append(stored.LargeCommunities, ctlLarge...)
+		} else {
+			stored = attrs.Clone()
 		}
 
 		// Overload shedding, last stage: under shedding pressure a new
@@ -616,28 +595,21 @@ func (r *Router) handleExperimentUpdate(e *expConn, u *bgp.Update) {
 
 		// The next hop is where the experiment wants its traffic: checked
 		// per route, published only when it moves.
-		if v4 := cleaned.NextHop; v4.IsValid() && v4.Is4() && r.fwd.Load().tunnelIP[e.name] != v4 {
+		if v4 := stored.NextHop; v4.IsValid() && v4.Is4() && r.topo.Load().tunnelIP[e.name] != v4 {
 			r.SetExperimentTunnelIP(e.name, v4)
 		}
 
 		r.emit(telemetry.Event{
 			Kind: telemetry.EventRouteMonitoring, Peer: "exp:" + e.name,
 			Prefix: nlri.Prefix, PathID: uint32(nlri.ID),
-			NextHop: cleaned.NextHop, ASPath: cleaned.ASPathFlat(),
+			NextHop: stored.NextHop, ASPath: stored.ASPathFlat(),
 		})
 		r.expRoutes.Add(&rib.Path{
-			Prefix: nlri.Prefix, ID: nlri.ID, Peer: e.name, Attrs: cleaned.Clone(),
+			Prefix: nlri.Prefix, ID: nlri.ID, Peer: e.name, Attrs: stored,
 			EBGP: true, Seq: rib.NextSeq(),
 		})
-		r.mu.Lock()
-		if r.expTargets == nil {
-			r.expTargets = make(map[expRouteKey]targetSet)
-		}
-		r.expTargets[expRouteKey{nlri.Prefix, e.name, nlri.ID}] = targets
-		r.mu.Unlock()
-
 		r.syncPrefix(nlri.Prefix)
-		r.relayExperimentRouteToMesh(nlri.Prefix, nlri.ID, cleaned, targets, false)
+		r.relayExperimentRouteToMesh(nlri.Prefix, nlri.ID, stored, false)
 	}
 	for _, nlri := range u.NLRI {
 		process(nlri, u.Attrs)
@@ -662,12 +634,9 @@ func (r *Router) withdrawExperimentRoute(owner string, prefix netip.Prefix, id b
 	if r.expRoutes.Withdraw(prefix, owner, id) == nil {
 		return
 	}
-	r.mu.Lock()
-	delete(r.expTargets, expRouteKey{prefix, owner, id})
-	r.mu.Unlock()
 	r.syncPrefix(prefix)
 	if !isMeshOwner(owner) {
-		r.relayExperimentRouteToMesh(prefix, id, nil, targetSet{}, true)
+		r.relayExperimentRouteToMesh(prefix, id, nil, true)
 	}
 }
 
@@ -675,36 +644,18 @@ func isMeshOwner(owner string) bool {
 	return len(owner) > 5 && owner[:5] == "mesh:"
 }
 
-// localNeighborsLocked returns local (directly connected) neighbors;
-// r.mu must be held.
-func (r *Router) localNeighborsLocked() []*Neighbor {
-	out := make([]*Neighbor, 0, len(r.neighbors))
-	for _, n := range r.neighbors {
-		if !n.Remote {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // syncPrefix reconciles every local neighbor's export state for one
 // experiment prefix: each neighbor receives the newest announcement
 // version that targets it, or a withdrawal if none does.
 func (r *Router) syncPrefix(prefix netip.Prefix) {
 	paths := r.expRoutes.Paths(prefix)
-	r.mu.Lock()
-	neighbors := r.localNeighborsLocked()
-	targets := make(map[expRouteKey]targetSet, len(r.expTargets))
-	for k, v := range r.expTargets {
-		targets[k] = v
-	}
-	r.mu.Unlock()
-
-	for _, n := range neighbors {
+	for _, n := range r.topo.Load().neighbors {
+		if n.Remote {
+			continue
+		}
 		var chosen *rib.Path
 		for _, p := range paths {
-			ts, ok := targets[expRouteKey{prefix, p.Peer, p.ID}]
-			if ok && !ts.includes(n.ID) {
+			if !exportsTo(r.cfg.ASN, p.Attrs, n.ID) {
 				continue
 			}
 			if chosen == nil || p.Seq > chosen.Seq {
@@ -731,11 +682,8 @@ func (r *Router) syncPrefix(prefix netip.Prefix) {
 // neighbor's segment.
 func (r *Router) sendExperimentRouteToNeighbor(n *Neighbor, chosen *rib.Path) {
 	prefix := chosen.Prefix
-	out := chosen.Attrs.Clone()
-	ts, rest := parseTargets(r.cfg.ASN, out.Communities)
-	_, restLarge := parseLargeTargets(r.cfg.ASN, ts, out.LargeCommunities)
-	out.Communities = rest
-	out.LargeCommunities = restLarge
+	rest, _, _ := splitControls(r.cfg.ASN, chosen.Attrs)
+	out := rest.Clone()
 	out.PrependAS(r.cfg.ASN, 1)
 	v6 := prefix.Addr().Is6()
 	var u *bgp.Update
@@ -805,47 +753,46 @@ func (r *Router) replayExperimentRoutes(n *Neighbor) {
 
 // relayExperimentRouteToMesh forwards an experiment announcement to
 // every backbone peer so remote PoPs can export it to their neighbors
-// (§4.4) and route inbound traffic back here. The target set is
-// re-encoded as control communities; the next hop is this router's
-// backbone address; the version ID is carried with the meshExpFlag bit.
-func (r *Router) relayExperimentRouteToMesh(prefix netip.Prefix, id bgp.PathID, attrs *bgp.PathAttrs, targets targetSet, withdraw bool) {
-	r.mu.Lock()
-	peers := make([]*meshPeer, 0, len(r.meshPeers))
-	for _, p := range r.meshPeers {
-		peers = append(peers, p)
-	}
-	r.mu.Unlock()
-	bb := r.fwd.Load().bbIfc
-	if len(peers) == 0 || bb == nil {
+// (§4.4) and route inbound traffic back here. The stored attributes go
+// as they are, control communities included; the next hop is this
+// router's backbone address; the version ID is carried with the
+// meshExpFlag bit.
+func (r *Router) relayExperimentRouteToMesh(prefix netip.Prefix, id bgp.PathID, attrs *bgp.PathAttrs, withdraw bool) {
+	t := r.topo.Load()
+	bb := t.bbIfc
+	if len(t.meshPeers) == 0 || bb == nil {
 		return
 	}
-	nlri := bgp.NLRI{Prefix: prefix, ID: id | meshExpFlag}
 	var u *bgp.Update
-	if withdraw {
-		if prefix.Addr().Is6() {
-			u = &bgp.Update{Attrs: &bgp.PathAttrs{}, MPUnreach: []bgp.NLRI{nlri}}
-		} else {
-			u = &bgp.Update{Withdrawn: []bgp.NLRI{nlri}}
-		}
+	if !withdraw {
+		u = meshAnnouncement(bb, prefix, id, attrs)
+	} else if nlri := []bgp.NLRI{{Prefix: prefix, ID: id | meshExpFlag}}; prefix.Addr().Is6() {
+		u = &bgp.Update{Attrs: &bgp.PathAttrs{}, MPUnreach: nlri}
 	} else {
-		out := attrs.Clone()
-		out.Communities = append(out.Communities, targets.controlCommunities(r.cfg.ASN)...)
-		if prefix.Addr().Is6() {
-			out.MPNextHop = bbAddr6(bb.PrimaryAddr())
-			out.NextHop = netip.Addr{}
-			u = &bgp.Update{Attrs: out, MPReach: []bgp.NLRI{nlri}}
-		} else {
-			out.NextHop = bb.PrimaryAddr()
-			u = &bgp.Update{Attrs: out, NLRI: []bgp.NLRI{nlri}}
-		}
+		u = &bgp.Update{Withdrawn: nlri}
 	}
-	for _, p := range peers {
+	for _, p := range t.meshPeers {
 		if s := p.sess(); s != nil && s.State() == bgp.StateEstablished {
 			if err := s.Send(u); err != nil {
 				r.logf("mesh relay to %s: %v", p.name, err)
 			}
 		}
 	}
+}
+
+// meshAnnouncement is the backbone UPDATE relaying version id of an
+// experiment announcement: its stored attributes as they are, control
+// communities included, but for the next hop, which becomes this
+// router's backbone address.
+func meshAnnouncement(bb *netsim.Interface, prefix netip.Prefix, id bgp.PathID, attrs *bgp.PathAttrs) *bgp.Update {
+	out := *attrs
+	nlri := bgp.NLRI{Prefix: prefix, ID: id | meshExpFlag}
+	if prefix.Addr().Is6() {
+		out.MPNextHop, out.NextHop = bbAddr6(bb.PrimaryAddr()), netip.Addr{}
+		return &bgp.Update{Attrs: &out, MPReach: []bgp.NLRI{nlri}}
+	}
+	out.NextHop = bb.PrimaryAddr()
+	return &bgp.Update{Attrs: &out, NLRI: []bgp.NLRI{nlri}}
 }
 
 // bbAddr6 maps a backbone IPv4 address into the v6 relay space.
@@ -867,8 +814,8 @@ func (r *Router) experimentDown(e *expConn, err error) {
 	r.mu.Lock()
 	// A replacement session may already be registered under the name
 	// (redial racing ahead of this callback); only unregister ourselves.
-	if cur := r.experiments[e.name]; cur == e {
-		delete(r.experiments, e.name)
+	if r.topo.Load().experiments[e.name] == e {
+		r.publish(func(t *topology) { t.experiments = withoutEntry(t.experiments, e.name) })
 	}
 	r.mu.Unlock()
 	if err != nil && e.gr > 0 && e.session.GracefulRestartNegotiated() {
@@ -941,9 +888,9 @@ func (r *Router) neighborDown(n *Neighbor, err error) {
 	// Stop attributing inbound frames to the neighbor; its resolved MAC
 	// stays known for forwarding toward it.
 	r.mu.Lock()
-	cur := r.fwd.Load()
+	cur := r.topo.Load()
 	if mac := cur.byLocalMAC[n.LocalMAC].realMAC; cur.byRealMAC[mac] == n {
-		r.publishFwd(func(st *fwdState) { st.byRealMAC = withoutEntry(st.byRealMAC, mac) })
+		r.publish(func(t *topology) { t.byRealMAC = withoutEntry(t.byRealMAC, mac) })
 	}
 	r.mu.Unlock()
 }

@@ -8,32 +8,6 @@ import (
 	"repro/internal/rib"
 )
 
-// fwdState is everything about the router's topology that the data plane
-// reads: immutable once published behind Router.fwd, and replaced
-// copy-on-write — only the map that changes is copied — by publishFwd's
-// handful of control-plane callers, under Router.mu and only when a value
-// actually changes. Forwarding a packet loads it once and takes no lock.
-type fwdState struct {
-	// expIfc and bbIfc are the router's experiment-LAN and backbone
-	// interfaces (nil until added).
-	expIfc, bbIfc *netsim.Interface
-	// byLocalMAC maps a per-neighbor MAC — the destination MAC an
-	// experiment picks a route with — to the neighbor.
-	byLocalMAC map[ethernet.MAC]fwdNeighbor
-	// byRealMAC maps a local neighbor's own MAC to it, attributing inbound
-	// frames to the neighbor that delivered them.
-	byRealMAC map[ethernet.MAC]*Neighbor
-	// byLocalIP maps a local-pool next hop to its neighbor: the proxy ARP
-	// of Fig. 2b.
-	byLocalIP map[netip.Addr]*Neighbor
-	// tunnelIP maps an experiment to the address it is reached at on the
-	// experiment LAN — registered with SetExperimentTunnelIP or learned
-	// from the next hop of its announcements, whichever came last — and
-	// byTunnelIP is its inverse.
-	tunnelIP   map[string]netip.Addr
-	byTunnelIP map[netip.Addr]string
-}
-
 // fwdNeighbor is what the data plane knows of one neighbor.
 type fwdNeighbor struct {
 	n *Neighbor
@@ -93,7 +67,7 @@ func (r *Router) drop(why dropReason) {
 // forwarded; a frame of another type addressed to the router is counted
 // as dropped (ARP, which the interface answers itself, is not a drop).
 func (r *Router) handleFrame(ifc *netsim.Interface, frame *ethernet.Frame) {
-	st := r.fwd.Load()
+	st := r.topo.Load()
 	via, selected := st.byLocalMAC[frame.Dst]
 	if !selected && frame.Dst != ifc.MAC() {
 		return // flooded past the router, not sent to it
@@ -133,7 +107,7 @@ func ipAddrAt(pkt []byte, off int) netip.Addr {
 // look up the destination in the chosen neighbor's table and forward via
 // that neighbor (locally, or across the backbone for a remote neighbor).
 // src is the received frame's source MAC, pkt the validated packet.
-func (r *Router) forwardViaNeighbor(st *fwdState, in *netsim.Interface, src ethernet.MAC, pkt []byte, via fwdNeighbor) {
+func (r *Router) forwardViaNeighbor(st *topology, in *netsim.Interface, src ethernet.MAC, pkt []byte, via fwdNeighbor) {
 	n := via.n
 	path := n.Table.Lookup(ipAddrAt(pkt, ipDst))
 	if path == nil {
@@ -178,7 +152,7 @@ func (r *Router) forwardViaNeighbor(st *fwdState, in *netsim.Interface, src ethe
 // locally connected experiments get the frame on the experiment LAN with
 // the source MAC rewritten to the delivering neighbor's assigned MAC;
 // prefixes announced at other PoPs are forwarded across the backbone.
-func (r *Router) forwardInbound(st *fwdState, in *netsim.Interface, src ethernet.MAC, pkt []byte) {
+func (r *Router) forwardInbound(st *topology, in *netsim.Interface, src ethernet.MAC, pkt []byte) {
 	dst := ipAddrAt(pkt, ipDst)
 	var owner string
 	var nh netip.Addr
@@ -227,7 +201,7 @@ func (r *Router) forwardInbound(st *fwdState, in *netsim.Interface, src ethernet
 
 // sendOverBackbone forwards pkt to the router that answers for nh on the
 // backbone, keeping src so attribution survives the extra hop.
-func (r *Router) sendOverBackbone(st *fwdState, nh netip.Addr, src ethernet.MAC, pkt []byte) {
+func (r *Router) sendOverBackbone(st *topology, nh netip.Addr, src ethernet.MAC, pkt []byte) {
 	bb := st.bbIfc
 	if bb == nil {
 		r.drop(dropNoRoute)
@@ -265,7 +239,7 @@ func (r *Router) send(out *netsim.Interface, dst, src ethernet.MAC, pkt []byte) 
 // behavior Peering's network controller preserves so traceroutes show
 // the intended hop identity (§5). This is the slow path and uses the
 // struct codec.
-func (r *Router) sendTimeExceeded(st *fwdState, in *netsim.Interface, pkt []byte) {
+func (r *Router) sendTimeExceeded(st *topology, in *netsim.Interface, pkt []byte) {
 	src := in.PrimaryAddr()
 	if !src.IsValid() {
 		return
@@ -283,7 +257,7 @@ func (r *Router) sendTimeExceeded(st *fwdState, in *netsim.Interface, pkt []byte
 // experiments use to identify the delivering neighbor. A frame from a
 // local neighbor matches its real MAC; a frame relayed over the backbone
 // already carries a derived per-neighbor MAC, which is preserved.
-func (r *Router) attributionMAC(st *fwdState, src ethernet.MAC) ethernet.MAC {
+func (r *Router) attributionMAC(st *topology, src ethernet.MAC) ethernet.MAC {
 	if n, ok := st.byRealMAC[src]; ok {
 		r.metrics.macRewrites.Inc()
 		return n.LocalMAC

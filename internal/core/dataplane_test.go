@@ -289,7 +289,7 @@ func TestForwardDuringNeighborEstablishment(t *testing.T) {
 		t.Errorf("%d frames reached the neighbor, %d were counted forwarded", delivered.Load(), fwd)
 	}
 	waitFor(t, "the neighbor's MAC in the forwarding snapshot", func() bool {
-		st := r.fwd.Load()
+		st := r.topo.Load()
 		return st.byLocalMAC[n.LocalMAC].realMAC == hifc.MAC() && st.byRealMAC[hifc.MAC()] == n
 	})
 }
@@ -360,7 +360,7 @@ func TestTunnelAddressesPlateau(t *testing.T) {
 			r.ClearExperimentTunnelIP(name, addr)
 			addr = next
 		}
-		peak = max(peak, len(r.fwd.Load().tunnelIP))
+		peak = max(peak, len(r.topo.Load().tunnelIP))
 		if i >= 8 { // a few stay connected at any time
 			old := i - 8
 			oldAddr := netip.AddrFrom4([4]byte{100, 65, byte(old >> 8), byte(old)})
@@ -370,7 +370,7 @@ func TestTunnelAddressesPlateau(t *testing.T) {
 			r.ClearExperimentTunnelIP(fmt.Sprintf("exp-%d", old), oldAddr)
 		}
 	}
-	st := r.fwd.Load()
+	st := r.topo.Load()
 	if peak > 9 || len(st.tunnelIP) != 8 || len(st.byTunnelIP) != 8 {
 		t.Errorf("after 1000 connect/disconnect cycles: peak %d entries, %d names and %d addresses left; want ≤ 9, 8, 8",
 			peak, len(st.tunnelIP), len(st.byTunnelIP))
@@ -385,13 +385,13 @@ func TestForwardingStateRepublishedOnlyOnChange(t *testing.T) {
 	f := newFig1(t)
 	x1 := f.connectExperiment(t, "X1", true)
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "first announcement", func() bool { return f.router.fwd.Load().tunnelIP["X1"] == ip("100.65.0.1") })
-	before := f.router.fwd.Load()
+	waitFor(t, "first announcement", func() bool { return f.router.topo.Load().tunnelIP["X1"] == ip("100.65.0.1") })
+	before := f.router.topo.Load()
 	for i := 1; i <= 20; i++ {
 		x1.announceV("10.1.0.0/24", bgp.PathID(i), []uint32{expASN}, "100.65.0.1")
 	}
 	waitFor(t, "announcements processed", func() bool { return len(f.router.ExperimentRoutes().Paths(pfx("10.1.0.0/24"))) == 21 })
-	if f.router.fwd.Load() != before {
+	if f.router.topo.Load() != before {
 		t.Error("announcements with an unchanged next hop republished the forwarding state")
 	}
 
@@ -400,7 +400,7 @@ func TestForwardingStateRepublishedOnlyOnChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = f.router.fwd.Load()
+	before = f.router.topo.Load()
 	if before.byLocalMAC[n.LocalMAC].n != n || before.byLocalIP[n.LocalIP] != n {
 		t.Fatal("remote neighbor not in the forwarding state")
 	}
@@ -409,7 +409,7 @@ func TestForwardingStateRepublishedOnlyOnChange(t *testing.T) {
 			t.Fatal("remote neighbor created twice")
 		}
 	}
-	if f.router.fwd.Load() != before {
+	if f.router.topo.Load() != before {
 		t.Error("finding an existing remote neighbor republished the forwarding state")
 	}
 }

@@ -43,7 +43,7 @@ func (r *Router) AddBackbonePeer(name string, remoteAddr netip.Addr, conn net.Co
 // AddBackbonePeerConfig registers a backbone mesh peer per cfg.
 func (r *Router) AddBackbonePeerConfig(cfg BackbonePeerConfig) error {
 	r.mu.Lock()
-	if _, dup := r.meshPeers[cfg.Name]; dup {
+	if _, dup := r.topo.Load().meshPeers[cfg.Name]; dup {
 		r.mu.Unlock()
 		return fmt.Errorf("core: duplicate backbone peer %s", cfg.Name)
 	}
@@ -52,7 +52,7 @@ func (r *Router) AddBackbonePeerConfig(cfg BackbonePeerConfig) error {
 		gr:        cfg.GracefulRestart,
 		resilient: cfg.Redial != nil || cfg.Resilient,
 	}
-	r.meshPeers[cfg.Name] = p
+	r.publish(func(t *topology) { t.meshPeers = withEntry(t.meshPeers, cfg.Name, p) })
 	r.mu.Unlock()
 
 	scfg := r.meshSessionConfig(p)
@@ -77,9 +77,7 @@ func (r *Router) AddBackbonePeerConfig(cfg BackbonePeerConfig) error {
 // transport — the passive half of mesh resilience: the remote router's
 // supervisor redials, this side accepts and replaces the dead session.
 func (r *Router) AcceptBackbonePeerConn(name string, conn net.Conn) error {
-	r.mu.Lock()
-	p := r.meshPeers[name]
-	r.mu.Unlock()
+	p := r.topo.Load().meshPeers[name]
 	if p == nil {
 		return fmt.Errorf("core: unknown backbone peer %s", name)
 	}
@@ -133,78 +131,48 @@ func (r *Router) dumpToMeshPeer(p *meshPeer) {
 	if s == nil {
 		return
 	}
-	r.mu.Lock()
-	neighbors := r.localNeighborsLocked()
-	targets := make(map[expRouteKey]targetSet, len(r.expTargets))
-	for k, v := range r.expTargets {
-		targets[k] = v
-	}
-	r.mu.Unlock()
-
-	for _, n := range neighbors {
+	t := r.topo.Load()
+	for _, n := range t.neighbors {
+		if n.Remote {
+			continue
+		}
 		if _, err := r.streamTable(s, n, r.toMesh); err != nil {
 			r.logf("mesh dump to %s: %v", p.name, err)
 			return
 		}
 	}
-
-	// Local experiment routes.
-	type expEntry struct {
-		prefix netip.Prefix
-		owner  string
-		id     bgp.PathID
-		attrs  *bgp.PathAttrs
-	}
-	var expEntries []expEntry
-	r.expRoutes.Walk(func(prefix netip.Prefix, paths []*rib.Path) bool {
-		for _, pt := range paths {
-			if !isMeshOwner(pt.Peer) {
-				expEntries = append(expEntries, expEntry{prefix, pt.Peer, pt.ID, pt.Attrs})
-			}
-		}
-		return true
-	})
-	r.mu.Lock()
-	lan := r.expLANPrefix
-	r.mu.Unlock()
-	bb := r.fwd.Load().bbIfc
+	bb := t.bbIfc
 	if bb == nil {
 		return
 	}
 	// Relay the experiment-LAN prefix so tunnel-address traffic (probe
 	// replies, hosted services) arriving at other PoPs routes back here.
 	// Whitelisting the reserved internal-only pseudo-neighbor keeps it
-	// off the Internet.
-	if lan.IsValid() {
+	// off the Internet; the large-community form does so whatever the
+	// platform ASN.
+	if t.expLAN.IsValid() {
 		out := &bgp.PathAttrs{
 			Origin: bgp.OriginIGP, HasOrigin: true,
-			ASPath:      []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{r.cfg.ASN}}},
-			NextHop:     bb.PrimaryAddr(),
-			Communities: []bgp.Community{AnnounceTo(r.cfg.ASN, internalOnlyID)},
+			ASPath:           []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{r.cfg.ASN}}},
+			NextHop:          bb.PrimaryAddr(),
+			LargeCommunities: []bgp.LargeCommunity{LargeAnnounceTo(r.cfg.ASN, internalOnlyID)},
 		}
-		u := &bgp.Update{Attrs: out, NLRI: []bgp.NLRI{{Prefix: lan, ID: meshExpFlag}}}
+		u := &bgp.Update{Attrs: out, NLRI: []bgp.NLRI{{Prefix: t.expLAN, ID: meshExpFlag}}}
 		if err := s.Send(u); err != nil {
 			r.logf("mesh lan relay to %s: %v", p.name, err)
 			return
 		}
 	}
-	expUpdates := make([]*bgp.Update, 0, len(expEntries))
-	for _, en := range expEntries {
-		out := en.attrs.Clone()
-		ts := targets[expRouteKey{en.prefix, en.owner, en.id}]
-		out.Communities = append(out.Communities, ts.controlCommunities(r.cfg.ASN)...)
-		nlri := bgp.NLRI{Prefix: en.prefix, ID: en.id | meshExpFlag}
-		var u *bgp.Update
-		if en.prefix.Addr().Is6() {
-			out.MPNextHop = bbAddr6(bb.PrimaryAddr())
-			out.NextHop = netip.Addr{}
-			u = &bgp.Update{Attrs: out, MPReach: []bgp.NLRI{nlri}}
-		} else {
-			out.NextHop = bb.PrimaryAddr()
-			u = &bgp.Update{Attrs: out, NLRI: []bgp.NLRI{nlri}}
+	// Local experiment routes.
+	var expUpdates []*bgp.Update
+	r.expRoutes.Walk(func(prefix netip.Prefix, paths []*rib.Path) bool {
+		for _, pt := range paths {
+			if !isMeshOwner(pt.Peer) {
+				expUpdates = append(expUpdates, meshAnnouncement(bb, prefix, pt.ID, pt.Attrs))
+			}
 		}
-		expUpdates = append(expUpdates, u)
-	}
+		return true
+	})
 	for start := 0; start < len(expUpdates); start += dumpBlockSize {
 		end := min(start+dumpBlockSize, len(expUpdates))
 		if err := s.SendBatch(expUpdates[start:end]); err != nil {
@@ -298,9 +266,13 @@ func (r *Router) handleRemoteNeighborRoute(p *meshPeer, nlri bgp.NLRI, attrs *bg
 // pool address.
 func (r *Router) remoteNeighbor(globalIP netip.Addr, id uint32, asn uint32) (*Neighbor, error) {
 	name := "remote:" + globalIP.String()
+	if n := r.topo.Load().neighbors[name]; n != nil {
+		return n, nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n, ok := r.neighbors[name]; ok {
+	t := r.topo.Load()
+	if n := t.neighbors[name]; n != nil {
 		return n, nil
 	}
 	localIP, err := r.localPool.Alloc()
@@ -316,39 +288,29 @@ func (r *Router) remoteNeighbor(globalIP netip.Addr, id uint32, asn uint32) (*Ne
 			telemetry.L("pop", r.cfg.Name), telemetry.L("neighbor", name)),
 	}
 	n.Table.EnableAutoSnapshot(r.snapshotEvery())
-	r.neighbors[name] = n
-	r.publishFwd(func(st *fwdState) {
-		st.byLocalMAC = withEntry(st.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n})
-		st.byLocalIP = withEntry(st.byLocalIP, n.LocalIP, n)
+	r.publish(func(t *topology) {
+		t.neighbors = withEntry(t.neighbors, name, n)
+		t.byLocalMAC = withEntry(t.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n})
+		t.byLocalIP = withEntry(t.byLocalIP, n.LocalIP, n)
 	})
-	if expIfc := r.fwd.Load().expIfc; expIfc != nil {
-		expIfc.AddMAC(n.LocalMAC)
+	if t.expIfc != nil {
+		t.expIfc.AddMAC(n.LocalMAC)
 	}
 	return n, nil
 }
 
 // handleRelayedExperimentRoute exports an experiment route announced at
 // another PoP through this PoP's neighbors, honoring the control
-// communities, and records it for inbound forwarding across the
-// backbone.
+// communities its home PoP stored and relayed with it, and records it
+// for inbound forwarding across the backbone.
 func (r *Router) handleRelayedExperimentRoute(p *meshPeer, nlri bgp.NLRI, attrs *bgp.PathAttrs, remoteBB netip.Addr) {
-	owner := "mesh:" + p.name
-	id := nlri.ID &^ meshExpFlag
-	targets, rest := parseTargets(r.cfg.ASN, attrs.Communities)
-	cleaned := attrs.Clone()
-	cleaned.Communities = rest
+	stored := *attrs
 	if nlri.Prefix.Addr().Is4() {
-		cleaned.NextHop = remoteBB
+		stored.NextHop = remoteBB
 	}
 	r.expRoutes.Add(&rib.Path{
-		Prefix: nlri.Prefix, ID: id, Peer: owner, Attrs: cleaned, Seq: rib.NextSeq(),
+		Prefix: nlri.Prefix, ID: nlri.ID &^ meshExpFlag, Peer: "mesh:" + p.name, Attrs: &stored, Seq: rib.NextSeq(),
 	})
-	r.mu.Lock()
-	if r.expTargets == nil {
-		r.expTargets = make(map[expRouteKey]targetSet)
-	}
-	r.expTargets[expRouteKey{nlri.Prefix, owner, id}] = targets
-	r.mu.Unlock()
 	r.syncPrefix(nlri.Prefix)
 }
 
@@ -361,15 +323,13 @@ func (r *Router) withdrawMeshRoute(p *meshPeer, w bgp.NLRI) {
 	}
 	// Remote-neighbor withdrawal: the path ID names the neighbor.
 	if w.ID != 0 {
-		r.mu.Lock()
 		var n *Neighbor
-		for _, cand := range r.neighbors {
+		for _, cand := range r.topo.Load().neighbors {
 			if cand.Remote && cand.ID == uint32(w.ID) {
 				n = cand
 				break
 			}
 		}
-		r.mu.Unlock()
 		if n != nil && n.Table.Withdraw(w.Prefix, n.Name, 0) != nil {
 			if r.defaultTable != nil {
 				r.defaultTable.Withdraw(w.Prefix, n.Name, 0)
@@ -397,17 +357,11 @@ func (r *Router) meshPeerDown(p *meshPeer, err error) {
 	}
 	resilient := p.resilient && err != nil
 	graceful := resilient && p.gr > 0 && sess != nil && sess.GracefulRestartNegotiated()
-	r.mu.Lock()
 	if !resilient {
-		delete(r.meshPeers, p.name)
+		r.mu.Lock()
+		r.publish(func(t *topology) { t.meshPeers = withoutEntry(t.meshPeers, p.name) })
+		r.mu.Unlock()
 	}
-	var remotes []*Neighbor
-	for _, n := range r.neighbors {
-		if n.Remote {
-			remotes = append(remotes, n)
-		}
-	}
-	r.mu.Unlock()
 	if graceful {
 		r.logf("backbone peer %s down: %v (graceful restart, retaining state for %s)", p.name, err, p.gr)
 		r.emit(telemetry.Event{
@@ -423,7 +377,7 @@ func (r *Router) meshPeerDown(p *meshPeer, err error) {
 	r.emit(telemetry.Event{Kind: telemetry.EventPeerDown, Peer: "mesh:" + p.name, PeerASN: r.cfg.ASN, Reason: closeReason(err)})
 	// Without per-peer ownership of remote neighbors we withdraw all
 	// remote tables; peers still up will re-announce (route refresh).
-	for _, n := range remotes {
+	for _, n := range r.remoteNeighbors() {
 		removed := n.Table.WithdrawPeer(n.Name)
 		col := r.newCollector()
 		for _, pt := range removed {

@@ -86,12 +86,7 @@ func (r *Router) sweepNeighborStale(n *Neighbor, v6 bool) {
 func (r *Router) experimentEndOfRIB(e *expConn, fam bgp.AFISAFI) {
 	r.sweepExperimentStale(e.name, fam == bgp.IPv6Unicast)
 	if r.expRoutes.StaleCount(e.name) == 0 {
-		r.mu.Lock()
-		if t := r.expStale[e.name]; t != nil {
-			t.Stop()
-			delete(r.expStale, e.name)
-		}
-		r.mu.Unlock()
+		r.disarmExperimentFlush(e.name)
 	}
 }
 
@@ -112,6 +107,16 @@ func (r *Router) armExperimentFlush(name string, d time.Duration) {
 	})
 }
 
+// disarmExperimentFlush stops and forgets owner's restart timer, if any.
+func (r *Router) disarmExperimentFlush(owner string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if t := r.expStale[owner]; t != nil {
+		t.Stop()
+		delete(r.expStale, owner)
+	}
+}
+
 // AdoptExperimentRoute clears the graceful-restart stale mark on one
 // experiment route: a restarted control plane that verified the
 // retained route still matches its recovered desired state re-claims
@@ -124,12 +129,7 @@ func (r *Router) AdoptExperimentRoute(owner string, prefix netip.Prefix, id bgp.
 		return false
 	}
 	if r.expRoutes.StaleCount(owner) == 0 {
-		r.mu.Lock()
-		if t := r.expStale[owner]; t != nil {
-			t.Stop()
-			delete(r.expStale, owner)
-		}
-		r.mu.Unlock()
+		r.disarmExperimentFlush(owner)
 	}
 	return true
 }
@@ -141,12 +141,7 @@ func (r *Router) AdoptExperimentRoute(owner string, prefix netip.Prefix, id bgp.
 // control-plane crash must not keep dangling in the synthetic
 // Internet. Returns how many routes were withdrawn.
 func (r *Router) PurgeExperiment(owner string) int {
-	r.mu.Lock()
-	if t := r.expStale[owner]; t != nil {
-		t.Stop()
-		delete(r.expStale, owner)
-	}
-	r.mu.Unlock()
+	r.disarmExperimentFlush(owner)
 	type ver struct {
 		prefix netip.Prefix
 		id     bgp.PathID
@@ -172,12 +167,9 @@ func (r *Router) PurgeExperiment(owner string) int {
 func (r *Router) sweepExperimentStale(owner string, v6 bool) {
 	removed := r.expRoutes.SweepStale(owner, v6)
 	for _, p := range removed {
-		r.mu.Lock()
-		delete(r.expTargets, expRouteKey{p.Prefix, owner, p.ID})
-		r.mu.Unlock()
 		r.syncPrefix(p.Prefix)
 		if !isMeshOwner(owner) {
-			r.relayExperimentRouteToMesh(p.Prefix, p.ID, nil, targetSet{}, true)
+			r.relayExperimentRouteToMesh(p.Prefix, p.ID, nil, true)
 		}
 	}
 }
@@ -234,12 +226,10 @@ func (r *Router) meshStaleRemaining(p *meshPeer) int {
 	return total
 }
 
-// remoteNeighbors snapshots the backbone-learned neighbors.
+// remoteNeighbors lists the backbone-learned neighbors.
 func (r *Router) remoteNeighbors() []*Neighbor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Neighbor, 0, len(r.neighbors))
-	for _, n := range r.neighbors {
+	var out []*Neighbor
+	for _, n := range r.topo.Load().neighbors {
 		if n.Remote {
 			out = append(out, n)
 		}

@@ -129,6 +129,15 @@ type Neighbor struct {
 
 	// routesGauge publishes Table occupancy (core_neighbor_routes).
 	routesGauge *telemetry.Gauge
+
+	// rovStates records the validation state last stamped on each of the
+	// neighbor's routes exported to experiments, so RevalidateExports can
+	// re-export exactly the routes whose state flipped; an entry goes
+	// when its route is withdrawn. rovMu guards it and is a leaf: it is
+	// taken under the table's read locks, and nothing is locked or called
+	// while it is held.
+	rovMu     sync.Mutex
+	rovStates map[netip.Prefix]rpki.State
 }
 
 // Session returns the neighbor's current BGP session (nil for remote
@@ -194,28 +203,17 @@ type Router struct {
 	localPool  *Pool
 	globalPool *Pool
 
-	mu           sync.Mutex
-	ifcs         map[string]*netsim.Interface
-	expLANPrefix netip.Prefix
-	neighbors    map[string]*Neighbor
-	byGlobalIP   map[netip.Addr]*Neighbor // local neighbors, for backbone ARP
-	experiments  map[string]*expConn
-	meshPeers    map[string]*meshPeer
-	// expTargets records each experiment announcement's export policy.
-	expTargets map[expRouteKey]targetSet
+	// mu serializes the writers of topo, and guards expStale.
+	mu sync.Mutex
+	// topo is the router's published topology (topology).
+	topo atomic.Pointer[topology]
 	// expStale holds per-experiment graceful-restart flush timers.
 	expStale map[string]*time.Timer
-	// rovStates records the validation state last stamped on each
-	// neighbor route exported to experiments, so RevalidateExports can
-	// re-export exactly the routes whose state flipped.
-	rovStates map[rovKey]rpki.State
-
-	// fwd is the topology the data plane forwards by (dataplane.go),
-	// republished under mu by publishFwd.
-	fwd atomic.Pointer[fwdState]
 
 	// expRoutes maps experiment prefixes to the connected experiment (or
-	// the backbone peer fronting it) for inbound forwarding.
+	// the backbone peer fronting it) for inbound forwarding. Each path's
+	// attributes keep the announcement's control communities: its export
+	// policy (communities.go).
 	expRoutes *rib.Table
 	// defaultTable is the optional router-managed best-path table.
 	defaultTable *rib.Table
@@ -256,24 +254,24 @@ func NewRouter(cfg Config) *Router {
 		gp = NewPool(DefaultGlobalPool)
 	}
 	r := &Router{
-		cfg:         cfg,
-		localPool:   NewPool(cfg.LocalPool),
-		globalPool:  gp,
-		ifcs:        make(map[string]*netsim.Interface),
-		neighbors:   make(map[string]*Neighbor),
-		byGlobalIP:  make(map[netip.Addr]*Neighbor),
-		experiments: make(map[string]*expConn),
-		meshPeers:   make(map[string]*meshPeer),
-		expStale:    make(map[string]*time.Timer),
-		expRoutes:   rib.NewTable(cfg.Name + ":exp-routes"),
-		metrics:     newRouterMetrics(cfg.Name),
+		cfg:        cfg,
+		localPool:  NewPool(cfg.LocalPool),
+		globalPool: gp,
+		expStale:   make(map[string]*time.Timer),
+		expRoutes:  rib.NewTable(cfg.Name + ":exp-routes"),
+		metrics:    newRouterMetrics(cfg.Name),
 	}
-	r.fwd.Store(&fwdState{
-		byLocalMAC: map[ethernet.MAC]fwdNeighbor{},
-		byRealMAC:  map[ethernet.MAC]*Neighbor{},
-		byLocalIP:  map[netip.Addr]*Neighbor{},
-		tunnelIP:   map[string]netip.Addr{},
-		byTunnelIP: map[netip.Addr]string{},
+	r.topo.Store(&topology{
+		ifcs:        map[string]*netsim.Interface{},
+		neighbors:   map[string]*Neighbor{},
+		byGlobalIP:  map[netip.Addr]*Neighbor{},
+		experiments: map[string]*expConn{},
+		meshPeers:   map[string]*meshPeer{},
+		byLocalMAC:  map[ethernet.MAC]fwdNeighbor{},
+		byRealMAC:   map[ethernet.MAC]*Neighbor{},
+		byLocalIP:   map[netip.Addr]*Neighbor{},
+		tunnelIP:    map[string]netip.Addr{},
+		byTunnelIP:  map[netip.Addr]string{},
 	})
 	r.expRoutes.EnableAutoSnapshot(r.snapshotEvery())
 	if cfg.MaintainDefaultTable {
@@ -341,25 +339,64 @@ func (r *Router) AddInterface(name, role string, addr netip.Prefix, seg *netsim.
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ifcs[name] = ifc
-	switch role {
-	case "experiment":
-		r.expLANPrefix = addr.Masked()
-		r.publishFwd(func(st *fwdState) { st.expIfc = ifc })
-	case "backbone":
-		r.publishFwd(func(st *fwdState) { st.bbIfc = ifc })
-	}
+	r.publish(func(t *topology) {
+		t.ifcs = withEntry(t.ifcs, name, ifc)
+		switch role {
+		case "experiment":
+			t.expIfc, t.expLAN = ifc, addr.Masked()
+		case "backbone":
+			t.bbIfc = ifc
+		}
+	})
 	return ifc
 }
 
-// publishFwd installs a modified copy of the forwarding state; r.mu must
-// be held. change gets a shallow copy and must replace (withEntry,
-// withoutEntry), not write into, the maps it alters — readers hold the
-// old ones.
-func (r *Router) publishFwd(change func(st *fwdState)) {
-	next := *r.fwd.Load()
+// topology is everything the router knows of its interfaces, its peers
+// and their data-plane addresses: immutable once published behind
+// Router.topo, and replaced copy-on-write — only the map that changes is
+// copied — by publish's callers, under Router.mu and only when a value
+// actually changes. A reader, control plane or data plane, loads it once
+// and takes no lock.
+type topology struct {
+	// ifcs are the router's interfaces by name; expIfc and bbIfc its
+	// experiment-LAN and backbone interfaces (nil until added), and expLAN
+	// the experiment LAN's prefix.
+	ifcs          map[string]*netsim.Interface
+	expIfc, bbIfc *netsim.Interface
+	expLAN        netip.Prefix
+	// neighbors holds every neighbor, local and remote, by name, and
+	// byGlobalIP the local ones by global pool address, for backbone ARP.
+	neighbors  map[string]*Neighbor
+	byGlobalIP map[netip.Addr]*Neighbor
+	// experiments and meshPeers are the experiment and backbone sessions.
+	// Each is published before its session runs, so an export that does
+	// not find a session Established is one its table dump will carry.
+	experiments map[string]*expConn
+	meshPeers   map[string]*meshPeer
+	// byLocalMAC maps a per-neighbor MAC — the destination MAC an
+	// experiment picks a route with — to the neighbor.
+	byLocalMAC map[ethernet.MAC]fwdNeighbor
+	// byRealMAC maps a local neighbor's own MAC to it, attributing inbound
+	// frames to the neighbor that delivered them.
+	byRealMAC map[ethernet.MAC]*Neighbor
+	// byLocalIP maps a local-pool next hop to its neighbor: the proxy ARP
+	// of Fig. 2b.
+	byLocalIP map[netip.Addr]*Neighbor
+	// tunnelIP maps an experiment to the address it is reached at on the
+	// experiment LAN — registered with SetExperimentTunnelIP or learned
+	// from the next hop of its announcements, whichever came last — and
+	// byTunnelIP is its inverse.
+	tunnelIP   map[string]netip.Addr
+	byTunnelIP map[netip.Addr]string
+}
+
+// publish installs a modified copy of the topology; r.mu must be held.
+// change gets a shallow copy and must replace (withEntry, withoutEntry),
+// not write into, the maps it alters — readers hold the old ones.
+func (r *Router) publish(change func(t *topology)) {
+	next := *r.topo.Load()
 	change(&next)
-	r.fwd.Store(&next)
+	r.topo.Store(&next)
 }
 
 // withEntry returns a copy of m with k mapped to v.
@@ -399,15 +436,13 @@ func fnv64(s string) uint64 {
 
 // Interface returns the named router interface, or nil.
 func (r *Router) Interface(name string) *netsim.Interface {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ifcs[name]
+	return r.topo.Load().ifcs[name]
 }
 
 // answerExperimentARP implements the proxy-ARP of Fig. 2b: requests for a
 // neighbor's LocalIP are answered with the neighbor's LocalMAC.
 func (r *Router) answerExperimentARP(target netip.Addr) (ethernet.MAC, bool) {
-	if n, ok := r.fwd.Load().byLocalIP[target]; ok {
+	if n, ok := r.topo.Load().byLocalIP[target]; ok {
 		return n.LocalMAC, true
 	}
 	return ethernet.MAC{}, false
@@ -417,9 +452,7 @@ func (r *Router) answerExperimentARP(target netip.Addr) (ethernet.MAC, bool) {
 // of this router's local neighbors are answered with the neighbor's MAC,
 // steering backbone frames for that neighbor to this router.
 func (r *Router) answerBackboneARP(target netip.Addr) (ethernet.MAC, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n, ok := r.byGlobalIP[target]; ok {
+	if n, ok := r.topo.Load().byGlobalIP[target]; ok {
 		return n.LocalMAC, true
 	}
 	return ethernet.MAC{}, false
@@ -467,11 +500,12 @@ func (r *Router) AddNeighbor(cfg NeighborConfig) (*Neighbor, error) {
 		return nil, fmt.Errorf("core: neighbor %s needs a nonzero platform ID", cfg.Name)
 	}
 	r.mu.Lock()
-	if _, dup := r.neighbors[cfg.Name]; dup {
+	t := r.topo.Load()
+	if _, dup := t.neighbors[cfg.Name]; dup {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("core: duplicate neighbor %s", cfg.Name)
 	}
-	ifc := r.ifcs[cfg.Interface]
+	ifc := t.ifcs[cfg.Interface]
 	if ifc == nil {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("core: unknown interface %s", cfg.Interface)
@@ -497,20 +531,19 @@ func (r *Router) AddNeighbor(cfg NeighborConfig) (*Neighbor, error) {
 			telemetry.L("pop", r.cfg.Name), telemetry.L("neighbor", cfg.Name)),
 	}
 	n.Table.EnableAutoSnapshot(r.snapshotEvery())
-	r.neighbors[cfg.Name] = n
-	r.byGlobalIP[globalIP] = n
-	r.publishFwd(func(st *fwdState) {
-		st.byLocalMAC = withEntry(st.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n})
-		st.byLocalIP = withEntry(st.byLocalIP, n.LocalIP, n)
+	r.publish(func(t *topology) {
+		t.neighbors = withEntry(t.neighbors, n.Name, n)
+		t.byGlobalIP = withEntry(t.byGlobalIP, globalIP, n)
+		t.byLocalMAC = withEntry(t.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n})
+		t.byLocalIP = withEntry(t.byLocalIP, n.LocalIP, n)
 	})
 	// Frames for the neighbor's MAC arrive on the experiment LAN and the
 	// backbone; accept them there.
-	st := r.fwd.Load()
-	if st.expIfc != nil {
-		st.expIfc.AddMAC(n.LocalMAC)
+	if t.expIfc != nil {
+		t.expIfc.AddMAC(n.LocalMAC)
 	}
-	if st.bbIfc != nil {
-		st.bbIfc.AddMAC(n.LocalMAC)
+	if t.bbIfc != nil {
+		t.bbIfc.AddMAC(n.LocalMAC)
 	}
 	r.mu.Unlock()
 
@@ -582,12 +615,12 @@ func (r *Router) resolveNeighborMAC(n *Neighbor) {
 func (r *Router) learnNeighborMAC(n *Neighbor, mac ethernet.MAC) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st := r.fwd.Load(); st.byLocalMAC[n.LocalMAC].realMAC == mac && st.byRealMAC[mac] == n {
+	if t := r.topo.Load(); t.byLocalMAC[n.LocalMAC].realMAC == mac && t.byRealMAC[mac] == n {
 		return
 	}
-	r.publishFwd(func(st *fwdState) {
-		st.byLocalMAC = withEntry(st.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n, realMAC: mac})
-		st.byRealMAC = withEntry(st.byRealMAC, mac, n)
+	r.publish(func(t *topology) {
+		t.byLocalMAC = withEntry(t.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n, realMAC: mac})
+		t.byRealMAC = withEntry(t.byRealMAC, mac, n)
 	})
 }
 
@@ -612,7 +645,7 @@ func (r *Router) SetNeighborRateLimit(name string, pps uint64, windowShift uint)
 		}
 		// Only police frames actually destined to this neighbor (the
 		// interface may be shared, e.g. an IXP fabric).
-		if mac := r.fwd.Load().byLocalMAC[n.LocalMAC].realMAC; fr.Dst != mac && !mac.IsZero() {
+		if mac := r.topo.Load().byLocalMAC[n.LocalMAC].realMAC; fr.Dst != mac && !mac.IsZero() {
 			return netsim.VerdictPass
 		}
 		if prog.Run(data) == bpf.VerdictPass {
@@ -625,17 +658,14 @@ func (r *Router) SetNeighborRateLimit(name string, pps uint64, windowShift uint)
 
 // Neighbor returns the named neighbor, or nil.
 func (r *Router) Neighbor(name string) *Neighbor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.neighbors[name]
+	return r.topo.Load().neighbors[name]
 }
 
 // Neighbors returns all neighbors (local and remote).
 func (r *Router) Neighbors() []*Neighbor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Neighbor, 0, len(r.neighbors))
-	for _, n := range r.neighbors {
+	neighbors := r.topo.Load().neighbors
+	out := make([]*Neighbor, 0, len(neighbors))
+	for _, n := range neighbors {
 		out = append(out, n)
 	}
 	return out
@@ -644,14 +674,8 @@ func (r *Router) Neighbors() []*Neighbor {
 // RouteCount returns the total number of paths across all neighbor
 // tables (the quantity Fig. 6a plots memory against).
 func (r *Router) RouteCount() int {
-	r.mu.Lock()
-	neighbors := make([]*Neighbor, 0, len(r.neighbors))
-	for _, n := range r.neighbors {
-		neighbors = append(neighbors, n)
-	}
-	r.mu.Unlock()
 	total := 0
-	for _, n := range neighbors {
+	for _, n := range r.topo.Load().neighbors {
 		total += n.Table.PathCount()
 	}
 	return total
@@ -675,7 +699,7 @@ func (r *Router) SetExperimentTunnelIP(name string, ip netip.Addr) {
 func (r *Router) ClearExperimentTunnelIP(name string, ip netip.Addr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.fwd.Load().tunnelIP[name] == ip {
+	if r.topo.Load().tunnelIP[name] == ip {
 		r.setTunnelIPLocked(name, netip.Addr{})
 	}
 }
@@ -683,19 +707,19 @@ func (r *Router) ClearExperimentTunnelIP(name string, ip netip.Addr) {
 // setTunnelIPLocked makes ip — nothing, for the zero Addr — the address
 // the named experiment is reached at; r.mu must be held.
 func (r *Router) setTunnelIPLocked(name string, ip netip.Addr) {
-	cur := r.fwd.Load().tunnelIP[name]
+	cur := r.topo.Load().tunnelIP[name]
 	if cur == ip {
 		return
 	}
-	r.publishFwd(func(st *fwdState) {
-		st.tunnelIP, st.byTunnelIP = maps.Clone(st.tunnelIP), maps.Clone(st.byTunnelIP)
-		if st.byTunnelIP[cur] == name {
-			delete(st.byTunnelIP, cur)
+	r.publish(func(t *topology) {
+		t.tunnelIP, t.byTunnelIP = maps.Clone(t.tunnelIP), maps.Clone(t.byTunnelIP)
+		if t.byTunnelIP[cur] == name {
+			delete(t.byTunnelIP, cur)
 		}
 		if ip.IsValid() {
-			st.tunnelIP[name], st.byTunnelIP[ip] = ip, name
+			t.tunnelIP[name], t.byTunnelIP[ip] = ip, name
 		} else {
-			delete(st.tunnelIP, name)
+			delete(t.tunnelIP, name)
 		}
 	})
 }
@@ -727,14 +751,12 @@ func (r *Router) SetAnnouncementShed(on bool) { r.shedAnnounce.Store(on) }
 // goroutines and buffers a PoP under pressure cannot spare. Returns how
 // many sessions were closed.
 func (r *Router) ShedNonEstablishedExperiments() int {
-	r.mu.Lock()
 	var victims []*expConn
-	for _, e := range r.experiments {
+	for _, e := range r.topo.Load().experiments {
 		if e.session != nil && e.session.State() != bgp.StateEstablished {
 			victims = append(victims, e)
 		}
 	}
-	r.mu.Unlock()
 	for _, e := range victims {
 		r.logf("shedding: closing non-established experiment session %s", e.name)
 		e.session.Close()
@@ -747,9 +769,7 @@ func (r *Router) ShedNonEstablishedExperiments() int {
 // decayed below the reuse threshold, so the adj-RIB-in copy retained
 // through suppression is exported again.
 func (r *Router) reuseNeighborRoute(key guard.Key) {
-	r.mu.Lock()
-	n := r.neighbors[key.Peer]
-	r.mu.Unlock()
+	n := r.topo.Load().neighbors[key.Peer]
 	if n == nil {
 		return
 	}

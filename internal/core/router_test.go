@@ -226,6 +226,17 @@ func (f *fig1) connectExperiment(t *testing.T, name string, addPath bool) *testP
 	return x
 }
 
+// sessionlessNeighbor registers a local neighbor that has no session
+// and no interface, for tests that drive the router's handlers directly.
+func sessionlessNeighbor(r *Router, name string, id uint32) *Neighbor {
+	n := &Neighbor{Name: name, ID: id, ASN: n1ASN,
+		Table: rib.NewTable(r.Name() + ":adj-in:" + name), AdjOut: rib.NewTable(r.Name() + ":adj-out:" + name)}
+	r.mu.Lock()
+	r.publish(func(t *topology) { t.neighbors = withEntry(t.neighbors, name, n) })
+	r.mu.Unlock()
+	return n
+}
+
 func TestFigure2ControlPlane(t *testing.T) {
 	f := newFig1(t)
 	// N1 and N2 both announce 192.168.0.0/24 (Fig. 1).

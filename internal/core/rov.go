@@ -15,12 +15,6 @@ import (
 // study by it, and it re-exports routes whose state changes as the
 // validated cache converges over RTR.
 
-// rovKey identifies one neighbor route's stamped validation state.
-type rovKey struct {
-	neighbor string
-	prefix   netip.Prefix
-}
-
 // ValidationStateCommunity builds the large community stamping a
 // route's RPKI validation state.
 func ValidationStateCommunity(platformASN uint32, st rpki.State) bgp.LargeCommunity {
@@ -51,13 +45,24 @@ func (r *Router) validationState(n *Neighbor, prefix netip.Prefix, attrs *bgp.Pa
 		origin = n.ASN
 	}
 	st := r.cfg.Validator.Validate(prefix, origin)
-	r.mu.Lock()
-	if r.rovStates == nil {
-		r.rovStates = make(map[rovKey]rpki.State)
+	n.rovMu.Lock()
+	if n.rovStates == nil {
+		n.rovStates = make(map[netip.Prefix]rpki.State)
 	}
-	r.rovStates[rovKey{n.Name, prefix}] = st
-	r.mu.Unlock()
+	n.rovStates[prefix] = st
+	n.rovMu.Unlock()
 	return st
+}
+
+// forgetValidation drops the validation state recorded for neighbor n's
+// route for prefix, which is being withdrawn.
+func (r *Router) forgetValidation(n *Neighbor, prefix netip.Prefix) {
+	if r.cfg.Validator == nil {
+		return
+	}
+	n.rovMu.Lock()
+	delete(n.rovStates, prefix)
+	n.rovMu.Unlock()
 }
 
 // stampValidation returns large with any existing validation-state
@@ -83,33 +88,27 @@ func (r *Router) RevalidateExports() {
 	if r.cfg.Validator == nil {
 		return
 	}
-	r.mu.Lock()
-	neighbors := make([]*Neighbor, 0, len(r.neighbors))
-	for _, n := range r.neighbors {
-		neighbors = append(neighbors, n)
-	}
-	states := make(map[rovKey]rpki.State, len(r.rovStates))
-	for k, v := range r.rovStates {
-		states[k] = v
-	}
-	r.mu.Unlock()
-
-	for _, n := range neighbors {
+	for _, n := range r.topo.Load().neighbors {
 		type entry struct {
 			prefix netip.Prefix
 			attrs  *bgp.PathAttrs
 		}
 		var changed []entry
 		n.Table.WalkBest(func(prefix netip.Prefix, best *rib.Path) bool {
+			if best.Damped {
+				return true // withheld until reuse, which stamps it afresh
+			}
 			origin := best.Attrs.OriginASN()
 			if origin == 0 {
 				origin = n.ASN
 			}
 			st := r.cfg.Validator.Validate(prefix, origin)
-			if prev, ok := states[rovKey{n.Name, prefix}]; ok && prev == st {
-				return true
+			n.rovMu.Lock()
+			prev, ok := n.rovStates[prefix]
+			n.rovMu.Unlock()
+			if !ok || prev != st {
+				changed = append(changed, entry{prefix, best.Attrs})
 			}
-			changed = append(changed, entry{prefix, best.Attrs})
 			return true
 		})
 		col := r.newCollector()
