@@ -98,10 +98,6 @@ type UnknownAttr struct {
 	Data  []byte
 }
 
-// Transitive reports whether the unknown attribute carries the transitive
-// flag.
-func (u UnknownAttr) Transitive() bool { return u.Flags&FlagTransitive != 0 }
-
 // PathAttrs is the decoded attribute set of an UPDATE message.
 //
 // The zero value is an empty attribute set. HasMED, HasLocalPref
@@ -364,12 +360,6 @@ func parseASPath(data []byte, as4 bool, segs []ASPathSegment) ([]ASPathSegment, 
 		segs = append(segs, seg)
 	}
 	return segs, nil
-}
-
-// marshalAttrs encodes the attribute set into a fresh slice; see
-// appendAttrs.
-func marshalAttrs(a *PathAttrs, as4 bool, mpNLRI []NLRI, mpWithdraw []NLRI, addPath bool) []byte {
-	return appendAttrs(nil, a, as4, mpNLRI, mpWithdraw, addPath)
 }
 
 // appendAttrs appends the encoded attribute set to b in place (the hot

@@ -3,6 +3,7 @@ package bgp
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"sync"
@@ -434,5 +435,24 @@ func TestNetPipeTransport(t *testing.T) {
 	a, b := netPipeSessions(t, Config{}, Config{})
 	if a.State() != StateEstablished || b.State() != StateEstablished {
 		t.Fatalf("states over net.Pipe: %s %s", a.State(), b.State())
+	}
+}
+
+// decodeBlock decodes a contiguous concatenation of framed BGP messages
+// — the wire image of one batched write (Session.SendBatch). It returns
+// the messages decoded before the first error, if any; a trailing
+// partial frame is an error.
+func decodeBlock(data []byte, opts *codecOpts) ([]Message, error) {
+	var msgs []Message
+	f := &frameReader{r: bytes.NewReader(data)}
+	for {
+		m, err := f.readMessage(opts)
+		if err == io.EOF {
+			return msgs, nil
+		}
+		if err != nil {
+			return msgs, err
+		}
+		msgs = append(msgs, m)
 	}
 }

@@ -78,17 +78,6 @@ type Capabilities struct {
 	GR *GracefulRestart
 }
 
-// SupportsMP reports whether the family was advertised via the
-// multiprotocol capability.
-func (c *Capabilities) SupportsMP(f AFISAFI) bool {
-	for _, have := range c.MP {
-		if have == f {
-			return true
-		}
-	}
-	return false
-}
-
 // marshalCapabilities encodes the capability set as a single OPEN optional
 // parameter of type 2 (RFC 5492).
 func marshalCapabilities(c *Capabilities) []byte {

@@ -1,10 +1,8 @@
 package bgp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net/netip"
 )
 
@@ -190,30 +188,6 @@ func appendMessage(dst []byte, m Message, opts *codecOpts) ([]byte, error) {
 
 func errMessageTooLong(total int) error {
 	return fmt.Errorf("bgp: message length %d exceeds maximum %d", total, MaxMessageLen)
-}
-
-// marshalMessage frames a message with the BGP header.
-func marshalMessage(m Message, opts *codecOpts) ([]byte, error) {
-	return appendMessage(make([]byte, 0, HeaderLen+64), m, opts)
-}
-
-// decodeBlock decodes a contiguous concatenation of framed BGP messages
-// — the wire image of one batched write (Session.SendBatch). It returns
-// the messages decoded before the first error, if any; a trailing
-// partial frame is an error.
-func decodeBlock(data []byte, opts *codecOpts) ([]Message, error) {
-	var msgs []Message
-	f := &frameReader{r: bytes.NewReader(data)}
-	for {
-		m, err := f.readMessage(opts)
-		if err == io.EOF {
-			return msgs, nil
-		}
-		if err != nil {
-			return msgs, err
-		}
-		msgs = append(msgs, m)
-	}
 }
 
 // decodeBody decodes a message payload of the given type.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -97,7 +98,7 @@ func TestOpenRoundTripWithCapabilities(t *testing.T) {
 	if got.Caps.AS4 != 4200000001 {
 		t.Errorf("AS4 = %d", got.Caps.AS4)
 	}
-	if !got.Caps.SupportsMP(IPv4Unicast) || !got.Caps.SupportsMP(IPv6Unicast) {
+	if !slices.Contains(got.Caps.MP, IPv4Unicast) || !slices.Contains(got.Caps.MP, IPv6Unicast) {
 		t.Error("MP families lost")
 	}
 	if !got.Caps.RouteRefresh {
@@ -175,7 +176,7 @@ func TestUpdateRoundTripAllAttrs(t *testing.T) {
 	if len(g.Unknown) != 1 || g.Unknown[0].Type != 99 || !bytes.Equal(g.Unknown[0].Data, []byte{0xde, 0xad}) {
 		t.Errorf("unknown attrs %v", g.Unknown)
 	}
-	if !g.Unknown[0].Transitive() {
+	if g.Unknown[0].Flags&FlagTransitive == 0 {
 		t.Error("transitive flag lost")
 	}
 }
@@ -463,4 +464,9 @@ func TestDuplicateAttributeRejected(t *testing.T) {
 	if err == nil {
 		t.Error("duplicate attribute accepted")
 	}
+}
+
+// marshalMessage frames a message with the BGP header.
+func marshalMessage(m Message, opts *codecOpts) ([]byte, error) {
+	return appendMessage(make([]byte, 0, HeaderLen+64), m, opts)
 }

@@ -68,3 +68,9 @@ func FuzzParseAttrs(f *testing.F) {
 		}
 	})
 }
+
+// marshalAttrs encodes the attribute set into a fresh slice; see
+// appendAttrs.
+func marshalAttrs(a *PathAttrs, as4 bool, mpNLRI []NLRI, mpWithdraw []NLRI, addPath bool) []byte {
+	return appendAttrs(nil, a, as4, mpNLRI, mpWithdraw, addPath)
+}

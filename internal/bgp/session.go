@@ -203,26 +203,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // State returns the current FSM state.
 func (s *Session) State() State { return State(s.state.Load()) }
 
-// RemoteASN returns the peer's negotiated 4-octet ASN (valid once the
-// session leaves OpenSent).
-func (s *Session) RemoteASN() uint32 { return s.negotiated.remoteASN }
-
 // RemoteID returns the peer's BGP identifier.
 func (s *Session) RemoteID() netip.Addr { return s.negotiated.remoteID }
-
-// RemoteCaps returns the peer's capability set.
-func (s *Session) RemoteCaps() *Capabilities { return s.negotiated.remoteCaps }
-
-// AddPathSendEnabled reports whether we encode path IDs for family f.
-func (s *Session) AddPathSendEnabled(f AFISAFI) bool {
-	switch f {
-	case IPv4Unicast:
-		return s.enc.addPathV4
-	case IPv6Unicast:
-		return s.enc.addPathV6
-	}
-	return false
-}
 
 // Done returns a channel closed when the session terminates.
 func (s *Session) Done() <-chan struct{} { return s.done }
@@ -641,11 +623,6 @@ func (s *Session) Flush() {
 	if s.cfg.MRAI > 0 {
 		s.flushPaced(true)
 	}
-}
-
-// SendRouteRefresh requests re-advertisement of family f from the peer.
-func (s *Session) SendRouteRefresh(f AFISAFI) error {
-	return s.write(&RouteRefresh{Family: f})
 }
 
 // SendBatch transmits a block of UPDATEs: runs of per-route updates are

@@ -443,3 +443,26 @@ func TestSessionPureTwoOctet(t *testing.T) {
 		t.Fatal("update not delivered")
 	}
 }
+
+// RemoteASN returns the peer's negotiated 4-octet ASN (valid once the
+// session leaves OpenSent).
+func (s *Session) RemoteASN() uint32 { return s.negotiated.remoteASN }
+
+// RemoteCaps returns the peer's capability set.
+func (s *Session) RemoteCaps() *Capabilities { return s.negotiated.remoteCaps }
+
+// AddPathSendEnabled reports whether we encode path IDs for family f.
+func (s *Session) AddPathSendEnabled(f AFISAFI) bool {
+	switch f {
+	case IPv4Unicast:
+		return s.enc.addPathV4
+	case IPv6Unicast:
+		return s.enc.addPathV6
+	}
+	return false
+}
+
+// SendRouteRefresh requests re-advertisement of family f from the peer.
+func (s *Session) SendRouteRefresh(f AFISAFI) error {
+	return s.write(&RouteRefresh{Family: f})
+}

@@ -279,23 +279,6 @@ func TestRateLimiterStats(t *testing.T) {
 	}
 }
 
-func TestHashMapCapacity(t *testing.T) {
-	m := NewHashMap(2)
-	m.Update(1, 10)
-	m.Update(2, 20)
-	m.Update(3, 30) // over capacity: dropped
-	if m.Len() != 2 {
-		t.Errorf("len = %d", m.Len())
-	}
-	if _, ok := m.Lookup(3); ok {
-		t.Error("over-capacity insert accepted")
-	}
-	m.Update(1, 11) // existing key: allowed
-	if v, _ := m.Lookup(1); v != 11 {
-		t.Errorf("update existing = %d", v)
-	}
-}
-
 func TestArrayMapBounds(t *testing.T) {
 	m := NewArrayMap(2)
 	m.Update(5, 1) // out of range: ignored
@@ -323,3 +306,23 @@ func TestRuntimeMapIndexAborts(t *testing.T) {
 		t.Errorf("dynamic bad map index: verdict %v", v)
 	}
 }
+
+// PacketCounter builds the canonical "count packets and pass" program:
+// it increments slot 0 of counts on every invocation and returns
+// VerdictPass.
+func PacketCounter(name string, counts *ArrayMap) (*Program, error) {
+	insns := []Insn{
+		{Op: OpMovImm, Dst: R1, Imm: 0},    // map 0
+		{Op: OpMovImm, Dst: R2, Imm: 0},    // key 0
+		{Op: OpCall, Imm: HelperMapLookup}, // R0 = count
+		{Op: OpMov, Dst: R3, Src: R0},      //
+		{Op: OpAddImm, Dst: R3, Imm: 1},    // R3 = count+1
+		{Op: OpCall, Imm: HelperMapUpdate}, // map[0] = R3
+		{Op: OpMovImm, Dst: R0, Imm: uint64(VerdictPass)},
+		{Op: OpExit},
+	}
+	return Load(name, insns, []Map{counts})
+}
+
+// SetClock overrides the timestamp source.
+func (p *Program) SetClock(c Clock) { p.clock = c }

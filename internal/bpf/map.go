@@ -46,48 +46,6 @@ func (m *ArrayMap) Update(key, value uint64) {
 	}
 }
 
-// HashMap maps u64 keys to u64 values, like BPF_MAP_TYPE_HASH, with a
-// capacity bound; updates beyond capacity evict nothing and are dropped,
-// matching the kernel's E2BIG behavior.
-type HashMap struct {
-	mu  sync.Mutex
-	cap int
-	m   map[uint64]uint64
-}
-
-// NewHashMap creates a hash map bounded to capacity entries.
-func NewHashMap(capacity int) *HashMap {
-	return &HashMap{cap: capacity, m: make(map[uint64]uint64)}
-}
-
-// Lookup implements Map.
-func (m *HashMap) Lookup(key uint64) (uint64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.m[key]
-	return v, ok
-}
-
-// Update implements Map.
-func (m *HashMap) Update(key, value uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, exists := m.m[key]; !exists {
-		if len(m.m) >= m.cap {
-			return
-		}
-		hashMapEntries.Add(1)
-	}
-	m.m[key] = value
-}
-
-// Len returns the number of entries (for tests).
-func (m *HashMap) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}
-
 // Clock abstracts time for HelperKtimeNS so tests can run deterministic
 // rate-limit scenarios.
 type Clock func() uint64

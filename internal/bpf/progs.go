@@ -19,23 +19,6 @@ const (
 	etIPv6 = 0x86dd
 )
 
-// PacketCounter builds the canonical "count packets and pass" program:
-// it increments slot 0 of counts on every invocation and returns
-// VerdictPass.
-func PacketCounter(name string, counts *ArrayMap) (*Program, error) {
-	insns := []Insn{
-		{Op: OpMovImm, Dst: R1, Imm: 0},    // map 0
-		{Op: OpMovImm, Dst: R2, Imm: 0},    // key 0
-		{Op: OpCall, Imm: HelperMapLookup}, // R0 = count
-		{Op: OpMov, Dst: R3, Src: R0},      //
-		{Op: OpAddImm, Dst: R3, Imm: 1},    // R3 = count+1
-		{Op: OpCall, Imm: HelperMapUpdate}, // map[0] = R3
-		{Op: OpMovImm, Dst: R0, Imm: uint64(VerdictPass)},
-		{Op: OpExit},
-	}
-	return Load(name, insns, []Map{counts})
-}
-
 // SourceIPFilter compiles an anti-spoofing whitelist: ARP passes, IPv4
 // and IPv6 packets pass only if their source address falls within one of
 // the allowed prefixes, and everything else drops. This is the data-plane

@@ -2,16 +2,6 @@ package bpf
 
 import "repro/internal/telemetry"
 
-// hashMapEntries tracks live entries across every HashMap in the
-// process — the map-occupancy signal for capacity-bounded rate-limit
-// state (a full map silently refuses inserts, so occupancy near the
-// configured capacity is the thing to alarm on).
-var hashMapEntries *telemetry.Gauge
-
-func init() {
-	hashMapEntries = telemetry.Default().Gauge("bpf_hashmap_entries")
-}
-
 // verdictCounters holds one program's bpf_verdicts_total{prog,verdict}
 // series, resolved at Load time.
 type verdictCounters struct {

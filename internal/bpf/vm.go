@@ -30,9 +30,6 @@ func Load(name string, insns []Insn, maps []Map) (*Program, error) {
 	return &Program{Name: name, insns: insns, maps: maps, clock: MonotonicClock, verdicts: newVerdictCounters(name)}, nil
 }
 
-// SetClock overrides the timestamp source (tests).
-func (p *Program) SetClock(c Clock) { p.clock = c }
-
 // Stats returns cumulative run/drop/abort counts.
 func (p *Program) Stats() (runs, drops, aborts uint64) {
 	return p.runs.Load(), p.drops.Load(), p.aborts.Load()

@@ -162,16 +162,6 @@ func (c *Collector) Events(from, to time.Time) []Event {
 	return out
 }
 
-// EventCount returns the number of recorded events.
-func (c *Collector) EventCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
-
-// RIB returns the collector's current table (shared; treat read-only).
-func (c *Collector) RIB() *rib.Table { return c.table }
-
 // History returns the events affecting a prefix, in order — the per-
 // prefix timeline tools like BGPStream reconstruct.
 func (c *Collector) History(prefix netip.Prefix) []Event {

@@ -62,11 +62,11 @@ func announce(t *testing.T, s *bgp.Session, prefix string, id uint32, asns []uin
 func waitEvents(t *testing.T, col *Collector, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for col.EventCount() < n && time.Now().Before(deadline) {
+	for len(col.Events(time.Time{}, time.Time{})) < n && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if col.EventCount() < n {
-		t.Fatalf("events = %d, want >= %d", col.EventCount(), n)
+	if len(col.Events(time.Time{}, time.Time{})) < n {
+		t.Fatalf("events = %d, want >= %d", len(col.Events(time.Time{}, time.Time{})), n)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestCollectorRecordsAnnouncesAndWithdraws(t *testing.T) {
 	announce(t, sess, "192.168.0.0/24", 1, []uint32{65001, 65002})
 	announce(t, sess, "192.168.0.0/24", 2, []uint32{65003})
 	waitEvents(t, col, 2)
-	if got := col.RIB().PathCount(); got != 2 {
+	if got := col.table.PathCount(); got != 2 {
 		t.Fatalf("RIB paths = %d (ADD-PATH reception)", got)
 	}
 
@@ -85,7 +85,7 @@ func TestCollectorRecordsAnnouncesAndWithdraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitEvents(t, col, 3)
-	if got := col.RIB().PathCount(); got != 1 {
+	if got := col.table.PathCount(); got != 1 {
 		t.Fatalf("RIB paths after withdraw = %d", got)
 	}
 

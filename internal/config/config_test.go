@@ -1,9 +1,7 @@
 package config
 
 import (
-	"fmt"
 	"net/netip"
-	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -121,65 +119,5 @@ func TestNetworkIntent(t *testing.T) {
 	}
 	if _, err := m.NetworkIntent("nope"); err == nil {
 		t.Error("unknown pop accepted")
-	}
-}
-
-func TestRenderRouterConfig(t *testing.T) {
-	m := sampleModel()
-	text, err := RenderRouterConfig(&m, "amsix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"router id 198.51.100.1",
-		"protocol bgp rs1",
-		"add paths rx",
-		"neighbor 80.249.208.1 as 3356",
-		"protocol bgp mux_exp1",
-		"if net ~ 184.164.224.0/23 then accept",
-		"reject;",
-		"table t_rs1",
-		"table t_transit1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("rendered config missing %q", want)
-		}
-	}
-	// Unapproved experiments generate nothing.
-	if strings.Contains(text, "pending") {
-		t.Error("unapproved experiment leaked into config")
-	}
-}
-
-func TestRenderedConfigScalesWithNeighbors(t *testing.T) {
-	// "configuration files for BIRD alone can exceed over 10,000 lines
-	// at large PoPs" — line count must grow linearly with neighbors.
-	m := sampleModel()
-	small, _ := RenderRouterConfig(&m, "amsix")
-	for i := 0; i < 500; i++ {
-		m.PoPs[0].Neighbors = append(m.PoPs[0].Neighbors, NeighborSpec{
-			Name: fmt.Sprintf("peer%d", i), ID: uint32(100 + i), ASN: uint32(20000 + i),
-			Addr: a("80.249.209.1"), Interface: "ix0",
-		})
-	}
-	big, err := RenderRouterConfig(&m, "amsix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallLines := strings.Count(small, "\n")
-	bigLines := strings.Count(big, "\n")
-	if bigLines < smallLines+500*10 {
-		t.Errorf("config did not scale: %d -> %d lines", smallLines, bigLines)
-	}
-}
-
-func TestRenderVPNConfig(t *testing.T) {
-	m := sampleModel()
-	text := RenderVPNConfig(&m)
-	if !strings.Contains(text, "client exp1 key k1") || !strings.Contains(text, "client exp2 key k2") {
-		t.Errorf("vpn config: %s", text)
-	}
-	if strings.Contains(text, "pending") {
-		t.Error("unapproved credential issued")
 	}
 }

@@ -24,6 +24,7 @@ type fig5 struct {
 	n2LAN  *netsim.Segment
 	n1, n2 *testPeer
 	n2Host *netsim.Host
+	n2Ifc  *netsim.Interface
 	engine *policy.Engine
 }
 
@@ -63,7 +64,7 @@ func newFig5With(t *testing.T, asn uint32) *fig5 {
 
 	// Neighbor N1 at E1.
 	n1Host := netsim.NewHost("N1")
-	n1Host.AddInterface("eth0", ethernet.MustParseMAC("02:00:00:00:00:11"), pfx("192.0.2.1/24"), n1LAN)
+	n1Host.AddInterface("eth0", ethernet.MAC{0x02, 0, 0, 0, 0, 0x11}, pfx("192.0.2.1/24"), n1LAN)
 	c1r, c1n := pipe.New()
 	if _, err := f.e1.AddNeighbor(NeighborConfig{
 		Name: "N1", ID: 1, ASN: n1ASN, Addr: ip("192.0.2.1"), Interface: "nbr0", Conn: c1r,
@@ -74,7 +75,7 @@ func newFig5With(t *testing.T, asn uint32) *fig5 {
 
 	// Neighbor N2 at E2.
 	f.n2Host = netsim.NewHost("N2")
-	f.n2Host.AddInterface("eth0", ethernet.MustParseMAC("02:00:00:00:00:22"), pfx("198.18.0.1/24"), f.n2LAN)
+	f.n2Ifc = f.n2Host.AddInterface("eth0", ethernet.MAC{0x02, 0, 0, 0, 0, 0x22}, pfx("198.18.0.1/24"), f.n2LAN)
 	c2r, c2n := pipe.New()
 	if _, err := f.e2.AddNeighbor(NeighborConfig{
 		Name: "N2", ID: 2, ASN: n2ASN, Addr: ip("198.18.0.1"), Interface: "nbr0", Conn: c2r,
@@ -146,12 +147,12 @@ func TestFigure5BackboneDataPlane(t *testing.T) {
 
 	// X1 on E1's experiment LAN.
 	x1 := netsim.NewHost("X1")
-	x1ifc := x1.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	x1ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
 
 	// Count frames at N2.
 	var mu sync.Mutex
 	var n2Frames int
-	f.n2Host.Interfaces()[0].SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
+	f.n2Ifc.SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
 		if fr.Type == ethernet.TypeIPv4 {
 			mu.Lock()
 			n2Frames++
@@ -268,7 +269,8 @@ func TestBackboneInboundTrafficReachesExperiment(t *testing.T) {
 	x1sess.waitEstablished()
 
 	x1 := netsim.NewHost("X1")
-	x1ifc := x1.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	x1ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
+	f.e1.SetExperimentTunnelIP("X1", ip("100.65.0.1"))
 	var mu sync.Mutex
 	var rx int
 	var rxSrc ethernet.MAC
@@ -289,13 +291,13 @@ func TestBackboneInboundTrafficReachesExperiment(t *testing.T) {
 
 	// N2 sends a packet toward the experiment prefix: N2 -> E2 ->
 	// backbone -> E1 -> X1.
-	rtrMAC, err := f.n2Host.Resolve(f.n2Host.Interfaces()[0], ip("198.18.0.254"), time.Second)
+	rtrMAC, err := f.n2Host.Resolve(f.n2Ifc, ip("198.18.0.254"), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
 		Src: ip("192.168.0.9"), Dst: ip("10.1.0.7"), Payload: []byte("inbound-via-bb")}
-	f.n2Host.Interfaces()[0].Send(&ethernet.Frame{Dst: rtrMAC, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
+	f.n2Ifc.Send(&ethernet.Frame{Dst: rtrMAC, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 
 	waitFor(t, "inbound frame at X1", func() bool {
 		mu.Lock()
@@ -476,7 +478,7 @@ func TestTTLExpiryAtRouterNotifiesSender(t *testing.T) {
 	// router delivers to registered tunnel IPs.
 	f.router.SetExperimentTunnelIP("X1", ip("100.65.0.1"))
 	host := netsim.NewHost("X1")
-	ifc := host.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	ifc := host.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
 	var exceeded atomic.Uint64
 	host.Handle(ethernet.ProtoICMP, func(_ *netsim.Host, _ *netsim.Interface, ipkt *ethernet.IPv4) {
 		var m ethernet.ICMP

@@ -59,11 +59,6 @@ func LargeAnnounceTo(platformASN, neighborID uint32) bgp.LargeCommunity {
 	return bgp.LargeCommunity{Global: platformASN, Local1: largeFnAnnounceTo, Local2: neighborID}
 }
 
-// LargeNoExportTo builds the large-community blacklist for a neighbor.
-func LargeNoExportTo(platformASN, neighborID uint32) bgp.LargeCommunity {
-	return bgp.LargeCommunity{Global: platformASN, Local1: largeFnNoExportTo, Local2: neighborID}
-}
-
 // control classifies a standard community: ok reports whether it is a
 // control community addressed to platformASN, id the neighbor it names
 // and deny whether it blacklists that neighbor rather than whitelisting

@@ -240,3 +240,8 @@ func TestLargeCommunitySteering(t *testing.T) {
 		}
 	}
 }
+
+// LargeNoExportTo builds the large-community blacklist for a neighbor.
+func LargeNoExportTo(platformASN, neighborID uint32) bgp.LargeCommunity {
+	return bgp.LargeCommunity{Global: platformASN, Local1: largeFnNoExportTo, Local2: neighborID}
+}

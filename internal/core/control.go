@@ -475,7 +475,9 @@ func (r *Router) ConnectExperiment(name string, expASN uint32, conn net.Conn) (*
 const dumpBlockSize = 128
 
 // streamTable sends the best route of every prefix in neighbor n's
-// table to sess, as class add sees it, a block at a time. Unlike the
+// table to sess, as class add sees it, a block at a time, and withholds
+// the routes flap damping suppresses, as incremental export does. It
+// returns how many routes it sent. Unlike the
 // fan-out it waits for room in the session's queue — on the session's
 // own goroutine (dumps run from its callbacks), between blocks, and
 // with no table lock held — so a dump can neither overflow a healthy
@@ -496,12 +498,19 @@ func (r *Router) streamTable(sess *bgp.Session, n *Neighbor, add func(*exportLis
 		after  netip.Prefix
 	)
 	for {
+		withheld := 0
 		got := n.Table.ReadBest(after, buf, func(routes []rib.Route) {
-			if len(routes) == 0 {
-				return
-			}
 			for _, rt := range routes {
+				// The damper marks every path of the neighbor for the
+				// prefix, so there is no undamped one to send instead.
+				if rt.Best.Damped {
+					withheld++
+					continue
+				}
 				add(&list, n, rt.Prefix, rt.Best.Attrs, false)
+			}
+			if len(list.routes) == 0 {
+				return
 			}
 			var took int
 			if took, err = bgp.FanOut(target, list.routes); err == nil && took == 0 {
@@ -512,7 +521,7 @@ func (r *Router) streamTable(sess *bgp.Session, n *Neighbor, add func(*exportLis
 		if err != nil {
 			return sent, err
 		}
-		sent += got
+		sent += got - withheld
 		if got < len(buf) {
 			return sent, nil
 		}
@@ -591,12 +600,6 @@ func (r *Router) handleExperimentUpdate(e *expConn, u *bgp.Update) {
 			r.metrics.shedAnnouncements.Inc()
 			r.withdrawExperimentRoute(e.name, nlri.Prefix, nlri.ID, false)
 			return
-		}
-
-		// The next hop is where the experiment wants its traffic: checked
-		// per route, published only when it moves.
-		if v4 := stored.NextHop; v4.IsValid() && v4.Is4() && r.topo.Load().tunnelIP[e.name] != v4 {
-			r.SetExperimentTunnelIP(e.name, v4)
 		}
 
 		r.emit(telemetry.Event{

@@ -44,7 +44,16 @@ func TestDampedRouteWithheldButRetained(t *testing.T) {
 	if n := f.nbr1.Table.PathCount(); n != 1 {
 		t.Fatalf("adj-RIB-in path count = %d, want 1 (suppression must not evict)", n)
 	}
-	if n := f.nbr1.Table.DampedCount(); n != 1 {
+	damped := func() int {
+		n := 0
+		for _, p := range f.nbr1.Table.Paths(pfx(prefix)) {
+			if p.Damped {
+				n++
+			}
+		}
+		return n
+	}
+	if n := damped(); n != 1 {
 		t.Fatalf("damped paths in adj-RIB-in = %d, want 1", n)
 	}
 
@@ -54,7 +63,7 @@ func TestDampedRouteWithheldButRetained(t *testing.T) {
 		_, ok := x1.routes()[nlri]
 		return ok
 	})
-	if f.nbr1.Table.DampedCount() != 0 {
+	if damped() != 0 {
 		t.Fatal("damped mark not cleared on reuse")
 	}
 	if f.router.Damper().Suppressed(guard.Key{Peer: "N1", Prefix: pfx(prefix)}) {
@@ -88,4 +97,39 @@ func TestShedAnnouncementsTreatAsWithdraw(t *testing.T) {
 	waitFor(t, "announcement installed after shedding lifted", func() bool {
 		return f.router.ExperimentRoutes().PathCount() == 2
 	})
+}
+
+// TestTableDumpWithholdsDampedRoutes: an experiment that connects while a
+// neighbor route is suppressed does not receive it in its table dump,
+// just as incremental export withheld it from the experiments already
+// connected.
+func TestTableDumpWithholdsDampedRoutes(t *testing.T) {
+	f := newFig1With(t, func(cfg *Config) {
+		cfg.Damping = &guard.DampingConfig{HalfLife: 10 * time.Second}
+	})
+	x1 := f.connectExperiment(t, "X1", true)
+
+	// N1's only route is the flapped one, so a whole dump block of N1's
+	// is withheld; N2's route follows it in the dump.
+	flapped, steady := "192.168.9.0/24", "192.168.10.0/24"
+	f.n2.announce(steady, []uint32{n2ASN}, "192.0.2.2")
+	f.n1.announce(flapped, []uint32{n1ASN}, "192.0.2.1")
+	for i := 0; i < 2; i++ {
+		f.n1.withdraw(flapped)
+		f.n1.announce(flapped, []uint32{n1ASN}, "192.0.2.1")
+	}
+	waitFor(t, "route suppressed and withheld from X1", func() bool {
+		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx(flapped), ID: 1}]
+		return !ok && f.router.Damper().Suppressed(guard.Key{Peer: "N1", Prefix: pfx(flapped)}) &&
+			len(f.nbr1.Table.Paths(pfx(flapped))) == 1
+	})
+
+	x2 := f.connectExperiment(t, "X2", true)
+	waitFor(t, "the tables dumped to X2", func() bool {
+		_, ok := x2.routes()[bgp.NLRI{Prefix: pfx(steady), ID: 2}]
+		return ok
+	})
+	if _, ok := x2.routes()[bgp.NLRI{Prefix: pfx(flapped), ID: 1}]; ok {
+		t.Error("the table dump gave X2 a route damping withholds from X1")
+	}
 }

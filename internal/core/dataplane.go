@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ethernet"
 	"repro/internal/netsim"
-	"repro/internal/rib"
 )
 
 // fwdNeighbor is what the data plane knows of one neighbor.
@@ -167,7 +166,6 @@ func (r *Router) forwardInbound(st *topology, in *netsim.Interface, src ethernet
 			r.drop(dropNoRoute)
 			return
 		}
-		nh = dst
 	}
 	if pkt[ipTTL] <= 1 {
 		r.drop(dropTTLExpired)
@@ -184,10 +182,10 @@ func (r *Router) forwardInbound(st *topology, in *netsim.Interface, src ethernet
 		r.drop(dropNoRoute)
 		return
 	}
-	if tunnelIP := st.tunnelIP[owner]; tunnelIP.IsValid() {
-		nh = tunnelIP // otherwise fall back to the announced next hop
-	}
-	if !nh.IsValid() {
+	// Delivery goes to the address registered by whoever attached the
+	// experiment's port, never to an announced next hop: an experiment
+	// cannot steer traffic onto another's tap (§3.3).
+	if nh = st.tunnelIP[owner]; !nh.IsValid() {
 		r.drop(dropNoMAC)
 		return
 	}
@@ -269,14 +267,4 @@ func (r *Router) attributionMAC(st *topology, src ethernet.MAC) ethernet.MAC {
 		return src // derived per-neighbor MAC from a PoP we haven't met
 	}
 	return ethernet.MAC{}
-}
-
-// LookupVia returns the route neighbor n would use for dst — the lookup
-// the data plane performs per packet — for tests and diagnostics.
-func (r *Router) LookupVia(neighborName string, dst netip.Addr) *rib.Path {
-	n := r.Neighbor(neighborName)
-	if n == nil {
-		return nil
-	}
-	return n.Table.Lookup(dst)
 }

@@ -41,16 +41,19 @@ func dropsByReason(pop string) map[string]uint64 {
 	return out
 }
 
-// capture is a promiscuous port recording the wire bytes it sees.
+// capture is a port recording the wire bytes of the frames addressed to
+// macs. It attaches after their owners, so it is delivered to last.
 type capture struct {
 	mu     sync.Mutex
 	frames [][]byte
 }
 
-func newCapture(seg *netsim.Segment, name string) *capture {
+func newCapture(seg *netsim.Segment, name string, macs ...ethernet.MAC) *capture {
 	c := &capture{}
 	ifc := netsim.NewInterface(name, ethernet.MAC{0x02, 0xca, 0, 0, 0, 1})
-	ifc.SetPromiscuous(true)
+	for _, m := range macs {
+		ifc.AddMAC(m)
+	}
 	ifc.SetRawHandler(func(_ *netsim.Interface, data []byte) {
 		c.mu.Lock()
 		c.frames = append(c.frames, append([]byte(nil), data...))
@@ -95,7 +98,7 @@ func optionsPacket(ttl uint8, src, dst netip.Addr, payload []byte) []byte {
 func (f *fig1) expHost(t *testing.T, n *Neighbor) (*netsim.Interface, ethernet.MAC) {
 	t.Helper()
 	x1 := netsim.NewHost("X1")
-	ifc := x1.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
 	mac, err := x1.Resolve(ifc, n.LocalIP, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +114,7 @@ func TestForwardPreservesIPv4Options(t *testing.T) {
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
 	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 	x1ifc, mac := f.expHost(t, f.nbr2)
-	sniff := newCapture(f.nbrLAN, "sniff")
+	sniff := newCapture(f.nbrLAN, "sniff", f.n2Ifc.MAC())
 
 	pkt := optionsPacket(64, ip("10.1.0.1"), ip("192.168.0.1"), []byte("options ride along"))
 	// Two bytes of link-layer padding after the datagram must not travel.
@@ -201,9 +204,9 @@ func TestForwardLeavesSharedBufferIntact(t *testing.T) {
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
 	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 	x1ifc, mac := f.expHost(t, f.nbr2)
-	// Promiscuous ports are delivered to after a MAC's owners: the capture
-	// port sees each buffer once the router is done with it.
-	sniffExp, sniffNbr := newCapture(f.expLAN, "sniff-exp"), newCapture(f.nbrLAN, "sniff-nbr")
+	// A MAC's owners are delivered to in the order they claimed it: the
+	// capture port sees each buffer once the router is done with it.
+	sniffExp, sniffNbr := newCapture(f.expLAN, "sniff-exp", mac), newCapture(f.nbrLAN, "sniff-nbr", f.n2Ifc.MAC())
 
 	for i := 0; i < 3; i++ {
 		pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP, ID: uint16(i),
@@ -235,7 +238,7 @@ func TestForwardDuringNeighborEstablishment(t *testing.T) {
 	r.AddInterface("nbr0", "neighbor", pfx("192.0.2.254/24"), nbrLAN)
 	r.AddInterface("exp0", "experiment", pfx("100.65.0.254/24"), expLAN)
 	host := netsim.NewHost("N1")
-	hifc := host.AddInterface("eth0", ethernet.MustParseMAC("02:00:00:00:00:11"), pfx("192.0.2.1/24"), nbrLAN)
+	hifc := host.AddInterface("eth0", ethernet.MAC{0x02, 0, 0, 0, 0, 0x11}, pfx("192.0.2.1/24"), nbrLAN)
 	var delivered atomic.Uint64
 	hifc.SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
 		if fr.Type == ethernet.TypeIPv4 {
@@ -301,14 +304,14 @@ func TestForwardDuringNeighborEstablishment(t *testing.T) {
 func TestTunnelAddressDelivery(t *testing.T) {
 	f := newFig1(t)
 	host := netsim.NewHost("X1")
-	hifc := host.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	hifc := host.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
 	var got atomic.Uint64
 	hifc.SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
 		if fr.Type == ethernet.TypeIPv4 {
 			got.Add(1)
 		}
 	})
-	nbrIfc := f.n2Host.Interfaces()[0]
+	nbrIfc := f.n2Ifc
 	rtrMAC, err := f.n2Host.Resolve(nbrIfc, ip("192.0.2.254"), time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -377,22 +380,22 @@ func TestTunnelAddressesPlateau(t *testing.T) {
 	}
 }
 
-// TestForwardingStateRepublishedOnlyOnChange: the per-route control paths
-// that touch forwarding state — an experiment's announcements carrying
-// its next hop, the find-or-create of a remote neighbor per mesh route —
-// publish a new snapshot for the first route only.
+// TestForwardingStateRepublishedOnlyOnChange: the control paths that touch
+// forwarding state — registering an experiment's tunnel address, the
+// find-or-create of a remote neighbor per mesh route — publish a new
+// snapshot only when something changed, and announcements publish none.
 func TestForwardingStateRepublishedOnlyOnChange(t *testing.T) {
 	f := newFig1(t)
 	x1 := f.connectExperiment(t, "X1", true)
-	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "first announcement", func() bool { return f.router.topo.Load().tunnelIP["X1"] == ip("100.65.0.1") })
+	f.router.SetExperimentTunnelIP("X1", ip("100.65.0.1"))
 	before := f.router.topo.Load()
 	for i := 1; i <= 20; i++ {
+		f.router.SetExperimentTunnelIP("X1", ip("100.65.0.1"))
 		x1.announceV("10.1.0.0/24", bgp.PathID(i), []uint32{expASN}, "100.65.0.1")
 	}
-	waitFor(t, "announcements processed", func() bool { return len(f.router.ExperimentRoutes().Paths(pfx("10.1.0.0/24"))) == 21 })
+	waitFor(t, "announcements processed", func() bool { return len(f.router.ExperimentRoutes().Paths(pfx("10.1.0.0/24"))) == 20 })
 	if f.router.topo.Load() != before {
-		t.Error("announcements with an unchanged next hop republished the forwarding state")
+		t.Error("re-registering an unchanged tunnel address or announcing republished the forwarding state")
 	}
 
 	gip := netip.MustParseAddr("127.127.0.9")

@@ -210,9 +210,9 @@ var fanoutSeq atomic.Int64
 func newFanoutRouter(t *testing.T, neighbors int) *fanoutRouter {
 	t.Helper()
 	f := &fanoutRouter{r: NewRouter(Config{Name: fmt.Sprintf("fan%d", fanoutSeq.Add(1)), ASN: platformASN, RouterID: ip("198.51.100.1")})}
-	f.r.AddInterface("nbr0", "neighbor", pfx("192.0.2.254/24"), netsim.NewSegment("nbr-lan"))
+	lan := netsim.NewSegment("nbr-lan")
+	f.r.AddInterface("nbr0", "neighbor", pfx("192.0.2.254/24"), lan)
 	f.r.AddInterface("bb0", "backbone", pfx("100.127.0.1/24"), netsim.NewSegment("bb"))
-	lan := f.r.Interface("nbr0").Segment()
 	for i := 0; i < neighbors; i++ {
 		cr, cn := pipe.New()
 		addr := ip(fmt.Sprintf("192.0.2.%d", i+1))
@@ -432,6 +432,7 @@ func TestWedgedConsumerSoak(t *testing.T) {
 
 	type exp struct {
 		name   string
+		asn    uint32
 		router *bgp.Session
 		peer   *viewPeer
 	}
@@ -441,7 +442,7 @@ func TestWedgedConsumerSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &exp{name: name, router: rs, peer: newViewPeer(far, asn, "100.65.0.9", hold)}
+		e := &exp{name: name, asn: asn, router: rs, peer: newViewPeer(far, asn, "100.65.0.9", hold)}
 		t.Cleanup(func() { e.peer.sess.Close() })
 		return e
 	}
@@ -467,7 +468,7 @@ func TestWedgedConsumerSoak(t *testing.T) {
 	// Each wedged experiment holds an announcement of its own.
 	announceOwn := func(e *exp, prefix string) {
 		a := &bgp.PathAttrs{Origin: bgp.OriginIGP, HasOrigin: true, NextHop: ip("100.65.0.9"),
-			ASPath: []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{e.peer.sess.RemoteASN()}}}}
+			ASPath: []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{e.asn}}}}
 		if err := e.peer.sess.Send(&bgp.Update{Attrs: a, NLRI: []bgp.NLRI{{Prefix: pfx(prefix)}}}); err != nil {
 			t.Fatal(err)
 		}

@@ -59,6 +59,7 @@ func TestForwardAllocs(t *testing.T) {
 	r.ExperimentRoutes().Add(&rib.Path{Prefix: pfx("184.164.224.0/24"), Peer: "X1", EBGP: true, Seq: rib.NextSeq(),
 		Attrs: &bgp.PathAttrs{NextHop: ip("100.65.0.1")}})
 	r.ExperimentRoutes().BuildSnapshot()
+	r.SetExperimentTunnelIP("X1", ip("100.65.0.1"))
 	host := netsim.NewInterface("x1", ethernet.MAC{0x0a, 0, 0, 0, 0, 1})
 	host.AddAddr(ip("100.65.0.1"))
 	host.SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {

@@ -42,9 +42,6 @@ func NewPool(prefix netip.Prefix) *Pool {
 	return &Pool{prefix: prefix.Masked()}
 }
 
-// Prefix returns the pool's covering prefix.
-func (p *Pool) Prefix() netip.Prefix { return p.prefix }
-
 // Contains reports whether addr was carved from this pool's prefix.
 func (p *Pool) Contains(addr netip.Addr) bool {
 	return addr.Is4() && p.prefix.Contains(addr)

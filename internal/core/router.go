@@ -383,9 +383,8 @@ type topology struct {
 	// of Fig. 2b.
 	byLocalIP map[netip.Addr]*Neighbor
 	// tunnelIP maps an experiment to the address it is reached at on the
-	// experiment LAN — registered with SetExperimentTunnelIP or learned
-	// from the next hop of its announcements, whichever came last — and
-	// byTunnelIP is its inverse.
+	// experiment LAN — registered with SetExperimentTunnelIP by whoever
+	// attaches its port — and byTunnelIP is its inverse.
 	tunnelIP   map[string]netip.Addr
 	byTunnelIP map[netip.Addr]string
 }
@@ -784,53 +783,3 @@ func (r *Router) reuseNeighborRoute(key guard.Key) {
 // DefaultTable returns the router-managed best-path table, or nil when
 // MaintainDefaultTable is off.
 func (r *Router) DefaultTable() *rib.Table { return r.defaultTable }
-
-// InjectRoute installs a route into a neighbor's table directly, without
-// a BGP session — the deployment variant §7.2 describes ("a centralized
-// controller decides which routes to use and injects them into tables at
-// routers", the design vBGP inspired at Facebook). The data plane's
-// per-packet MAC signaling then selects among injected routes exactly as
-// it does among learned ones. The injected route is also exported to
-// experiments.
-func (r *Router) InjectRoute(neighborName string, prefix netip.Prefix, attrs *bgp.PathAttrs) error {
-	n := r.Neighbor(neighborName)
-	if n == nil {
-		return fmt.Errorf("core: no neighbor %s", neighborName)
-	}
-	stored := attrs.Clone()
-	if prefix.Addr().Is4() && !n.RouteServer && n.Addr.IsValid() {
-		stored.NextHop = n.Addr
-	}
-	n.Table.Add(&rib.Path{
-		Prefix: prefix, Peer: n.Name, Attrs: stored,
-		EBGP: true, Seq: rib.NextSeq(), PeerAddr: n.Addr,
-	})
-	if r.defaultTable != nil {
-		r.defaultTable.Add(&rib.Path{Prefix: prefix, Peer: n.Name, Attrs: stored.Clone(), Seq: rib.NextSeq()})
-	}
-	r.exportToExperiments(n, prefix, stored, false)
-	r.exportToMesh(n, prefix, stored, false)
-	return nil
-}
-
-// RemoveInjectedRoute withdraws a controller-injected route.
-func (r *Router) RemoveInjectedRoute(neighborName string, prefix netip.Prefix) error {
-	n := r.Neighbor(neighborName)
-	if n == nil {
-		return fmt.Errorf("core: no neighbor %s", neighborName)
-	}
-	if n.Table.Withdraw(prefix, n.Name, 0) == nil {
-		return fmt.Errorf("core: no injected route for %s via %s", prefix, neighborName)
-	}
-	if r.defaultTable != nil {
-		r.defaultTable.Withdraw(prefix, n.Name, 0)
-	}
-	if best := n.Table.Best(prefix); best != nil {
-		r.exportToExperiments(n, prefix, best.Attrs, false)
-		r.exportToMesh(n, prefix, best.Attrs, false)
-	} else {
-		r.exportToExperiments(n, prefix, nil, true)
-		r.exportToMesh(n, prefix, nil, true)
-	}
-	return nil
-}

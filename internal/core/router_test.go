@@ -3,7 +3,6 @@ package core
 import (
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,6 +149,8 @@ type fig1 struct {
 	nbr2   *Neighbor
 	n1Host *netsim.Host
 	n2Host *netsim.Host
+	n1Ifc  *netsim.Interface
+	n2Ifc  *netsim.Interface
 	engine *policy.Engine
 }
 
@@ -186,9 +187,9 @@ func newFig1With(t *testing.T, mod func(*Config)) *fig1 {
 
 	// Neighbor hosts answer ARP for their addresses and count frames.
 	f.n1Host = netsim.NewHost("N1")
-	f.n1Host.AddInterface("eth0", ethernet.MustParseMAC("02:00:00:00:00:11"), pfx("192.0.2.1/24"), f.nbrLAN)
+	f.n1Ifc = f.n1Host.AddInterface("eth0", ethernet.MAC{0x02, 0, 0, 0, 0, 0x11}, pfx("192.0.2.1/24"), f.nbrLAN)
 	f.n2Host = netsim.NewHost("N2")
-	f.n2Host.AddInterface("eth0", ethernet.MustParseMAC("02:00:00:00:00:22"), pfx("192.0.2.2/24"), f.nbrLAN)
+	f.n2Ifc = f.n2Host.AddInterface("eth0", ethernet.MAC{0x02, 0, 0, 0, 0, 0x22}, pfx("192.0.2.2/24"), f.nbrLAN)
 
 	c1r, c1n := pipe.New()
 	var err error
@@ -310,13 +311,13 @@ func TestFigure2DataPlane(t *testing.T) {
 
 	// X1 is a plain host on the experiment LAN preferring N2's route.
 	x1 := netsim.NewHost("X1")
-	x1ifc := x1.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	x1ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
 
 	// Count IPv4 frames arriving at each neighbor.
 	var mu sync.Mutex
 	got := map[string]int{}
-	count := func(name string, h *netsim.Host) {
-		h.Interfaces()[0].SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
+	count := func(name string, ifc *netsim.Interface) {
+		ifc.SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
 			if fr.Type == ethernet.TypeIPv4 {
 				mu.Lock()
 				got[name]++
@@ -324,8 +325,8 @@ func TestFigure2DataPlane(t *testing.T) {
 			}
 		})
 	}
-	count("N1", f.n1Host)
-	count("N2", f.n2Host)
+	count("N1", f.n1Ifc)
+	count("N2", f.n2Ifc)
 
 	// Fig. 2b steps 5-8: ARP for N2's local next hop, then address the
 	// frame to the MAC in the reply.
@@ -374,7 +375,7 @@ func TestDataPlaneNoRouteDrops(t *testing.T) {
 	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 
 	x1 := netsim.NewHost("X1")
-	x1ifc := x1.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	x1ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
 	// N1 announced nothing: steering a packet at N1's MAC must drop.
 	mac1, err := x1.Resolve(x1ifc, f.nbr1.LocalIP, time.Second)
 	if err != nil {
@@ -390,10 +391,12 @@ func TestInboundTrafficSourceMACAttribution(t *testing.T) {
 	x1sess := f.connectExperiment(t, "X1", true)
 	_ = x1sess
 
-	// Experiment host on the LAN and its announcement with the tunnel IP
-	// as next hop.
+	// Experiment host on the LAN, its tunnel address registered as the
+	// platform does when it attaches the tap, and its announcement with
+	// that address as next hop.
 	x1 := netsim.NewHost("X1")
-	x1ifc := x1.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	x1ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
+	f.router.SetExperimentTunnelIP("X1", ip("100.65.0.1"))
 
 	var mu sync.Mutex
 	var rxSrcMAC ethernet.MAC
@@ -418,13 +421,13 @@ func TestInboundTrafficSourceMACAttribution(t *testing.T) {
 	})
 
 	// N2 sends traffic to the experiment prefix via the router.
-	rtrMAC, err := f.n2Host.Resolve(f.n2Host.Interfaces()[0], ip("192.0.2.254"), time.Second)
+	rtrMAC, err := f.n2Host.Resolve(f.n2Ifc, ip("192.0.2.254"), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
 		Src: ip("192.168.0.9"), Dst: ip("10.1.0.7"), Payload: []byte("inbound")}
-	f.n2Host.Interfaces()[0].Send(&ethernet.Frame{Dst: rtrMAC, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
+	f.n2Ifc.Send(&ethernet.Frame{Dst: rtrMAC, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 
 	waitFor(t, "inbound frame at experiment", func() bool {
 		mu.Lock()
@@ -681,7 +684,7 @@ func TestNeighborRateLimit(t *testing.T) {
 
 	// Resolve the neighbor MAC first so the limiter can match frames.
 	x1 := netsim.NewHost("X1")
-	x1ifc := x1.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:01"), pfx("100.65.0.1/24"), f.expLAN)
+	x1ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
 	mac, err := x1.Resolve(x1ifc, f.nbr2.LocalIP, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -701,11 +704,11 @@ func TestNeighborRateLimit(t *testing.T) {
 		t.Fatal("rate limit on unknown neighbor accepted")
 	}
 
-	delivered := int(f.n2Host.Interfaces()[0].RxFrames.Load())
+	delivered := int(f.n2Ifc.RxFrames.Load())
 	for i := 0; i < 10; i++ {
 		x1ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 	}
-	got := int(f.n2Host.Interfaces()[0].RxFrames.Load()) - delivered
+	got := int(f.n2Ifc.RxFrames.Load()) - delivered
 	if got != 3 {
 		t.Errorf("delivered %d frames under a 3-packet limit", got)
 	}
@@ -827,55 +830,39 @@ func TestVersionWithdrawFallsBackToOlderVersion(t *testing.T) {
 	})
 }
 
-func TestFacebookVariantControllerInjection(t *testing.T) {
-	// §7.2: a centralized controller injects routes directly into
-	// per-neighbor tables; per-packet MAC signaling selects them, no BGP
-	// from the controller involved.
+// LookupVia returns the route neighbor n would use for dst — the lookup
+// the data plane performs per packet.
+func (r *Router) LookupVia(neighborName string, dst netip.Addr) *rib.Path {
+	n := r.Neighbor(neighborName)
+	if n == nil {
+		return nil
+	}
+	return n.Table.Lookup(dst)
+}
+
+// TestLoopedNeighborPathDropped: a neighbor UPDATE whose AS path already
+// carries the platform ASN is one of the platform's own announcements
+// reflected back (RFC 4271 §9.1.2). It lands in no table and reaches no
+// experiment.
+func TestLoopedNeighborPathDropped(t *testing.T) {
 	f := newFig1(t)
 	x1 := f.connectExperiment(t, "X1", true)
 
-	attrs := &bgp.PathAttrs{
-		Origin: bgp.OriginIGP, HasOrigin: true,
-		ASPath: []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{n2ASN, 64999}}},
-	}
-	if err := f.router.InjectRoute("N2", pfx("198.51.0.0/16"), attrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.router.InjectRoute("ghost", pfx("198.51.0.0/16"), attrs); err == nil {
-		t.Fatal("injection into unknown neighbor accepted")
-	}
-	// The experiment sees the injected route via ADD-PATH like any other.
-	waitFor(t, "injected route at experiment", func() bool {
-		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx("198.51.0.0/16"), ID: 2}]
+	looped, steady := "192.168.20.0/24", "192.168.21.0/24"
+	f.n1.announce(looped, []uint32{n1ASN, platformASN, 64999}, "192.0.2.1")
+	// The session delivers UPDATEs in order: once the next one is
+	// exported, the looped one has been handled.
+	f.n1.announce(steady, []uint32{n1ASN}, "192.0.2.1")
+	waitFor(t, "the following route at the experiment", func() bool {
+		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx(steady), ID: 1}]
 		return ok
 	})
-	// Data plane: steer a packet at N2's MAC; the injected route carries it.
-	host := netsim.NewHost("ctrl")
-	ifc := host.AddInterface("tap0", ethernet.MustParseMAC("0a:00:00:00:00:07"), pfx("100.65.0.7/24"), f.expLAN)
-	mac, err := host.Resolve(ifc, f.nbr2.LocalIP, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rx atomic.Uint64
-	f.n2Host.Interfaces()[0].SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
-		if fr.Type == ethernet.TypeIPv4 {
-			rx.Add(1)
+	for _, n := range []*Neighbor{f.nbr1, f.nbr2} {
+		if paths := n.Table.Paths(pfx(looped)); len(paths) != 0 {
+			t.Errorf("%s's table holds the looped path: %v", n.Name, paths)
 		}
-	})
-	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
-		Src: ip("10.1.0.1"), Dst: ip("198.51.100.77")}
-	ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
-	waitFor(t, "packet via injected route", func() bool { return rx.Load() == 1 })
-
-	// Removal withdraws it everywhere.
-	if err := f.router.RemoveInjectedRoute("N2", pfx("198.51.0.0/16")); err != nil {
-		t.Fatal(err)
 	}
-	waitFor(t, "withdraw at experiment", func() bool {
-		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx("198.51.0.0/16"), ID: 2}]
-		return !ok
-	})
-	if err := f.router.RemoveInjectedRoute("N2", pfx("198.51.0.0/16")); err == nil {
-		t.Fatal("double removal succeeded")
+	if _, ok := x1.routes()[bgp.NLRI{Prefix: pfx(looped), ID: 1}]; ok {
+		t.Error("the looped path reached the experiment")
 	}
 }

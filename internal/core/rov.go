@@ -21,18 +21,6 @@ func ValidationStateCommunity(platformASN uint32, st rpki.State) bgp.LargeCommun
 	return bgp.LargeCommunity{Global: platformASN, Local1: largeFnValidationState, Local2: uint32(st)}
 }
 
-// ValidationStateFrom extracts the platform's validation-state stamp
-// from a route's large communities. ok is false when the route carries
-// none.
-func ValidationStateFrom(platformASN uint32, large []bgp.LargeCommunity) (st rpki.State, ok bool) {
-	for _, c := range large {
-		if c.Global == platformASN && c.Local1 == largeFnValidationState {
-			return rpki.State(c.Local2), true
-		}
-	}
-	return 0, false
-}
-
 // validationState classifies (prefix, origin of attrs) and records the
 // verdict for RevalidateExports. It returns 0 when no validator is
 // configured.

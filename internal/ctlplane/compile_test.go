@@ -134,3 +134,11 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// Compile expands a validated spec into its announcement atoms, one per
+// (prefix, version, pop), sorted by key, each fingerprinted. The store
+// compiles every object once, as it enters.
+func (s Spec) Compile() []CompiledAnn {
+	out, _ := s.compile()
+	return out
+}

@@ -251,10 +251,6 @@ func (o Overrides) dampingHalfLife() (time.Duration, error) {
 // only on validated specs.
 func (o Overrides) ParsedMRAI() time.Duration { d, _ := o.mrai(); return d }
 
-// ParsedDamping returns the parsed damping half-life override (zero
-// when unset). Call only on validated specs.
-func (o Overrides) ParsedDamping() time.Duration { d, _ := o.dampingHalfLife(); return d }
-
 // Clone deep-copies the spec so stored objects never alias caller
 // slices.
 func (s Spec) Clone() Spec {
@@ -340,14 +336,6 @@ func (a CompiledAnn) fingerprint() string {
 	slices.Sort(comms)
 	b = append(append(b, " comms=["...), strings.Join(comms, " ")...)
 	return string(append(b, ']'))
-}
-
-// Compile expands a validated spec into its announcement atoms, one per
-// (prefix, version, pop), sorted by key, each fingerprinted. The store
-// compiles every object once, as it enters.
-func (s Spec) Compile() []CompiledAnn {
-	out, _ := s.compile()
-	return out
 }
 
 // compile is Compile returning an error where an unvalidated spec — a

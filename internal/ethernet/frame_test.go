@@ -94,7 +94,7 @@ func TestARPRequestReplyFlow(t *testing.T) {
 	req := NewARPRequest(expMAC, netip.MustParseAddr("100.65.0.9"), netip.MustParseAddr("127.65.0.2"))
 
 	reqFrame := req.Frame(expMAC)
-	if !reqFrame.Dst.IsBroadcast() {
+	if reqFrame.Dst != Broadcast {
 		t.Error("ARP request frame should be broadcast")
 	}
 

@@ -9,9 +9,7 @@
 package ethernet
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // MAC is a 48-bit IEEE 802 MAC address. It is a value type (comparable,
@@ -30,91 +28,9 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsBroadcast reports whether m is the broadcast address.
-func (m MAC) IsBroadcast() bool { return m == Broadcast }
-
 // IsMulticast reports whether the group bit (least significant bit of the
 // first octet) is set. Broadcast is a special case of multicast.
 func (m MAC) IsMulticast() bool { return m[0]&0x01 != 0 }
 
 // IsZero reports whether m is the all-zeros address.
 func (m MAC) IsZero() bool { return m == Zero }
-
-// ParseMAC parses a colon-separated MAC address string.
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	if len(s) != 17 {
-		return m, fmt.Errorf("ethernet: invalid MAC %q: want 17 chars, have %d", s, len(s))
-	}
-	for i := 0; i < 6; i++ {
-		hi, ok1 := unhex(s[i*3])
-		lo, ok2 := unhex(s[i*3+1])
-		if !ok1 || !ok2 {
-			return MAC{}, fmt.Errorf("ethernet: invalid MAC %q: bad hex at octet %d", s, i)
-		}
-		m[i] = hi<<4 | lo
-		if i < 5 && s[i*3+2] != ':' {
-			return MAC{}, fmt.Errorf("ethernet: invalid MAC %q: want ':' separator", s)
-		}
-	}
-	return m, nil
-}
-
-// MustParseMAC is like ParseMAC but panics on error. Intended for tests
-// and static configuration.
-func MustParseMAC(s string) MAC {
-	m, err := ParseMAC(s)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-func unhex(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}
-
-// MACAllocator hands out locally administered unicast MAC addresses from a
-// private sequence. vBGP uses one allocator per router to assign a distinct
-// MAC to each BGP neighbor (§3.2.2 of the paper).
-//
-// Allocated addresses have the locally-administered bit set (0x02 in the
-// first octet) and the multicast bit clear, so they can never collide with
-// vendor-assigned NIC addresses or be mistaken for group addresses.
-type MACAllocator struct {
-	mu     sync.Mutex
-	prefix [2]byte // distinguishes allocators (e.g. per router)
-	next   uint32
-}
-
-// NewMACAllocator returns an allocator whose addresses embed the two-byte
-// scope value, so that two allocators with different scopes never produce
-// the same address.
-func NewMACAllocator(scope uint16) *MACAllocator {
-	var a MACAllocator
-	binary.BigEndian.PutUint16(a.prefix[:], scope)
-	return &a
-}
-
-// Next returns the next unused MAC address.
-func (a *MACAllocator) Next() MAC {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.next++
-	var m MAC
-	m[0] = 0x02 // locally administered, unicast
-	m[1] = a.prefix[0]
-	m[2] = a.prefix[1]
-	m[3] = byte(a.next >> 16)
-	m[4] = byte(a.next >> 8)
-	m[5] = byte(a.next)
-	return m
-}

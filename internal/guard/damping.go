@@ -11,7 +11,6 @@ package guard
 import (
 	"math"
 	"net/netip"
-	"sort"
 	"sync"
 	"time"
 )
@@ -172,18 +171,6 @@ func (d *Damper) Suppressed(key Key) bool {
 	return e.suppressed
 }
 
-// Penalty reports key's current (decayed) figure of merit.
-func (d *Damper) Penalty(key Key) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e := d.routes[key]
-	if e == nil {
-		return 0
-	}
-	d.decayLocked(key, e, d.cfg.Now())
-	return e.penalty
-}
-
 // SuppressedCount reports how many routes are currently suppressed.
 func (d *Damper) SuppressedCount() int {
 	d.mu.Lock()
@@ -216,37 +203,6 @@ func (d *Damper) SuppressedFor(peer string) int {
 		}
 	}
 	return n
-}
-
-// SuppressedRoute is one row of SuppressedRoutes: a withheld route,
-// its penalty, and the time until decay releases it.
-type SuppressedRoute struct {
-	Key     Key
-	Penalty float64
-	ReuseIn time.Duration
-}
-
-// SuppressedRoutes lists every currently suppressed route, sorted by
-// descending penalty, for operator visibility (peering-cli health and
-// the telemetry station).
-func (d *Damper) SuppressedRoutes() []SuppressedRoute {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.cfg.Now()
-	var out []SuppressedRoute
-	for key, e := range d.routes {
-		d.decayLocked(key, e, now)
-		if e.suppressed {
-			out = append(out, SuppressedRoute{Key: key, Penalty: e.penalty, ReuseIn: d.reuseDelay(e.penalty)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Penalty != out[j].Penalty {
-			return out[i].Penalty > out[j].Penalty
-		}
-		return out[i].Key.String() < out[j].Key.String()
-	})
-	return out
 }
 
 // Len reports how many routes have live damping state.

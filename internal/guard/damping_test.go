@@ -2,6 +2,7 @@ package guard
 
 import (
 	"net/netip"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -196,4 +197,46 @@ func TestDamperSuppressedRoutesSorted(t *testing.T) {
 	if routes[0].ReuseIn <= routes[1].ReuseIn {
 		t.Fatalf("hotter route should take longer to reuse: %+v", routes)
 	}
+}
+
+// SuppressedRoute is one row of SuppressedRoutes: a withheld route,
+// its penalty, and the time until decay releases it.
+type SuppressedRoute struct {
+	Key     Key
+	Penalty float64
+	ReuseIn time.Duration
+}
+
+// Penalty reports key's current (decayed) figure of merit.
+func (d *Damper) Penalty(key Key) float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e := d.routes[key]
+	if e == nil {
+		return 0
+	}
+	d.decayLocked(key, e, d.cfg.Now())
+	return e.penalty
+}
+
+// SuppressedRoutes lists every currently suppressed route, sorted by
+// descending penalty.
+func (d *Damper) SuppressedRoutes() []SuppressedRoute {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	now := d.cfg.Now()
+	var out []SuppressedRoute
+	for key, e := range d.routes {
+		d.decayLocked(key, e, now)
+		if e.suppressed {
+			out = append(out, SuppressedRoute{Key: key, Penalty: e.penalty, ReuseIn: d.reuseDelay(e.penalty)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Penalty != out[j].Penalty {
+			return out[i].Penalty > out[j].Penalty
+		}
+		return out[i].Key.String() < out[j].Key.String()
+	})
+	return out
 }

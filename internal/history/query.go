@@ -34,11 +34,11 @@ func (rs RouteState) Origin() uint32 {
 
 // Divergence is one route visible at exactly one of two compared PoPs.
 type Divergence struct {
-	Prefix  netip.Prefix `json:"prefix"`
-	Peer    string       `json:"peer"`
-	PathID  uint32       `json:"pathID"`
-	ASPath  []uint32     `json:"asPath,omitempty"`
-	Origin  uint32       `json:"origin,omitempty"`
+	Prefix netip.Prefix `json:"prefix"`
+	Peer   string       `json:"peer"`
+	PathID uint32       `json:"pathID"`
+	ASPath []uint32     `json:"asPath,omitempty"`
+	Origin uint32       `json:"origin,omitempty"`
 	// OnlyAt names the PoP that holds the route; the other does not.
 	OnlyAt string `json:"onlyAt"`
 }
@@ -187,13 +187,6 @@ func (s *Store) StateAt(prefix netip.Prefix, t time.Time) ([]RouteState, error) 
 	return s.stateAtLocked(prefix, t)
 }
 
-// Prefixes returns every prefix with at least one stored event.
-func (s *Store) Prefixes() []netip.Prefix {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prefixesLocked()
-}
-
 func (s *Store) prefixesLocked() []netip.Prefix {
 	seen := make(map[netip.Prefix]struct{})
 	segs := make([]*segment, 0, len(s.sealed)+1)
@@ -257,4 +250,3 @@ func (s *Store) DiffPoPs(popA, popB string, t time.Time) ([]Divergence, error) {
 	}
 	return out, nil
 }
-

@@ -387,28 +387,6 @@ func (s *segment) records() ([]Record, error) {
 	return out, nil
 }
 
-// vantageBit returns the bitmap bit for a vantage name, or 0 if the
-// name is not in this segment's table.
-func (s *segment) vantageBit(name string) uint64 {
-	for i, v := range s.vantages {
-		if v == name {
-			return 1 << uint(i)
-		}
-	}
-	return 0
-}
-
-// vantageNames expands a bitmap into the table's names.
-func (s *segment) vantageNames(bitmap uint64) []string {
-	var out []string
-	for i, v := range s.vantages {
-		if bitmap&(1<<uint(i)) != 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // encode serializes the segment as a sealed file image.
 func (s *segment) encode() []byte {
 	b := make([]byte, 0, segHeaderLen+len(s.buf)+1024)
@@ -608,21 +586,6 @@ func decodeSegment(data []byte) (*segment, error) {
 		}
 	}
 	return seg, nil
-}
-
-// ReadSegmentFile parses one segment file, verifying the footer CRC of
-// sealed segments and failing closed — with the byte offset — on any
-// corruption. Exposed for tests and offline tooling.
-func ReadSegmentFile(path string) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	seg, err := decodeSegment(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return seg.records()
 }
 
 // writeFile atomically writes the sealed image of s to its path.

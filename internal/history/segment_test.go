@@ -3,6 +3,7 @@ package history
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"os"
@@ -19,7 +20,7 @@ func seedRecords() []Record {
 	return []Record{
 		{
 			Time: time.Unix(0, 1_000), Peer: "transit-1000", PeerASN: 1000,
-			Prefix:  netip.MustParsePrefix("184.164.224.0/24"), PathID: 1,
+			Prefix: netip.MustParsePrefix("184.164.224.0/24"), PathID: 1,
 			NextHop: netip.MustParseAddr("127.65.0.1"),
 			ASPath:  []uint32{1000, 3356, 10040},
 			Vantage: 0b11, Dups: 2,
@@ -36,7 +37,7 @@ func seedRecords() []Record {
 		},
 		{
 			Time: time.Unix(0, 4_000), Peer: "peer-v6", PeerASN: 64500,
-			Prefix:  netip.MustParsePrefix("2804:269c::/32"), PathID: 7,
+			Prefix: netip.MustParsePrefix("2804:269c::/32"), PathID: 7,
 			NextHop: netip.MustParseAddr("2001:db8::1"),
 			ASPath:  []uint32{64500}, Vantage: 0b1, Dups: 1,
 		},
@@ -316,4 +317,19 @@ func TestMergeVantagePatch(t *testing.T) {
 	if got.Dups != r.Dups+1 {
 		t.Fatalf("dups = %d, want %d", got.Dups, r.Dups+1)
 	}
+}
+
+// ReadSegmentFile parses one segment file, verifying the footer CRC of
+// sealed segments and failing closed — with the byte offset — on any
+// corruption.
+func ReadSegmentFile(path string) ([]Record, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	seg, err := decodeSegment(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return seg.records()
 }

@@ -81,3 +81,11 @@ func BenchmarkCustomerConeMemoized(b *testing.B) {
 		top.CustomerCone(asns[i%len(asns)])
 	}
 }
+
+// InvalidateConeCache drops all memoized customer cones, so a benchmark
+// measures the cold path.
+func (t *Topology) InvalidateConeCache() {
+	t.mu.Lock()
+	t.coneCache = nil
+	t.mu.Unlock()
+}

@@ -55,19 +55,6 @@ type Route struct {
 	LearnedOver Rel
 }
 
-// pathEqual reports whether two AS paths are identical.
-func pathEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AS is one autonomous system.
 type AS struct {
 	ASN uint32
@@ -446,16 +433,6 @@ func (t *Topology) CustomerCone(asn uint32) []uint32 {
 	}
 	t.coneCache[asn] = cone
 	return append([]uint32(nil), cone...)
-}
-
-// InvalidateConeCache drops all memoized customer cones. Topology
-// mutations call this internally; it is exported for callers that
-// mutate AS structs directly (tests, gen) and for benchmarks that
-// want to measure the cold path.
-func (t *Topology) InvalidateConeCache() {
-	t.mu.Lock()
-	t.coneCache = nil
-	t.mu.Unlock()
 }
 
 // customerConeLocked computes the cone by BFS over customer edges.

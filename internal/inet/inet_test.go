@@ -289,3 +289,16 @@ func TestFullReachabilityThroughTransit(t *testing.T) {
 		t.Errorf("%d ASes cannot reach a transit-injected prefix", missing)
 	}
 }
+
+// pathEqual reports whether two AS paths are identical.
+func pathEqual(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

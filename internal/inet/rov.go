@@ -24,20 +24,6 @@ func (t *Topology) SetValidator(v rpki.Validator) {
 	t.validator = v
 }
 
-// SetROVAt enables or disables route origin validation at one AS.
-// Takes effect for subsequently propagated routes; held routes are not
-// re-examined (matching real routers, where ROV is an import policy).
-func (t *Topology) SetROVAt(asn uint32, on bool) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	a := t.ases[asn]
-	if a == nil {
-		return fmt.Errorf("inet: unknown AS %d", asn)
-	}
-	a.rov = on
-	return nil
-}
-
 // DeployROV enables ROV at a deterministic pseudo-random fraction of
 // all ASes (0 ≤ fraction ≤ 1) and disables it everywhere else. The
 // selection depends only on (fraction, seed) and the AS set, so sweeps
@@ -58,19 +44,6 @@ func (t *Topology) DeployROV(fraction float64, seed int64) int {
 	}
 	for i, asn := range asns {
 		t.ases[asn].rov = i < n
-	}
-	return n
-}
-
-// ROVCount returns how many ASes currently validate origins.
-func (t *Topology) ROVCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := 0
-	for _, a := range t.ases {
-		if a.rov {
-			n++
-		}
 	}
 	return n
 }

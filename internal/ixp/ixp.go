@@ -46,7 +46,6 @@ type IXP struct {
 
 	mu      sync.Mutex
 	members map[uint32]*Member
-	lanHost map[uint32]*netsim.Host
 	nextIP  uint32
 	lan     netip.Prefix
 }
@@ -60,7 +59,6 @@ func New(name string, rsASN uint32, topo *inet.Topology, lan netip.Prefix) *IXP 
 		Fabric:         netsim.NewSegment(name + "-fabric"),
 		topo:           topo,
 		members:        make(map[uint32]*Member),
-		lanHost:        make(map[uint32]*netsim.Host),
 		lan:            lan.Masked(),
 	}
 }
@@ -87,7 +85,6 @@ func (x *IXP) AddMember(asn uint32, bilateral bool) (*Member, error) {
 	h := netsim.NewHost(fmt.Sprintf("%s-as%d", x.Name, asn))
 	mac := memberMAC(asn)
 	h.AddInterface("ix0", mac, netip.PrefixFrom(m.Addr, x.lan.Bits()), x.Fabric)
-	x.lanHost[asn] = h
 	return m, nil
 }
 
@@ -122,13 +119,6 @@ func (x *IXP) MemberCounts() (total, bilateral int) {
 		}
 	}
 	return total, bilateral
-}
-
-// Host returns the fabric host simulating a member (tests).
-func (x *IXP) Host(asn uint32) *netsim.Host {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.lanHost[asn]
 }
 
 // RouteServer is one transparent route server: it relays every member's

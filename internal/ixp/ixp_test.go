@@ -93,7 +93,7 @@ func TestRouteServerAnnouncesMemberRoutes(t *testing.T) {
 	}
 	// Next hops are the members' fabric addresses (transparent RS), and
 	// the RS ASN never appears in paths.
-	rt := router.LookupVia("rs1", inet.PrefixForASN(10000).Addr())
+	rt := router.Neighbor("rs1").Table.Lookup(inet.PrefixForASN(10000).Addr())
 	if rt == nil {
 		t.Fatal("member 10000's prefix not in RS table")
 	}
@@ -198,7 +198,7 @@ func TestBilateralSession(t *testing.T) {
 		t.Fatal("no routes over bilateral session")
 	}
 	// First AS of each path must be the member itself (no RS in between).
-	rt := router.LookupVia("as10000", inet.PrefixForASN(100).Addr())
+	rt := router.Neighbor("as10000").Table.Lookup(inet.PrefixForASN(100).Addr())
 	if rt == nil {
 		t.Fatal("tier-1 prefix missing from bilateral table")
 	}
@@ -242,8 +242,10 @@ func TestRouteServerDataPlaneForwardsToMember(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Count IPv4 frames at the member's fabric host.
-	memberIfc := x.Host(10000).Interfaces()[0]
+	// Count IPv4 frames addressed to the member's fabric MAC.
+	memberIfc := netsim.NewInterface("sniff", ethernet.MAC{0x02, 0xee, 0, 0, 0, 1})
+	memberIfc.AddMAC(memberMAC(10000))
+	memberIfc.Attach(x.Fabric)
 	var rx atomic.Uint64
 	memberIfc.SetHandler(func(_ *netsim.Interface, fr *ethernet.Frame) {
 		if fr.Type == ethernet.TypeIPv4 {

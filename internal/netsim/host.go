@@ -76,13 +76,6 @@ func (h *Host) AddInterface(name string, mac ethernet.MAC, addr netip.Prefix, se
 	return ifc
 }
 
-// Interfaces returns the host's interfaces.
-func (h *Host) Interfaces() []*Interface {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]*Interface(nil), h.ifcs...)
-}
-
 // AddRoute installs a static route for prefix via nextHop out ifc. A zero
 // nextHop means the prefix is on-link.
 func (h *Host) AddRoute(prefix netip.Prefix, nextHop netip.Addr, ifc *Interface) {

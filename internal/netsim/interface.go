@@ -21,7 +21,7 @@ import (
 type Handler func(ifc *Interface, frame *ethernet.Frame)
 
 // RawHandler receives a frame as the bytes on the wire, for ports that
-// only move them elsewhere (a bridge port, a tunnel tap). Ownership is as
+// only move them elsewhere (a tunnel tap). Ownership is as
 // for Handler: no writing, no retaining past the call.
 type RawHandler func(ifc *Interface, data []byte)
 
@@ -49,7 +49,6 @@ type Interface struct {
 	// change atomically with respect to each other.
 	mu        sync.Mutex
 	extraMACs map[ethernet.MAC]bool
-	promisc   bool
 	arpWait   map[netip.Addr][]chan ethernet.MAC
 
 	// state is everything sending and receiving a frame reads.
@@ -122,15 +121,12 @@ func (ifc *Interface) Attach(seg *Segment) {
 	ifc.state.Store(&next)
 	macs := ifc.macsLocked()
 	if old != nil {
-		old.detach(ifc, macs, ifc.promisc)
+		old.detach(ifc, macs)
 	}
 	if seg != nil {
-		seg.attach(ifc, macs, ifc.promisc)
+		seg.attach(ifc, macs)
 	}
 }
-
-// Segment returns the segment the interface is attached to, or nil.
-func (ifc *Interface) Segment() *Segment { return ifc.state.Load().seg }
 
 // SetHandler installs the receive handler.
 func (ifc *Interface) SetHandler(h Handler) {
@@ -150,20 +146,6 @@ func (ifc *Interface) SetARPResponder(r ARPResponder) {
 	ifc.update(func(st *ifcState) { st.responder = r })
 }
 
-// SetPromiscuous makes the interface accept unicast frames regardless of
-// destination MAC.
-func (ifc *Interface) SetPromiscuous(on bool) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	if ifc.promisc == on {
-		return
-	}
-	ifc.promisc = on
-	if seg := ifc.state.Load().seg; seg != nil {
-		seg.setPromiscuous(ifc, ifc.macsLocked(), on)
-	}
-}
-
 // AddIngressFilter appends a filter run on every received frame before the
 // handler. If any filter returns VerdictDrop the frame is discarded, as
 // with an XDP program returning XDP_DROP.
@@ -174,11 +156,6 @@ func (ifc *Interface) AddIngressFilter(f Filter) {
 // AddEgressFilter appends a filter run on every transmitted frame.
 func (ifc *Interface) AddEgressFilter(f Filter) {
 	ifc.update(func(st *ifcState) { st.egress = append(slices.Clip(st.egress), f) })
-}
-
-// ClearFilters removes all ingress and egress filters.
-func (ifc *Interface) ClearFilters() {
-	ifc.update(func(st *ifcState) { st.ingress, st.egress = nil, nil })
 }
 
 // AddMAC makes the interface additionally accept frames destined to mac.
@@ -199,7 +176,7 @@ func (ifc *Interface) setMAC(mac ethernet.MAC, add bool) {
 		delete(ifc.extraMACs, mac)
 	}
 	// The primary MAC is accepted whether or not it is also listed.
-	if seg := ifc.state.Load().seg; seg != nil && !ifc.promisc && mac != ifc.mac {
+	if seg := ifc.state.Load().seg; seg != nil && mac != ifc.mac {
 		seg.setMAC(ifc, mac, add)
 	}
 }
@@ -378,11 +355,6 @@ func (ifc *Interface) learnARP(addr netip.Addr, mac ethernet.MAC) {
 	for _, ch := range waiters {
 		ch <- mac
 	}
-}
-
-// FlushARP drops the interface's ARP cache.
-func (ifc *Interface) FlushARP() {
-	ifc.update(func(st *ifcState) { st.arp = map[netip.Addr]ethernet.MAC{} })
 }
 
 // handleARP answers ARP requests for the interface's own addresses and for

@@ -16,20 +16,19 @@ import (
 type modelPort struct {
 	ifc      *Interface
 	attached bool
-	promisc  bool
 	extra    map[ethernet.MAC]bool
 	got      atomic.Int64
 }
 
 func (m *modelPort) accepts(dst ethernet.MAC) bool {
-	return m.attached && (dst.IsMulticast() || dst == m.ifc.MAC() || m.promisc || m.extra[dst])
+	return m.attached && (dst.IsMulticast() || dst == m.ifc.MAC() || m.extra[dst])
 }
 
 // TestPortTableDeliveryMatchesPerPortScan walks attach / detach / AddMAC /
-// RemoveMAC / SetPromiscuous sequences and, after every step, sends one
-// frame to each interesting destination from each attached port: every
-// port must receive exactly the frames the per-port scan would have given
-// it, once each — also when it is promiscuous and owns the MAC.
+// RemoveMAC sequences and, after every step, sends one frame to each
+// interesting destination from each attached port: every port must
+// receive exactly the frames the per-port scan would have given it, once
+// each.
 func TestPortTableDeliveryMatchesPerPortScan(t *testing.T) {
 	shared, group := mac(0x42), ethernet.MAC{0x01, 0x00, 0x5e, 0, 0, 1}
 	type step struct {
@@ -48,24 +47,17 @@ func TestPortTableDeliveryMatchesPerPortScan(t *testing.T) {
 	removeMAC := func(i int, m ethernet.MAC) step {
 		return step{fmt.Sprintf("RemoveMAC %d %s", i, m), func(p []*modelPort, _ *Segment) { p[i].ifc.RemoveMAC(m); delete(p[i].extra, m) }}
 	}
-	promisc := func(i int, on bool) step {
-		return step{fmt.Sprintf("SetPromiscuous %d %v", i, on), func(p []*modelPort, _ *Segment) { p[i].ifc.SetPromiscuous(on); p[i].promisc = on }}
-	}
 	steps := []step{
 		attach(0), attach(1), attach(2),
 		addMAC(1, shared),
 		addMAC(2, shared),    // two owners of one MAC
-		promisc(1, true),     // promiscuous and owner: still once
-		removeMAC(1, shared), // while promiscuous
-		promisc(1, false),    // back to an owner of its primary MAC only
+		removeMAC(1, shared), // back to an owner of its primary MAC only
 		addMAC(3, shared),    // detached: takes effect on attach
 		attach(3),
-		promisc(3, true),
 		detach(2),
 		removeMAC(2, shared), // detached: remembered
 		attach(2),
-		detach(3), // a promiscuous port leaves
-		promisc(0, true), promisc(0, false),
+		detach(3),                               // an owner of the shared MAC leaves
 		addMAC(0, mac(0)), removeMAC(0, mac(0)), // its own primary MAC, listed and unlisted
 		detach(0), detach(1), detach(2),
 	}
@@ -104,18 +96,18 @@ func TestPortTableDeliveryMatchesPerPortScan(t *testing.T) {
 				attached++
 			}
 		}
-		if got := len(seg.Ports()); got != attached {
+		if got := len(seg.table.Load().ports); got != attached {
 			t.Fatalf("after %q: segment lists %d ports, want %d", st.name, got, attached)
 		}
 	}
-	if tbl := seg.table.Load(); len(tbl.ports)+len(tbl.owners)+len(tbl.promisc) != 0 {
-		t.Errorf("empty segment still indexes %d ports, %d MACs, %d promiscuous ports", len(tbl.ports), len(tbl.owners), len(tbl.promisc))
+	if tbl := seg.table.Load(); len(tbl.ports)+len(tbl.owners) != 0 {
+		t.Errorf("empty segment still indexes %d ports, %d MACs", len(tbl.ports), len(tbl.owners))
 	}
 }
 
 // TestSendDuringPortChurn sends from several goroutines while others
-// attach and detach ports, move MACs between them and flip promiscuous
-// mode. A port that sits still must receive every frame addressed to it,
+// attach and detach ports, move MACs between them and add and clear
+// filters. A port that sits still must receive every frame addressed to it,
 // exactly once; the race detector checks the rest.
 func TestSendDuringPortChurn(t *testing.T) {
 	const senders, perSender = 4, 2000
@@ -147,12 +139,10 @@ func TestSendDuringPortChurn(t *testing.T) {
 				}
 				p.Attach(seg)
 				p.AddMAC(floating)
-				p.SetPromiscuous(i%2 == 0)
 				p.AddIngressFilter(FilterFunc(func([]byte) Verdict { return VerdictPass }))
 				p.Send(&ethernet.Frame{Dst: mac(1), Type: ethernet.TypeIPv6}) // not counted: wrong type
 				p.RemoveMAC(floating)
 				p.ClearFilters()
-				p.SetPromiscuous(false)
 				p.Attach(nil)
 			}
 		}(c)
@@ -181,7 +171,7 @@ func TestSendDuringPortChurn(t *testing.T) {
 	if got := stable.Load(); got != senders*perSender {
 		t.Errorf("the stable port received %d unicast frames, want %d", got, senders*perSender)
 	}
-	if n := len(seg.Ports()); n != 1+senders {
+	if n := len(seg.table.Load().ports); n != 1+senders {
 		t.Errorf("%d ports attached after the churn, want %d", n, 1+senders)
 	}
 }
@@ -199,7 +189,7 @@ func TestRawHandlerAndSendRaw(t *testing.T) {
 	tap.Attach(left)
 	var got []byte
 	sink := NewInterface("sink", mac(4))
-	sink.SetPromiscuous(true)
+	sink.AddMAC(mac(2))
 	sink.SetRawHandler(func(_ *Interface, data []byte) { got = append([]byte(nil), data...) })
 	sink.Attach(right)
 
@@ -221,4 +211,9 @@ func TestRawHandlerAndSendRaw(t *testing.T) {
 	if out.TxFrames.Load() != before {
 		t.Error("a frame shorter than an Ethernet header was transmitted")
 	}
+}
+
+// ClearFilters removes all ingress and egress filters.
+func (ifc *Interface) ClearFilters() {
+	ifc.update(func(st *ifcState) { st.ingress, st.egress = nil, nil })
 }

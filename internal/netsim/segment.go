@@ -79,15 +79,12 @@ type Segment struct {
 
 // portTable is the segment's forwarding state: immutable once published,
 // replaced copy-on-write — only the member that changes is copied — when
-// a port attaches or detaches or changes the MACs it accepts. A port is
-// in owners or in promisc, never both, so a frame reaches each port once.
+// a port attaches or detaches or changes the MACs it accepts.
 type portTable struct {
 	// ports is every attached port, in attach order.
 	ports []*Interface
-	// owners maps a unicast MAC to the non-promiscuous ports accepting it.
+	// owners maps a unicast MAC to the ports accepting it.
 	owners map[ethernet.MAC][]*Interface
-	// promisc is the ports accepting every unicast frame.
-	promisc []*Interface
 }
 
 var emptyPortTable = &portTable{owners: map[ethernet.MAC][]*Interface{}}
@@ -148,55 +145,28 @@ func claim(owners map[ethernet.MAC][]*Interface, ifc *Interface, macs []ethernet
 	return owners
 }
 
-// attach registers an interface accepting macs — or, when promiscuous,
-// every unicast frame — on the segment.
-func (s *Segment) attach(ifc *Interface, macs []ethernet.MAC, promiscuous bool) {
+// attach registers an interface accepting macs on the segment.
+func (s *Segment) attach(ifc *Interface, macs []ethernet.MAC) {
 	s.update(func(t *portTable) {
 		t.ports = with(t.ports, ifc)
-		if promiscuous {
-			t.promisc = with(t.promisc, ifc)
-		} else {
-			t.owners = claim(t.owners, ifc, macs, true)
-		}
+		t.owners = claim(t.owners, ifc, macs, true)
 	})
 }
 
-// detach removes an interface attached with the same arguments.
-func (s *Segment) detach(ifc *Interface, macs []ethernet.MAC, promiscuous bool) {
+// detach removes an interface attached with the same macs.
+func (s *Segment) detach(ifc *Interface, macs []ethernet.MAC) {
 	s.update(func(t *portTable) {
 		t.ports = without(t.ports, ifc)
-		if promiscuous {
-			t.promisc = without(t.promisc, ifc)
-		} else {
-			t.owners = claim(t.owners, ifc, macs, false)
-		}
+		t.owners = claim(t.owners, ifc, macs, false)
 	})
 }
 
-// setMAC makes the attached, non-promiscuous ifc accept (or stop
-// accepting) frames for mac.
+// setMAC makes the attached ifc accept (or stop accepting) frames for
+// mac.
 func (s *Segment) setMAC(ifc *Interface, mac ethernet.MAC, add bool) {
 	s.update(func(t *portTable) {
 		t.owners = claim(t.owners, ifc, []ethernet.MAC{mac}, add)
 	})
-}
-
-// setPromiscuous moves the attached ifc, which accepts macs when it is
-// not promiscuous, between the owner index and the promiscuous list.
-func (s *Segment) setPromiscuous(ifc *Interface, macs []ethernet.MAC, on bool) {
-	s.update(func(t *portTable) {
-		t.owners = claim(t.owners, ifc, macs, !on)
-		if on {
-			t.promisc = with(t.promisc, ifc)
-		} else {
-			t.promisc = without(t.promisc, ifc)
-		}
-	})
-}
-
-// Ports returns a snapshot of the interfaces attached to the segment.
-func (s *Segment) Ports() []*Interface {
-	return slices.Clone(s.table.Load().ports)
 }
 
 // transmit delivers a serialized frame originating at src to the other
@@ -210,7 +180,6 @@ func (s *Segment) transmit(src *Interface, data []byte) {
 		return
 	}
 	s.deliver(t.owners[dst], src, data)
-	s.deliver(t.promisc, src, data)
 }
 
 func (s *Segment) deliver(ports []*Interface, src *Interface, data []byte) {

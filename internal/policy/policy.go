@@ -506,25 +506,6 @@ func (en *Engine) admitRateLocked(prefix netip.Prefix, pop string) (ok bool, obs
 	return true, len(hist) + 1
 }
 
-// RateBudgetRemaining reports how many updates remain in the current
-// 24-hour window for (prefix, pop).
-func (en *Engine) RateBudgetRemaining(prefix netip.Prefix, pop string) int {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	key := rateKey{prefix, pop}
-	cutoff := en.Now().Add(-24 * time.Hour)
-	n := 0
-	for _, t := range en.rate[key] {
-		if !t.Before(cutoff) {
-			n++
-		}
-	}
-	if rem := en.dailyLimit() - n; rem > 0 {
-		return rem
-	}
-	return 0
-}
-
 // Experiments returns the registered experiment names, sorted.
 func (en *Engine) Experiments() []string {
 	en.mu.Lock()

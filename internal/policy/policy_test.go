@@ -453,3 +453,22 @@ func TestAuditSinceReadsOnlyNewEntries(t *testing.T) {
 		t.Fatalf("after eviction: %v, seq %d; want the retained tail ending exp7 at seq 8", got, seq)
 	}
 }
+
+// RateBudgetRemaining reports how many updates remain in the current
+// 24-hour window for (prefix, pop).
+func (en *Engine) RateBudgetRemaining(prefix netip.Prefix, pop string) int {
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	key := rateKey{prefix, pop}
+	cutoff := en.Now().Add(-24 * time.Hour)
+	n := 0
+	for _, t := range en.rate[key] {
+		if !t.Before(cutoff) {
+			n++
+		}
+	}
+	if rem := en.dailyLimit() - n; rem > 0 {
+		return rem
+	}
+	return 0
+}

@@ -47,20 +47,3 @@ func (t *Table) MarkDamped(prefix netip.Prefix, peer string, damped bool) int {
 	sh.trie.Insert(prefix, out)
 	return marked
 }
-
-// DampedCount returns how many paths are currently marked damped
-// (all peers, both families).
-func (t *Table) DampedCount() int {
-	n := 0
-	t.rlockAll()
-	defer t.runlockAll()
-	t.walkLocked(netip.Prefix{}, func(_ netip.Prefix, paths []*Path) bool {
-		for _, e := range paths {
-			if e.Damped {
-				n++
-			}
-		}
-		return true
-	})
-	return n
-}

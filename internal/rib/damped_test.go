@@ -1,6 +1,9 @@
 package rib
 
-import "testing"
+import (
+	"net/netip"
+	"testing"
+)
 
 func TestMarkDampedCopyOnWrite(t *testing.T) {
 	tb := NewTable("test")
@@ -55,4 +58,21 @@ func TestMarkDampedCopyOnWrite(t *testing.T) {
 	if n := tb.MarkDamped(pfx("192.0.2.0/24"), "n1", true); n != 0 {
 		t.Fatalf("mark of unknown prefix changed %d", n)
 	}
+}
+
+// DampedCount returns how many paths are currently marked damped
+// (all peers, both families).
+func (t *Table) DampedCount() int {
+	n := 0
+	t.rlockAll()
+	defer t.runlockAll()
+	t.walkLocked(netip.Prefix{}, func(_ netip.Prefix, paths []*Path) bool {
+		for _, e := range paths {
+			if e.Damped {
+				n++
+			}
+		}
+		return true
+	})
+	return n
 }

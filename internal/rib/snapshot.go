@@ -21,7 +21,7 @@ import (
 //     served, it only wastes the memory until the next rebuild.
 //  3. Rebuilds are single-flight: concurrent triggers collapse into one
 //     builder goroutine, and publication order follows build order, so
-//     versions observed through ReadSnapshot are monotonic.
+//     the versions of successive published snapshots are monotonic.
 
 // Snapshot is an immutable flattened copy of a Table's best paths. All
 // nodes of one family live in a single contiguous slice linked by int32
@@ -74,18 +74,6 @@ func addrHalves(addr netip.Addr) (hi, lo uint64, maxBits uint8) {
 	}
 	raw := addr.As4()
 	return uint64(binary.BigEndian.Uint32(raw[:])) << 32, 0, 32
-}
-
-// prefixHalves pre-masks a prefix into the same normalized space.
-func prefixHalves(p netip.Prefix) (keyHi, keyLo, maskHi, maskLo uint64, bits uint8) {
-	b := p.Bits()
-	if b < 0 {
-		b = 0
-	}
-	bits = uint8(b)
-	hi, lo, _ := addrHalves(p.Addr())
-	maskHi, maskLo = mask128(b)
-	return hi & maskHi, lo & maskLo, maskHi, maskLo, bits
 }
 
 // Version returns the table mutation count this snapshot captured.
@@ -267,11 +255,6 @@ func (t *Table) BuildSnapshot() *Snapshot {
 	ribSnapshotBuilds.Inc()
 	return snap
 }
-
-// ReadSnapshot returns the table's current snapshot, or nil if none has
-// been built. The snapshot may lag the live table; check Version
-// against Stats().Version when freshness matters.
-func (t *Table) ReadSnapshot() *Snapshot { return t.snap.Load() }
 
 // EnableAutoSnapshot turns on automatic snapshot maintenance: an
 // initial snapshot is built synchronously, and thereafter any mutation

@@ -228,3 +228,8 @@ func TestAutoSnapshotDisable(t *testing.T) {
 		t.Fatalf("disabled auto snapshot still rebuilt: version %d -> %d", v, got)
 	}
 }
+
+// ReadSnapshot returns the table's current snapshot, or nil if none has
+// been built. The snapshot may lag the live table; check Version
+// against Stats().Version when freshness matters.
+func (t *Table) ReadSnapshot() *Snapshot { return t.snap.Load() }

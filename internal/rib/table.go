@@ -564,27 +564,8 @@ func (t *Table) ReadBest(after netip.Prefix, buf []Route, fn func([]Route)) int 
 	return n
 }
 
-// Prefixes returns the number of distinct prefixes in the table.
-func (t *Table) Prefixes() int {
-	t.rlockAll()
-	defer t.runlockAll()
-	n := t.spill.trie.Len()
-	for _, sh := range t.shards {
-		n += sh.trie.Len()
-	}
-	return n
-}
-
 // PathCount returns the total number of paths across all prefixes.
 func (t *Table) PathCount() int { return int(t.paths.Load()) }
-
-// AddCount returns the number of Add operations over the table's
-// lifetime. Lock-free; safe to read concurrently with mutations.
-func (t *Table) AddCount() uint64 { return t.adds.Load() }
-
-// WithdrawCount returns the number of withdraw operations (including
-// peer withdrawals and stale sweeps) over the table's lifetime.
-func (t *Table) WithdrawCount() uint64 { return t.withdraws.Load() }
 
 // TableStats is a point-in-time sample of a table's lock-free
 // read/write accounting.
@@ -625,9 +606,6 @@ func (t *Table) Stats() TableStats {
 	}
 	return st
 }
-
-// ShardCount returns the number of range shards (excluding the spill).
-func (t *Table) ShardCount() int { return len(t.shards) }
 
 // FIBEntry is a forwarding table entry: the resolved next hop for a
 // prefix and the logical output port.

@@ -303,3 +303,14 @@ func TestBestInvariantUnderPermutation(t *testing.T) {
 		}
 	}
 }
+
+// Prefixes returns the number of distinct prefixes in the table.
+func (t *Table) Prefixes() int {
+	t.rlockAll()
+	defer t.runlockAll()
+	n := t.spill.trie.Len()
+	for _, sh := range t.shards {
+		n += sh.trie.Len()
+	}
+	return n
+}

@@ -103,39 +103,8 @@ func (c *Client) Validate(prefix netip.Prefix, origin uint32) State {
 	return st
 }
 
-// Cache exposes the local validated cache (read-only use).
-func (c *Client) Cache() *Store { return c.cache }
-
 // Serial returns the serial of the last applied synchronization.
 func (c *Client) Serial() uint32 { return c.cache.Serial() }
-
-// Stale reports whether the cache session is down and the freshness
-// window has lapsed. Validation still runs (fail closed).
-func (c *Client) Stale() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stale
-}
-
-// Connected reports whether an RTR session is currently up and synced.
-func (c *Client) Connected() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.connected && c.synced
-}
-
-// WaitSynced blocks until the client has applied a synchronization and
-// is connected, or the timeout lapses.
-func (c *Client) WaitSynced(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if c.Connected() {
-			return true
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return c.Connected()
-}
 
 // Close terminates the session loop.
 func (c *Client) Close() {

@@ -1,10 +1,7 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net/netip"
 	"time"
 )
@@ -91,288 +88,6 @@ type Event struct {
 
 	// Stats carries StatsReport TLVs.
 	Stats []Stat
-}
-
-// Binary codec: a compact framing mirroring the MRT-inspired collector
-// dump format (internal/collector). Each record:
-//
-//	magic   uint16  0x424d ("BM")
-//	kind    uint8   EventKind
-//	flags   uint8   bit0 = withdraw
-//	time    int64   Unix nanoseconds
-//	peerASN uint32
-//	pathID  uint32
-//	pop     uint8 len + bytes
-//	peer    uint8 len + bytes
-//	reason  uint8 len + bytes
-//	prefix  fam uint8 (0 none, 4, 6), bits uint8, 0/4/16 addr bytes
-//	nextHop fam uint8 (0 none, 4, 6), 0/4/16 addr bytes
-//	asPath  uint16 count, count x uint32
-//	stats   uint16 count, count x (uint16 type + uint64 value)
-//
-// All integers big-endian. The format is versionless by design — the
-// magic doubles as a sync marker, exactly like the collector dump.
-const eventMagic = 0x424d
-
-const (
-	flagWithdraw = 1 << 0
-	// maxEventString caps the encoded length of each string field;
-	// longer strings are truncated on encode.
-	maxEventString = 255
-)
-
-func appendString(b []byte, s string) []byte {
-	if len(s) > maxEventString {
-		s = s[:maxEventString]
-	}
-	b = append(b, byte(len(s)))
-	return append(b, s...)
-}
-
-func appendAddr(b []byte, a netip.Addr) []byte {
-	switch {
-	case !a.IsValid():
-		return append(b, 0)
-	case a.Is6():
-		raw := a.As16()
-		b = append(b, 6)
-		return append(b, raw[:]...)
-	default:
-		raw := a.As4()
-		b = append(b, 4)
-		return append(b, raw[:]...)
-	}
-}
-
-// AppendEncode appends the binary encoding of e to b and returns the
-// extended slice. String fields longer than 255 bytes are truncated.
-func AppendEncode(b []byte, e Event) []byte {
-	b = binary.BigEndian.AppendUint16(b, eventMagic)
-	b = append(b, byte(e.Kind))
-	var flags byte
-	if e.Withdraw {
-		flags |= flagWithdraw
-	}
-	b = append(b, flags)
-	b = binary.BigEndian.AppendUint64(b, uint64(e.Time.UnixNano()))
-	b = binary.BigEndian.AppendUint32(b, e.PeerASN)
-	b = binary.BigEndian.AppendUint32(b, e.PathID)
-	b = appendString(b, e.PoP)
-	b = appendString(b, e.Peer)
-	b = appendString(b, e.Reason)
-	if e.Prefix.IsValid() {
-		addr := e.Prefix.Addr()
-		if addr.Is6() {
-			raw := addr.As16()
-			b = append(b, 6, byte(e.Prefix.Bits()))
-			b = append(b, raw[:]...)
-		} else {
-			raw := addr.As4()
-			b = append(b, 4, byte(e.Prefix.Bits()))
-			b = append(b, raw[:]...)
-		}
-	} else {
-		b = append(b, 0)
-	}
-	b = appendAddr(b, e.NextHop)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(e.ASPath)))
-	for _, asn := range e.ASPath {
-		b = binary.BigEndian.AppendUint32(b, asn)
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Stats)))
-	for _, s := range e.Stats {
-		b = binary.BigEndian.AppendUint16(b, s.Type)
-		b = binary.BigEndian.AppendUint64(b, s.Value)
-	}
-	return b
-}
-
-// decoder walks a byte slice with bounds checking.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.b) {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *decoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *decoder) str() string {
-	n := int(d.u8())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (d *decoder) addr() netip.Addr {
-	switch fam := d.u8(); fam {
-	case 0:
-		return netip.Addr{}
-	case 4:
-		b := d.take(4)
-		if b == nil {
-			return netip.Addr{}
-		}
-		return netip.AddrFrom4([4]byte(b))
-	case 6:
-		b := d.take(16)
-		if b == nil {
-			return netip.Addr{}
-		}
-		return netip.AddrFrom16([16]byte(b))
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("telemetry: bad address family %d", fam)
-		}
-		return netip.Addr{}
-	}
-}
-
-// DecodeEvent decodes one event from the front of b, returning the
-// event and the number of bytes consumed.
-func DecodeEvent(b []byte) (Event, int, error) {
-	var e Event
-	d := &decoder{b: b}
-	if magic := d.u16(); d.err == nil && magic != eventMagic {
-		return e, 0, fmt.Errorf("telemetry: bad event magic %#x", magic)
-	}
-	kind := EventKind(d.u8())
-	if d.err == nil && (kind < EventPeerUp || kind > EventStatsReport) {
-		return e, 0, fmt.Errorf("telemetry: bad event kind %d", kind)
-	}
-	e.Kind = kind
-	flags := d.u8()
-	e.Withdraw = flags&flagWithdraw != 0
-	if d.err == nil && flags&^byte(flagWithdraw) != 0 {
-		return e, 0, fmt.Errorf("telemetry: unknown event flags %#x", flags)
-	}
-	e.Time = time.Unix(0, int64(d.u64()))
-	e.PeerASN = d.u32()
-	e.PathID = d.u32()
-	e.PoP = d.str()
-	e.Peer = d.str()
-	e.Reason = d.str()
-
-	switch fam := d.u8(); fam {
-	case 0:
-	case 4:
-		bits := int(d.u8())
-		raw := d.take(4)
-		if d.err == nil && bits > 32 {
-			return e, 0, fmt.Errorf("telemetry: v4 prefix bits %d", bits)
-		}
-		if raw != nil {
-			e.Prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte(raw)), bits)
-		}
-	case 6:
-		bits := int(d.u8())
-		raw := d.take(16)
-		if d.err == nil && bits > 128 {
-			return e, 0, fmt.Errorf("telemetry: v6 prefix bits %d", bits)
-		}
-		if raw != nil {
-			e.Prefix = netip.PrefixFrom(netip.AddrFrom16([16]byte(raw)), bits)
-		}
-	default:
-		if d.err == nil {
-			return e, 0, fmt.Errorf("telemetry: bad prefix family %d", fam)
-		}
-	}
-	e.NextHop = d.addr()
-
-	pathLen := int(d.u16())
-	for i := 0; i < pathLen && d.err == nil; i++ {
-		e.ASPath = append(e.ASPath, d.u32())
-	}
-	statLen := int(d.u16())
-	for i := 0; i < statLen && d.err == nil; i++ {
-		t := d.u16()
-		v := d.u64()
-		if d.err == nil {
-			e.Stats = append(e.Stats, Stat{Type: t, Value: v})
-		}
-	}
-	if d.err != nil {
-		return Event{}, 0, d.err
-	}
-	return e, d.off, nil
-}
-
-// WriteEvents serializes events to w in the binary format.
-func WriteEvents(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for _, e := range events {
-		buf = AppendEncode(buf[:0], e)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEvents parses a stream of encoded events until EOF. A record
-// truncated mid-frame yields io.ErrUnexpectedEOF along with the events
-// decoded so far.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []Event
-	for len(data) > 0 {
-		e, n, err := DecodeEvent(data)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-		data = data[n:]
-	}
-	return out, nil
 }
 
 // String renders the event as one log line.

@@ -115,17 +115,6 @@ func (s *Station) Run(em *Emitter) {
 // Processed returns how many events the station has applied.
 func (s *Station) Processed() uint64 { return s.processed.Load() }
 
-// Peer returns the status of one monitored session.
-func (s *Station) Peer(pop, peer string) (PeerStatus, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.peers[peerKey{pop, peer}]
-	if !ok {
-		return PeerStatus{}, false
-	}
-	return copyStatus(p), true
-}
-
 // Peers returns every monitored session, sorted by PoP then peer name.
 func (s *Station) Peers() []PeerStatus {
 	s.mu.Lock()

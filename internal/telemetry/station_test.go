@@ -98,3 +98,14 @@ func TestStationConcurrentAccess(t *testing.T) {
 		t.Errorf("Processed = %d, want %d", got, want)
 	}
 }
+
+// Peer returns the status of one monitored session.
+func (s *Station) Peer(pop, peer string) (PeerStatus, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.peers[peerKey{pop, peer}]
+	if !ok {
+		return PeerStatus{}, false
+	}
+	return copyStatus(p), true
+}

@@ -18,8 +18,7 @@ import (
 	"time"
 )
 
-// Link is a capacity-constrained hop. netsim.Segment satisfies the shape
-// via AsLink.
+// Link is a capacity-constrained hop.
 type Link struct {
 	// Name identifies the link in reports.
 	Name string

@@ -315,7 +315,3 @@ func (c *Client) LocalIP(popName string) netip.Addr {
 	}
 	return pc.local()
 }
-
-// ipv4Unicast exposes the IPv4 unicast family tag for toolkit callers
-// issuing route-refresh requests.
-func ipv4Unicast() bgp.AFISAFI { return bgp.IPv4Unicast }

@@ -256,7 +256,17 @@ func TestAttachCollector(t *testing.T) {
 	// The collector receives the PoP's full view via ADD-PATH.
 	probe := inet.PrefixForASN(100)
 	waitFor(t, "collector RIB", func() bool {
-		return len(col.RIB().Paths(probe)) == 2
+		paths := map[uint32]bool{}
+		for _, e := range col.History(probe) {
+			paths[e.PathID] = e.Kind == collector.KindAnnounce
+		}
+		n := 0
+		for _, up := range paths {
+			if up {
+				n++
+			}
+		}
+		return n == 2
 	})
 
 	// An experiment's announcement shows up in the collector feed —
@@ -278,7 +288,7 @@ func TestAttachCollector(t *testing.T) {
 	// collector indirectly once a neighbor re-announces it; in this
 	// small testbed the peer AS's speaker does not re-announce to the
 	// platform, so assert only on the event log contents so far.
-	if col.EventCount() == 0 {
+	if len(col.Events(time.Time{}, time.Time{})) == 0 {
 		t.Fatal("no events recorded")
 	}
 	hist := col.History(probe)

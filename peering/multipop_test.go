@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/inet"
 )
 
@@ -153,8 +154,16 @@ func TestRouteRefreshRedumpsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An RFC 2918 ROUTE-REFRESH for IPv4 unicast, written on the tunnel's
+	// control channel the session runs over, as an experiment's BGP
+	// daemon would send it.
+	refresh := []byte{
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0, 23, bgp.MsgRouteRefresh, 0, 1, 0, 1,
+	}
 	before := pc.sess.UpdatesIn.Load()
-	if err := pc.sess.SendRouteRefresh(ipv4Unicast()); err != nil {
+	if _, err := pc.transport().Control().Write(refresh); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "table re-dump after refresh", func() bool {

@@ -1,6 +1,7 @@
 package peering
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"sync"
@@ -362,15 +363,15 @@ func TestBGPStopAndStatus(t *testing.T) {
 	}
 }
 
-// neighborLink returns the router's interface on a topology neighbor's
-// link and the host interface standing in for the neighbor at its far end.
-func neighborLink(pop *PoP, ifcName string) (router, neighbor *netsim.Interface) {
-	router = pop.Router.Interface(ifcName)
-	for _, port := range router.Segment().Ports() {
-		if port != router {
-			neighbor = port
-		}
-	}
+// neighborLink moves the router's interface on topology neighbor asn's
+// link onto a fresh segment and returns it with an interface standing in
+// for the neighbor's edge there, under the edge's MAC.
+func neighborLink(pop *PoP, asn uint32) (router, neighbor *netsim.Interface) {
+	router = pop.Router.Interface(fmt.Sprintf("nbr-as%d", asn))
+	seg := netsim.NewSegment("test-link")
+	router.Attach(seg)
+	neighbor = netsim.NewInterface("edge", ethernet.MAC{0x02, 0xa5, byte(asn >> 24), byte(asn >> 16), byte(asn >> 8), byte(asn)})
+	neighbor.Attach(seg)
 	return router, neighbor
 }
 
@@ -406,7 +407,7 @@ func TestInboundTrafficReachesClient(t *testing.T) {
 	if nbr == nil {
 		t.Fatal("peer neighbor missing")
 	}
-	ifc, sender := neighborLink(pop, "nbr-as10000")
+	ifc, sender := neighborLink(pop, 10000)
 	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
 		Src: addr("9.9.9.9"), Dst: addr("184.164.224.9"), Payload: []byte("hello")}
 	sender.Send(&ethernet.Frame{Dst: ifc.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
@@ -424,6 +425,63 @@ func TestInboundTrafficReachesClient(t *testing.T) {
 	_ = p
 }
 
+// TestForeignNextHopRefused: an experiment that announces its own prefix
+// with another experiment's tunnel address as next hop does not steer
+// that prefix's traffic onto the other experiment's tap (§3.3). Delivery
+// follows the address the platform registered when it attached each tap.
+func TestForeignNextHopRefused(t *testing.T) {
+	p, pop, c1 := testbed(t)
+	if err := p.Submit(Proposal{
+		Name: "exp2", Owner: "bob", Plan: "announce and measure",
+		Prefixes: []netip.Prefix{pfx("184.164.226.0/24")},
+		ASNs:     []uint32{expASN + 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	key2, err := p.Approve("exp2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewClient("exp2", key2, expASN+1)
+	var got1, got2 atomic.Int64
+	for _, c := range []*Client{c1, c2} {
+		if err := c.OpenTunnel(pop); err != nil {
+			t.Fatal(err)
+		}
+		c.StartBGP("amsix")
+		if err := c.WaitEstablished("amsix", 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1.OnPacket("amsix", func(*ethernet.IPv4, ethernet.MAC) { got1.Add(1) })
+	c2.OnPacket("amsix", func(*ethernet.IPv4, ethernet.MAC) { got2.Add(1) })
+
+	// exp2 announces its own prefix with exp1's tunnel address as next hop.
+	pc2, err := c2.conn("amsix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := c1.LocalIP("amsix")
+	if err := pc2.session().Send(buildAnnouncement(c2.ASN, pc2.platformASN, foreign, pfx("184.164.226.0/24"), announcement{origin: c2.ASN})); err != nil {
+		t.Fatal(err)
+	}
+	dst := addr("184.164.226.9")
+	waitFor(t, "exp2's route installed", func() bool {
+		path := pop.Router.ExperimentRoutes().Lookup(dst)
+		return path != nil && path.Peer == "exp2"
+	})
+
+	ifc, sender := neighborLink(pop, 10000)
+	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP, Src: addr("9.9.9.9"), Dst: dst, Payload: []byte("for exp2")}
+	for i := 0; i < 3; i++ {
+		sender.Send(&ethernet.Frame{Dst: ifc.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
+	}
+	waitFor(t, "neighbor traffic for exp2's prefix at exp2's tap", func() bool { return got2.Load() == 3 })
+	if n := got1.Load(); n != 0 {
+		t.Fatalf("exp1 received %d frames for exp2's prefix", n)
+	}
+}
+
 // TestTunnelAddressUnregisteredWhenTunnelCloses: traffic for the tunnel
 // address reaches the client before it has a BGP session, and once the
 // tunnel is gone the router refuses it as unroutable straight away — the
@@ -436,7 +494,7 @@ func TestTunnelAddressUnregisteredWhenTunnelCloses(t *testing.T) {
 	}
 	var got atomic.Int64
 	c.OnPacket("amsix", func(*ethernet.IPv4, ethernet.MAC) { got.Add(1) })
-	ifc, sender := neighborLink(pop, "nbr-as10000")
+	ifc, sender := neighborLink(pop, 10000)
 	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP, Src: addr("9.9.9.9"), Dst: c.LocalIP("amsix")}
 	send := func() { sender.Send(&ethernet.Frame{Dst: ifc.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()}) }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/inet"
 	"repro/internal/policy"
 	"repro/internal/rpki"
+	"repro/internal/telemetry"
 )
 
 // rpkiTestbed is testbed with a trust-anchor ROA store: every topology
@@ -62,9 +63,7 @@ func rpkiTestbed(t *testing.T, inj *chaos.Injector) (*Platform, *PoP, *Client, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pop.RPKI.WaitSynced(5 * time.Second) {
-		t.Fatal("PoP RTR client never synced")
-	}
+	waitFor(t, "PoP RTR client synced", func() bool { return pop.RPKI.Serial() == roas.Serial() })
 	return p, pop, NewClient("exp1", key, expASN), roas
 }
 
@@ -134,7 +133,14 @@ func TestValidationStateCommunitiesStamped(t *testing.T) {
 	})
 	stateOf := func() (rpki.State, bool) {
 		for _, rt := range c.RoutesFor("amsix", probe) {
-			return core.ValidationStateFrom(47065, rt.Attrs.LargeCommunities)
+			for _, lc := range rt.Attrs.LargeCommunities {
+				for _, st := range []rpki.State{rpki.Valid, rpki.Invalid, rpki.NotFound} {
+					if lc == core.ValidationStateCommunity(47065, st) {
+						return st, true
+					}
+				}
+			}
+			return 0, false
 		}
 		return 0, false
 	}
@@ -143,7 +149,7 @@ func TestValidationStateCommunitiesStamped(t *testing.T) {
 		return ok && st == rpki.Valid
 	})
 
-	serialBefore := pop.RPKI.Cache().Serial()
+	serialBefore := pop.RPKI.Serial()
 	// Revoke the origin's ROA and sign the space for someone else: the
 	// held route flips Valid -> Invalid purely over the RTR session.
 	roas.Add(rpki.ROA{Prefix: probe, ASN: 64111})
@@ -152,7 +158,7 @@ func TestValidationStateCommunitiesStamped(t *testing.T) {
 		st, ok := stateOf()
 		return ok && st == rpki.Invalid
 	})
-	if pop.RPKI.Cache().Serial() <= serialBefore {
+	if pop.RPKI.Serial() <= serialBefore {
 		t.Fatal("client serial did not advance with the store")
 	}
 
@@ -173,12 +179,15 @@ func TestRTROutageFailsClosed(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 11, Logf: t.Logf})
 	_, pop, _, roas := rpkiTestbed(t, inj)
 
+	// Stale trips are observed on the counter operators scrape.
+	trips := telemetry.Default().Counter("rpki_cache_stale_trips_total")
+	tripsBefore := trips.Value()
 	outage := 2 * time.Second
 	if n := inj.Inject(chaos.Fault{Kind: chaos.LinkFlap, Name: "rtr-amsix", Duration: outage}); n == 0 {
 		t.Fatal("RTR link not registered with the injector")
 	}
 	waitChaos(t, "stale trip after freshness window", func() bool {
-		return pop.RPKI.Stale()
+		return trips.Value() > tripsBefore
 	})
 
 	// Fail closed on stale data.
@@ -195,8 +204,7 @@ func TestRTROutageFailsClosed(t *testing.T) {
 	// A ROA signed during the outage must arrive after reconvergence.
 	roas.Add(rpki.ROA{Prefix: pfx("198.51.100.0/24"), ASN: 64888})
 	waitChaos(t, "reconvergence after the link returns", func() bool {
-		return pop.RPKI.Connected() && !pop.RPKI.Stale() &&
-			pop.RPKI.Validate(pfx("198.51.100.0/24"), 64888) == rpki.Valid
+		return pop.RPKI.Validate(pfx("198.51.100.0/24"), 64888) == rpki.Valid
 	})
 	if pop.RPKI.Serial() != roas.Serial() {
 		t.Fatalf("client serial %d != store serial %d after outage", pop.RPKI.Serial(), roas.Serial())

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/inet"
 	"repro/internal/ixp"
+	"repro/internal/rib"
 )
 
 // TestSoakQuarterScaleAMSIX builds a quarter-scale AMS-IX PoP — ~213
@@ -57,7 +58,7 @@ func TestSoakQuarterScaleAMSIX(t *testing.T) {
 	// Experiments see the best route per (neighbor, prefix).
 	expView := 0
 	for _, n := range pop.Router.Neighbors() {
-		expView += n.Table.Prefixes()
+		n.Table.WalkBest(func(netip.Prefix, *rib.Path) bool { expView++; return true })
 	}
 	t.Logf("loaded %d paths (%d per-neighbor prefixes) across %d neighbors",
 		pop.Router.RouteCount(), expView, len(pop.Router.Neighbors()))

@@ -82,7 +82,7 @@ func TestStationSeesQuickstartScenario(t *testing.T) {
 	// the station has seen its RouteMonitoring event.
 	st := p.Station()
 	waitFor(t, "experiment announce observed", func() bool {
-		e, ok := st.Peer("amsix", "exp:exp1")
+		e, ok := stationPeer(st, "amsix", "exp:exp1")
 		return ok && e.Announces > 0
 	})
 	pop.Router.EmitStatsReport()
@@ -91,14 +91,14 @@ func TestStationSeesQuickstartScenario(t *testing.T) {
 			st.Processed(), p.Monitor().Accepted())
 	}
 
-	exp, ok := st.Peer("amsix", "exp:exp1")
+	exp, ok := stationPeer(st, "amsix", "exp:exp1")
 	if !ok {
 		t.Fatal("station never saw the experiment peer")
 	}
 	if !exp.Up {
 		t.Errorf("experiment peer status = up:%v", exp.Up)
 	}
-	transit, ok := st.Peer("amsix", "as1000")
+	transit, ok := stationPeer(st, "amsix", "as1000")
 	if !ok {
 		t.Fatal("station never saw the transit neighbor")
 	}
@@ -117,4 +117,14 @@ func TestStationSeesQuickstartScenario(t *testing.T) {
 			t.Errorf("report missing %s:\n%s", want, report)
 		}
 	}
+}
+
+// stationPeer returns the station's status of one monitored session.
+func stationPeer(st *telemetry.Station, pop, peer string) (telemetry.PeerStatus, bool) {
+	for _, p := range st.Peers() {
+		if p.PoP == pop && p.Peer == peer {
+			return p, true
+		}
+	}
+	return telemetry.PeerStatus{}, false
 }
