@@ -1,11 +1,9 @@
-// Package config implements Peering's intent-based configuration
-// pipeline (§5): a central desired-state model describing experiments,
-// PoPs, and interconnections; validation; and generators that transform
-// the model into per-service configurations (routing-engine config
-// text, enforcement engine registrations, VPN credentials, and
-// network-controller intents). The model's versioned store — revisions,
-// canary deployment, rollback — is internal/ctlplane's Store, which
-// derives a Model per revision on demand.
+// Package config implements Peering's intent-based configuration model
+// (§5): a central desired-state model naming the approved experiments and
+// the PoPs a revision deploys to, its validation, and the generator that
+// turns it into enforcement engine registrations. The model's versioned
+// store — revisions, canary deployment, rollback — is internal/ctlplane's
+// Store, which derives a Model per revision on demand.
 package config
 
 import (
@@ -13,7 +11,6 @@ import (
 	"net/netip"
 	"sort"
 
-	"repro/internal/netctl"
 	"repro/internal/policy"
 )
 
@@ -32,47 +29,11 @@ type ExperimentSpec struct {
 	// Approved gates activation; unapproved experiments generate no
 	// configuration.
 	Approved bool
-	// VPNKey is the tunnel credential issued on approval.
-	VPNKey string
-}
-
-// IfaceSpec is one router interface.
-type IfaceSpec struct {
-	Name string
-	// Role is "experiment", "backbone", or "neighbor".
-	Role string
-	// Addr is the interface address with prefix.
-	Addr netip.Prefix
-}
-
-// NeighborSpec is one interconnection at a PoP.
-type NeighborSpec struct {
-	Name string
-	// ID is the platform-wide neighbor identifier (1..9999).
-	ID uint32
-	// ASN of the neighbor.
-	ASN uint32
-	// Addr on the shared segment.
-	Addr netip.Addr
-	// Interface names the PoP interface the neighbor is on.
-	Interface string
-	// RouteServer marks transparent route-server sessions.
-	RouteServer bool
-	// Transit marks transit interconnections (vs peering).
-	Transit bool
 }
 
 // PoPSpec is one point of presence.
 type PoPSpec struct {
-	Name     string
-	RouterID netip.Addr
-	// LocalPool is the PoP's next-hop pool for experiments.
-	LocalPool netip.Prefix
-	// BandwidthLimitBps shapes experiment traffic at
-	// bandwidth-constrained sites (two sites in the paper); 0 = none.
-	BandwidthLimitBps float64
-	Interfaces        []IfaceSpec
-	Neighbors         []NeighborSpec
+	Name string
 }
 
 // Model is the central desired-state database content.
@@ -83,32 +44,9 @@ type Model struct {
 	PoPs        []PoPSpec
 }
 
-// Validate checks platform-wide invariants: nonzero 16-bit-safe unique
-// neighbor IDs, non-overlapping experiment allocations, approved
-// experiments with allocations, interface references.
+// Validate checks platform-wide invariants: approved experiments have
+// allocations, and no two of them overlap.
 func (m *Model) Validate() error {
-	ids := make(map[uint32]string)
-	for _, pop := range m.PoPs {
-		ifaces := make(map[string]bool)
-		for _, ifc := range pop.Interfaces {
-			if ifaces[ifc.Name] {
-				return fmt.Errorf("config: pop %s: duplicate interface %s", pop.Name, ifc.Name)
-			}
-			ifaces[ifc.Name] = true
-		}
-		for _, n := range pop.Neighbors {
-			if n.ID == 0 || n.ID > 9999 {
-				return fmt.Errorf("config: pop %s neighbor %s: ID %d outside 1..9999", pop.Name, n.Name, n.ID)
-			}
-			if prev, dup := ids[n.ID]; dup {
-				return fmt.Errorf("config: neighbor ID %d reused by %s and %s/%s", n.ID, prev, pop.Name, n.Name)
-			}
-			ids[n.ID] = pop.Name + "/" + n.Name
-			if !ifaces[n.Interface] {
-				return fmt.Errorf("config: pop %s neighbor %s: unknown interface %s", pop.Name, n.Name, n.Interface)
-			}
-		}
-	}
 	for i, e := range m.Experiments {
 		if !e.Approved {
 			continue
@@ -128,16 +66,6 @@ func (m *Model) Validate() error {
 					}
 				}
 			}
-		}
-	}
-	return nil
-}
-
-// PoP returns the named PoP spec, or nil.
-func (m *Model) PoP(name string) *PoPSpec {
-	for i := range m.PoPs {
-		if m.PoPs[i].Name == name {
-			return &m.PoPs[i]
 		}
 	}
 	return nil
@@ -174,19 +102,4 @@ func (m *Model) SyncPolicy(en *policy.Engine) {
 			en.Unregister(name)
 		}
 	}
-}
-
-// NetworkIntent derives the network-controller intent for a PoP.
-func (m *Model) NetworkIntent(pop string) (netctl.Intent, error) {
-	p := m.PoP(pop)
-	if p == nil {
-		return netctl.Intent{}, fmt.Errorf("config: unknown pop %s", pop)
-	}
-	intent := netctl.Intent{Ifaces: make(map[string]netctl.IfaceIntent)}
-	for _, ifc := range p.Interfaces {
-		intent.Ifaces[ifc.Name] = netctl.IfaceIntent{
-			Addrs: []netip.Addr{ifc.Addr.Addr()},
-		}
-	}
-	return intent, nil
 }

@@ -173,6 +173,7 @@ func TestAPIRejectsBadSpecs(t *testing.T) {
 		{"trailing data", []byte(`{"name":"x","owner":"o","asn":1,"prefixes":["184.164.224.0/24"]}{}`)},
 		{"bad name", []byte(`{"name":"Not OK","owner":"o","asn":1,"prefixes":["184.164.224.0/24"]}`)},
 		{"no prefixes", []byte(`{"name":"x","owner":"o","asn":1}`)},
+		{"IPv6 prefix", []byte(`{"name":"x","owner":"o","asn":1,"prefixes":["2804:269c::/32"]}`)},
 		{"not json", []byte(`announce all the things`)},
 	}
 	for _, c := range cases {

@@ -134,7 +134,7 @@ func DecodeSpec(data []byte) (Spec, error) {
 }
 
 // Validate checks the spec's internal consistency without touching the
-// platform: name shape, allocation parses and is non-overlapping,
+// platform: name shape, allocation parses, is IPv4 and is non-overlapping,
 // announcements stay within the allocation, knobs are bounded.
 func (s *Spec) Validate() error {
 	if !specNameRE.MatchString(s.Name) {
@@ -157,6 +157,9 @@ func (s *Spec) Validate() error {
 		}
 		if p != p.Masked() {
 			return fmt.Errorf("ctlplane: experiment %s: prefix %s has host bits set", s.Name, raw)
+		}
+		if !p.Addr().Is4() {
+			return fmt.Errorf("ctlplane: experiment %s: prefix %s is not IPv4, and the data plane forwards IPv4 only", s.Name, raw)
 		}
 		for _, q := range alloc {
 			if p.Overlaps(q) {

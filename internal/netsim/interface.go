@@ -36,7 +36,7 @@ type ARPResponder func(target netip.Addr) (ethernet.MAC, bool)
 // addresses of which the first is primary.
 //
 // The primary address matters: Linux uses it as the source of ICMP errors
-// (paper §5), and the netctl reconciler enforces its ordering.
+// (paper §5).
 type Interface struct {
 	// Name identifies the interface, e.g. "amsix0" or "exp1-tap".
 	Name string
@@ -161,9 +161,6 @@ func (ifc *Interface) AddEgressFilter(f Filter) {
 // AddMAC makes the interface additionally accept frames destined to mac.
 func (ifc *Interface) AddMAC(mac ethernet.MAC) { ifc.setMAC(mac, true) }
 
-// RemoveMAC stops accepting frames destined to mac.
-func (ifc *Interface) RemoveMAC(mac ethernet.MAC) { ifc.setMAC(mac, false) }
-
 func (ifc *Interface) setMAC(mac ethernet.MAC, add bool) {
 	ifc.mu.Lock()
 	defer ifc.mu.Unlock()
@@ -181,21 +178,6 @@ func (ifc *Interface) setMAC(mac ethernet.MAC, add bool) {
 	}
 }
 
-// HasMAC reports whether the interface accepts frames destined to mac
-// beyond its primary MAC.
-func (ifc *Interface) HasMAC(mac ethernet.MAC) bool {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	return ifc.extraMACs[mac]
-}
-
-// ExtraMACs returns the additional MACs the interface accepts.
-func (ifc *Interface) ExtraMACs() []ethernet.MAC {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	return ifc.macsLocked()[1:]
-}
-
 // AddAddr adds an IP address to the interface. The first address added is
 // the primary address.
 func (ifc *Interface) AddAddr(a netip.Addr) {
@@ -204,20 +186,6 @@ func (ifc *Interface) AddAddr(a netip.Addr) {
 			st.addrs = append(slices.Clip(st.addrs), a)
 		}
 	})
-}
-
-// RemoveAddr removes an IP address from the interface.
-func (ifc *Interface) RemoveAddr(a netip.Addr) {
-	ifc.update(func(st *ifcState) {
-		if i := slices.Index(st.addrs, a); i >= 0 {
-			st.addrs = slices.Delete(slices.Clone(st.addrs), i, i+1)
-		}
-	})
-}
-
-// SetAddrs replaces the interface's addresses; addrs[0] becomes primary.
-func (ifc *Interface) SetAddrs(addrs []netip.Addr) {
-	ifc.update(func(st *ifcState) { st.addrs = slices.Clone(addrs) })
 }
 
 // Addrs returns the interface's addresses in order; index 0 is primary.
@@ -334,6 +302,14 @@ func (ifc *Interface) Resolve(senderIP, target netip.Addr, timeout time.Duration
 	case mac := <-ch:
 		return mac, nil
 	case <-time.After(timeout):
+		ifc.mu.Lock()
+		waiters := slices.DeleteFunc(ifc.arpWait[target], func(w chan ethernet.MAC) bool { return w == ch })
+		if len(waiters) > 0 {
+			ifc.arpWait[target] = waiters
+		} else {
+			delete(ifc.arpWait, target)
+		}
+		ifc.mu.Unlock()
 		return ethernet.MAC{}, fmt.Errorf("netsim: ARP for %s on %s timed out", target, ifc.Name)
 	}
 }

@@ -25,7 +25,7 @@ func (m *modelPort) accepts(dst ethernet.MAC) bool {
 }
 
 // TestPortTableDeliveryMatchesPerPortScan walks attach / detach / AddMAC /
-// RemoveMAC sequences and, after every step, sends one frame to each
+// MAC-removal sequences and, after every step, sends one frame to each
 // interesting destination from each attached port: every port must
 // receive exactly the frames the per-port scan would have given it, once
 // each.
@@ -45,7 +45,7 @@ func TestPortTableDeliveryMatchesPerPortScan(t *testing.T) {
 		return step{fmt.Sprintf("AddMAC %d %s", i, m), func(p []*modelPort, _ *Segment) { p[i].ifc.AddMAC(m); p[i].extra[m] = true }}
 	}
 	removeMAC := func(i int, m ethernet.MAC) step {
-		return step{fmt.Sprintf("RemoveMAC %d %s", i, m), func(p []*modelPort, _ *Segment) { p[i].ifc.RemoveMAC(m); delete(p[i].extra, m) }}
+		return step{fmt.Sprintf("RemoveMAC %d %s", i, m), func(p []*modelPort, _ *Segment) { p[i].ifc.setMAC(m, false); delete(p[i].extra, m) }}
 	}
 	steps := []step{
 		attach(0), attach(1), attach(2),
@@ -141,7 +141,7 @@ func TestSendDuringPortChurn(t *testing.T) {
 				p.AddMAC(floating)
 				p.AddIngressFilter(FilterFunc(func([]byte) Verdict { return VerdictPass }))
 				p.Send(&ethernet.Frame{Dst: mac(1), Type: ethernet.TypeIPv6}) // not counted: wrong type
-				p.RemoveMAC(floating)
+				p.setMAC(floating, false)
 				p.ClearFilters()
 				p.Attach(nil)
 			}

@@ -79,6 +79,21 @@ func TestRejectUnauthorizedOrigin(t *testing.T) {
 	if res.Action != ActionReject {
 		t.Fatal("foreign origin ASN accepted")
 	}
+	// A poisoning budget that covers the foreign ASN does not make it a
+	// legitimate origin: poisoning must end in the experiment's own ASN.
+	en.Register(&Experiment{
+		Name:     "poisoner",
+		Prefixes: []netip.Prefix{pfx("184.164.228.0/24")},
+		ASNs:     []uint32{61576},
+		Caps:     Capabilities{MaxPoisonedASNs: 1},
+	})
+	if res := en.EvaluateAnnouncement("poisoner", "amsix", pfx("184.164.228.0/24"), originAttrs(61576, 64512, 61576)); res.Action != ActionAccept {
+		t.Fatalf("poisoning within budget rejected: %v", res.Reasons)
+	}
+	res = en.EvaluateAnnouncement("poisoner", "amsix", pfx("184.164.228.0/24"), originAttrs(61576, 64512))
+	if res.Action != ActionReject || !strings.Contains(strings.Join(res.Reasons, ";"), "origin AS64512 not authorized") {
+		t.Fatalf("foreign origin within the poisoning budget: %s %v", res.Action, res.Reasons)
+	}
 	// With the transit capability the same announcement is legitimate.
 	en.Register(&Experiment{
 		Name:     "exp2",

@@ -436,7 +436,6 @@ type announcement struct {
 	prepend  int
 	poison   []uint32
 	comms    []bgp.Community
-	origin   uint32
 	announce []uint32 // whitelist neighbor IDs
 	noExport []uint32 // blacklist neighbor IDs
 }
@@ -463,11 +462,6 @@ func WithCommunities(comms ...bgp.Community) AnnounceOption {
 	return func(a *announcement) { a.comms = append(a.comms, comms...) }
 }
 
-// WithOriginASN originates from a different authorized ASN.
-func WithOriginASN(asn uint32) AnnounceOption {
-	return func(a *announcement) { a.origin = asn }
-}
-
 // ToNeighbors whitelists export to the given neighbor IDs only.
 func ToNeighbors(ids ...uint32) AnnounceOption {
 	return func(a *announcement) { a.announce = append(a.announce, ids...) }
@@ -489,12 +483,12 @@ type annKey struct {
 // assigned a fresh one, so replay rebuilds rather than caches updates).
 func buildAnnouncement(expASN, platformASN uint32, nextHop netip.Addr, prefix netip.Prefix, a announcement) *bgp.Update {
 	// Path shape: experiment ASN, then any poisoned ASNs, then the
-	// origin (repeated experiment ASN when poisoning, so the origin
-	// check still passes).
+	// experiment ASN again as origin when poisoning, so the origin
+	// check still passes.
 	path := []uint32{expASN}
-	path = append(path, a.poison...)
-	if a.origin != expASN || len(a.poison) > 0 {
-		path = append(path, a.origin)
+	if len(a.poison) > 0 {
+		path = append(path, a.poison...)
+		path = append(path, expASN)
 	}
 	attrs := &bgp.PathAttrs{
 		Origin: bgp.OriginIGP, HasOrigin: true,
@@ -526,7 +520,7 @@ func (c *Client) Announce(popName string, prefix netip.Prefix, opts ...AnnounceO
 	if sess == nil {
 		return fmt.Errorf("peering: BGP not running at %s", popName)
 	}
-	a := announcement{origin: c.ASN}
+	var a announcement
 	for _, o := range opts {
 		o(&a)
 	}
@@ -550,7 +544,7 @@ func (c *Client) Adopt(popName string, prefix netip.Prefix, opts ...AnnounceOpti
 	if pc.session() == nil {
 		return fmt.Errorf("peering: BGP not running at %s", popName)
 	}
-	a := announcement{origin: c.ASN}
+	var a announcement
 	for _, o := range opts {
 		o(&a)
 	}

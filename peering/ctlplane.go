@@ -184,7 +184,7 @@ func (p *Platform) controlPlaneBaseModel(managed map[string]bool) config.Model {
 		m.Experiments = append(m.Experiments, config.ExperimentSpec{
 			Name: prop.Name, Owner: prop.Owner,
 			ASNs: prop.ASNs, Prefixes: prop.Prefixes,
-			Caps: prop.Caps, Approved: true, VPNKey: prop.VPNKey,
+			Caps: prop.Caps, Approved: true,
 		})
 	}
 	return m
@@ -394,7 +394,7 @@ func (a *platformActuator) EnsureExperiment(obj *ctlplane.Object) error {
 			// re-approval registers current state with enforcement.
 			a.p.mu.Lock()
 			prior := a.p.proposals[spec.Name]
-			adoptable := prior != nil && prior.Managed && prior.Status != StatusRejected
+			adoptable := prior != nil && prior.Managed
 			if adoptable {
 				prior.Prefixes = prefixes
 				prior.ASNs = []uint32{spec.ASN}

@@ -520,7 +520,7 @@ func TestObservedInputsForcePass(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"PoP health", func() { pop.Health().Observe(guard.Pressure{UpdateRate: 5_000}) }}, // degraded
+		{"PoP health", func() { pop.health.Observe(guard.Pressure{UpdateRate: 5_000}) }}, // degraded
 	} {
 		before := reconcileRuns()
 		c.change()

@@ -277,35 +277,6 @@ func (c *Client) Ping(popName string, viaNeighborID uint32, dst netip.Addr, id, 
 	return rtt, nil
 }
 
-// Hop is one traceroute step.
-type Hop struct {
-	// Addr of the responding hop (the hop's PRIMARY address, the
-	// identity §5's network controller works to preserve).
-	Addr netip.Addr
-	// RTT to the hop.
-	RTT time.Duration
-	// Reached marks the destination's own reply.
-	Reached bool
-}
-
-// Traceroute walks toward dst via the chosen neighbor with increasing
-// TTLs, collecting the time-exceeded sources along the way.
-func (c *Client) Traceroute(popName string, viaNeighborID uint32, dst netip.Addr, maxHops int, timeout time.Duration) ([]Hop, error) {
-	var hops []Hop
-	id := uint16(0x7472) // 'tr'
-	for ttl := 1; ttl <= maxHops; ttl++ {
-		r, rtt, err := c.probe(popName, viaNeighborID, dst, uint8(ttl), id, uint16(ttl), timeout)
-		if err != nil {
-			return hops, err
-		}
-		hops = append(hops, Hop{Addr: r.From, RTT: rtt, Reached: r.Reached})
-		if r.Reached {
-			return hops, nil
-		}
-	}
-	return hops, fmt.Errorf("peering: %s not reached within %d hops", dst, maxHops)
-}
-
 // LocalIP returns the client's tunnel address at a PoP (the next hop it
 // announces with).
 func (c *Client) LocalIP(popName string) netip.Addr {

@@ -1,179 +1,10 @@
 package peering
 
 import (
-	"fmt"
 	"net/netip"
 
 	"repro/internal/collector"
-	"repro/internal/config"
-	"repro/internal/ethernet"
-	"repro/internal/netctl"
-	"repro/internal/netsim"
-	"repro/internal/policy"
 )
-
-// EnableIPv6AutoApproval turns on the automatic-approval path the paper
-// considered for IPv6 (§4.6: "We considered automatic approval and
-// allocation of an IPv6 prefix ... since vBGP's security architecture
-// and filters will prevent misbehavior"): proposals that request no
-// IPv4 space are granted a /48 from pool and approved without manual
-// review, with default (least-privilege) capabilities.
-func (p *Platform) EnableIPv6AutoApproval(pool netip.Prefix) error {
-	if !pool.Addr().Is6() || pool.Bits() > 48 {
-		return fmt.Errorf("peering: auto-approval pool must be IPv6 and at least a /48")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.v6AutoPool = pool.Masked()
-	return nil
-}
-
-// allocV6Locked carves the next /48 from the auto-approval pool.
-func (p *Platform) allocV6Locked() (netip.Prefix, error) {
-	p.v6AutoSeq++
-	if p.v6AutoSeq >= 1<<(48-p.v6AutoPool.Bits()) {
-		return netip.Prefix{}, fmt.Errorf("peering: IPv6 auto-approval pool exhausted")
-	}
-	raw := p.v6AutoPool.Addr().As16()
-	// The /48 index lands in bytes 4-5 (below a /32 pool base).
-	raw[4] = byte(p.v6AutoSeq >> 8)
-	raw[5] = byte(p.v6AutoSeq)
-	return netip.PrefixFrom(netip.AddrFrom16(raw), 48), nil
-}
-
-// SubmitIPv6 files an IPv6-only proposal through the automatic-approval
-// path, returning the allocated /48 and the issued credentials.
-func (p *Platform) SubmitIPv6(name, owner, plan string, asn uint32) (netip.Prefix, string, error) {
-	p.mu.Lock()
-	if !p.v6AutoPool.IsValid() {
-		p.mu.Unlock()
-		return netip.Prefix{}, "", fmt.Errorf("peering: IPv6 auto-approval not enabled")
-	}
-	if name == "" || owner == "" || plan == "" {
-		p.mu.Unlock()
-		return netip.Prefix{}, "", fmt.Errorf("peering: proposal needs a name, owner, and plan")
-	}
-	if _, dup := p.proposals[name]; dup {
-		p.mu.Unlock()
-		return netip.Prefix{}, "", fmt.Errorf("peering: proposal %s already exists", name)
-	}
-	alloc, err := p.allocV6Locked()
-	if err != nil {
-		p.mu.Unlock()
-		return netip.Prefix{}, "", err
-	}
-	p.keySeq++
-	key := fmt.Sprintf("key-%s-%06d", name, p.keySeq)
-	prop := &Proposal{
-		Name: name, Owner: owner, Plan: plan,
-		Prefixes: []netip.Prefix{alloc}, ASNs: []uint32{asn},
-		Status: StatusApproved, VPNKey: key,
-	}
-	p.proposals[name] = prop
-	p.creds[name] = key
-	p.mu.Unlock()
-
-	p.Engine.Register(&policy.Experiment{
-		Name: name, Prefixes: []netip.Prefix{alloc}, ASNs: []uint32{asn},
-	})
-	return alloc, key, nil
-}
-
-// Container is experiment logic running directly on a Peering server
-// (the platform extension of §7.4 [50]): a host attached to the PoP's
-// experiment LAN without a tunnel, for lightweight latency-sensitive
-// applications. The host still passes the PoP's data-plane enforcement
-// on egress and receives inbound traffic for its address.
-type Container struct {
-	// Host is the container's network stack. Add protocol handlers with
-	// Host.Handle, send with Host.SendIP / Host.Ping.
-	Host *netsim.Host
-	// Addr is the container's address on the experiment LAN.
-	Addr netip.Addr
-	// Iface is the container's interface.
-	Iface *netsim.Interface
-}
-
-// AttachContainer runs a container for an approved experiment at the
-// PoP: it is addressed on the experiment LAN, protected by the same
-// anti-spoofing filter tunnels get, and reachable for inbound traffic.
-func (pop *PoP) AttachContainer(expName string) (*Container, error) {
-	exp := pop.platform.Engine.Experiment(expName)
-	if exp == nil {
-		return nil, fmt.Errorf("peering: experiment %s not approved", expName)
-	}
-	pop.mu.Lock()
-	pop.expHosts++
-	idx := pop.expHosts
-	pop.mu.Unlock()
-	addr := clientAddr(pop.expCIDR, idx)
-	mac := ethernet.MAC{0x0a, 0x01, 0, 0, 0, byte(idx)}
-
-	h := netsim.NewHost("container-" + expName)
-	ifc := h.AddInterface("eth0", mac, netip.PrefixFrom(addr, pop.expCIDR.Bits()), pop.expLAN)
-	h.SetDefaultRoute(lastUsable(pop.expCIDR), ifc)
-
-	// Same data-plane enforcement as tunnel clients (§4.7).
-	allowed := append([]netip.Prefix{netip.PrefixFrom(addr, 32)}, exp.Prefixes...)
-	filter, err := sourceFilterFor("container-"+expName, allowed)
-	if err != nil {
-		return nil, err
-	}
-	ifc.AddEgressFilter(filter)
-
-	pop.Router.SetExperimentTunnelIP(expName, addr)
-	return &Container{Host: h, Addr: addr, Iface: ifc}, nil
-}
-
-// ApplyModel pushes a configuration-model revision onto the live
-// platform: the enforcement engine is synchronized with the approved
-// experiments (without disturbing rate-limit state or running
-// sessions), tunnel credentials are refreshed, and each PoP's interface
-// state is reconciled transactionally (§5).
-func (p *Platform) ApplyModel(m *config.Model) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	m.SyncPolicy(p.Engine)
-
-	p.mu.Lock()
-	for _, e := range m.ApprovedExperiments() {
-		if e.VPNKey != "" {
-			p.creds[e.Name] = e.VPNKey
-		}
-	}
-	pops := make([]*PoP, 0, len(p.pops))
-	for _, pop := range p.pops {
-		pops = append(pops, pop)
-	}
-	p.mu.Unlock()
-
-	for _, pop := range pops {
-		spec := m.PoP(pop.Name)
-		if spec == nil {
-			continue
-		}
-		intent, err := m.NetworkIntent(pop.Name)
-		if err != nil {
-			return err
-		}
-		// Only reconcile interfaces that exist on the router; the model
-		// may describe interconnections not yet wired in this process.
-		ifaces := make(map[string]*netsim.Interface)
-		for name := range intent.Ifaces {
-			if ifc := pop.Router.Interface(name); ifc != nil {
-				ifaces[name] = ifc
-			} else {
-				delete(intent.Ifaces, name)
-			}
-		}
-		ctl := netctl.NewController(ifaces)
-		if _, err := ctl.Reconcile(intent); err != nil {
-			return fmt.Errorf("peering: reconcile %s: %w", pop.Name, err)
-		}
-	}
-	return nil
-}
 
 // AttachCollector peers a passive route collector with a PoP's router
 // (the RouteViews/RIS role, §8): the collector receives every route the

@@ -7,181 +7,9 @@ import (
 	"time"
 
 	"repro/internal/collector"
-	"repro/internal/config"
 	"repro/internal/ethernet"
 	"repro/internal/inet"
-	"repro/internal/policy"
 )
-
-func TestIPv6AutoApproval(t *testing.T) {
-	p := NewPlatform(PlatformConfig{ASN: 47065})
-	if _, _, err := p.SubmitIPv6("v6exp", "alice", "plan", 61574); err == nil {
-		t.Fatal("auto-approval worked before being enabled")
-	}
-	if err := p.EnableIPv6AutoApproval(netip.MustParsePrefix("2804:269c::/32")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.EnableIPv6AutoApproval(netip.MustParsePrefix("10.0.0.0/8")); err == nil {
-		t.Fatal("v4 auto-approval pool accepted")
-	}
-
-	alloc, key, err := p.SubmitIPv6("v6exp", "alice", "measure v6 adoption", 61574)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc.Bits() != 48 || !netip.MustParsePrefix("2804:269c::/32").Contains(alloc.Addr()) {
-		t.Errorf("allocation %s", alloc)
-	}
-	if key == "" {
-		t.Error("no credentials issued")
-	}
-	// Registered with the engine under least privilege.
-	e := p.Engine.Experiment("v6exp")
-	if e == nil || len(e.Prefixes) != 1 || e.Prefixes[0] != alloc {
-		t.Fatalf("engine registration: %+v", e)
-	}
-	if e.Caps != (policy.Capabilities{}) {
-		t.Error("auto-approval granted extra capabilities")
-	}
-	// Distinct allocations per experiment; duplicates rejected.
-	alloc2, _, err := p.SubmitIPv6("v6exp2", "bob", "plan", 61575)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc2 == alloc {
-		t.Error("allocations collide")
-	}
-	if _, _, err := p.SubmitIPv6("v6exp", "alice", "plan", 61574); err == nil {
-		t.Error("duplicate name accepted")
-	}
-	// The proposal shows up as approved in the normal listing.
-	found := false
-	for _, prop := range p.Proposals() {
-		if prop.Name == "v6exp" && prop.Status == StatusApproved {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("auto-approved proposal not listed")
-	}
-}
-
-func TestAttachContainer(t *testing.T) {
-	_, pop, c := testbed(t)
-	// Containers require approval first.
-	if _, err := pop.AttachContainer("nobody"); err == nil {
-		t.Fatal("container for unapproved experiment")
-	}
-	ct, err := pop.AttachContainer("exp1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ct.Addr.IsValid() || ct.Host == nil {
-		t.Fatal("container not addressed")
-	}
-
-	// The container reaches the Internet through the PoP without any
-	// tunnel: ping a destination the router knows via its default route.
-	if err := c.OpenTunnel(pop); err != nil {
-		t.Fatal(err)
-	}
-	c.StartBGP("amsix")
-	if err := c.WaitEstablished("amsix", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) >= 1 })
-
-	// Containers are plain hosts: they route via the PoP router's
-	// experiment-LAN address and the router forwards via the best path.
-	// The router only forwards frames addressed to per-neighbor MACs or
-	// its own MAC; a default route via the router's address exercises
-	// the inbound path, so instead steer explicitly: resolve a neighbor
-	// next hop through ARP like any router would.
-	nbr := pop.Router.Neighbor("as1000")
-	mac, err := ct.Host.Resolve(ct.Iface, nbr.LocalIP, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mac != nbr.LocalMAC {
-		t.Errorf("container resolved %s, want %s", mac, nbr.LocalMAC)
-	}
-
-	// Anti-spoofing applies to containers too.
-	txBefore := ct.Iface.TxDrops.Load()
-	spoofed := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
-		Src: addr("8.8.8.8"), Dst: probe.Addr().Next()}
-	ct.Iface.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: spoofed.Marshal()})
-	if ct.Iface.TxDrops.Load() != txBefore+1 {
-		t.Error("spoofed container frame not dropped")
-	}
-	// Legitimate container traffic (sourced from its address) passes,
-	// once the router has resolved the neighbor's MAC: until then the
-	// forwarder's own ARP can time out under load and count the frame
-	// no-mac instead.
-	rifc := pop.Router.Interface("nbr-as1000")
-	waitFor(t, "router resolves as1000", func() bool {
-		_, err := rifc.Resolve(rifc.PrimaryAddr(), nbr.Addr, time.Second)
-		return err == nil
-	})
-	legit := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
-		Src: ct.Addr, Dst: probe.Addr().Next()}
-	fwdBefore := pop.Router.Forwarded.Load()
-	ct.Iface.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: legit.Marshal()})
-	if pop.Router.Forwarded.Load() != fwdBefore+1 {
-		t.Error("legitimate container frame not forwarded")
-	}
-}
-
-func TestApplyModel(t *testing.T) {
-	_, pop, _ := testbed(t)
-	p := pop.platform
-
-	m := config.Model{
-		PlatformASN: 47065,
-		Experiments: []config.ExperimentSpec{
-			{Name: "modeled", Owner: "ops", ASNs: []uint32{61580},
-				Prefixes: []netip.Prefix{netip.MustParsePrefix("184.164.230.0/24")},
-				Approved: true, VPNKey: "model-key"},
-		},
-		PoPs: []config.PoPSpec{{
-			Name: "amsix", RouterID: netip.MustParseAddr("198.51.100.1"),
-			LocalPool: netip.MustParsePrefix("127.65.0.0/16"),
-			Interfaces: []config.IfaceSpec{
-				{Name: "exp0", Role: "experiment", Addr: netip.MustParsePrefix("100.65.0.254/24")},
-			},
-		}},
-	}
-	if err := p.ApplyModel(&m); err != nil {
-		t.Fatal(err)
-	}
-	// The modeled experiment is registered and its credentials work.
-	if p.Engine.Experiment("modeled") == nil {
-		t.Fatal("modeled experiment not registered")
-	}
-	c := NewClient("modeled", "model-key", 61580)
-	if err := c.OpenTunnel(pop); err != nil {
-		t.Fatalf("modeled credentials rejected: %v", err)
-	}
-	// exp1 was registered outside the model: SyncPolicy removes it.
-	if p.Engine.Experiment("exp1") != nil {
-		t.Error("out-of-model experiment survived sync")
-	}
-	// Re-applying is idempotent and keeps the tunnel up.
-	if err := p.ApplyModel(&m); err != nil {
-		t.Fatal(err)
-	}
-	if c.TunnelStatus("amsix") != "up" {
-		t.Error("config push disturbed a running tunnel")
-	}
-	// Invalid models are rejected before touching anything.
-	bad := m
-	bad.PoPs = append([]config.PoPSpec(nil), m.PoPs...)
-	bad.PoPs[0].Neighbors = []config.NeighborSpec{{Name: "x", ID: 0, Interface: "exp0"}}
-	if err := p.ApplyModel(&bad); err == nil {
-		t.Error("invalid model applied")
-	}
-}
 
 func TestPoPBandwidthShaping(t *testing.T) {
 	// A bandwidth-constrained site (§4.7): all experiment traffic into
@@ -309,21 +137,24 @@ func TestTracerouteShowsPrimaryAddresses(t *testing.T) {
 	probe := inet.PrefixForASN(100)
 	waitFor(t, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
 
+	// Probe with TTL 1 and 2, as traceroute does.
 	dst := probe.Addr().Next()
-	hops, err := c.Traceroute("amsix", 1, dst, 5, 5*time.Second)
-	if err != nil {
-		t.Fatalf("traceroute: %v (hops %v)", err, hops)
-	}
-	if len(hops) != 2 {
-		t.Fatalf("hops = %v, want router + destination", hops)
+	var hops [2]probeReply
+	for i := range hops {
+		ttl := uint8(i + 1)
+		r, _, err := c.probe("amsix", 1, dst, ttl, 0x7472, uint16(ttl), 5*time.Second)
+		if err != nil {
+			t.Fatalf("probe at ttl %d: %v", ttl, err)
+		}
+		hops[i] = r
 	}
 	// Hop 1 is the PoP router, answering from the experiment-LAN
 	// interface's PRIMARY address (the §5 behavior).
 	rtrAddr := pop.Router.Interface("exp0").PrimaryAddr()
-	if hops[0].Addr != rtrAddr || hops[0].Reached {
+	if hops[0].From != rtrAddr || hops[0].Reached {
 		t.Errorf("hop 1 = %+v, want router primary %s", hops[0], rtrAddr)
 	}
-	if !hops[1].Reached || hops[1].Addr != dst {
+	if !hops[1].Reached || hops[1].From != dst {
 		t.Errorf("hop 2 = %+v, want destination %s", hops[1], dst)
 	}
 }

@@ -140,10 +140,6 @@ func (p *Platform) StopGuard() {
 	p.guardOnce.Do(func() { close(p.guardStop) })
 }
 
-// Health returns the PoP's guard state machine, or nil when the
-// platform runs without a watchdog.
-func (pop *PoP) Health() *guard.Health { return pop.health }
-
 // PoPHealth returns the watchdog state of the named PoP. Unknown PoPs
 // and guard-less platforms report Healthy.
 func (p *Platform) PoPHealth(name string) guard.State {

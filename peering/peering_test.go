@@ -87,28 +87,23 @@ func TestProposalWorkflow(t *testing.T) {
 	if got := p.Proposals(); len(got) != 1 || got[0].Status != StatusPending {
 		t.Fatalf("proposals = %v", got)
 	}
-	// Risky request: reject (the paper rejected extreme poisoning
-	// proposals, §7.1).
-	if err := p.Reject("x", "too many poisonings"); err != nil {
-		t.Fatal(err)
+	if _, err := p.Approve("z", nil); err == nil {
+		t.Error("approved a proposal never filed")
 	}
-	if _, err := p.Approve("x", nil); err == nil {
-		t.Error("rejected proposal approved")
-	}
-	// A fresh proposal approves and registers with the engine.
-	prop2 := prop
-	prop2.Name = "y"
-	p.Submit(prop2)
-	key, err := p.Approve("y", &policy.Capabilities{MaxPoisonedASNs: 1})
+	// Approval registers the trimmed capabilities with the engine.
+	key, err := p.Approve("x", &policy.Capabilities{MaxPoisonedASNs: 1})
 	if err != nil || key == "" {
 		t.Fatalf("approve: %q %v", key, err)
 	}
-	if e := p.Engine.Experiment("y"); e == nil || e.Caps.MaxPoisonedASNs != 1 {
+	if e := p.Engine.Experiment("x"); e == nil || e.Caps.MaxPoisonedASNs != 1 {
 		t.Error("approval did not register trimmed capabilities")
 	}
-	p.Revoke("y")
-	if p.Engine.Experiment("y") != nil {
-		t.Error("revoked experiment still registered")
+	p.Forget("x")
+	if p.Engine.Experiment("x") != nil {
+		t.Error("forgotten experiment still registered")
+	}
+	if err := p.Submit(prop); err != nil {
+		t.Errorf("name not released by Forget: %v", err)
 	}
 }
 
@@ -462,7 +457,7 @@ func TestForeignNextHopRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	foreign := c1.LocalIP("amsix")
-	if err := pc2.session().Send(buildAnnouncement(c2.ASN, pc2.platformASN, foreign, pfx("184.164.226.0/24"), announcement{origin: c2.ASN})); err != nil {
+	if err := pc2.session().Send(buildAnnouncement(c2.ASN, pc2.platformASN, foreign, pfx("184.164.226.0/24"), announcement{})); err != nil {
 		t.Fatal(err)
 	}
 	dst := addr("184.164.226.9")

@@ -108,8 +108,6 @@ type Platform struct {
 	backbone       *netsim.Segment
 	bbHosts        int
 	bbLinks        map[[2]string]BackboneLink
-	v6AutoPool     netip.Prefix
-	v6AutoSeq      int
 
 	guardStop   chan struct{}
 	guardOnce   sync.Once
@@ -186,9 +184,6 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 	}
 	return p
 }
-
-// RPKI returns the platform's trust-anchor ROA store, or nil.
-func (p *Platform) RPKI() *rpki.Store { return p.cfg.RPKI }
 
 // DeployROV installs the trust-anchor store as the topology's validator
 // and enables route origin validation at a deterministic fraction of
@@ -268,9 +263,6 @@ func (p *Platform) Close() error {
 
 // ASN returns the platform AS number.
 func (p *Platform) ASN() uint32 { return p.cfg.ASN }
-
-// Chaos returns the platform's fault injector, or nil.
-func (p *Platform) Chaos() *chaos.Injector { return p.cfg.Chaos }
 
 // chaosWrap threads a transport through the fault injector (a no-op
 // without one).
@@ -562,14 +554,6 @@ func linkKey(a, b string) [2]string {
 		a, b = b, a
 	}
 	return [2]string{a, b}
-}
-
-// BackboneLinkBetween returns the provisioned link between two PoPs.
-func (p *Platform) BackboneLinkBetween(a, b string) (BackboneLink, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l, ok := p.bbLinks[linkKey(a, b)]
-	return l, ok
 }
 
 // BackboneLinks returns every provisioned pair.

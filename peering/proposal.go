@@ -15,12 +15,11 @@ type ProposalStatus int
 const (
 	StatusPending ProposalStatus = iota
 	StatusApproved
-	StatusRejected
 )
 
 // String names the status.
 func (s ProposalStatus) String() string {
-	return [...]string{"pending", "approved", "rejected"}[s]
+	return [...]string{"pending", "approved"}[s]
 }
 
 // Proposal is an experiment application, the web-form equivalent of
@@ -42,8 +41,6 @@ type Proposal struct {
 	Caps policy.Capabilities
 
 	Status ProposalStatus
-	// Reason records why a proposal was rejected.
-	Reason string
 	// VPNKey is the tunnel credential issued on approval.
 	VPNKey string
 	// Managed marks a proposal owned by the declarative control plane:
@@ -92,10 +89,6 @@ func (p *Platform) Approve(name string, grantedCaps *policy.Capabilities) (vpnKe
 		p.mu.Unlock()
 		return "", fmt.Errorf("peering: no proposal %s", name)
 	}
-	if prop.Status == StatusRejected {
-		p.mu.Unlock()
-		return "", fmt.Errorf("peering: proposal %s was rejected: %s", name, prop.Reason)
-	}
 	if len(prop.Prefixes) == 0 || len(prop.ASNs) == 0 {
 		p.mu.Unlock()
 		return "", fmt.Errorf("peering: proposal %s has no resource request", name)
@@ -120,27 +113,11 @@ func (p *Platform) Approve(name string, grantedCaps *policy.Capabilities) (vpnKe
 	return prop.VPNKey, nil
 }
 
-// Reject declines a proposal with a reason (the paper rejected an
-// experiment requesting a large number of poisonings and one announcing
-// thousand-AS paths, §7.1).
-func (p *Platform) Reject(name, reason string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	prop := p.proposals[name]
-	if prop == nil {
-		return fmt.Errorf("peering: no proposal %s", name)
-	}
-	prop.Status = StatusRejected
-	prop.Reason = reason
-	delete(p.creds, name)
-	return nil
-}
-
 // Forget erases a proposal entirely, releasing its name for
 // resubmission: credentials are withdrawn, the enforcement registration
-// dropped, and — unlike Revoke, which leaves a rejected tombstone — the
-// proposal record itself is removed. The control plane uses it after
-// teardown so a deleted experiment's name can be recreated.
+// dropped, and the proposal record itself removed. The control plane
+// uses it after teardown so a deleted experiment's name can be
+// recreated.
 func (p *Platform) Forget(name string) {
 	p.mu.Lock()
 	if _, ok := p.proposals[name]; ok {
@@ -148,19 +125,6 @@ func (p *Platform) Forget(name string) {
 		p.proposalSeq++
 	}
 	delete(p.creds, name)
-	p.mu.Unlock()
-	p.Engine.Unregister(name)
-}
-
-// Revoke deactivates an approved experiment: credentials are withdrawn
-// and the enforcement engine stops accepting its announcements.
-func (p *Platform) Revoke(name string) {
-	p.mu.Lock()
-	delete(p.creds, name)
-	if prop := p.proposals[name]; prop != nil {
-		prop.Status = StatusRejected
-		prop.Reason = "revoked"
-	}
 	p.mu.Unlock()
 	p.Engine.Unregister(name)
 }

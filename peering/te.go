@@ -50,9 +50,6 @@ type TEConfig struct {
 	Registry *telemetry.Registry
 }
 
-// TE returns the platform's traffic-engineering defaults, or nil.
-func (p *Platform) TE() *TEConfig { return p.cfg.TE }
-
 // CatchmentViews snapshots every PoP's contribution to catchment
 // resolution: its local neighbor set plus its experiment-FIB snapshot
 // (built fresh, so the view reflects the routes of this instant).
