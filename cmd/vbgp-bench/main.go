@@ -11,19 +11,22 @@
 // Absolute numbers differ from the paper (the substrate is an in-memory
 // simulator, not BIRD on a server at AMS-IX); the comparisons check the
 // shapes the paper claims: linear growth, configuration orderings, and
-// envelope ranges.
+// envelope ranges. A figure whose shape check is false makes the run
+// exit 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"repro/internal/eval"
+	"repro/internal/telemetry"
 )
 
-// figures is the single ordered registry of every experiment: the name
+// figures is the single ordered registry of the paper's figures: the name
 // accepted by -fig, and the function that runs it (taking the -scale
 // downscale factor, which most figures ignore). "all" runs them in this
 // order. Add a figure here and nowhere else.
@@ -37,14 +40,6 @@ var figures = []struct {
 	{"amsix", amsix},
 	{"updates", func(int) error { return updates() }},
 	{"footprint", footprint},
-	{"monitor", func(int) error { return monitor() }},
-	{"chaos", func(int) error { return chaosSoak() }},
-	{"rov", func(int) error { return rov() }},
-	{"damping", damping},
-	{"history", func(int) error { return historyBench() }},
-	{"ribscale", ribscale},
-	{"catchment", catchmentFig},
-	{"ctlrecover", func(int) error { return ctlrecoverFig() }},
 }
 
 func figureNames() string {
@@ -84,6 +79,31 @@ func header(title, paper string) {
 	fmt.Printf("paper: %s\n", paper)
 }
 
+// errShape is what a figure returns, after printing and recording its
+// measurements, when one of its shape checks is false; the run exits 1.
+var errShape = errors.New("a shape check is false")
+
+// printMetricsSnapshot dumps the default registry's series whose names
+// match any prefix — the post-run counters the figures accumulate.
+func printMetricsSnapshot(prefixes ...string) {
+	matched := false
+	for _, line := range strings.Split(telemetry.Default().Text(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		for _, p := range prefixes {
+			if strings.HasPrefix(line, p) {
+				if !matched {
+					fmt.Println("metrics snapshot:")
+					matched = true
+				}
+				fmt.Printf("  %s\n", line)
+				break
+			}
+		}
+	}
+}
+
 func fig6a() error {
 	header("Figure 6a — memory vs known routes",
 		"linear growth, ~327 B/route, ordering control < data < data+default; 32 GiB ~ 100M routes")
@@ -113,6 +133,9 @@ func fig6a() error {
 		samples = append(samples, benchSample{Name: cfg, Value: res.BytesPerRoute(cfg), Unit: "B/route"})
 	}
 	record("6a", map[string]any{"sizes": sizes, "trials": 20}, samples...)
+	if !ok {
+		return errShape
+	}
 	return nil
 }
 
@@ -147,6 +170,9 @@ func fig6b() error {
 		})
 	}
 	record("6b", map[string]any{"updates": 1 << 17}, samples...)
+	if !ok {
+		return errShape
+	}
 	return nil
 }
 
@@ -159,12 +185,15 @@ func backbone() error {
 	}
 	fmt.Printf("pairs measured: %d\n", len(res.Pairs))
 	fmt.Printf("measured: min %.0f, avg %.0f, max %.0f Mbps\n", res.Min, res.Avg, res.Max)
-	fmt.Printf("shape check (within provisioned envelope 60-750): %v\n",
-		res.Min >= 60*0.5 && res.Max <= 750*1.01)
+	ok := res.Min >= 60*0.5 && res.Max <= 750*1.01
+	fmt.Printf("shape check (within provisioned envelope 60-750): %v\n", ok)
 	record("backbone", map[string]any{"pops": 13, "pairs": len(res.Pairs)},
 		benchSample{Name: "min", Value: res.Min, Unit: "Mbps"},
 		benchSample{Name: "avg", Value: res.Avg, Unit: "Mbps"},
 		benchSample{Name: "max", Value: res.Max, Unit: "Mbps"})
+	if !ok {
+		return errShape
+	}
 	return nil
 }
 
@@ -193,10 +222,14 @@ func updates() error {
 	res := eval.MeasureUpdateLoad()
 	fmt.Printf("mean %.1f upd/s -> %.3f%% CPU; p99 %.0f upd/s -> %.2f%% CPU\n",
 		res.MeanRate, 100*res.MeanCPU, res.P99Rate, 100*res.P99CPU)
-	fmt.Printf("shape check (p99 well under one core): %v\n", res.P99CPU < 0.5)
+	ok := res.P99CPU < 0.5
+	fmt.Printf("shape check (p99 well under one core): %v\n", ok)
 	record("updates", nil,
 		benchSample{Name: "mean", RoutesPerSec: res.MeanRate, Value: res.MeanCPU, Unit: "cpu-fraction"},
 		benchSample{Name: "p99", RoutesPerSec: res.P99Rate, Value: res.P99CPU, Unit: "cpu-fraction"})
+	if !ok {
+		return errShape
+	}
 	return nil
 }
 

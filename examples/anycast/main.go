@@ -1,19 +1,15 @@
 // Anycast: the §7.1 line of work ("Internet Anycast: Performance,
 // Problems, & Potential") — announce ONE prefix from several PoPs at
 // once, measure each site's catchment in the synthetic Internet, then
-// engineer the split with AS-path prepending and observe the shift. A
-// route collector records the ground-truth update stream (§8's
-// RouteViews role) for offline analysis.
+// engineer the split with AS-path prepending and observe the shift.
 package main
 
 import (
 	"fmt"
 	"log"
 	"net/netip"
-	"os"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/inet"
 	"repro/peering"
 )
@@ -53,13 +49,6 @@ func main() {
 		pops[i] = pop
 		transits[i] = s.transit
 	}
-
-	// Ground truth recording: a collector at the first site.
-	col, err := pops[0].AttachCollector("route-views.anycast", 6447)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer col.Close()
 
 	if err := platform.Submit(peering.Proposal{
 		Name: "anycast", Owner: "example", Plan: "multi-site catchment study",
@@ -135,25 +124,5 @@ func main() {
 	}
 	time.Sleep(300 * time.Millisecond)
 	measure("seattle withdrawn")
-
-	// Export the collector's ground-truth event stream.
-	f, err := os.CreateTemp("", "anycast-*.dump")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.Remove(f.Name())
-	events := col.Events(time.Time{}, time.Time{})
-	if err := collector.WriteEvents(f, events); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	rd, _ := os.Open(f.Name())
-	back, err := collector.ReadEvents(rd)
-	rd.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ncollector recorded %d events; dump round-trips %d records (%s)\n",
-		len(events), len(back), f.Name())
 	fmt.Println("anycast study complete")
 }

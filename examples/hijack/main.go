@@ -12,7 +12,8 @@
 //  4. RPKI origin validation — the same sub-prefix hijack, attempted by
 //     a rogue AS in the wild rather than through the platform, is
 //     dropped at import by ROV-deploying ASes and its catchment
-//     collapses as deployment grows.
+//     collapses as deployment grows; a route leak that forges a path to
+//     the true origin passes ROV and is stopped by Peerlock instead.
 //  5. Forensics replay — the whole study streams into the durable
 //     history store; after the platform shuts down, the hijack timeline
 //     is reconstructed from the on-disk segment log alone.
@@ -227,6 +228,32 @@ func main() {
 		log.Fatal("legitimate /24 lost under ROV")
 	}
 	fmt.Printf("victim's legitimate %s remains reachable everywhere (Valid under its ROA)\n", foreign)
+
+	// A route leak forging a path through tier-1 AS101 to the true
+	// origin is RPKI-Valid, so ROV passes it. Peerlock at the tier-1
+	// clique catches it: each tier-1 protects every other, whose ASN
+	// never legitimately appears mid-path in a route learned from anyone
+	// but that tier-1 itself.
+	for i := 0; i < cfg.Tier1; i++ {
+		for j := 0; j < cfg.Tier1; j++ {
+			if i != j {
+				if err := topo.AddPeerlock(uint32(100+i), rpki.Peerlock{Protected: uint32(100 + j)}); err != nil {
+					log.Fatal(err)
+				}
+			}
+		}
+	}
+	leaker, origin := uint32(10077), uint32(10034)
+	leaked := inet.PrefixForASN(origin)
+	if err := topo.OriginateWithPath(leaker, leaked, []uint32{leaker, 101, origin}); err != nil {
+		log.Fatal(err)
+	}
+	_, leakDrops := topo.SecurityDrops()
+	if leakDrops == 0 {
+		log.Fatal("Peerlock did not block the origin-valid leak")
+	}
+	fmt.Printf("Peerlock: AS%d's leak of %s through AS101 (origin AS%d, %s) dropped %d times at the tier-1s\n",
+		leaker, leaked, origin, store.Validate(leaked, origin), leakDrops)
 	fmt.Println("security study complete")
 
 	// Part 5: forensics replay. Every announcement above flowed through

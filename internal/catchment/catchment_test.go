@@ -201,8 +201,12 @@ func TestGeneratePopulationsDeterministic(t *testing.T) {
 			t.Fatalf("population %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	if TotalClients(a) != 100000 {
-		t.Errorf("total %d, want 100000", TotalClients(a))
+	total := 0
+	for _, p := range a {
+		total += p.Clients
+	}
+	if total != 100000 {
+		t.Errorf("total %d, want 100000", total)
 	}
 	c := GeneratePopulations(top, 100000, 43)
 	same := len(a) == len(c)

@@ -84,12 +84,3 @@ func GeneratePopulations(top *inet.Topology, total int, seed int64) []Population
 	}
 	return out
 }
-
-// TotalClients sums the populations' weights.
-func TotalClients(pops []Population) int {
-	total := 0
-	for _, p := range pops {
-		total += p.Clients
-	}
-	return total
-}

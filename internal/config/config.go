@@ -38,8 +38,6 @@ type PoPSpec struct {
 
 // Model is the central desired-state database content.
 type Model struct {
-	PlatformASN uint32
-	GlobalPool  netip.Prefix
 	Experiments []ExperimentSpec
 	PoPs        []PoPSpec
 }

@@ -11,8 +11,6 @@ func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
 func sampleModel() Model {
 	return Model{
-		PlatformASN: 47065,
-		GlobalPool:  pfx("127.127.0.0/16"),
 		Experiments: []ExperimentSpec{
 			{Name: "exp1", Owner: "alice", ASNs: []uint32{61574},
 				Prefixes: []netip.Prefix{pfx("184.164.224.0/23")}, Approved: true},
@@ -53,7 +51,7 @@ func TestValidateRejections(t *testing.T) {
 
 func TestSyncPolicy(t *testing.T) {
 	m := sampleModel()
-	en := policy.NewEngine(m.PlatformASN)
+	en := policy.NewEngine(47065)
 	m.SyncPolicy(en)
 	if got := en.Experiments(); len(got) != 2 || got[0] != "exp1" || got[1] != "exp2" {
 		t.Fatalf("registered = %v", got)

@@ -37,7 +37,7 @@ func TestDampedRouteWithheldButRetained(t *testing.T) {
 	// happened yet.
 	waitFor(t, "route suppressed and withdrawn from experiment", func() bool {
 		_, ok := x1.routes()[nlri]
-		return !ok && f.router.Damper().Suppressed(guard.Key{Peer: "N1", Prefix: pfx(prefix)})
+		return !ok && f.router.damper.Suppressed(guard.Key{Peer: "N1", Prefix: pfx(prefix)})
 	})
 	// The announcement survives in the adj-RIB-in, marked damped — it
 	// must be reusable without the neighbor re-announcing.
@@ -66,7 +66,7 @@ func TestDampedRouteWithheldButRetained(t *testing.T) {
 	if damped() != 0 {
 		t.Fatal("damped mark not cleared on reuse")
 	}
-	if f.router.Damper().Suppressed(guard.Key{Peer: "N1", Prefix: pfx(prefix)}) {
+	if f.router.damper.Suppressed(guard.Key{Peer: "N1", Prefix: pfx(prefix)}) {
 		t.Fatal("damper still reports suppression after reuse")
 	}
 }
@@ -120,7 +120,7 @@ func TestTableDumpWithholdsDampedRoutes(t *testing.T) {
 	}
 	waitFor(t, "route suppressed and withheld from X1", func() bool {
 		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx(flapped), ID: 1}]
-		return !ok && f.router.Damper().Suppressed(guard.Key{Peer: "N1", Prefix: pfx(flapped)}) &&
+		return !ok && f.router.damper.Suppressed(guard.Key{Peer: "N1", Prefix: pfx(flapped)}) &&
 			len(f.nbr1.Table.Paths(pfx(flapped))) == 1
 	})
 

@@ -37,11 +37,11 @@ type Config struct {
 	// a private pool is created when nil.
 	GlobalPool *Pool
 	// Enforcer is the control-plane enforcement engine applied to
-	// experiment announcements. Nil disables enforcement (used only by
-	// the accept-all baseline in the Fig. 6b benchmark).
+	// experiment announcements. Nil disables enforcement (routers that
+	// carry no experiments, such as the §6 AMS-IX scale figure's).
 	Enforcer *policy.Engine
 	// Monitor, when set, receives BMP-style monitoring events (peer
-	// up/down, route monitoring, stats reports) from this router. The
+	// up/down, route monitoring) from this router. The
 	// emit path never blocks: a full queue drops with a counter.
 	Monitor *telemetry.Emitter
 	// Validator, when set, classifies every neighbor route exported to
@@ -726,9 +726,6 @@ func (r *Router) setTunnelIPLocked(name string, ip netip.Addr) {
 // ExperimentRoutes exposes the experiment-prefix table (tests and the
 // peering facade).
 func (r *Router) ExperimentRoutes() *rib.Table { return r.expRoutes }
-
-// Damper returns the router's flap damper, or nil when damping is off.
-func (r *Router) Damper() *guard.Damper { return r.damper }
 
 // UpdatesProcessed reports how many control-plane updates the router
 // has handled (neighbor + experiment paths) — the watchdog samples it

@@ -59,7 +59,7 @@ func newRouterMetrics(pop string) routerMetrics {
 	return m
 }
 
-// emit sends a monitoring event to the configured station hook, filling
+// emit sends a monitoring event to the configured monitor queue, filling
 // in the PoP name and timestamp. A nil Monitor makes this a no-op; a
 // full queue drops (counted by the emitter) rather than blocking the
 // control plane.
@@ -92,40 +92,5 @@ func closeReason(err error) string {
 func (r *Router) syncNeighborRoutesGauge(n *Neighbor) {
 	if n.routesGauge != nil {
 		n.routesGauge.Set(int64(n.Table.PathCount()))
-	}
-}
-
-// EmitStatsReport emits one BMP-style StatsReport event per neighbor
-// with a live session, carrying RIB occupancy and the session's §6
-// counters. Callers (peeringd's stats ticker, vbgp-bench's monitor
-// fixture) decide the cadence.
-func (r *Router) EmitStatsReport() {
-	if r.cfg.Monitor == nil {
-		return
-	}
-	for _, n := range r.Neighbors() {
-		sess := n.Session()
-		if sess == nil {
-			continue
-		}
-		stats := []telemetry.Stat{
-			{Type: telemetry.StatRoutesAdjIn, Value: uint64(n.Table.PathCount())},
-			{Type: telemetry.StatUpdatesIn, Value: sess.UpdatesIn.Load()},
-			{Type: telemetry.StatUpdatesOut, Value: sess.UpdatesOut.Load()},
-			{Type: telemetry.StatBytesIn, Value: sess.BytesIn.Load()},
-			{Type: telemetry.StatBytesOut, Value: sess.BytesOut.Load()},
-			{Type: telemetry.StatMRAISuppressed, Value: sess.MRAISuppressed.Load()},
-		}
-		if r.damper != nil {
-			stats = append(stats, telemetry.Stat{
-				Type: telemetry.StatDampingSuppressed, Value: uint64(r.damper.SuppressedFor(n.Name)),
-			})
-		}
-		r.emit(telemetry.Event{
-			Kind:    telemetry.EventStatsReport,
-			Peer:    n.Name,
-			PeerASN: n.ASN,
-			Stats:   stats,
-		})
 	}
 }

@@ -184,7 +184,8 @@ type Store struct {
 
 // StoreConfig configures a Store.
 type StoreConfig struct {
-	// BaseModel supplies PlatformASN/GlobalPool/PoPs for derived models.
+	// BaseModel supplies the PoPs (and any experiments approved outside
+	// the store) for derived models.
 	BaseModel func() config.Model
 	// CrashHook fires at the seeded crash-injection points around the
 	// durable write. Test-only; leave nil in production.

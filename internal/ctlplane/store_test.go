@@ -28,9 +28,7 @@ func testSpecAt(name, prefix string) Spec {
 // testBase is the platform half the store tests derive models over.
 func testBase() config.Model {
 	return config.Model{
-		PlatformASN: 47065,
-		GlobalPool:  netip.MustParsePrefix("184.164.224.0/19"),
-		PoPs:        []config.PoPSpec{{Name: "seattle"}, {Name: "amsix"}},
+		PoPs: []config.PoPSpec{{Name: "seattle"}, {Name: "amsix"}},
 	}
 }
 
@@ -140,7 +138,7 @@ func TestStoreMirrorsConfigRevisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ModelAt(%d): %v", obj.Revision, err)
 	}
-	if m.PlatformASN != 47065 || len(m.PoPs) != 2 {
+	if len(m.PoPs) != 2 {
 		t.Fatalf("derived model lost its platform half: %+v", m)
 	}
 	if len(m.Experiments) != 1 || m.Experiments[0].Name != "alpha" {

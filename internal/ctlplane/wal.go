@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/history"
 )
 
 // Durable desired-state layer: a write-ahead log plus snapshot making
@@ -392,16 +394,20 @@ func openWAL(dir string) (*WAL, *walSnapshot, []walRecord, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	if len(data) == 0 {
+		// Create the log with its magic, file and directory entry
+		// fsynced, before the first commit is appended to it.
+		if err := history.WriteFileAtomic(walPath, walMagic); err != nil {
+			return nil, nil, nil, err
+		}
+		truncateAt = -1
+	}
 
-	f, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(walPath, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	switch {
-	case len(data) == 0:
-		if _, err = f.Write(walMagic); err == nil {
-			err = f.Sync()
-		}
 	case truncateAt >= 0:
 		// Drop the torn tail so the next append starts on a frame
 		// boundary.
@@ -556,17 +562,12 @@ func (w *WAL) compactIfDue() error {
 		return err
 	}
 	data := append(append([]byte(nil), snapMagic...), encodeFrame(payload)...)
-	path := filepath.Join(w.dir, snapFileName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := history.WriteFileAtomic(filepath.Join(w.dir, snapFileName), data); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Snapshot is durable; the WAL's records are superseded. A crash
-	// before the truncate is harmless — replay skips seq <= snapshot.
+	// The snapshot file and its directory entry are fsynced, so the
+	// WAL's records are superseded. A crash before the truncate is
+	// harmless — replay skips seq <= snapshot.
 	if err := w.f.Truncate(int64(len(walMagic))); err != nil {
 		return err
 	}

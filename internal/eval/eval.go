@@ -18,7 +18,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rib"
 	"repro/internal/traffic"
-	"repro/internal/workload"
 )
 
 func heapInUse() uint64 {
@@ -77,7 +76,7 @@ func MeasureFig6a(sizes []int, neighbors int) *Fig6aResult {
 }
 
 func buildTables(config string, neighbors, total int) []any {
-	gen := workload.NewGenerator(1, 65001, netip.MustParseAddr("192.0.2.1"))
+	gen := NewGenerator(1, 65001, netip.MustParseAddr("192.0.2.1"))
 	var keep []any
 	switch config {
 	case "control-plane":
@@ -133,7 +132,7 @@ func (r *Fig6bResult) CPUAtRate(config string, updatesPerSec float64) float64 {
 // each filter configuration, filters running to completion without
 // rejecting (the paper's worst case).
 func MeasureFig6b(iterations int) *Fig6bResult {
-	gen := workload.NewGenerator(2, 65001, netip.MustParseAddr("192.0.2.1"))
+	gen := NewGenerator(2, 65001, netip.MustParseAddr("192.0.2.1"))
 	events := gen.Stream(2000, 1<<14)
 	res := &Fig6bResult{PerUpdate: make(map[string]time.Duration)}
 	for _, config := range Fig6bConfigs {
@@ -159,11 +158,11 @@ func MeasureFig6b(iterations int) *Fig6bResult {
 	return res
 }
 
-func newUpdateProcessor(config string) func(e workload.UpdateEvent) {
+func newUpdateProcessor(config string) func(e UpdateEvent) {
 	t := rib.NewTable(config)
 	if config == "accept" {
-		return func(e workload.UpdateEvent) {
-			if e.Kind == workload.KindWithdraw {
+		return func(e UpdateEvent) {
+			if e.Kind == KindWithdraw {
 				t.Withdraw(e.Route.Prefix, "n", 0)
 				return
 			}
@@ -183,8 +182,8 @@ func newUpdateProcessor(config string) func(e workload.UpdateEvent) {
 	globalPool := core.NewPool(netip.MustParsePrefix("127.127.0.0/16"))
 	globalIP := globalPool.MustAlloc()
 	multi := config == "multi-router-vbgp"
-	return func(e workload.UpdateEvent) {
-		if e.Kind == workload.KindWithdraw {
+	return func(e UpdateEvent) {
+		if e.Kind == KindWithdraw {
 			en.EvaluateWithdraw("bench", "amsix", e.Route.Prefix)
 			t.Withdraw(e.Route.Prefix, "n", 0)
 			return
@@ -292,7 +291,7 @@ type AMSIXResult struct {
 // factor, loads every member's routes into a vBGP router through real
 // route-server sessions, and measures routes and memory.
 func MeasureAMSIX(factor int, routesPerMember int) (*AMSIXResult, error) {
-	profile := workload.PaperIXPs[0].Scale(factor)
+	profile := PaperIXPs[0].Scale(factor)
 	cfg := inet.DefaultGenConfig()
 	cfg.Tier2 = 40
 	cfg.Edges = profile.Members + 50
@@ -404,7 +403,7 @@ func MeasureFootprint(factor int) *FootprintResult {
 			}
 		}
 	}
-	for _, prof := range workload.PaperIXPs {
+	for _, prof := range PaperIXPs {
 		p := prof.Scale(factor)
 		res.PerIXP[prof.Name] = [2]int{p.Members, p.Bilateral}
 		for i := 0; i < p.Members; i++ {

@@ -171,40 +171,6 @@ func (d *Damper) Suppressed(key Key) bool {
 	return e.suppressed
 }
 
-// SuppressedCount reports how many routes are currently suppressed.
-func (d *Damper) SuppressedCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.cfg.Now()
-	n := 0
-	for key, e := range d.routes {
-		d.decayLocked(key, e, now)
-		if e.suppressed {
-			n++
-		}
-	}
-	return n
-}
-
-// SuppressedFor reports how many of peer's routes are currently
-// suppressed (the per-neighbor figure StatsReports carry).
-func (d *Damper) SuppressedFor(peer string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.cfg.Now()
-	n := 0
-	for key, e := range d.routes {
-		if key.Peer != peer {
-			continue
-		}
-		d.decayLocked(key, e, now)
-		if e.suppressed {
-			n++
-		}
-	}
-	return n
-}
-
 // Len reports how many routes have live damping state.
 func (d *Damper) Len() int {
 	d.mu.Lock()

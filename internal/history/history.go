@@ -99,7 +99,7 @@ type Stats struct {
 	Deduped uint64
 	// Dropped counts events lost to a full queue or closed store.
 	Dropped uint64
-	// Skipped counts non-route events (PeerUp/PeerDown/StatsReport).
+	// Skipped counts non-route events (PeerUp/PeerDown).
 	Skipped uint64
 	// Records is the number of records currently in the log (sealed +
 	// active segments). Unlike Stored — a lifetime ingest counter that

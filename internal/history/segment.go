@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 )
@@ -588,11 +589,41 @@ func decodeSegment(data []byte) (*segment, error) {
 	return seg, nil
 }
 
-// writeFile atomically writes the sealed image of s to its path.
-func (s *segment) writeFile() error {
-	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, s.encode(), 0o644); err != nil {
+// writeFile atomically and durably writes the sealed image of s to its
+// path.
+func (s *segment) writeFile() error { return WriteFileAtomic(s.path, s.encode()) }
+
+// WriteFileAtomic replaces path with data so that a crash leaves either
+// the old file or the whole new one, and the new one is on disk once it
+// returns: data goes to path+".tmp", which is fsynced before the rename,
+// and the directory is fsynced after it so the rename itself persists.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

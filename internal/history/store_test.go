@@ -104,7 +104,7 @@ func TestSkipsNonRouteEvents(t *testing.T) {
 	observeAll(t, s,
 		telemetry.Event{Kind: telemetry.EventPeerUp, Time: time.Unix(1000, 0), PoP: "amsix", Peer: "transit-1000"},
 		routeEvent("amsix", time.Unix(1001, 0), "184.164.224.0/24", false),
-		telemetry.Event{Kind: telemetry.EventStatsReport, Time: time.Unix(1002, 0), PoP: "amsix", Peer: "transit-1000"},
+		telemetry.Event{Kind: telemetry.EventPeerDown, Time: time.Unix(1002, 0), PoP: "amsix", Peer: "transit-1000", Reason: "hold timer expired"},
 	)
 	if st := s.Stats(); st.Stored != 1 || st.Skipped != 2 {
 		t.Fatalf("stored=%d skipped=%d, want 1/2", st.Stored, st.Skipped)

@@ -12,8 +12,9 @@ import (
 // This file wires RPKI route origin validation and Peerlock route-leak
 // defense into the synthetic Internet. Deployment is partial by design:
 // real-world ROV adoption is a fraction of networks, and the
-// interesting experimental question (the `vbgp-bench -fig rov` sweep)
-// is how hijack catchment shrinks as that fraction grows.
+// interesting experimental question (the sweep in
+// TestROVSweepShrinksHijackAndPeerlockBlocksLeak) is how hijack
+// catchment shrinks as that fraction grows.
 
 // SetValidator installs the validator backing every ROV-deploying AS.
 // Pass an *rpki.Store (shared trust-anchor view) or an *rpki.Client
@@ -87,28 +88,4 @@ func (t *Topology) SecurityDrops() (rov, leak uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.rovDrops, t.leakDrops
-}
-
-// ValidationCounts classifies every held route in the topology against
-// a validator, returning totals per state. Origin is the last hop of
-// each route's path.
-func (t *Topology) ValidationCounts(v rpki.Validator) (valid, invalid, notFound int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, a := range t.ases {
-		for _, rt := range a.routes {
-			if len(rt.Path) == 0 {
-				continue
-			}
-			switch v.Validate(rt.Prefix, rt.Path[len(rt.Path)-1]) {
-			case rpki.Valid:
-				valid++
-			case rpki.Invalid:
-				invalid++
-			default:
-				notFound++
-			}
-		}
-	}
-	return valid, invalid, notFound
 }

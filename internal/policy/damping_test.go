@@ -14,7 +14,7 @@ func TestDampingSuppressesFlappingExperiment(t *testing.T) {
 	en.Now = func() time.Time { return now }
 	clock := func() time.Time { return now }
 	en.SetDamper(guard.NewDamper(guard.DampingConfig{HalfLife: time.Minute, Now: clock}))
-	defer en.Damper().Close()
+	defer en.damper.Close()
 
 	prefix := pfx("184.164.224.0/24")
 	announce := func() Result { return en.EvaluateAnnouncement("exp1", "amsix", prefix, originAttrs(61574)) }

@@ -234,13 +234,6 @@ func (en *Engine) SetDamper(d *guard.Damper) {
 	en.damper = d
 }
 
-// Damper returns the installed flap damper, if any.
-func (en *Engine) Damper() *guard.Damper {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	return en.damper
-}
-
 // Audit returns a copy of the recorded decisions, newest last.
 func (en *Engine) Audit() []AuditEntry {
 	en.mu.Lock()

@@ -78,36 +78,34 @@ func TestEmitterCloseRace(t *testing.T) {
 	}
 }
 
-func TestEmitterDeliversToStation(t *testing.T) {
-	reg := NewRegistry()
-	em := NewEmitter(reg, 64)
-	st := NewStation(reg)
-	go st.Run(em)
-
-	em.Emit(Event{Kind: EventPeerUp, PoP: "amsix", Peer: "transit1", PeerASN: 1000})
-	em.Emit(Event{Kind: EventRouteMonitoring, PoP: "amsix", Peer: "transit1"})
-	em.Emit(Event{Kind: EventRouteMonitoring, PoP: "amsix", Peer: "transit1", Withdraw: true})
-	em.Emit(Event{Kind: EventPeerDown, PoP: "amsix", Peer: "transit1", Reason: "test"})
+func TestEmitterDeliversInOrder(t *testing.T) {
+	em := NewEmitter(NewRegistry(), 64)
+	sent := []Event{
+		{Kind: EventPeerUp, PoP: "amsix", Peer: "transit1", PeerASN: 1000},
+		{Kind: EventRouteMonitoring, PoP: "amsix", Peer: "transit1"},
+		{Kind: EventRouteMonitoring, PoP: "amsix", Peer: "transit1", Withdraw: true},
+		{Kind: EventPeerDown, PoP: "amsix", Peer: "transit1", Reason: "test"},
+	}
+	for _, e := range sent {
+		if !em.Emit(e) {
+			t.Fatalf("Emit dropped %v on an empty queue", e)
+		}
+	}
 	em.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for st.Processed() < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("station processed %d of 4 events", st.Processed())
+	var got []Event
+	for e := range em.Events() {
+		got = append(got, e)
+	}
+	if len(got) != len(sent) {
+		t.Fatalf("consumer saw %d events, want %d", len(got), len(sent))
+	}
+	for i := range sent {
+		if got[i].Kind != sent[i].Kind || got[i].Withdraw != sent[i].Withdraw || got[i].Reason != sent[i].Reason {
+			t.Errorf("event %d = %v, want %v", i, got[i], sent[i])
 		}
-		time.Sleep(time.Millisecond)
 	}
-	p, ok := st.Peer("amsix", "transit1")
-	if !ok {
-		t.Fatal("peer not tracked")
-	}
-	if p.Up || p.UpCount != 1 || p.DownCount != 1 || p.Announces != 1 || p.Withdraws != 1 {
-		t.Errorf("peer state = %+v", p)
-	}
-	if p.ASN != 1000 {
-		t.Errorf("ASN = %d, want 1000 (learned from PeerUp)", p.ASN)
-	}
-	if p.LastReason != "test" {
-		t.Errorf("LastReason = %q", p.LastReason)
+	if em.Accepted() != 4 || em.Dropped() != 0 {
+		t.Errorf("accepted %d dropped %d, want 4/0", em.Accepted(), em.Dropped())
 	}
 }

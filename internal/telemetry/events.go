@@ -7,8 +7,8 @@ import (
 )
 
 // EventKind distinguishes monitoring events, mirroring the BMP message
-// types of RFC 7854 (Peer Up, Peer Down, Route Monitoring, Stats
-// Report) that PEERING's production collectors consume.
+// types of RFC 7854 (Peer Up, Peer Down, Route Monitoring) that
+// PEERING's production collectors consume.
 type EventKind uint8
 
 // Event kinds.
@@ -16,7 +16,6 @@ const (
 	EventPeerUp          EventKind = 1
 	EventPeerDown        EventKind = 2
 	EventRouteMonitoring EventKind = 3
-	EventStatsReport     EventKind = 4
 )
 
 // String names the kind.
@@ -28,38 +27,14 @@ func (k EventKind) String() string {
 		return "peer-down"
 	case EventRouteMonitoring:
 		return "route-monitoring"
-	case EventStatsReport:
-		return "stats-report"
 	default:
 		return fmt.Sprintf("EventKind(%d)", uint8(k))
 	}
 }
 
-// Stat is one statistics TLV of a StatsReport, in the style of the BMP
-// §4.8 counters.
-type Stat struct {
-	Type  uint16
-	Value uint64
-}
-
-// Stat types. Type 7 matches BMP's "routes in Adj-RIB-In"; the >=128
-// range is the BMP-reserved experimental space, used here for the
-// session counters vBGP already keeps.
-const (
-	StatRoutesAdjIn    uint16 = 7
-	StatUpdatesIn      uint16 = 128
-	StatUpdatesOut     uint16 = 129
-	StatBytesIn        uint16 = 130
-	StatBytesOut       uint16 = 131
-	StatMRAISuppressed uint16 = 132
-	// StatDampingSuppressed is how many of the peer's routes RFC 2439
-	// flap damping is currently withholding from export.
-	StatDampingSuppressed uint16 = 133
-)
-
 // Event is one monitoring event emitted by a vBGP router. Field
 // relevance depends on Kind: RouteMonitoring events carry the route
-// fields, PeerDown carries Reason, StatsReport carries Stats.
+// fields, PeerDown carries Reason.
 type Event struct {
 	Kind EventKind
 	// Time the router emitted the event.
@@ -85,9 +60,6 @@ type Event struct {
 
 	// Reason explains a PeerDown.
 	Reason string
-
-	// Stats carries StatsReport TLVs.
-	Stats []Stat
 }
 
 // String renders the event as one log line.
@@ -102,8 +74,6 @@ func (e Event) String() string {
 			e.Kind, e.PoP, e.Peer, verb, e.Prefix, e.PathID, e.ASPath)
 	case EventPeerDown:
 		return fmt.Sprintf("%s pop=%s peer=%s reason=%q", e.Kind, e.PoP, e.Peer, e.Reason)
-	case EventStatsReport:
-		return fmt.Sprintf("%s pop=%s peer=%s stats=%d", e.Kind, e.PoP, e.Peer, len(e.Stats))
 	default:
 		return fmt.Sprintf("%s pop=%s peer=%s as%d", e.Kind, e.PoP, e.Peer, e.PeerASN)
 	}

@@ -1,17 +1,17 @@
 // Package telemetry is the platform-wide observability layer: a
 // dependency-free, race-safe metrics registry (counters, gauges,
-// fixed-bucket histograms with labels) plus a BMP-inspired monitoring
-// station (RFC 7854) that consumes session and route events from vBGP
-// routers over a non-blocking bounded queue.
+// fixed-bucket histograms with labels) plus a BMP-inspired (RFC 7854)
+// feed of session and route events from vBGP routers over a
+// non-blocking bounded queue.
 //
 // The paper's operations story (§5: intent-based configuration,
 // reconciliation, attribution of experiment actions) presupposes that
 // operators can see what vBGP is doing; PEERING runs collectors and
 // per-PoP monitoring in production. This package is that layer for the
 // reproduction: every instrumented subsystem registers metrics against
-// Default(), routers emit PeerUp/PeerDown/RouteMonitoring/StatsReport
-// events through an Emitter, and a Station keeps the per-neighbor view
-// an operator (or the vbgp-bench monitor report) reads.
+// Default(), and routers emit PeerUp/PeerDown/RouteMonitoring events
+// through an Emitter, which the platform feeds to the history store and
+// the control plane's watch stream.
 //
 // Monitoring must never stall the control plane: Emitter.Emit is
 // non-blocking and drops with a counter on overflow, and every metric

@@ -30,7 +30,8 @@ func waitChaos(t *testing.T, what string, cond func() bool) {
 }
 
 // chaosTestbed is multiPoPTestbed with a fault injector threaded through
-// every transport and a resilient client.
+// every transport; the chaos platform supervises the client's sessions
+// too.
 func chaosTestbed(t *testing.T) (*Platform, *PoP, *PoP, *Client, *chaos.Injector) {
 	t.Helper()
 	cfg := inet.DefaultGenConfig()
@@ -75,7 +76,6 @@ func chaosTestbed(t *testing.T) (*Platform, *PoP, *PoP, *Client, *chaos.Injector
 		t.Fatal(err)
 	}
 	c := NewClient("soak", key, expASN)
-	c.SetResilient(true)
 	return p, popA, popB, c, inj
 }
 

@@ -37,9 +37,8 @@ type Client struct {
 	// recovery — instead of withdrawn the moment the tunnel dies.
 	GR time.Duration
 
-	mu        sync.Mutex
-	resilient bool
-	conns     map[string]*popConn
+	mu    sync.Mutex
+	conns map[string]*popConn
 }
 
 // clientSnapshotInterval is the table-version stride between FIB
@@ -280,7 +279,7 @@ func (c *Client) StartBGP(popName string) error {
 	if pc.session() != nil {
 		return fmt.Errorf("peering: BGP already running at %s", popName)
 	}
-	if c.isResilient() && pc.pop != nil {
+	if pc.pop != nil && pc.pop.platform.resilient() {
 		return c.startResilientBGP(pc)
 	}
 	// In-process PoPs attach the router side here; remote PoPs attached

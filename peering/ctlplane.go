@@ -167,11 +167,11 @@ func (cp *ControlPlane) Close() {
 }
 
 // controlPlaneBaseModel renders the platform half of a derived model —
-// platform identity, PoPs — plus any experiment approved outside the
+// its PoPs — plus any experiment approved outside the
 // control plane (managed excludes control-plane-owned proposals, which
 // the store's revision log supplies).
 func (p *Platform) controlPlaneBaseModel(managed map[string]bool) config.Model {
-	m := config.Model{PlatformASN: p.cfg.ASN, GlobalPool: p.cfg.GlobalPool}
+	var m config.Model
 	for _, name := range p.PoPs() {
 		m.PoPs = append(m.PoPs, config.PoPSpec{Name: name})
 	}

@@ -185,7 +185,7 @@ func TestFlapStormAvailability(t *testing.T) {
 	// Recovery: penalties decay, reuse timers drain the suppressed set,
 	// and the watchdog steps the PoP back to healthy.
 	waitChaos(t, "damper drains after storm", func() bool {
-		return p.Engine.Damper().SuppressedCount() == 0
+		return reg.Value("guard_damping_suppressed_current") == 0
 	})
 	waitChaos(t, "PoP returns to healthy", func() bool {
 		return p.PoPHealth("amsix") == guard.Healthy

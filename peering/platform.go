@@ -47,9 +47,10 @@ type PlatformConfig struct {
 	Topology *inet.Topology
 	// Chaos, when set, threads every BGP transport, tunnel carrier, and
 	// backbone attachment through the fault injector, and switches the
-	// sessions it covers to resilient mode (supervised redial with
-	// backoff, graceful restart). Nil leaves the platform fault-free
-	// with the original one-shot sessions.
+	// sessions it covers, in-process experiment clients' included, to
+	// resilient mode (supervised redial with backoff, graceful restart).
+	// Nil leaves the platform fault-free with the original one-shot
+	// sessions.
 	Chaos *chaos.Injector
 	// RPKI, when set, is the platform's trust-anchor ROA store. The
 	// enforcement engine validates experiment announcements against it
@@ -74,10 +75,10 @@ type PlatformConfig struct {
 	// sampling driving healthy → degraded → shedding transitions with
 	// hysteretic recovery. See GuardConfig and DefaultGuardConfig.
 	Guard *GuardConfig
-	// History, when set, receives a copy of every monitoring event the
-	// station consumes: route events land in the durable segment log for
-	// time-travel queries and post-hoc forensics. The caller opens the
-	// store (history.Open) and the platform adopts it; Close closes it.
+	// History, when set, receives a copy of every monitoring event:
+	// route events land in the durable segment log for time-travel
+	// queries and post-hoc forensics. The caller opens the store
+	// (history.Open) and the platform adopts it; Close closes it.
 	History *history.Store
 	// TE, when set, supplies defaults for closed-loop traffic
 	// engineering: the anycast prefix, per-PoP load targets, and the
@@ -95,7 +96,6 @@ type Platform struct {
 
 	globalPool *core.Pool
 	monitor    *telemetry.Emitter
-	station    *telemetry.Station
 	rpkiServer *rpki.Server
 
 	mu             sync.Mutex
@@ -112,14 +112,18 @@ type Platform struct {
 	guardStop   chan struct{}
 	guardOnce   sync.Once
 	monitorDone chan struct{}
+	// monitored counts the events the monitor goroutine has finished
+	// with; WaitMonitorDrained compares it with the emitter's accepted
+	// count.
+	monitored atomic.Uint64
 
 	// teController is the most recent NewTEController result: the
 	// /v1/catchment query resolves for the population it steers.
 	teController atomic.Pointer[TEController]
 
 	// sinkMu guards the optional control-plane taps: eventSink receives
-	// a copy of every monitoring event the station consumes, healthSink
-	// every guard-ladder transition. Both may be nil.
+	// a copy of every monitoring event, healthSink every guard-ladder
+	// transition. Both may be nil.
 	sinkMu     sync.RWMutex
 	eventSink  func(telemetry.Event)
 	healthSink func(pop string, state guard.State)
@@ -135,22 +139,19 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		Engine:     policy.NewEngine(cfg.ASN),
 		globalPool: core.NewPool(cfg.GlobalPool),
 		monitor:    telemetry.NewEmitter(nil, 0),
-		station:    telemetry.NewStation(nil),
 		pops:       make(map[string]*PoP),
 		creds:      make(tunnel.Credentials),
 		proposals:  make(map[string]*Proposal),
 	}
-	// The platform-wide monitoring station consumes every router's
-	// BMP-style event feed for the life of the platform. With a history
-	// store configured the feed is teed: the station folds live state,
-	// the store appends the durable timeline. History ingestion is
-	// non-blocking on its own bounded queue, so a slow disk drops
-	// history (with accounting) instead of stalling the station.
+	// One goroutine consumes every router's BMP-style event feed for the
+	// life of the platform: the history store, when configured, appends
+	// the durable timeline, and the event sink gets a copy. History
+	// ingestion is non-blocking on its own bounded queue, so a slow disk
+	// drops history (with accounting) instead of stalling the feed.
 	p.monitorDone = make(chan struct{})
 	go func() {
 		defer close(p.monitorDone)
 		for e := range p.monitor.Events() {
-			p.station.Handle(e)
 			if cfg.History != nil {
 				cfg.History.Observe(e)
 			}
@@ -160,6 +161,7 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 			if sink != nil {
 				sink(e)
 			}
+			p.monitored.Add(1)
 		}
 	}()
 	if cfg.RPKI != nil {
@@ -198,10 +200,9 @@ func (p *Platform) DeployROV(fraction float64, seed int64) int {
 }
 
 // SetEventSink installs (or, with nil, removes) a tap receiving a copy
-// of every monitoring event after the station and history store consume
-// it. The sink runs on the monitor goroutine and must not block — the
-// control plane's watch hub (bounded, drop-on-full) is the intended
-// consumer.
+// of every monitoring event after the history store consumes it. The
+// sink runs on the monitor goroutine and must not block — the control
+// plane's watch hub (bounded, drop-on-full) is the intended consumer.
 func (p *Platform) SetEventSink(fn func(telemetry.Event)) {
 	p.sinkMu.Lock()
 	p.eventSink = fn
@@ -216,24 +217,18 @@ func (p *Platform) SetHealthSink(fn func(pop string, state guard.State)) {
 	p.sinkMu.Unlock()
 }
 
-// Monitor returns the platform's monitoring event queue (routers emit
-// into it; the station consumes it).
-func (p *Platform) Monitor() *telemetry.Emitter { return p.monitor }
-
-// Station returns the platform's BMP-style monitoring station.
-func (p *Platform) Station() *telemetry.Station { return p.station }
-
 // History returns the platform's durable RIB history store, or nil.
 func (p *Platform) History() *history.Store { return p.cfg.History }
 
-// WaitMonitorDrained blocks until the station has applied every event
-// accepted so far (or the timeout lapses), for tests and report
-// generation that read station state right after control-plane churn.
-// With a history store configured it also waits for the store to apply
-// its share of the feed, so queries issued next see the same events.
+// WaitMonitorDrained blocks until the monitor goroutine has handed
+// every event accepted so far to the history store and the event sink
+// (or the timeout lapses), for tests and report generation that read
+// monitoring state right after control-plane churn. With a history
+// store configured it also waits for the store to apply its share of
+// the feed, so queries issued next see the same events.
 func (p *Platform) WaitMonitorDrained(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for p.station.Processed() < p.monitor.Accepted() {
+	for p.monitored.Load() < p.monitor.Accepted() {
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -252,7 +247,7 @@ func (p *Platform) WaitMonitorDrained(timeout time.Duration) bool {
 func (p *Platform) Close() error {
 	p.StopGuard()
 	p.monitor.Close()
-	// Wait for the station/history tee to drain the monitor queue before
+	// Wait for the monitor goroutine to drain the monitor queue before
 	// closing the store, so the tail of the feed reaches the log.
 	<-p.monitorDone
 	if p.cfg.History != nil {

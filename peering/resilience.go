@@ -15,29 +15,16 @@ import (
 // tunnel failure, giving the supervisor time to redial and replay.
 const clientGRTime = 10 * time.Second
 
-// SetResilient switches the client's BGP sessions to supervised mode:
-// when a tunnel or control session dies with a transport error, the
-// client redials the tunnel (exponential backoff with jitter), replays
-// its live announcements with the newly assigned tunnel address as next
-// hop, and closes the RFC 4724 window with End-of-RIB. Must be set
-// before StartBGP; administrative StopBGP/CloseTunnel still tear down
-// immediately.
-func (c *Client) SetResilient(on bool) {
-	c.mu.Lock()
-	c.resilient = on
-	c.mu.Unlock()
-}
-
-func (c *Client) isResilient() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resilient
-}
-
 // startResilientBGP runs the experiment session under a bgp.Supervisor
 // whose dial path rebuilds the whole tunnel, mirroring how a real
 // experiment's OpenVPN client and BIRD daemon recover independently of
-// the PoP.
+// the PoP. A client's session at an in-process PoP is supervised exactly
+// when the platform's own sessions are (Platform.resilient): when the
+// tunnel or control session dies with a transport error, the client
+// redials the tunnel (exponential backoff with jitter), replays its live
+// announcements with the newly assigned tunnel address as next hop, and
+// closes the RFC 4724 window with End-of-RIB. Administrative
+// StopBGP/CloseTunnel still tear down immediately.
 func (c *Client) startResilientBGP(pc *popConn) error {
 	if err := pc.pop.ConnectExperimentBGP(pc.serverTun, c.ASN); err != nil {
 		return err

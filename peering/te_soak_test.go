@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/catchment"
 	"repro/internal/inet"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
@@ -148,8 +147,12 @@ func TestTEControllerSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := catchment.TotalClients(te.Populations()); got != 100000 {
-		t.Fatalf("population %d clients, want 100000", got)
+	total := 0
+	for _, pop := range te.Populations() {
+		total += pop.Clients
+	}
+	if total != 100000 {
+		t.Fatalf("population %d clients, want 100000", total)
 	}
 
 	res, err := te.Run()

@@ -45,6 +45,7 @@ var reachAllowlist = map[string]string{
 	"internal/core.Router.SetNeighborRateLimit": "the §4.7 per-neighbor limiter, not yet wired into the platform",
 	"internal/bpf.RateLimiter":                  "the BPF program behind SetNeighborRateLimit",
 	"internal/inet/debug.go":                    "the Appendix A troubleshooting reproduction EXPERIMENTS.md cites",
+	"internal/netsim.Host.Handle":               "the protocol-handler hook the netsim and core packet tests register their receivers with",
 	"internal/rpki.Store.Revoke":                "ROA revocation, which the rpki and peering RTR tests drive withdrawals with",
 	"peering.Client.DialTCP":                    "the remote side of peeringd -listen, which no binary dials yet",
 }
