@@ -104,8 +104,8 @@ func executeHistory(store *history.Store, f []string) string {
 	case "stats":
 		st := store.Stats()
 		return fmt.Sprintf(
-			"observed=%d stored=%d deduped=%d dropped=%d skipped=%d\nsegments=%d sealed-bytes=%d retired=%d compacted=%d\nvantages: %s",
-			st.Observed, st.Stored, st.Deduped, st.Dropped, st.Skipped,
+			"stored=%d deduped=%d skipped=%d\nsegments=%d sealed-bytes=%d retired=%d compacted=%d\nvantages: %s",
+			st.Stored, st.Deduped, st.Skipped,
 			st.Segments, st.SealedBytes, st.RetiredSegments, st.CompactedEvents,
 			strings.Join(store.Vantages(), ", "))
 	case "state":

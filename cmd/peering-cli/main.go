@@ -33,6 +33,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -225,12 +226,11 @@ func execute(c *peering.Client, pop *peering.PoP, platform *peering.Platform, li
 			if err := c.WaitEstablished(popName, 5*time.Second); err != nil {
 				return err.Error()
 			}
-			// Give the initial ADD-PATH table dump a moment to land so
-			// the next command already sees routes.
-			deadline := time.Now().Add(2 * time.Second)
-			for len(c.Routes(popName)) == 0 && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
+			// Let the initial ADD-PATH table dump land so the next
+			// command already sees every route.
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			_ = platform.Quiesce(ctx)
+			cancel()
 			return fmt.Sprintf("BGP Established, %d routes learned", len(c.Routes(popName)))
 		case "stop":
 			if err := c.StopBGP(popName); err != nil {
@@ -329,8 +329,8 @@ func execute(c *peering.Client, pop *peering.PoP, platform *peering.Platform, li
 		}
 		return strings.TrimRight(b.String(), "\n")
 	case "history":
-		// The store ingests asynchronously; settle it so the query sees
-		// everything the session just did.
+		// The monitor goroutine feeds the store asynchronously; drain it
+		// so the query sees everything the session just did.
 		platform.WaitMonitorDrained(2 * time.Second)
 		return executeHistory(platform.History(), f)
 	case "metrics":

@@ -177,19 +177,12 @@ func main() {
 		}
 	}
 
-	// Wait for convergence: every router has routes from its neighbors.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		total := 0
-		for _, pop := range popList {
-			total += pop.Router.RouteCount()
-		}
-		if total > 0 {
-			time.Sleep(300 * time.Millisecond)
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
+	// Wait for convergence: every table dump and its propagation done.
+	settle, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	if err := platform.Quiesce(settle); err != nil {
+		log.Print(err)
 	}
+	cancel()
 
 	fmt.Printf("\n%-8s %10s %10s %10s\n", "pop", "neighbors", "routes", "forwarded")
 	for _, pop := range popList {
@@ -321,8 +314,7 @@ func main() {
 		}
 		if hist != nil {
 			st := hist.Stats()
-			fmt.Printf("history(stored=%d deduped=%d dropped=%d segs=%d) ",
-				st.Stored, st.Deduped, st.Dropped, st.Segments)
+			fmt.Printf("history(stored=%d deduped=%d segs=%d) ", st.Stored, st.Deduped, st.Segments)
 		}
 		fmt.Println()
 	}

@@ -34,5 +34,5 @@ func setupTE(platform *peering.Platform, pops []*peering.PoP, prefix netip.Prefi
 			return nil, err
 		}
 	}
-	return platform.NewTEController(client, nil)
+	return platform.NewTEController(client)
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/telemetry"
@@ -139,10 +140,13 @@ func fig6a() error {
 	return nil
 }
 
+// measureFig6b measures Fig 6b once per run; the updates figure reuses it.
+var measureFig6b = sync.OnceValue(func() *eval.Fig6bResult { return eval.MeasureFig6b(1 << 17) })
+
 func fig6b() error {
 	header("Figure 6b — CPU vs update rate",
 		"linear growth; accept < single-router < multi-router; thousands of updates/s on one core")
-	res := eval.MeasureFig6b(1 << 17)
+	res := measureFig6b()
 	rates := []float64{500, 1000, 2000, 4000}
 	fmt.Printf("%-22s%14s", "config", "per-update")
 	for _, r := range rates {
@@ -219,7 +223,9 @@ func amsix(scale int) error {
 func updates() error {
 	header("§6 AMS-IX update load (18h trace)",
 		"mean 21.8 updates/s, p99 ~400 updates/s, handled with headroom")
-	res := eval.MeasureUpdateLoad()
+	f := measureFig6b()
+	res := eval.MeasureUpdateLoad(f)
+	fmt.Printf("single-router cost: %s per update (Fig 6b's measurement)\n", f.PerUpdate["single-router-vbgp"])
 	fmt.Printf("mean %.1f upd/s -> %.3f%% CPU; p99 %.0f upd/s -> %.2f%% CPU\n",
 		res.MeanRate, 100*res.MeanCPU, res.P99Rate, 100*res.P99CPU)
 	ok := res.P99CPU < 0.5

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
@@ -75,17 +76,11 @@ func main() {
 	}
 
 	anycast := netip.MustParsePrefix("184.164.224.0/24")
-	measure := func(label string) {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			total := 0
-			for _, tr := range transits {
-				total += len(topo.ChoosersOf(anycast, tr))
-			}
-			if total >= topo.Len()-3 {
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
+	settle, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	measure := func(label string) { // at rest: every announcement has propagated
+		if err := platform.Quiesce(settle); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("%-28s", label)
 		for i, tr := range transits {
@@ -110,7 +105,6 @@ func main() {
 	if err := c.Announce("amsix", anycast, peering.WithPrepend(6)); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
 	measure("amsix prepended x6")
 
 	drained := len(topo.ChoosersOf(anycast, transits[0]))
@@ -122,7 +116,6 @@ func main() {
 	if err := c.Withdraw("seattle", anycast, 0); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
 	measure("seattle withdrawn")
 	fmt.Println("anycast study complete")
 }

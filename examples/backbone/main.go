@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
@@ -28,9 +29,9 @@ func main() {
 
 	// Provisioned backbone (AL2S/RNP equivalents): capacities in the
 	// paper's measured range.
-	mustLink(platform.ConnectBackbone(amsix, seattle, 750e6, 35*time.Millisecond))
-	mustLink(platform.ConnectBackbone(seattle, saopaulo, 400e6, 90*time.Millisecond))
-	mustLink(platform.ConnectBackbone(amsix, saopaulo, 60e6, 110*time.Millisecond))
+	must(platform.ConnectBackbone(amsix, seattle, 750e6, 35*time.Millisecond))
+	must(platform.ConnectBackbone(seattle, saopaulo, 400e6, 90*time.Millisecond))
+	must(platform.ConnectBackbone(amsix, saopaulo, 60e6, 110*time.Millisecond))
 
 	// Each PoP has one local interconnection.
 	if _, err := amsix.ConnectTransit(1000, 40); err != nil {
@@ -71,13 +72,9 @@ func main() {
 	// Visibility across the backbone: routes of seattle's neighbor show
 	// up at amsix with a local-pool next hop (Fig. 5 next-hop chaining).
 	probe := inet.PrefixForASN(100)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(c.RoutesFor("amsix", probe)) >= 3 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	settle, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	must(platform.Quiesce(settle))
 	fmt.Printf("experiment at amsix sees %d paths for %s (local + 2 remote PoPs):\n",
 		len(c.RoutesFor("amsix", probe)), probe)
 	for _, p := range c.RoutesFor("amsix", probe) {
@@ -89,10 +86,7 @@ func main() {
 		peering.ToNeighbors(remote.ID)); err != nil {
 		log.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for !topo.Reachable(10000, netip.MustParsePrefix("184.164.224.0/24")) && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	must(platform.Quiesce(settle))
 	rt := topo.RouteAt(10000, netip.MustParsePrefix("184.164.224.0/24"))
 	if rt == nil {
 		log.Fatal("remote-PoP announcement never arrived")
@@ -136,7 +130,7 @@ func mustPoP(p *peering.Platform, name, pool, lan, id string) *peering.PoP {
 	return pop
 }
 
-func mustLink(err error) {
+func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}

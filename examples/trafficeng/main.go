@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -73,7 +74,14 @@ func main() {
 	}
 
 	dstPrefix := inet.PrefixForASN(100)
-	waitRoutes(controller, pop.Name, dstPrefix, 2)
+	settle, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := platform.Quiesce(settle); err != nil {
+		log.Fatal(err)
+	}
+	if n := len(controller.RoutesFor(pop.Name, dstPrefix)); n < 2 {
+		log.Fatalf("expected 2 routes for %s, have %d", dstPrefix, n)
+	}
 	dst := dstPrefix.Addr().Next()
 
 	// Controller loop: probe both egresses, then send the "user traffic"
@@ -148,14 +156,4 @@ func degrade(pop *peering.PoP, neighborName string, drop func() bool) {
 		}
 		return netsim.VerdictPass
 	}))
-}
-
-func waitRoutes(c *peering.Client, pop string, prefix netip.Prefix, n int) {
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.RoutesFor(pop, prefix)) < n && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if len(c.RoutesFor(pop, prefix)) < n {
-		log.Fatalf("expected %d routes for %s", n, prefix)
-	}
 }

@@ -82,13 +82,9 @@ func pairSession(t *testing.T, a, b Config) (*Session, *Session) {
 	sa, sb := NewSession(ca, a), NewSession(cb, b)
 	go sa.Run()
 	go sb.Run()
-	deadline := time.Now().Add(5 * time.Second)
-	for sa.State() != StateEstablished || sb.State() != StateEstablished {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions did not establish: %s / %s", sa.State(), sb.State())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the sessions to establish", func() bool {
+		return sa.State() == StateEstablished && sb.State() == StateEstablished
+	})
 	return sa, sb
 }
 

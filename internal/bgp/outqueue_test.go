@@ -352,13 +352,7 @@ func TestWriterCoalescesToOneWrite(t *testing.T) {
 		}
 	}
 	gate.resume()
-	deadline := time.Now().Add(5 * time.Second)
-	for sa.out.depth() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue did not drain")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the queue to drain", func() bool { return sa.out.depth() == 0 })
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	if len(cw.sizes) > 6 {

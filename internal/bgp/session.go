@@ -162,6 +162,8 @@ type Session struct {
 	closeErr  error
 	done      chan struct{}
 
+	still atomic.Uint64 // what Quiesced saw on its previous call
+
 	metrics *sessionMetrics
 
 	// Counters for the scalability evaluation (paper §6).
@@ -603,8 +605,8 @@ func (s *Session) flushPaced(force bool) {
 	if len(remain) > 0 {
 		s.armFlushLocked(earliest)
 	}
-	s.mraiMu.Unlock()
-
+	// Queued before mraiMu is released: a route is pending or queued.
+	defer s.mraiMu.Unlock()
 	if count == 0 {
 		return
 	}
@@ -662,6 +664,36 @@ func (s *Session) SendBatch(updates []*Update) error {
 		return err
 	}
 	return b.err
+}
+
+// Quiesced reports whether the session is at rest: it has ended, or its
+// output queue is empty (writer parked), no MRAI batch is pending, its
+// transport holds nothing unread (pipe.Conn and a tunnel's control
+// channel can tell), and its counters have not moved since the previous
+// call. Both ends at rest means each has read what the other queued
+// (BytesIn equals the peer's BytesOut). It reads only existing state.
+func (s *Session) Quiesced() bool {
+	idle := true
+	select {
+	case <-s.done:
+	default:
+		// Pending before queued: a flush moves routes from one to the
+		// other under mraiMu, so this order cannot miss them.
+		s.mraiMu.Lock()
+		idle = len(s.mraiPending) == 0
+		s.mraiMu.Unlock()
+		s.out.mu.Lock()
+		idle = idle && s.out.bytes == 0
+		s.out.mu.Unlock()
+		if t, ok := s.conn.(interface{ Buffered() int }); ok && t.Buffered() > 0 {
+			idle = false
+		}
+	}
+	var sig uint64 // 0: busy; else the counters' sum, shifted, low bit set
+	if idle {
+		sig = (s.BytesIn.Load()+s.BytesOut.Load()+s.UpdatesIn.Load()+s.UpdatesOut.Load())<<1 | 1
+	}
+	return s.still.Swap(sig) == sig && idle
 }
 
 func (s *Session) touch() {

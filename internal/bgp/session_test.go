@@ -243,7 +243,6 @@ func TestMRAIPacesReadvertisements(t *testing.T) {
 		Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2"),
 			MRAI: 200 * time.Millisecond},
 	)
-	_ = sa
 	mk := func(med uint32) *Update {
 		a := &PathAttrs{Origin: OriginIGP, HasOrigin: true,
 			ASPath:  []ASPathSegment{{Type: ASSequence, ASNs: []uint32{65002}}},
@@ -258,25 +257,15 @@ func TestMRAIPacesReadvertisements(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Settled: sb holds no paced batch and has written everything, and
+	// sa has read and handed on all of it.
+	waitFor(t, "the paced batch to be sent", sb.Quiesced)
+	waitFor(t, "sa to read what sb queued", func() bool {
+		return sa.BytesIn.Load() == sb.BytesOut.Load() && len(recv) == int(sa.UpdatesIn.Load())
+	})
 	var got []*Update
-	deadline := time.After(2 * time.Second)
-collect:
-	for {
-		select {
-		case u := <-recv:
-			got = append(got, u)
-			if len(got) >= 2 {
-				// Allow a moment for any spurious extras.
-				select {
-				case u := <-recv:
-					got = append(got, u)
-				case <-time.After(300 * time.Millisecond):
-				}
-				break collect
-			}
-		case <-deadline:
-			break collect
-		}
+	for len(recv) > 0 {
+		got = append(got, <-recv)
 	}
 	if len(got) != 2 {
 		t.Fatalf("received %d updates, want 2 (initial + one paced)", len(got))

@@ -64,10 +64,7 @@ func TestCleanCloseNotCountedAsDecodeError(t *testing.T) {
 		Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2"), PeerName: peerB},
 	)
 	sa.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for sb.State() != StateIdle && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "the peer to see the Cease", func() bool { return sb.State() == StateIdle })
 	if got := ctrA.Value(); got != beforeA {
 		t.Errorf("closing side counted %d decode errors", got-beforeA)
 	}

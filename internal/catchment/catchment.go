@@ -209,31 +209,6 @@ func (m *Map) Imbalance(targets map[string]float64) float64 {
 	return worst
 }
 
-// Equal reports whether two maps assign every population identically
-// and agree on the consulted FIB fingerprints.
-func (m *Map) Equal(o *Map) bool {
-	if o == nil || m.Prefix != o.Prefix || m.Total != o.Total || m.Unreachable != o.Unreachable {
-		return false
-	}
-	if len(m.Assignments) != len(o.Assignments) {
-		return false
-	}
-	for asn, a := range m.Assignments {
-		if o.Assignments[asn] != a {
-			return false
-		}
-	}
-	if len(m.FIBDigests) != len(o.FIBDigests) {
-		return false
-	}
-	for pop, d := range m.FIBDigests {
-		if o.FIBDigests[pop] != d {
-			return false
-		}
-	}
-	return true
-}
-
 // PoPNames returns the serving PoPs, sorted.
 func (m *Map) PoPNames() []string {
 	out := make([]string, 0, len(m.PoPClients))

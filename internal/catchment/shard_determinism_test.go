@@ -3,6 +3,7 @@ package catchment
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"repro/internal/bgp"
@@ -70,7 +71,7 @@ func TestCatchmentMapShardInvariant(t *testing.T) {
 	}
 	for _, shards := range []int{2, 16} {
 		m := resolveWith(shards)
-		if !base.Equal(m) {
+		if !reflect.DeepEqual(base, m) {
 			t.Errorf("catchment map with %d shards differs from 1-shard map: digests %v vs %v, pop clients %v vs %v",
 				shards, m.FIBDigests, base.FIBDigests, m.PoPClients, base.PoPClients)
 		}

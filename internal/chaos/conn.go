@@ -127,6 +127,14 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
+// Buffered forwards the wrapped transport's count of unread bytes.
+func (c *faultConn) Buffered() int {
+	if b, ok := c.Conn.(interface{ Buffered() int }); ok {
+		return b.Buffered()
+	}
+	return 0
+}
+
 func (c *faultConn) Close() error {
 	c.mu.Lock()
 	c.closed = true

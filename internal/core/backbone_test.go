@@ -105,7 +105,7 @@ func TestFigure5BackboneControlPlane(t *testing.T) {
 
 	// E1 materializes a remote neighbor for N2 and an experiment at E1
 	// sees the route with a next hop from E1's local pool.
-	waitFor(t, "remote neighbor at e1", func() bool {
+	waitFor(t, 5*time.Second, "remote neighbor at e1", func() bool {
 		for _, n := range f.e1.Neighbors() {
 			if n.Remote && n.Table.PathCount() == 1 {
 				return true
@@ -121,7 +121,7 @@ func TestFigure5BackboneControlPlane(t *testing.T) {
 	x1 := newTestPeer(t, ce, expASN, platformASN, "100.65.0.1", true)
 	x1.waitEstablished()
 
-	waitFor(t, "remote route at experiment", func() bool {
+	waitFor(t, 5*time.Second, "remote route at experiment", func() bool {
 		for nlri, nh := range x1.routes() {
 			if nlri.Prefix == pfx("192.168.0.0/24") && nlri.ID == 2 {
 				return pfx("127.65.0.0/16").Contains(nh)
@@ -135,7 +135,7 @@ func TestFigure5BackboneDataPlane(t *testing.T) {
 	f := newFig5(t)
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "198.18.0.1")
 	var remote *Neighbor
-	waitFor(t, "remote neighbor table at e1", func() bool {
+	waitFor(t, 5*time.Second, "remote neighbor table at e1", func() bool {
 		for _, n := range f.e1.Neighbors() {
 			if n.Remote && n.Table.PathCount() == 1 {
 				remote = n
@@ -173,7 +173,7 @@ func TestFigure5BackboneDataPlane(t *testing.T) {
 		Src: ip("10.1.0.1"), Dst: ip("192.168.0.1"), Payload: []byte("across-the-backbone")}
 	x1ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 
-	waitFor(t, "frame delivered to N2 via backbone", func() bool {
+	waitFor(t, 5*time.Second, "frame delivered to N2 via backbone", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return n2Frames == 1
@@ -197,7 +197,7 @@ func TestBackboneExperimentAnnouncementAtRemotePoP(t *testing.T) {
 	// Announce to neighbor 2 (N2, at E2) only.
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1", AnnounceTo(platformASN, 2))
 
-	waitFor(t, "announcement at N2 via backbone", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N2 via backbone", func() bool {
 		_, ok := f.n2.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -240,16 +240,16 @@ func TestLargeCommunityControlsCrossBackbone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitFor(t, "announcement at N1", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N1", func() bool {
 		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
 	relayed := func(r *Router, prefix string) func() bool {
 		return func() bool { return len(r.ExperimentRoutes().Paths(pfx(prefix))) > 0 }
 	}
-	waitFor(t, "the announcement relayed to E2", relayed(f.e2, "10.1.0.0/24"))
-	waitFor(t, "E1's experiment LAN relayed to E2", relayed(f.e2, "100.65.0.0/24"))
-	waitFor(t, "E2's experiment LAN relayed to E1", relayed(f.e1, "100.66.0.0/24"))
+	waitFor(t, 5*time.Second, "the announcement relayed to E2", relayed(f.e2, "10.1.0.0/24"))
+	waitFor(t, 5*time.Second, "E1's experiment LAN relayed to E2", relayed(f.e2, "100.65.0.0/24"))
+	waitFor(t, 5*time.Second, "E2's experiment LAN relayed to E1", relayed(f.e1, "100.66.0.0/24"))
 	time.Sleep(50 * time.Millisecond)
 	for nlri := range f.n2.routes() {
 		t.Errorf("N2 at E2 holds %s", nlri.Prefix)
@@ -284,7 +284,7 @@ func TestBackboneInboundTrafficReachesExperiment(t *testing.T) {
 	})
 
 	x1sess.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "announcement at N2", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N2", func() bool {
 		_, ok := f.n2.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -299,7 +299,7 @@ func TestBackboneInboundTrafficReachesExperiment(t *testing.T) {
 		Src: ip("192.168.0.9"), Dst: ip("10.1.0.7"), Payload: []byte("inbound-via-bb")}
 	f.n2Ifc.Send(&ethernet.Frame{Dst: rtrMAC, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 
-	waitFor(t, "inbound frame at X1", func() bool {
+	waitFor(t, 5*time.Second, "inbound frame at X1", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return rx == 1
@@ -338,7 +338,7 @@ func TestMaintainDefaultTable(t *testing.T) {
 
 	p1.announce("192.168.0.0/24", []uint32{n1ASN, 64999}, "192.0.2.1") // longer path
 	p2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")        // shorter path
-	waitFor(t, "default table has both", func() bool {
+	waitFor(t, 5*time.Second, "default table has both", func() bool {
 		return r.DefaultTable() != nil && r.DefaultTable().PathCount() == 2
 	})
 	best := r.DefaultTable().Best(pfx("192.168.0.0/24"))
@@ -347,7 +347,7 @@ func TestMaintainDefaultTable(t *testing.T) {
 	}
 	// Withdrawal updates the default table too.
 	p2.withdraw("192.168.0.0/24")
-	waitFor(t, "default table best shifts", func() bool {
+	waitFor(t, 5*time.Second, "default table best shifts", func() bool {
 		b := r.DefaultTable().Best(pfx("192.168.0.0/24"))
 		return b != nil && b.Peer == "N1"
 	})
@@ -356,7 +356,7 @@ func TestMaintainDefaultTable(t *testing.T) {
 func TestMeshPeerDownWithdrawsRemoteRoutes(t *testing.T) {
 	f := newFig5(t)
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "198.18.0.1")
-	waitFor(t, "remote route at e1", func() bool {
+	waitFor(t, 5*time.Second, "remote route at e1", func() bool {
 		for _, n := range f.e1.Neighbors() {
 			if n.Remote && n.Table.PathCount() == 1 {
 				return true
@@ -370,18 +370,18 @@ func TestMeshPeerDownWithdrawsRemoteRoutes(t *testing.T) {
 	}
 	x1 := newTestPeer(t, ce, expASN, platformASN, "100.65.0.1", true)
 	x1.waitEstablished()
-	waitFor(t, "remote route at experiment", func() bool { return len(x1.routes()) == 1 })
+	waitFor(t, 5*time.Second, "remote route at experiment", func() bool { return len(x1.routes()) == 1 })
 
 	// The backbone session dies: remote-neighbor routes must be
 	// withdrawn from experiments.
 	f.e1.topo.Load().meshPeers["e2"].session.Close()
-	waitFor(t, "remote route withdrawn", func() bool { return len(x1.routes()) == 0 })
+	waitFor(t, 5*time.Second, "remote route withdrawn", func() bool { return len(x1.routes()) == 0 })
 }
 
 func TestBackboneWithdrawPropagates(t *testing.T) {
 	f := newFig5(t)
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "198.18.0.1")
-	waitFor(t, "remote route at e1", func() bool {
+	waitFor(t, 5*time.Second, "remote route at e1", func() bool {
 		for _, n := range f.e1.Neighbors() {
 			if n.Remote && n.Table.PathCount() == 1 {
 				return true
@@ -395,12 +395,12 @@ func TestBackboneWithdrawPropagates(t *testing.T) {
 	}
 	x1 := newTestPeer(t, ce, expASN, platformASN, "100.65.0.1", true)
 	x1.waitEstablished()
-	waitFor(t, "route at experiment", func() bool { return len(x1.routes()) == 1 })
+	waitFor(t, 5*time.Second, "route at experiment", func() bool { return len(x1.routes()) == 1 })
 
 	// N2 withdraws at e2: the withdrawal crosses the mesh and reaches
 	// the experiment at e1.
 	f.n2.withdraw("192.168.0.0/24")
-	waitFor(t, "withdraw crosses the backbone", func() bool { return len(x1.routes()) == 0 })
+	waitFor(t, 5*time.Second, "withdraw crosses the backbone", func() bool { return len(x1.routes()) == 0 })
 	for _, n := range f.e1.Neighbors() {
 		if n.Remote && n.Table.PathCount() != 0 {
 			t.Fatal("remote table retains withdrawn route")
@@ -417,7 +417,7 @@ func TestBackboneIPv6RouteCrossesMesh(t *testing.T) {
 	}
 	x1 := newTestPeer(t, ce, expASN, platformASN, "100.65.0.1", true)
 	x1.waitEstablished()
-	waitFor(t, "v6 route at remote experiment", func() bool {
+	waitFor(t, 5*time.Second, "v6 route at remote experiment", func() bool {
 		for nlri := range x1.v6routes() {
 			if nlri.Prefix == pfx("2001:db8:2000::/36") {
 				return true
@@ -430,7 +430,7 @@ func TestBackboneIPv6RouteCrossesMesh(t *testing.T) {
 	if err := f.n2.sess.Send(wd); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "v6 withdraw crosses the backbone", func() bool {
+	waitFor(t, 5*time.Second, "v6 withdraw crosses the backbone", func() bool {
 		for nlri := range x1.v6routes() {
 			if nlri.Prefix == pfx("2001:db8:2000::/36") {
 				return false
@@ -447,7 +447,7 @@ func TestLateNeighborReceivesExistingAnnouncements(t *testing.T) {
 	f := newFig1(t)
 	x1 := f.connectExperiment(t, "X1", true)
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "announcement at N1", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N1", func() bool {
 		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -461,7 +461,7 @@ func TestLateNeighborReceivesExistingAnnouncements(t *testing.T) {
 	}
 	n3 := newTestPeer(t, cn, 65003, platformASN, "192.0.2.3", false)
 	n3.waitEstablished()
-	waitFor(t, "replay to the late neighbor", func() bool {
+	waitFor(t, 5*time.Second, "replay to the late neighbor", func() bool {
 		_, ok := n3.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -472,7 +472,7 @@ func TestTTLExpiryAtRouterNotifiesSender(t *testing.T) {
 	// expires at the router, which answers from its primary address.
 	f := newFig1(t)
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 
 	// The sender must be resolvable for the error to route back: the
 	// router delivers to registered tunnel IPs.
@@ -494,7 +494,7 @@ func TestTTLExpiryAtRouterNotifiesSender(t *testing.T) {
 	pkt := ethernet.IPv4{TTL: 1, Protocol: ethernet.ProtoUDP,
 		Src: ip("100.65.0.1"), Dst: ip("192.168.0.1")}
 	ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
-	waitFor(t, "time exceeded back at sender", func() bool { return exceeded.Load() == 1 })
+	waitFor(t, 5*time.Second, "time exceeded back at sender", func() bool { return exceeded.Load() == 1 })
 	if f.router.TTLExpired.Load() != 1 {
 		t.Errorf("TTLExpired = %d", f.router.TTLExpired.Load())
 	}

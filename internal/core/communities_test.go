@@ -224,7 +224,7 @@ func TestLargeCommunitySteering(t *testing.T) {
 	if err := x1.sess.Send(u); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "announcement at N2", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N2", func() bool {
 		_, ok := f.n2.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})

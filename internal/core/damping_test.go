@@ -21,7 +21,7 @@ func TestDampedRouteWithheldButRetained(t *testing.T) {
 	prefix := "192.168.9.0/24"
 	nlri := bgp.NLRI{Prefix: pfx(prefix), ID: 1}
 	f.n1.announce(prefix, []uint32{n1ASN}, "192.0.2.1")
-	waitFor(t, "route exported to experiment", func() bool {
+	waitFor(t, 5*time.Second, "route exported to experiment", func() bool {
 		_, ok := x1.routes()[nlri]
 		return ok
 	})
@@ -35,7 +35,7 @@ func TestDampedRouteWithheldButRetained(t *testing.T) {
 	// The route is also absent between each flap's withdraw and
 	// re-announce, so absence alone does not mean the suppression has
 	// happened yet.
-	waitFor(t, "route suppressed and withdrawn from experiment", func() bool {
+	waitFor(t, 5*time.Second, "route suppressed and withdrawn from experiment", func() bool {
 		_, ok := x1.routes()[nlri]
 		return !ok && f.router.damper.Suppressed(guard.Key{Peer: "N1", Prefix: pfx(prefix)})
 	})
@@ -59,7 +59,7 @@ func TestDampedRouteWithheldButRetained(t *testing.T) {
 
 	// Decay releases the route and the reuse callback re-exports the
 	// retained copy — no neighbor activity required.
-	waitFor(t, "route re-exported after penalty decay", func() bool {
+	waitFor(t, 5*time.Second, "route re-exported after penalty decay", func() bool {
 		_, ok := x1.routes()[nlri]
 		return ok
 	})
@@ -80,7 +80,7 @@ func TestShedAnnouncementsTreatAsWithdraw(t *testing.T) {
 	x1 := f.connectExperiment(t, "X1", true)
 
 	x1.announceV("10.1.0.0/24", 1, []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "announcement installed", func() bool {
+	waitFor(t, 5*time.Second, "announcement installed", func() bool {
 		return f.router.ExperimentRoutes().PathCount() == 1
 	})
 
@@ -94,7 +94,7 @@ func TestShedAnnouncementsTreatAsWithdraw(t *testing.T) {
 
 	f.router.SetAnnouncementShed(false)
 	x1.announceV("10.1.0.0/24", 2, []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "announcement installed after shedding lifted", func() bool {
+	waitFor(t, 5*time.Second, "announcement installed after shedding lifted", func() bool {
 		return f.router.ExperimentRoutes().PathCount() == 2
 	})
 }
@@ -118,14 +118,14 @@ func TestTableDumpWithholdsDampedRoutes(t *testing.T) {
 		f.n1.withdraw(flapped)
 		f.n1.announce(flapped, []uint32{n1ASN}, "192.0.2.1")
 	}
-	waitFor(t, "route suppressed and withheld from X1", func() bool {
+	waitFor(t, 5*time.Second, "route suppressed and withheld from X1", func() bool {
 		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx(flapped), ID: 1}]
 		return !ok && f.router.damper.Suppressed(guard.Key{Peer: "N1", Prefix: pfx(flapped)}) &&
 			len(f.nbr1.Table.Paths(pfx(flapped))) == 1
 	})
 
 	x2 := f.connectExperiment(t, "X2", true)
-	waitFor(t, "the tables dumped to X2", func() bool {
+	waitFor(t, 5*time.Second, "the tables dumped to X2", func() bool {
 		_, ok := x2.routes()[bgp.NLRI{Prefix: pfx(steady), ID: 2}]
 		return ok
 	})

@@ -112,14 +112,14 @@ func (f *fig1) expHost(t *testing.T, n *Neighbor) (*netsim.Interface, ethernet.M
 func TestForwardPreservesIPv4Options(t *testing.T) {
 	f := newFig1(t)
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 	x1ifc, mac := f.expHost(t, f.nbr2)
 	sniff := newCapture(f.nbrLAN, "sniff", f.n2Ifc.MAC())
 
 	pkt := optionsPacket(64, ip("10.1.0.1"), ip("192.168.0.1"), []byte("options ride along"))
 	// Two bytes of link-layer padding after the datagram must not travel.
 	x1ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: append(append([]byte(nil), pkt...), 0, 0)})
-	waitFor(t, "forwarded frame on the neighbor LAN", func() bool { return len(sniff.ipv4()) == 1 })
+	waitFor(t, 5*time.Second, "forwarded frame on the neighbor LAN", func() bool { return len(sniff.ipv4()) == 1 })
 
 	got := sniff.ipv4()[0][ethernet.HeaderLen:]
 	want := append([]byte(nil), pkt...)
@@ -141,7 +141,7 @@ func TestForwardPreservesIPv4Options(t *testing.T) {
 func TestDataPlaneDropsCountedByReason(t *testing.T) {
 	f := newFig1With(t, func(c *Config) { c.Name = "e1-drops" })
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 	x1ifc, mac := f.expHost(t, f.nbr2)
 	rtrMAC := f.router.Interface("exp0").MAC()
 	base := dropsByReason("e1-drops")
@@ -202,7 +202,7 @@ func TestDataPlaneDropsCountedByReason(t *testing.T) {
 func TestForwardLeavesSharedBufferIntact(t *testing.T) {
 	f := newFig1(t)
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 	x1ifc, mac := f.expHost(t, f.nbr2)
 	// A MAC's owners are delivered to in the order they claimed it: the
 	// capture port sees each buffer once the router is done with it.
@@ -291,7 +291,7 @@ func TestForwardDuringNeighborEstablishment(t *testing.T) {
 	if delivered.Load() != fwd {
 		t.Errorf("%d frames reached the neighbor, %d were counted forwarded", delivered.Load(), fwd)
 	}
-	waitFor(t, "the neighbor's MAC in the forwarding snapshot", func() bool {
+	waitFor(t, 5*time.Second, "the neighbor's MAC in the forwarding snapshot", func() bool {
 		st := r.topo.Load()
 		return st.byLocalMAC[n.LocalMAC].realMAC == hifc.MAC() && st.byRealMAC[hifc.MAC()] == n
 	})
@@ -388,12 +388,18 @@ func TestForwardingStateRepublishedOnlyOnChange(t *testing.T) {
 	f := newFig1(t)
 	x1 := f.connectExperiment(t, "X1", true)
 	f.router.SetExperimentTunnelIP("X1", ip("100.65.0.1"))
+	// Each neighbor's establishment publishes its resolved MAC, on the
+	// router's side of the session: wait for both before taking the mark.
+	waitFor(t, 5*time.Second, "the neighbors' MACs learned", func() bool {
+		st := f.router.topo.Load()
+		return st.byRealMAC[f.n1Ifc.MAC()] == f.nbr1 && st.byRealMAC[f.n2Ifc.MAC()] == f.nbr2
+	})
 	before := f.router.topo.Load()
 	for i := 1; i <= 20; i++ {
 		f.router.SetExperimentTunnelIP("X1", ip("100.65.0.1"))
 		x1.announceV("10.1.0.0/24", bgp.PathID(i), []uint32{expASN}, "100.65.0.1")
 	}
-	waitFor(t, "announcements processed", func() bool { return len(f.router.ExperimentRoutes().Paths(pfx("10.1.0.0/24"))) == 20 })
+	waitFor(t, 5*time.Second, "announcements processed", func() bool { return len(f.router.ExperimentRoutes().Paths(pfx("10.1.0.0/24"))) == 20 })
 	if f.router.topo.Load() != before {
 		t.Error("re-registering an unchanged tunnel address or announcing republished the forwarding state")
 	}

@@ -64,8 +64,12 @@ func exportAllocsPerRoute(t *testing.T, experiments int) float64 {
 	f := newFanoutRouter(t, 1)
 	f.load(t, routes)
 	relays := make([]*sinkRelay, experiments)
+	var firstNear *pipe.Conn // relay 0's end of the router's session
 	for e := range relays {
 		routerEnd, relayNear := pipe.New()
+		if e == 0 {
+			firstNear = relayNear
+		}
 		relayFar, expEnd := pipe.New()
 		relays[e] = &sinkRelay{}
 		relays[e].run(relayNear, relayFar)
@@ -109,22 +113,18 @@ func exportAllocsPerRoute(t *testing.T, experiments int) float64 {
 		}
 	}
 	// Calibrate the round's size (and warm every pool and buffer): send
-	// one and wait for the byte counts to stop moving.
+	// one and wait until the router is at rest and relay 0 has read all
+	// it wrote.
 	before := relays[0].received.Load()
 	round()
-	f.settled(t, routes+1, 1)
-	waitFor(t, "the calibration round to drain", func() bool {
-		n := relays[0].received.Load()
-		time.Sleep(20 * time.Millisecond)
-		return relays[0].received.Load() == n
+	waitFor(t, 5*time.Second, "the calibration round to drain", func() bool {
+		return f.quiet() && firstNear.Buffered() == 0
 	})
-	// The marker UPDATE of settled is in the count; a round is 512 equal
-	// UPDATEs, the marker one more of the same size.
-	sent := relays[0].received.Load() - before
-	if sent%(routes+1) != 0 {
-		t.Fatalf("calibration: %d bytes do not divide into %d equal UPDATEs", sent, routes+1)
+	// A round is 512 equal UPDATEs.
+	perRound = relays[0].received.Load() - before
+	if perRound%routes != 0 {
+		t.Fatalf("calibration: %d bytes do not divide into %d equal UPDATEs", perRound, routes)
 	}
-	perRound = sent / (routes + 1) * routes
 	round()
 	return testing.AllocsPerRun(5, round) / routes
 }

@@ -70,6 +70,15 @@ func (c *gatedConn) resume() {
 	c.mu.Unlock()
 }
 
+// Buffered forwards the unread-byte count of the transport under the
+// gate, when it keeps one (a pipe.Conn does, a net.Pipe does not).
+func (c *gatedConn) Buffered() int {
+	if b, ok := c.Conn.(interface{ Buffered() int }); ok {
+		return b.Buffered()
+	}
+	return 0
+}
+
 func (c *gatedConn) Close() error {
 	c.resume()
 	return c.Conn.Close()
@@ -182,20 +191,6 @@ func (p *viewPeer) diffView(want map[routeKey]string) string {
 	return ""
 }
 
-// waitConverged waits until the peer's view equals the tables.
-func (p *viewPeer) waitConverged(t *testing.T, who string, r *Router, local bool) {
-	t.Helper()
-	var diff string
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if diff = p.diffView(tablesView(r, local)); diff == "" {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("%s never converged to the tables: %s", who, diff)
-}
-
 // fanoutRouter is one router with neighbor sessions the test drives.
 type fanoutRouter struct {
 	r    *Router
@@ -278,24 +273,34 @@ func (f *fanoutRouter) load(t *testing.T, routes int) {
 			f.announce(t, nbr, i, 0, false)
 		}
 	}
-	waitFor(t, "tables to load", func() bool { return f.r.RouteCount() == routes*len(f.nbrs) })
+	waitFor(t, 5*time.Second, "tables to load", func() bool { return f.r.RouteCount() == routes*len(f.nbrs) })
 }
 
-// settled waits until the router has applied everything the neighbors
-// sent: a marker prefix sent last on each session is in its table.
-func (f *fanoutRouter) settled(t *testing.T, marker int, version uint32) {
-	t.Helper()
-	for nbr := range f.nbrs {
-		f.announce(t, nbr, marker, version, false)
+// quiet reports whether the router, its neighbors' ends and the given
+// peers' ends are all at rest (Router.Quiesced, bgp.Session.Quiesced).
+func (f *fanoutRouter) quiet(peers ...*viewPeer) bool {
+	q := f.r.Quiesced()
+	for _, s := range f.nbrs {
+		q = s.Quiesced() && q
 	}
-	waitFor(t, "the router to apply the churn", func() bool {
-		for _, n := range f.ns {
-			if best := n.Table.Best(tablePrefix(marker)); best == nil || best.Attrs.MED != version {
-				return false
-			}
+	for _, p := range peers {
+		q = p.sess.Quiesced() && q
+	}
+	return q
+}
+
+// requireConverged waits for quiet, then requires every peer's view to
+// be exactly what the tables hold: each experiment's (local=false) or
+// backbone peer's (local=true).
+func (f *fanoutRouter) requireConverged(t *testing.T, local bool, peers ...*viewPeer) {
+	t.Helper()
+	waitFor(t, 20*time.Second, "the router and its peers to quiesce", func() bool { return f.quiet(peers...) })
+	want := tablesView(f.r, local)
+	for _, p := range peers {
+		if diff := p.diffView(want); diff != "" {
+			t.Fatalf("peer %s does not hold the tables: %s", p.sess.RemoteID(), diff)
 		}
-		return true
-	})
+	}
 }
 
 func queueGauge(r *Router, session string) int64 {
@@ -346,7 +351,7 @@ func TestDumpOrderingUnderChurn(t *testing.T) {
 			peer.waitEstablished(t)
 
 			// The dump runs until its queue window is full, then waits.
-			waitFor(t, "the dump to fill its window and wait", func() bool {
+			waitFor(t, 5*time.Second, "the dump to fill its window and wait", func() bool {
 				return queueGauge(f.r, session) > 128<<10
 			})
 			time.Sleep(20 * time.Millisecond)
@@ -365,11 +370,13 @@ func TestDumpOrderingUnderChurn(t *testing.T) {
 			f.withdraw(t, 0, routes-3)
 			f.withdraw(t, 0, 1)
 			f.announce(t, 0, routes+7, 9, false)
-			f.settled(t, routes+8, 1)
+			waitFor(t, 5*time.Second, "the router to read the churn", func() bool {
+				return f.nbrs[0].Quiesced() && f.ns[0].Session().Quiesced()
+			})
 
 			peer.gate.resume()
 			peer.waitEndOfRIB(t)
-			peer.waitConverged(t, class+" peer", f.r, class == "mesh")
+			f.requireConverged(t, class == "mesh", peer)
 		})
 	}
 }
@@ -408,11 +415,11 @@ func TestExportsDuringEstablishment(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	<-sent
-	waitFor(t, "tables to hold every route", func() bool { return f.r.RouteCount() == 500+extra })
-	for e, p := range peers {
+	waitFor(t, 5*time.Second, "tables to hold every route", func() bool { return f.r.RouteCount() == 500+extra })
+	for _, p := range peers {
 		p.waitEndOfRIB(t)
-		p.waitConverged(t, fmt.Sprintf("experiment X%d", e), f.r, false)
 	}
+	f.requireConverged(t, false, peers...)
 }
 
 // TestWedgedConsumerSoak is the isolation property of §3.3 on the
@@ -458,12 +465,11 @@ func TestWedgedConsumerSoak(t *testing.T) {
 	stalled := overPipe("W-stall", expASN+2, true)
 	near, far := gatedPipe()
 	deaf := connect("W-deaf", near, far, expASN+3, false)
-	all := []*exp{healthyA, healthyB, stalled, deaf}
-	for _, e := range all {
+	for _, e := range []*exp{healthyA, healthyB, stalled, deaf} {
 		e.peer.waitEstablished(t)
 		e.peer.waitEndOfRIB(t)
-		e.peer.waitConverged(t, e.name, f.r, false)
 	}
+	f.requireConverged(t, false, healthyA.peer, healthyB.peer, stalled.peer, deaf.peer)
 
 	// Each wedged experiment holds an announcement of its own.
 	announceOwn := func(e *exp, prefix string) {
@@ -475,10 +481,11 @@ func TestWedgedConsumerSoak(t *testing.T) {
 	}
 	announceOwn(stalled, "184.164.224.0/24")
 	announceOwn(deaf, "184.164.225.0/24")
-	waitFor(t, "experiment announcements", func() bool { return f.r.ExperimentRoutes().PathCount() == 2 })
+	waitFor(t, 5*time.Second, "experiment announcements", func() bool { return f.r.ExperimentRoutes().PathCount() == 2 })
 
 	// churn pushes a little over the queue bound through the fan-out:
 	// 4 KB UPDATEs, every one a change the experiments must end up with.
+	// It returns once the router has read them all.
 	version := uint32(0)
 	churn := func() {
 		t.Helper()
@@ -488,7 +495,13 @@ func TestWedgedConsumerSoak(t *testing.T) {
 				f.announce(t, nbr, i%routes, version, true)
 			}
 		}
-		f.settled(t, routes+1, version)
+		waitFor(t, 5*time.Second, "the router to read the churn", func() bool {
+			q := true
+			for i, s := range f.nbrs {
+				q = s.Quiesced() && f.ns[i].Session().Quiesced() && q
+			}
+			return q
+		})
 	}
 	expectDropped := func(e *exp) {
 		t.Helper()
@@ -505,13 +518,13 @@ func TestWedgedConsumerSoak(t *testing.T) {
 			t.Fatalf("%s: bgp_session_out_queue_drops_total{reason=overflow} = %d, want 1", e.name, got)
 		}
 	}
-	expectHealthy := func() {
+	expectHealthy := func(others ...*viewPeer) {
 		t.Helper()
+		f.requireConverged(t, false, append(others, healthyA.peer, healthyB.peer)...)
 		for _, e := range []*exp{healthyA, healthyB} {
 			if e.router.State() != bgp.StateEstablished {
 				t.Fatalf("%s: healthy session is %s (%v)", e.name, e.router.State(), e.router.Err())
 			}
-			e.peer.waitConverged(t, e.name, f.r, false)
 			if drops := queueDrops(f.r, "exp:"+e.name, "overflow") + queueDrops(f.r, "exp:"+e.name, "stalled"); drops != 0 {
 				t.Fatalf("%s: healthy session was dropped %d times", e.name, drops)
 			}
@@ -524,7 +537,7 @@ func TestWedgedConsumerSoak(t *testing.T) {
 	}
 	deaf.peer.gate.hold()
 	start := time.Now()
-	churn() // returns once the neighbors' UPDATEs are applied: nobody waited for the wedged
+	churn() // returns once the neighbors' UPDATEs are read: nobody waited for the wedged
 	t.Logf("16 MiB of churn applied in %s with two consumers wedged", time.Since(start))
 	expectDropped(stalled)
 	expectDropped(deaf)
@@ -541,15 +554,14 @@ func TestWedgedConsumerSoak(t *testing.T) {
 	again := overPipe("W-stall", expASN+2, false)
 	again.peer.waitEstablished(t)
 	again.peer.waitEndOfRIB(t)
-	again.peer.waitConverged(t, "redialed W-stall", f.r, false)
+	f.requireConverged(t, false, again.peer)
 
 	// Wedge a late joiner in the middle of its dump, churn going on.
 	near, far = gatedPipe()
 	late := connect("W-late", near, far, expASN+4, true)
 	late.peer.waitEstablished(t)
-	waitFor(t, "the late joiner's dump to start", func() bool { return queueGauge(f.r, "exp:W-late") > 0 })
+	waitFor(t, 5*time.Second, "the late joiner's dump to start", func() bool { return queueGauge(f.r, "exp:W-late") > 0 })
 	churn()
 	expectDropped(late)
-	expectHealthy()
-	again.peer.waitConverged(t, "redialed W-stall", f.r, false)
+	expectHealthy(again.peer)
 }

@@ -43,12 +43,12 @@ func TestIPv6ControlPlaneDelegation(t *testing.T) {
 	f := newFig1(t)
 	// N1 announces an IPv6 prefix over MP-BGP.
 	f.n1.announceV6("2001:db8:1000::/36", []uint32{n1ASN}, "2001:db8::1")
-	waitFor(t, "v6 route in N1's table", func() bool {
+	waitFor(t, 5*time.Second, "v6 route in N1's table", func() bool {
 		return f.nbr1.Table.PathCount() == 1
 	})
 
 	x1 := f.connectExperiment(t, "X1", true)
-	waitFor(t, "v6 route at experiment", func() bool {
+	waitFor(t, 5*time.Second, "v6 route at experiment", func() bool {
 		_, ok := x1.v6routes()[bgp.NLRI{Prefix: pfx("2001:db8:1000::/36"), ID: 1}]
 		return ok
 	})
@@ -64,7 +64,7 @@ func TestIPv6ControlPlaneDelegation(t *testing.T) {
 	if err := f.n1.sess.Send(wd); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "v6 withdraw at experiment", func() bool {
+	waitFor(t, 5*time.Second, "v6 withdraw at experiment", func() bool {
 		_, ok := x1.v6routes()[bgp.NLRI{Prefix: pfx("2001:db8:1000::/36"), ID: 1}]
 		return !ok
 	})
@@ -89,7 +89,7 @@ func TestIPv6ExperimentAnnouncement(t *testing.T) {
 	if err := x1.sess.Send(u); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "v6 announcement at N1", func() bool {
+	waitFor(t, 5*time.Second, "v6 announcement at N1", func() bool {
 		_, ok := f.n1.v6routes()[bgp.NLRI{Prefix: pfx("2804:269c::/32")}]
 		return ok
 	})

@@ -79,18 +79,18 @@ func TestNeighborGracefulRestartAcrossReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitFor(t, "initial routes", func() bool { return n.Table.PathCount() == 2 })
+	waitFor(t, 5*time.Second, "initial routes", func() bool { return n.Table.PathCount() == 2 })
 
 	// Transport loss (not an administrative close).
 	peerConn.Load().(net.Conn).Close()
-	waitFor(t, "stale retention", func() bool { return n.Table.StaleCount(n.Name) == 2 })
+	waitFor(t, 5*time.Second, "stale retention", func() bool { return n.Table.StaleCount(n.Name) == 2 })
 	if got := n.Table.PathCount(); got != 2 {
 		t.Fatalf("paths flushed on graceful drop: PathCount = %d, want 2", got)
 	}
 
 	// The supervisor redials; the restarted peer replays one prefix and
 	// ends with End-of-RIB, sweeping the other.
-	waitFor(t, "post-restart convergence", func() bool {
+	waitFor(t, 5*time.Second, "post-restart convergence", func() bool {
 		return n.Table.StaleCount(n.Name) == 0 && n.Table.PathCount() == 1
 	})
 	if best := n.Table.Best(pfx("10.0.0.0/16")); best == nil || best.Stale {
@@ -142,11 +142,11 @@ func TestExperimentGracefulReconnect(t *testing.T) {
 	go client.Run()
 	<-est1
 	announce(client, "10.1.0.0/24", "10.1.1.0/24")
-	waitFor(t, "experiment routes", func() bool { return r.ExperimentRoutes().PathCount() == 2 })
+	waitFor(t, 5*time.Second, "experiment routes", func() bool { return r.ExperimentRoutes().PathCount() == 2 })
 
 	// Tunnel dies: transport error, routes retained as stale.
 	cn.Close()
-	waitFor(t, "stale experiment routes", func() bool { return r.ExperimentRoutes().StaleCount("X1") == 2 })
+	waitFor(t, 5*time.Second, "stale experiment routes", func() bool { return r.ExperimentRoutes().StaleCount("X1") == 2 })
 	if got := r.ExperimentRoutes().PathCount(); got != 2 {
 		t.Fatalf("experiment routes flushed on graceful drop: %d", got)
 	}
@@ -165,7 +165,7 @@ func TestExperimentGracefulReconnect(t *testing.T) {
 	_ = client2.SendEndOfRIB(bgp.IPv4Unicast)
 	_ = client2.SendEndOfRIB(bgp.IPv6Unicast)
 
-	waitFor(t, "post-reconnect convergence", func() bool {
+	waitFor(t, 5*time.Second, "post-reconnect convergence", func() bool {
 		tbl := r.ExperimentRoutes()
 		return tbl.StaleCount("X1") == 0 && tbl.PathCount() == 1
 	})
@@ -200,10 +200,10 @@ func TestNeighborAdministrativeCloseStillWithdraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	startGRSpeaker(n1ASN, platformASN, "192.0.2.1", cn, []string{"10.0.0.0/16"})
-	waitFor(t, "initial route", func() bool { return n.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "initial route", func() bool { return n.Table.PathCount() == 1 })
 
 	n.Session().Close()
-	waitFor(t, "immediate withdrawal", func() bool { return n.Table.PathCount() == 0 })
+	waitFor(t, 5*time.Second, "immediate withdrawal", func() bool { return n.Table.PathCount() == 0 })
 	if got := n.Table.StaleCount(n.Name); got != 0 {
 		t.Fatalf("administrative close left %d stale paths", got)
 	}

@@ -236,6 +236,7 @@ type Router struct {
 	// announcements as withdrawals.
 	shedTelemetry atomic.Bool
 	shedAnnounce  atomic.Bool
+	still         atomic.Uint64 // what Quiesced saw on its previous call
 
 	metrics routerMetrics
 }
@@ -302,9 +303,6 @@ func (r *Router) snapshotEvery() int {
 
 // Name returns the router's PoP name.
 func (r *Router) Name() string { return r.cfg.Name }
-
-// ASN returns the platform AS number.
-func (r *Router) ASN() uint32 { return r.cfg.ASN }
 
 func (r *Router) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {
@@ -731,6 +729,34 @@ func (r *Router) ExperimentRoutes() *rib.Table { return r.expRoutes }
 // has handled (neighbor + experiment paths) — the watchdog samples it
 // to derive the per-PoP update rate.
 func (r *Router) UpdatesProcessed() uint64 { return r.updatesProcessed.Load() }
+
+// Quiesced reports whether the router is at rest: every session it owns
+// is (bgp.Session.Quiesced), and no table version nor the processed-update
+// count moved since the previous call. A pending timer (redial, restart
+// window, damping reuse) is not work in flight. It reads existing counters.
+func (r *Router) Quiesced() bool {
+	t := r.topo.Load()
+	quiet := true
+	sum := r.updatesProcessed.Load() + r.expRoutes.Stats().Version
+	if r.defaultTable != nil {
+		sum += r.defaultTable.Stats().Version
+	}
+	for _, n := range t.neighbors {
+		quiet = (n.Session() == nil || n.Session().Quiesced()) && quiet
+		sum += n.Table.Stats().Version + n.AdjOut.Stats().Version
+	}
+	for _, e := range t.experiments {
+		quiet = e.session.Quiesced() && quiet
+	}
+	for _, p := range t.meshPeers {
+		quiet = (p.sess() == nil || p.sess().Quiesced()) && quiet
+	}
+	var sig uint64 // 0: busy; else the sum, shifted, low bit set
+	if quiet {
+		sig = sum<<1 | 1
+	}
+	return r.still.Swap(sig) == sig && quiet
+}
 
 // SetTelemetryShed toggles dropping of monitoring emission, the first
 // (cheapest) overload-shedding stage.

@@ -24,10 +24,10 @@ const (
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func ip(s string) netip.Addr    { return netip.MustParseAddr(s) }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
+// waitFor polls cond until it holds, failing the test after within.
+func waitFor(t *testing.T, within time.Duration, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return
@@ -243,14 +243,14 @@ func TestFigure2ControlPlane(t *testing.T) {
 	// N1 and N2 both announce 192.168.0.0/24 (Fig. 1).
 	f.n1.announce("192.168.0.0/24", []uint32{n1ASN}, "192.0.2.1")
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "routes in neighbor tables", func() bool {
+	waitFor(t, 5*time.Second, "routes in neighbor tables", func() bool {
 		return f.nbr1.Table.PathCount() == 1 && f.nbr2.Table.PathCount() == 1
 	})
 
 	x1 := f.connectExperiment(t, "X1", true)
 	// Fig. 2a: the experiment sees BOTH routes, with next hops rewritten
 	// into the local pool and path IDs identifying the neighbors.
-	waitFor(t, "both paths at experiment", func() bool {
+	waitFor(t, 5*time.Second, "both paths at experiment", func() bool {
 		return len(x1.routes()) == 2
 	})
 	routes := x1.routes()
@@ -268,14 +268,14 @@ func TestFigure2ControlPlane(t *testing.T) {
 
 	// Late-arriving routes are exported incrementally.
 	f.n1.announce("203.0.113.0/24", []uint32{n1ASN, 64999}, "192.0.2.1")
-	waitFor(t, "incremental export", func() bool {
+	waitFor(t, 5*time.Second, "incremental export", func() bool {
 		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx("203.0.113.0/24"), ID: 1}]
 		return ok
 	})
 
 	// Withdrawals propagate with the right path ID.
 	f.n1.withdraw("192.168.0.0/24")
-	waitFor(t, "withdraw export", func() bool {
+	waitFor(t, 5*time.Second, "withdraw export", func() bool {
 		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx("192.168.0.0/24"), ID: 1}]
 		return !ok
 	})
@@ -290,11 +290,11 @@ func TestAblationNoAddPath(t *testing.T) {
 	f := newFig1(t)
 	f.n1.announce("192.168.0.0/24", []uint32{n1ASN}, "192.0.2.1")
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "routes in tables", func() bool {
+	waitFor(t, 5*time.Second, "routes in tables", func() bool {
 		return f.nbr1.Table.PathCount() == 1 && f.nbr2.Table.PathCount() == 1
 	})
 	x1 := f.connectExperiment(t, "X1", false) // no ADD-PATH capability
-	waitFor(t, "at least one route", func() bool { return len(x1.routes()) >= 1 })
+	waitFor(t, 5*time.Second, "at least one route", func() bool { return len(x1.routes()) >= 1 })
 	time.Sleep(50 * time.Millisecond)
 	if got := len(x1.routes()); got != 1 {
 		t.Errorf("without ADD-PATH the experiment sees %d routes, want exactly 1", got)
@@ -305,7 +305,7 @@ func TestFigure2DataPlane(t *testing.T) {
 	f := newFig1(t)
 	f.n1.announce("192.168.0.0/24", []uint32{n1ASN}, "192.0.2.1")
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "routes", func() bool {
+	waitFor(t, 5*time.Second, "routes", func() bool {
 		return f.nbr1.Table.PathCount() == 1 && f.nbr2.Table.PathCount() == 1
 	})
 
@@ -342,7 +342,7 @@ func TestFigure2DataPlane(t *testing.T) {
 		Src: ip("10.1.0.1"), Dst: ip("192.168.0.1"), Payload: []byte("via-n2")}
 	x1ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 
-	waitFor(t, "frame at N2", func() bool {
+	waitFor(t, 5*time.Second, "frame at N2", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return got["N2"] == 1
@@ -359,7 +359,7 @@ func TestFigure2DataPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	x1ifc.Send(&ethernet.Frame{Dst: mac1, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
-	waitFor(t, "frame at N1", func() bool {
+	waitFor(t, 5*time.Second, "frame at N1", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return got["N1"] == 1
@@ -372,7 +372,7 @@ func TestFigure2DataPlane(t *testing.T) {
 func TestDataPlaneNoRouteDrops(t *testing.T) {
 	f := newFig1(t)
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 
 	x1 := netsim.NewHost("X1")
 	x1ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
@@ -383,7 +383,7 @@ func TestDataPlaneNoRouteDrops(t *testing.T) {
 	}
 	pkt := ethernet.IPv4{TTL: 64, Src: ip("10.1.0.1"), Dst: ip("192.168.0.1")}
 	x1ifc.Send(&ethernet.Frame{Dst: mac1, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
-	waitFor(t, "drop counted", func() bool { return f.router.DroppedNoRoute.Load() == 1 })
+	waitFor(t, 5*time.Second, "drop counted", func() bool { return f.router.DroppedNoRoute.Load() == 1 })
 }
 
 func TestInboundTrafficSourceMACAttribution(t *testing.T) {
@@ -411,11 +411,11 @@ func TestInboundTrafficSourceMACAttribution(t *testing.T) {
 	})
 
 	x1sess.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "experiment route installed", func() bool {
+	waitFor(t, 5*time.Second, "experiment route installed", func() bool {
 		return f.router.ExperimentRoutes().Lookup(ip("10.1.0.1")) != nil
 	})
 	// The announcement reached both neighbors (no communities attached).
-	waitFor(t, "announcement at N2", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N2", func() bool {
 		_, ok := f.n2.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -429,7 +429,7 @@ func TestInboundTrafficSourceMACAttribution(t *testing.T) {
 		Src: ip("192.168.0.9"), Dst: ip("10.1.0.7"), Payload: []byte("inbound")}
 	f.n2Ifc.Send(&ethernet.Frame{Dst: rtrMAC, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 
-	waitFor(t, "inbound frame at experiment", func() bool {
+	waitFor(t, 5*time.Second, "inbound frame at experiment", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return rxCount == 1
@@ -448,7 +448,7 @@ func TestCommunitySteeredAnnouncements(t *testing.T) {
 
 	// Whitelist: announce only to N1 (community platform:1).
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1", AnnounceTo(platformASN, 1))
-	waitFor(t, "announcement at N1", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N1", func() bool {
 		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -481,7 +481,7 @@ func TestCommunityBlacklist(t *testing.T) {
 	f := newFig1(t)
 	x1 := f.connectExperiment(t, "X1", true)
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1", NoExportTo(platformASN, 1))
-	waitFor(t, "announcement at N2", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N2", func() bool {
 		_, ok := f.n2.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -500,7 +500,7 @@ func TestPerNeighborDifferentAnnouncements(t *testing.T) {
 	x1.announceV("10.1.0.0/24", 1, []uint32{expASN, expASN, expASN}, "100.65.0.1", AnnounceTo(platformASN, 1))
 	x1.announceV("10.1.0.0/24", 2, []uint32{expASN}, "100.65.0.1", AnnounceTo(platformASN, 2))
 
-	waitFor(t, "both neighbors have the prefix", func() bool {
+	waitFor(t, 5*time.Second, "both neighbors have the prefix", func() bool {
 		_, a := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		_, b := f.n2.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return a && b
@@ -542,16 +542,16 @@ func TestExperimentWithdrawPropagates(t *testing.T) {
 	f := newFig1(t)
 	x1 := f.connectExperiment(t, "X1", true)
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "announcement at N1", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N1", func() bool {
 		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
 	x1.withdraw("10.1.0.0/24")
-	waitFor(t, "withdraw at N1", func() bool {
+	waitFor(t, 5*time.Second, "withdraw at N1", func() bool {
 		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return !ok
 	})
-	waitFor(t, "exp route removed", func() bool {
+	waitFor(t, 5*time.Second, "exp route removed", func() bool {
 		return f.router.ExperimentRoutes().Lookup(ip("10.1.0.1")) == nil
 	})
 }
@@ -560,12 +560,12 @@ func TestExperimentDisconnectWithdrawsRoutes(t *testing.T) {
 	f := newFig1(t)
 	x1 := f.connectExperiment(t, "X1", true)
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "announcement at N2", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N2", func() bool {
 		_, ok := f.n2.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
 	x1.sess.Close()
-	waitFor(t, "withdraw at N2 after disconnect", func() bool {
+	waitFor(t, 5*time.Second, "withdraw at N2 after disconnect", func() bool {
 		_, ok := f.n2.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return !ok
 	})
@@ -574,12 +574,12 @@ func TestExperimentDisconnectWithdrawsRoutes(t *testing.T) {
 func TestNeighborDownWithdrawsFromExperiments(t *testing.T) {
 	f := newFig1(t)
 	f.n1.announce("192.168.0.0/24", []uint32{n1ASN}, "192.0.2.1")
-	waitFor(t, "route", func() bool { return f.nbr1.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr1.Table.PathCount() == 1 })
 	x1 := f.connectExperiment(t, "X1", true)
-	waitFor(t, "route at experiment", func() bool { return len(x1.routes()) == 1 })
+	waitFor(t, 5*time.Second, "route at experiment", func() bool { return len(x1.routes()) == 1 })
 
 	f.n1.sess.Close()
-	waitFor(t, "withdraw at experiment", func() bool { return len(x1.routes()) == 0 })
+	waitFor(t, 5*time.Second, "withdraw at experiment", func() bool { return len(x1.routes()) == 0 })
 }
 
 func TestParallelExperimentsIsolated(t *testing.T) {
@@ -589,7 +589,7 @@ func TestParallelExperimentsIsolated(t *testing.T) {
 
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
 	x2.announce("10.2.0.0/24", []uint32{expASN + 1}, "100.65.0.2")
-	waitFor(t, "both announcements at N1", func() bool {
+	waitFor(t, 5*time.Second, "both announcements at N1", func() bool {
 		r := f.n1.routes()
 		_, a := r[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		_, b := r[bgp.NLRI{Prefix: pfx("10.2.0.0/24")}]
@@ -658,13 +658,13 @@ func TestRouteCount(t *testing.T) {
 	f.n1.announce("192.168.0.0/24", []uint32{n1ASN}, "192.0.2.1")
 	f.n1.announce("192.168.1.0/24", []uint32{n1ASN}, "192.0.2.1")
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "3 routes", func() bool { return f.router.RouteCount() == 3 })
+	waitFor(t, 5*time.Second, "3 routes", func() bool { return f.router.RouteCount() == 3 })
 }
 
 func TestLookupVia(t *testing.T) {
 	f := newFig1(t)
 	f.n1.announce("192.168.0.0/24", []uint32{n1ASN}, "192.0.2.1")
-	waitFor(t, "route", func() bool { return f.nbr1.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr1.Table.PathCount() == 1 })
 	if p := f.router.LookupVia("N1", ip("192.168.0.77")); p == nil {
 		t.Fatal("LookupVia miss")
 	}
@@ -680,7 +680,7 @@ func TestLookupVia(t *testing.T) {
 func TestNeighborRateLimit(t *testing.T) {
 	f := newFig1(t)
 	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
+	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
 
 	// Resolve the neighbor MAC first so the limiter can match frames.
 	x1 := netsim.NewHost("X1")
@@ -694,7 +694,7 @@ func TestNeighborRateLimit(t *testing.T) {
 	// Prime the router's ARP for the neighbor by forwarding once before
 	// the limiter is installed.
 	x1ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
-	waitFor(t, "first forward", func() bool { return f.router.Forwarded.Load() == 1 })
+	waitFor(t, 5*time.Second, "first forward", func() bool { return f.router.Forwarded.Load() == 1 })
 
 	prog, err := f.router.SetNeighborRateLimit("N2", 3, 40) // 3 pkts per ~18min window
 	if err != nil {
@@ -759,7 +759,7 @@ func TestTwoOctetNeighborSeesASTransWithAS4Path(t *testing.T) {
 	x1.waitEstablished()
 	x1.announce("10.1.0.0/24", []uint32{bigASN}, "100.65.0.1")
 
-	waitFor(t, "announcement at 2-octet neighbor", func() bool {
+	waitFor(t, 5*time.Second, "announcement at 2-octet neighbor", func() bool {
 		_, ok := old.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -779,7 +779,7 @@ func TestExperimentsDoNotSeeEachOthersAnnouncements(t *testing.T) {
 	x2 := f.connectExperiment(t, "X2", true)
 
 	x1.announce("10.1.0.0/24", []uint32{expASN}, "100.65.0.1")
-	waitFor(t, "announcement at N1", func() bool {
+	waitFor(t, 5*time.Second, "announcement at N1", func() bool {
 		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
@@ -799,12 +799,12 @@ func TestVersionWithdrawFallsBackToOlderVersion(t *testing.T) {
 	x1 := f.connectExperiment(t, "X1", true)
 
 	x1.announceV("10.1.0.0/24", 1, []uint32{expASN, expASN}, "100.65.0.1") // prepended
-	waitFor(t, "v1 at N1", func() bool {
+	waitFor(t, 5*time.Second, "v1 at N1", func() bool {
 		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return ok
 	})
 	x1.announceV("10.1.0.0/24", 2, []uint32{expASN}, "100.65.0.1") // plain, newer
-	waitFor(t, "v2 at N1", func() bool {
+	waitFor(t, 5*time.Second, "v2 at N1", func() bool {
 		u := f.n1.lastUpdate()
 		return u != nil && len(u.NLRI) == 1 && u.Attrs.ASPathLen() == 2
 	})
@@ -814,7 +814,7 @@ func TestVersionWithdrawFallsBackToOlderVersion(t *testing.T) {
 	if err := x1.sess.Send(u); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "fallback to v1", func() bool {
+	waitFor(t, 5*time.Second, "fallback to v1", func() bool {
 		last := f.n1.lastUpdate()
 		return last != nil && len(last.NLRI) == 1 && last.Attrs.ASPathLen() == 3
 	})
@@ -824,7 +824,7 @@ func TestVersionWithdrawFallsBackToOlderVersion(t *testing.T) {
 	if err := x1.sess.Send(u); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "prefix gone from N1", func() bool {
+	waitFor(t, 5*time.Second, "prefix gone from N1", func() bool {
 		_, ok := f.n1.routes()[bgp.NLRI{Prefix: pfx("10.1.0.0/24")}]
 		return !ok
 	})
@@ -853,7 +853,7 @@ func TestLoopedNeighborPathDropped(t *testing.T) {
 	// The session delivers UPDATEs in order: once the next one is
 	// exported, the looped one has been handled.
 	f.n1.announce(steady, []uint32{n1ASN}, "192.0.2.1")
-	waitFor(t, "the following route at the experiment", func() bool {
+	waitFor(t, 5*time.Second, "the following route at the experiment", func() bool {
 		_, ok := x1.routes()[bgp.NLRI{Prefix: pfx(steady), ID: 1}]
 		return ok
 	})

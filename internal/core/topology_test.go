@@ -164,7 +164,7 @@ func TestTopologyChurn(t *testing.T) {
 		t.Errorf("topology after churn: %d neighbors, %d backbone peers; want %d, 0",
 			len(topo.neighbors), len(topo.meshPeers), cycles+1)
 	}
-	waitFor(t, "the experiment to unregister", func() bool { return len(r.topo.Load().experiments) == 0 })
+	waitFor(t, 5*time.Second, "the experiment to unregister", func() bool { return len(r.topo.Load().experiments) == 0 })
 	r.handleExperimentUpdate(announcer, &bgp.Update{Attrs: &bgp.PathAttrs{
 		Origin: bgp.OriginIGP, HasOrigin: true, NextHop: ip("100.65.0.9"),
 		ASPath:      []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{expASN}}},

@@ -158,16 +158,12 @@ func TestReconcilerSweepsOrphans(t *testing.T) {
 	store.Create(testSpec("alpha"))
 	waitPhase(t, rec, "alpha", PhaseConverged)
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	waitFor(t, "the orphan swept", func() bool {
 		act.mu.Lock()
+		defer act.mu.Unlock()
 		_, present := act.anns[ghostKey]
-		act.mu.Unlock()
-		if !present {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return !present
+	})
 	act.mu.Lock()
 	defer act.mu.Unlock()
 	if _, still := act.anns[ghostKey]; still {

@@ -245,28 +245,28 @@ func testReconciler(t *testing.T, act Actuator, hub *Hub) (*Store, *Reconciler) 
 
 func waitPhase(t *testing.T, rec *Reconciler, name string, phase Phase) ObjectStatus {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st, ok := rec.ObjectStatusFor(name); ok && st.Phase == phase {
-			return st
+	var st ObjectStatus
+	waitFor(t, "experiment "+name+" to reach "+string(phase), func() bool {
+		var ok bool
+		st, ok = rec.ObjectStatusFor(name)
+		return ok && st.Phase == phase
+	})
+	return st
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	st, _ := rec.ObjectStatusFor(name)
-	t.Fatalf("experiment %s never reached %s (last: %+v)", name, phase, st)
-	return ObjectStatus{}
 }
 
 func waitGone(t *testing.T, store *Store, name string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := store.Get(name); err != nil {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("experiment %s never removed from store", name)
+	waitFor(t, name+" removed from the store", func() bool { _, err := store.Get(name); return err != nil })
 }
 
 func TestReconcilerConverges(t *testing.T) {
@@ -340,14 +340,10 @@ func TestReconcilerSpecUpdateSteers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	waitFor(t, "the update to converge", func() bool {
 		st, _ := rec.ObjectStatusFor("alpha")
-		if st.ConvergedRevision == upd.Revision {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return st.ConvergedRevision == upd.Revision
+	})
 	act.mu.Lock()
 	defer act.mu.Unlock()
 	prefix := netip.MustParsePrefix("184.164.224.0/24")
@@ -458,13 +454,7 @@ func TestReconcilerSkipsUnchangedTicks(t *testing.T) {
 		t.Helper()
 		base := views()
 		change()
-		deadline := time.Now().Add(5 * time.Second)
-		for views() == base {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: no full view followed", what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		waitFor(t, what+" to take a full view", func() bool { return views() != base })
 	}
 	wantMore("platform edit", func() { act.edit(func() {}) }) // any edit moves the generation
 	wantMore("kick", rec.Kick)

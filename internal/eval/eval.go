@@ -350,9 +350,9 @@ type UpdateLoadResult struct {
 }
 
 // MeasureUpdateLoad projects CPU use at the paper's observed AMS-IX
-// update rates (mean 21.8/s, p99 ~400/s over 18 h).
-func MeasureUpdateLoad() *UpdateLoadResult {
-	f := MeasureFig6b(1 << 15)
+// update rates (mean 21.8/s, p99 ~400/s over 18 h) from f's
+// single-router per-update cost.
+func MeasureUpdateLoad(f *Fig6bResult) *UpdateLoadResult {
 	return &UpdateLoadResult{
 		MeanRate: 21.8, P99Rate: 400,
 		MeanCPU: f.CPUAtRate("single-router-vbgp", 21.8),

@@ -94,7 +94,7 @@ func TestFootprintCounts(t *testing.T) {
 }
 
 func TestUpdateLoadProjection(t *testing.T) {
-	res := MeasureUpdateLoad()
+	res := MeasureUpdateLoad(MeasureFig6b(1 << 15))
 	if res.MeanCPU <= 0 || res.P99CPU <= res.MeanCPU {
 		t.Errorf("CPU projections mean=%v p99=%v", res.MeanCPU, res.P99CPU)
 	}

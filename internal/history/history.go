@@ -21,9 +21,9 @@
 //     travel, Between(prefix, t0, t1) event ranges, and
 //     DiffPoPs(popA, popB, t) divergence reports (query.go).
 //
-// Ingestion mirrors the telemetry emitter's stance: Observe is
-// non-blocking and bounded, dropping (with accounting) rather than
-// applying backpressure to the control plane. The active segment lives
+// Append is synchronous: the platform's monitor goroutine calls it for
+// each event, so the telemetry emitter's bounded queue is the one place
+// events drop when the store falls behind. The active segment lives
 // in memory until sealed; Close seals it, so a cleanly shut down store
 // is fully reconstructible from the on-disk log alone.
 package history
@@ -45,7 +45,6 @@ const (
 	DefaultMaxSegmentBytes     = 1 << 20
 	DefaultMaxSegmentAge       = time.Minute
 	DefaultDedupWindow         = 2 * time.Second
-	DefaultQueueSize           = telemetry.DefaultQueueSize
 	DefaultMaintenanceInterval = 500 * time.Millisecond
 )
 
@@ -74,9 +73,6 @@ type Config struct {
 	// resolution for space. State reconstruction at or after the
 	// segment's end stays exact.
 	CompactAfter time.Duration
-	// QueueSize is the ingest queue capacity (<= 0 selects
-	// DefaultQueueSize).
-	QueueSize int
 	// MaintenanceInterval paces the seal-by-age / retention / compaction
 	// loop (0 selects DefaultMaintenanceInterval, < 0 disables the
 	// background loop — tests drive Maintain directly).
@@ -91,14 +87,10 @@ type Config struct {
 // Stats is a point-in-time snapshot of the store's accounting, the
 // numbers the peeringd -watch history line and peering-cli render.
 type Stats struct {
-	// Observed counts events handed to Observe that entered the queue.
-	Observed uint64
 	// Stored counts records appended to the log.
 	Stored uint64
 	// Deduped counts observations merged into an existing record.
 	Deduped uint64
-	// Dropped counts events lost to a full queue or closed store.
-	Dropped uint64
 	// Skipped counts non-route events (PeerUp/PeerDown).
 	Skipped uint64
 	// Records is the number of records currently in the log (sealed +
@@ -119,10 +111,6 @@ type Stats struct {
 type Store struct {
 	cfg Config
 
-	queueMu sync.RWMutex
-	closed  bool
-	queue   chan telemetry.Event
-
 	mu      sync.Mutex
 	active  *segment
 	sealed  []*segment
@@ -133,17 +121,16 @@ type Store struct {
 	vantageBits map[string]int
 	dedup       *deduper
 
-	observed  uint64
 	stored    uint64
 	deduped   uint64
-	dropped   uint64
 	skipped   uint64
-	processed uint64
 	retired   uint64
 	compacted uint64
 
-	met  storeMetrics
-	done chan struct{}
+	met       storeMetrics
+	stop      chan struct{} // closed by Close: the maintenance loop exits
+	done      chan struct{} // closed when it has
+	closeOnce sync.Once
 }
 
 // Open opens (or creates) the store rooted at cfg.Dir, loading every
@@ -162,9 +149,6 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.DedupWindow <= 0 {
 		cfg.DedupWindow = DefaultDedupWindow
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = DefaultQueueSize
-	}
 	if cfg.MaintenanceInterval == 0 {
 		cfg.MaintenanceInterval = DefaultMaintenanceInterval
 	}
@@ -173,10 +157,10 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		cfg:         cfg,
-		queue:       make(chan telemetry.Event, cfg.QueueSize),
 		vantageBits: make(map[string]int),
 		dedup:       newDeduper(cfg.DedupWindow),
 		met:         newStoreMetrics(cfg.Registry),
+		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
 	if err := s.load(); err != nil {
@@ -231,65 +215,32 @@ func (s *Store) load() error {
 	return nil
 }
 
-// Observe enqueues one telemetry event without blocking. It reports
-// whether the event was accepted; a full queue or closed store drops
-// the event and increments history_dropped_total.
-func (s *Store) Observe(e telemetry.Event) bool {
-	s.queueMu.RLock()
-	defer s.queueMu.RUnlock()
-	if s.closed {
-		s.addDropped()
-		return false
-	}
-	select {
-	case s.queue <- e:
-		s.mu.Lock()
-		s.observed++
-		s.mu.Unlock()
-		s.met.observed.Inc()
-		return true
-	default:
-		s.addDropped()
-		return false
-	}
-}
-
-func (s *Store) addDropped() {
-	s.mu.Lock()
-	s.dropped++
-	s.mu.Unlock()
-	s.met.dropped.Inc()
-}
-
-// run is the ingest goroutine: it drains the queue into the segment log
-// and paces maintenance.
+// run is the maintenance goroutine: it paces Maintain until Close.
 func (s *Store) run() {
 	defer close(s.done)
-	var tick *time.Ticker
 	var tickC <-chan time.Time
 	if s.cfg.MaintenanceInterval > 0 {
-		tick = time.NewTicker(s.cfg.MaintenanceInterval)
-		tickC = tick.C
+		tick := time.NewTicker(s.cfg.MaintenanceInterval)
 		defer tick.Stop()
+		tickC = tick.C
 	}
 	for {
 		select {
-		case e, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			s.ingest(e)
+		case <-s.stop:
+			return
 		case <-tickC:
 			s.Maintain(time.Now())
 		}
 	}
 }
 
-// ingest applies one event to the log.
-func (s *Store) ingest(e telemetry.Event) {
+// Append applies one telemetry event to the log: a route event becomes
+// a record (or merges into one, see dedup.go), any other kind is counted
+// as skipped. It returns once the event is applied, so a query issued
+// next sees it. It must not be called after Close.
+func (s *Store) Append(e telemetry.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.processed++
 	if e.Kind != telemetry.EventRouteMonitoring || !e.Prefix.IsValid() {
 		s.skipped++
 		s.met.skipped.Inc()
@@ -479,42 +430,17 @@ func compactSegment(seg *segment) (*segment, int, error) {
 	return out, removed, nil
 }
 
-// Close drains the queue, seals the active segment, and stops the
-// maintenance loop. After Close the on-disk log alone reconstructs the
-// full history.
+// Close stops the maintenance loop and seals the active segment. After
+// Close the on-disk log alone reconstructs the full history.
 func (s *Store) Close() error {
-	s.queueMu.Lock()
-	if s.closed {
-		s.queueMu.Unlock()
+	s.closeOnce.Do(func() {
+		close(s.stop)
 		<-s.done
-		return nil
-	}
-	s.closed = true
-	close(s.queue)
-	s.queueMu.Unlock()
-	<-s.done
-	s.mu.Lock()
-	s.sealLocked()
-	s.mu.Unlock()
-	return nil
-}
-
-// Drain blocks until every accepted event has been applied to the log
-// (or the timeout lapses), reporting whether it drained.
-func (s *Store) Drain(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
 		s.mu.Lock()
-		done := s.processed >= s.observed
+		s.sealLocked()
 		s.mu.Unlock()
-		if done {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
+	})
+	return nil
 }
 
 // Stats returns a snapshot of the store's accounting.
@@ -522,8 +448,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Observed: s.observed, Stored: s.stored, Deduped: s.deduped,
-		Dropped: s.dropped, Skipped: s.skipped,
+		Stored: s.stored, Deduped: s.deduped, Skipped: s.skipped,
 		RetiredSegments: s.retired, CompactedEvents: s.compacted,
 		Segments: len(s.sealed),
 	}

@@ -40,15 +40,9 @@ func routeEvent(pop string, at time.Time, prefix string, withdraw bool) telemetr
 	}
 }
 
-func observeAll(t *testing.T, s *Store, events ...telemetry.Event) {
-	t.Helper()
+func appendAll(s *Store, events ...telemetry.Event) {
 	for _, e := range events {
-		if !s.Observe(e) {
-			t.Fatalf("Observe dropped %v", e)
-		}
-	}
-	if !s.Drain(5 * time.Second) {
-		t.Fatal("store did not drain")
+		s.Append(e)
 	}
 }
 
@@ -57,7 +51,7 @@ func TestDedupAcrossVantages(t *testing.T) {
 	base := time.Unix(1000, 0)
 	// The same announcement observed at two PoPs within the window, then
 	// a third observation from a PoP it already has — the flap case.
-	observeAll(t, s,
+	appendAll(s,
 		routeEvent("amsix", base, "184.164.224.0/24", false),
 		routeEvent("seattle", base.Add(100*time.Millisecond), "184.164.224.0/24", false),
 	)
@@ -81,7 +75,7 @@ func TestDedupAcrossVantages(t *testing.T) {
 
 	// Same vantage repeating identical content: a distinct flap leg,
 	// stored separately even inside the window.
-	observeAll(t, s, routeEvent("amsix", base.Add(200*time.Millisecond), "184.164.224.0/24", false))
+	appendAll(s, routeEvent("amsix", base.Add(200*time.Millisecond), "184.164.224.0/24", false))
 	if st := s.Stats(); st.Stored != 2 {
 		t.Fatalf("stored=%d after same-vantage repeat, want 2", st.Stored)
 	}
@@ -90,7 +84,7 @@ func TestDedupAcrossVantages(t *testing.T) {
 func TestDedupWindowExpiry(t *testing.T) {
 	s := openTest(t, t.TempDir(), func(c *Config) { c.DedupWindow = time.Second })
 	base := time.Unix(1000, 0)
-	observeAll(t, s,
+	appendAll(s,
 		routeEvent("amsix", base, "184.164.224.0/24", false),
 		routeEvent("seattle", base.Add(5*time.Second), "184.164.224.0/24", false),
 	)
@@ -101,7 +95,7 @@ func TestDedupWindowExpiry(t *testing.T) {
 
 func TestSkipsNonRouteEvents(t *testing.T) {
 	s := openTest(t, t.TempDir(), nil)
-	observeAll(t, s,
+	appendAll(s,
 		telemetry.Event{Kind: telemetry.EventPeerUp, Time: time.Unix(1000, 0), PoP: "amsix", Peer: "transit-1000"},
 		routeEvent("amsix", time.Unix(1001, 0), "184.164.224.0/24", false),
 		telemetry.Event{Kind: telemetry.EventPeerDown, Time: time.Unix(1002, 0), PoP: "amsix", Peer: "transit-1000", Reason: "hold timer expired"},
@@ -116,7 +110,7 @@ func TestRotationBySizeAndReopen(t *testing.T) {
 	s := openTest(t, dir, func(c *Config) { c.MaxSegmentBytes = 256 })
 	base := time.Unix(1000, 0)
 	for i := 0; i < 40; i++ {
-		observeAll(t, s, routeEvent("amsix", base.Add(time.Duration(i)*time.Second),
+		appendAll(s, routeEvent("amsix", base.Add(time.Duration(i)*time.Second),
 			"10.0.0.0/24", i%2 == 1))
 	}
 	if st := s.Stats(); st.Segments < 3 {
@@ -171,7 +165,7 @@ func TestRotationBySizeAndReopen(t *testing.T) {
 func TestSealByAge(t *testing.T) {
 	s := openTest(t, t.TempDir(), func(c *Config) { c.MaxSegmentAge = time.Minute })
 	base := time.Now().Add(-2 * time.Minute)
-	observeAll(t, s, routeEvent("amsix", base, "10.0.0.0/24", false))
+	appendAll(s, routeEvent("amsix", base, "10.0.0.0/24", false))
 	if st := s.Stats(); st.SealedBytes != 0 {
 		t.Fatal("segment sealed before maintenance ran")
 	}
@@ -189,7 +183,7 @@ func TestRetention(t *testing.T) {
 	})
 	old := time.Now().Add(-3 * time.Hour)
 	fresh := time.Now().Add(-time.Minute)
-	observeAll(t, s,
+	appendAll(s,
 		routeEvent("amsix", old, "10.0.0.0/24", false),
 		routeEvent("amsix", old.Add(time.Second), "10.0.1.0/24", false),
 		routeEvent("amsix", fresh, "10.0.2.0/24", false),
@@ -231,7 +225,7 @@ func TestCompaction(t *testing.T) {
 		evs = append(evs, routeEvent("amsix", base.Add(time.Duration(2*i)*time.Second), "10.1.0.0/24", i%2 == 1))
 	}
 	evs = append(evs, routeEvent("amsix", base, "10.2.0.0/24", false))
-	observeAll(t, s, evs...)
+	appendAll(s, evs...)
 	s.mu.Lock()
 	s.sealLocked()
 	s.mu.Unlock()
@@ -287,7 +281,7 @@ func TestDiffPoPs(t *testing.T) {
 	hijack := routeEvent("seattle", base.Add(10*time.Second), "184.164.224.0/25", false)
 	hijack.Peer = "exp:rogue"
 	hijack.ASPath = []uint32{666}
-	observeAll(t, s, victim, victimAtB, hijack)
+	appendAll(s, victim, victimAtB, hijack)
 
 	// Mid-hijack: the /25 diverges, visible only at seattle; the /24,
 	// held at both PoPs (merged record), does not appear.
@@ -319,7 +313,7 @@ func TestPerVantageWithdraw(t *testing.T) {
 	b := routeEvent("seattle", base.Add(time.Millisecond), "184.164.224.0/24", false)
 	// Withdraw observed only at amsix: seattle's copy survives.
 	w := routeEvent("amsix", base.Add(10*time.Second), "184.164.224.0/24", true)
-	observeAll(t, s, a, b, w)
+	appendAll(s, a, b, w)
 	state, err := s.StateAt(netip.MustParsePrefix("184.164.224.0/24"), base.Add(time.Minute))
 	if err != nil {
 		t.Fatal(err)
@@ -329,23 +323,10 @@ func TestPerVantageWithdraw(t *testing.T) {
 	}
 }
 
-func TestObserveAfterCloseDrops(t *testing.T) {
-	s := openTest(t, t.TempDir(), nil)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Observe(routeEvent("amsix", time.Now(), "10.0.0.0/24", false)) {
-		t.Fatal("Observe accepted after Close")
-	}
-	if st := s.Stats(); st.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", st.Dropped)
-	}
-}
-
 func TestOpenRejectsCorruptSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, nil)
-	observeAll(t, s, routeEvent("amsix", time.Unix(1000, 0), "10.0.0.0/24", false))
+	appendAll(s, routeEvent("amsix", time.Unix(1000, 0), "10.0.0.0/24", false))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +351,7 @@ func TestMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := openTest(t, t.TempDir(), func(c *Config) { c.Registry = reg })
 	base := time.Unix(1000, 0)
-	observeAll(t, s,
+	appendAll(s,
 		routeEvent("amsix", base, "184.164.224.0/24", false),
 		routeEvent("seattle", base.Add(time.Millisecond), "184.164.224.0/24", false),
 	)
@@ -378,9 +359,8 @@ func TestMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	checks := map[string]float64{
-		"history_observed_total": 2,
-		"history_stored_total":   1,
-		"history_dedup_total":    1,
+		"history_stored_total": 1,
+		"history_dedup_total":  1,
 	}
 	for name, want := range checks {
 		if got := reg.Value(name); got != want {

@@ -9,10 +9,8 @@ import (
 // storeMetrics are the history_* series, registered once per store
 // against the configured registry.
 type storeMetrics struct {
-	observed        *telemetry.Counter
 	stored          *telemetry.Counter
 	deduped         *telemetry.Counter
-	dropped         *telemetry.Counter
 	skipped         *telemetry.Counter
 	sealed          *telemetry.Counter
 	retired         *telemetry.Counter
@@ -37,10 +35,8 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 	}
 	queryBuckets := []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
 	return storeMetrics{
-		observed:        reg.Counter("history_observed_total"),
 		stored:          reg.Counter("history_stored_total"),
 		deduped:         reg.Counter("history_dedup_total"),
-		dropped:         reg.Counter("history_dropped_total"),
 		skipped:         reg.Counter("history_skipped_total"),
 		sealed:          reg.Counter("history_segments_sealed_total"),
 		retired:         reg.Counter("history_segments_retired_total"),

@@ -30,6 +30,13 @@ func (b *buffer) Write(p []byte) (int, error) { return b.write(p) }
 // Close marks the buffer closed; reads drain then return EOF.
 func (b *buffer) Close() error { b.close(); return nil }
 
+// Buffered reports how many written bytes have not been read yet.
+func (b *buffer) Buffered() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.data) - b.off
+}
+
 // buffer is one direction of the pipe: an unbounded byte queue. The
 // unread bytes are data[off:]. Reads advance off and reset the slice
 // when they drain it; a write that would grow the array first reclaims
@@ -114,6 +121,10 @@ func (c *Conn) Read(p []byte) (int, error) { return c.rd.read(p) }
 
 // Write implements net.Conn.
 func (c *Conn) Write(p []byte) (int, error) { return c.wr.write(p) }
+
+// Buffered reports how many bytes the other end wrote that this end has
+// not read yet.
+func (c *Conn) Buffered() int { return c.rd.Buffered() }
 
 // Close closes both directions; pending and future reads on the peer see
 // EOF after draining buffered data.

@@ -193,6 +193,15 @@ func (c *controlConn) Write(p []byte) (int, error) {
 }
 func (c *controlConn) Close() error { return c.t.Close() }
 
+// Buffered reports the unread bytes in the control channel and the carrier.
+func (c *controlConn) Buffered() int {
+	n := c.t.control.Buffered()
+	if b, ok := c.t.carrier.(interface{ Buffered() int }); ok {
+		n += b.Buffered()
+	}
+	return n
+}
+
 type tunnelAddr string
 
 func (a tunnelAddr) Network() string { return "tunnel" }

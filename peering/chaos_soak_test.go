@@ -15,20 +15,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// waitChaos is waitFor with a deadline sized for backoff ladders and
-// graceful-restart windows.
-func waitChaos(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 // chaosTestbed is multiPoPTestbed with a fault injector threaded through
 // every transport; the chaos platform supervises the client's sessions
 // too.
@@ -129,7 +115,7 @@ func TestChaosSoakAllSessionClassesRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
-	_, popA, popB, c, inj := chaosTestbed(t)
+	p, popA, popB, c, inj := chaosTestbed(t)
 	reg := telemetry.Default()
 
 	for _, pop := range []*PoP{popA, popB} {
@@ -161,12 +147,22 @@ func TestChaosSoakAllSessionClassesRecover(t *testing.T) {
 			topo.Reachable(1000, p224) && topo.Reachable(10000, p224) &&
 			topo.Reachable(1000, p225) && topo.Reachable(10000, p225)
 	}
-	waitChaos(t, "no-fault convergence", converged)
+	// The baseline is taken at rest: with the whole platform quiesced,
+	// not merely the probe's paths present, no route is still on its way.
+	waitFor(t, 20*time.Second, "no-fault convergence", func() bool { return p.quiesced() && converged() })
 
-	baseline := clientView(c, "amsix") + clientView(c, "seattle") +
-		tableView(popA.Router.ExperimentRoutes()) + tableView(popB.Router.ExperimentRoutes())
+	view := func() string {
+		return clientView(c, "amsix") + clientView(c, "seattle") +
+			tableView(popA.Router.ExperimentRoutes()) + tableView(popB.Router.ExperimentRoutes())
+	}
+	baseline := view()
 
+	// recovered is read at rest only (p.quiesced first), where every
+	// difference from the baseline is a real one.
 	recovered := func() bool {
+		if !p.quiesced() {
+			return false
+		}
 		for _, pop := range []*PoP{popA, popB} {
 			if c.BGPStatus(pop.Name) != bgp.StateEstablished {
 				return false
@@ -192,9 +188,7 @@ func TestChaosSoakAllSessionClassesRecover(t *testing.T) {
 		if !converged() {
 			return false
 		}
-		now := clientView(c, "amsix") + clientView(c, "seattle") +
-			tableView(popA.Router.ExperimentRoutes()) + tableView(popB.Router.ExperimentRoutes())
-		return now == baseline
+		return view() == baseline
 	}
 
 	schedule := []struct {
@@ -214,6 +208,24 @@ func TestChaosSoakAllSessionClassesRecover(t *testing.T) {
 		{"backbone link flap at amsix", chaos.Fault{Kind: chaos.LinkFlap, Name: "bb0:amsix", Duration: 50 * time.Millisecond}, false, nil},
 		{"whole-PoP partition of seattle", chaos.Fault{Kind: chaos.Partition, PoP: "seattle"}, true, nil},
 	}
+	// A step that never recovers leaves its state in the log.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		for _, pop := range []*PoP{popA, popB} {
+			t.Logf("%s: client BGP %s", pop.Name, c.BGPStatus(pop.Name))
+			for _, n := range pop.Router.Neighbors() {
+				st := "nil"
+				if sess := n.Session(); sess != nil {
+					st = sess.State().String()
+				}
+				t.Logf("%s/%s: state=%s stale=%d paths=%d", pop.Name, n.Name, st, tableStale(n.Table), n.Table.PathCount())
+			}
+			t.Logf("%s expRoutes stale=%d view=%q", pop.Name, tableStale(pop.Router.ExperimentRoutes()), tableView(pop.Router.ExperimentRoutes()))
+		}
+		t.Logf("converged=%v\nbaseline:\n%s\nnow:\n%s", converged(), baseline, view())
+	})
 	for _, step := range schedule {
 		before := reg.Value("bgp_reconnects_total")
 		if hit := inj.Inject(step.fault); hit == 0 {
@@ -223,49 +235,11 @@ func TestChaosSoakAllSessionClassesRecover(t *testing.T) {
 			step.trigger()
 		}
 		if step.kills {
-			waitChaos(t, "reconnect after "+step.desc, func() bool {
+			waitFor(t, 20*time.Second, "reconnect after "+step.desc, func() bool {
 				return reg.Value("bgp_reconnects_total") > before
 			})
 		}
-		func() {
-			deadline := time.Now().Add(20 * time.Second)
-			for time.Now().Before(deadline) {
-				if recovered() {
-					return
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			for _, pop := range []*PoP{popA, popB} {
-				t.Logf("%s: client BGP %s", pop.Name, c.BGPStatus(pop.Name))
-				for _, n := range pop.Router.Neighbors() {
-					sess := n.Session()
-					st := "nil"
-					if sess != nil {
-						st = sess.State().String()
-					}
-					t.Logf("%s/%s: state=%s stale=%d paths=%d", pop.Name, n.Name, st, tableStale(n.Table), n.Table.PathCount())
-				}
-				t.Logf("%s expRoutes stale=%d view=%q", pop.Name, tableStale(pop.Router.ExperimentRoutes()), tableView(pop.Router.ExperimentRoutes()))
-			}
-			t.Logf("converged=%v", converged())
-			now := clientView(c, "amsix") + clientView(c, "seattle") +
-				tableView(popA.Router.ExperimentRoutes()) + tableView(popB.Router.ExperimentRoutes())
-			bl := strings.Split(baseline, "\n")
-			nw := strings.Split(now, "\n")
-			for i := 0; i < len(bl) || i < len(nw); i++ {
-				b, n := "", ""
-				if i < len(bl) {
-					b = bl[i]
-				}
-				if i < len(nw) {
-					n = nw[i]
-				}
-				if b != n {
-					t.Logf("diff line %d: baseline=%q now=%q", i, b, n)
-				}
-			}
-			t.Fatalf("timed out waiting for reconvergence after %s", step.desc)
-		}()
+		waitFor(t, 20*time.Second, "reconvergence after "+step.desc, recovered)
 	}
 
 	// The control plane is fully live after the soak: a withdrawal and a
@@ -273,13 +247,13 @@ func TestChaosSoakAllSessionClassesRecover(t *testing.T) {
 	if err := c.Withdraw("amsix", p224, 0); err != nil {
 		t.Fatal(err)
 	}
-	waitChaos(t, "post-soak withdrawal propagates", func() bool {
+	waitFor(t, 20*time.Second, "post-soak withdrawal propagates", func() bool {
 		return popA.Router.ExperimentRoutes().Best(p224) == nil
 	})
 	if err := c.Announce("amsix", p224); err != nil {
 		t.Fatal(err)
 	}
-	waitChaos(t, "post-soak announcement propagates", converged)
+	waitFor(t, 20*time.Second, "post-soak announcement propagates", converged)
 
 	// Telemetry carries the evidence: every fault counted, reconnects
 	// recorded, and the recovery latency histogram populated.

@@ -3,6 +3,7 @@ package peering
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -120,6 +121,9 @@ func (c *Client) OpenTunnel(pop *PoP) error {
 	}
 	pc.pop = pop
 	pc.serverTun = serverTun
+	pop.mu.Lock()
+	pop.clients = append(pop.clients, pc)
+	pop.mu.Unlock()
 	return nil
 }
 
@@ -233,6 +237,11 @@ func (c *Client) CloseTunnel(popName string) error {
 	c.mu.Unlock()
 	if pc == nil {
 		return fmt.Errorf("peering: no tunnel to %s", popName)
+	}
+	if pc.pop != nil {
+		pc.pop.mu.Lock()
+		pc.pop.clients = slices.DeleteFunc(pc.pop.clients, func(o *popConn) bool { return o == pc })
+		pc.pop.mu.Unlock()
 	}
 	if sup := pc.supervisor(); sup != nil {
 		sup.Stop()

@@ -107,28 +107,17 @@ func directPaths(p *Platform, pop string, prefix netip.Prefix, exp string) []*ri
 	return out
 }
 
-// waitExperimentPhase polls the API until the experiment reports the
-// phase at (or past) the wanted revision.
-func waitExperimentPhase(t *testing.T, srv *httptest.Server, name string, phase ctlplane.Phase, rev int64) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	var last []byte
-	for time.Now().Before(deadline) {
+// atPhase reports, over the API, whether the experiment is in the phase
+// at (or past) the wanted revision.
+func atPhase(t *testing.T, srv *httptest.Server, name string, phase ctlplane.Phase, rev int64) func() bool {
+	return func() bool {
 		code, body := httpJSON(t, srv, "GET", "/v1/experiments/"+name, nil)
-		last = body
-		if code == 200 {
-			var view struct {
-				Status *ctlplane.ObjectStatus `json:"status"`
-			}
-			if json.Unmarshal(body, &view) == nil && view.Status != nil &&
-				view.Status.Phase == phase &&
-				(rev == 0 || view.Status.ConvergedRevision >= rev) {
-				return
-			}
+		var view struct {
+			Status *ctlplane.ObjectStatus `json:"status"`
 		}
-		time.Sleep(5 * time.Millisecond)
+		return code == 200 && json.Unmarshal(body, &view) == nil && view.Status != nil &&
+			view.Status.Phase == phase && (rev == 0 || view.Status.ConvergedRevision >= rev)
 	}
-	t.Fatalf("experiment %s never reached %s@%d over HTTP; last: %s", name, phase, rev, last)
 }
 
 // TestControlPlaneHTTPLifecycle is the acceptance test: a full
@@ -163,7 +152,7 @@ func TestControlPlaneHTTPLifecycle(t *testing.T) {
 			}
 		}
 	}()
-	waitFor(t, "SSE subscriber registered", func() bool { return cp.Hub.Subscribers() == 1 })
+	waitFor(t, 5*time.Second, "SSE subscriber registered", func() bool { return cp.Hub.Subscribers() == 1 })
 
 	spec := map[string]any{
 		"name": "steering", "owner": "alice", "asn": expASN,
@@ -209,7 +198,7 @@ func TestControlPlaneHTTPLifecycle(t *testing.T) {
 	// The reconciler converges: proposal approved, tunnels opened,
 	// sessions established, both announcements installed in the PoPs'
 	// experiment RIBs.
-	waitExperimentPhase(t, srv, "steering", ctlplane.PhaseConverged, rev)
+	waitFor(t, 15*time.Second, "steering converged over HTTP", atPhase(t, srv, "steering", ctlplane.PhaseConverged, rev))
 	for _, pop := range []string{"amsix", "seattle"} {
 		paths := directPaths(p, pop, pfx("184.164.224.0/24"), "steering")
 		if len(paths) != 1 {
@@ -268,9 +257,9 @@ func TestControlPlaneHTTPLifecycle(t *testing.T) {
 		t.Fatalf("steer PATCH -> %d %s", code, body)
 	}
 	json.Unmarshal(body, &view)
-	waitExperimentPhase(t, srv, "steering", ctlplane.PhaseConverged, view.Object.Revision)
+	waitFor(t, 15*time.Second, "steering converged over HTTP", atPhase(t, srv, "steering", ctlplane.PhaseConverged, view.Object.Revision))
 
-	waitFor(t, "amsix withdrawal converges", func() bool {
+	waitFor(t, 5*time.Second, "amsix withdrawal converges", func() bool {
 		return len(directPaths(p, "amsix", pfx("184.164.224.0/24"), "steering")) == 0
 	})
 	paths := directPaths(p, "seattle", pfx("184.164.224.0/24"), "steering")
@@ -294,7 +283,7 @@ func TestControlPlaneHTTPLifecycle(t *testing.T) {
 	if code != 202 {
 		t.Fatalf("delete -> %d, want 202", code)
 	}
-	waitFor(t, "object removed", func() bool {
+	waitFor(t, 5*time.Second, "object removed", func() bool {
 		code, _ := httpJSON(t, srv, "GET", "/v1/experiments/steering", nil)
 		return code == 404
 	})
@@ -324,7 +313,7 @@ func TestControlPlaneHTTPLifecycle(t *testing.T) {
 	// The SSE subscriber saw the whole story: store commits for
 	// create/update/delete, reconcile transitions through converged,
 	// and the deploy verbs.
-	waitFor(t, "SSE stream catches up", func() bool {
+	waitFor(t, 5*time.Second, "SSE stream catches up", func() bool {
 		sseMu.Lock()
 		defer sseMu.Unlock()
 		return len(sseEvents["deploy"]) >= 2 && len(sseEvents["store"]) >= 4
@@ -411,7 +400,7 @@ func TestControlPlaneCoexistsWithManualExperiments(t *testing.T) {
 	if code != 201 {
 		t.Fatalf("create -> %d %s", code, body)
 	}
-	waitExperimentPhase(t, srv, "managed", ctlplane.PhaseConverged, 0)
+	waitFor(t, 15*time.Second, "managed converged over HTTP", atPhase(t, srv, "managed", ctlplane.PhaseConverged, 0))
 
 	var view struct {
 		Object ctlplane.Object `json:"object"`
@@ -467,33 +456,28 @@ func quietControlPlane(t *testing.T, guardCfg *GuardConfig, n int) (*Platform, *
 			t.Fatal(err)
 		}
 	}
-	waitReconcileQuiet(t, cp, n)
+	waitFor(t, 20*time.Second, "specs converged and reconcile passes stopped", reconcileQuiet(cp, n))
 	return p, pop, cp
 }
 
 // reconcileRuns reads the reconciler's pass counter.
 func reconcileRuns() float64 { return telemetry.Default().Value("ctlplane_reconcile_runs_total") }
 
-// waitReconcileQuiet waits until n specs have converged and five resync
-// ticks in a row ran no pass.
-func waitReconcileQuiet(t *testing.T, cp *ControlPlane, n int) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
+// reconcileQuiet reports whether n specs have converged and no reconcile
+// pass has run for 50 ms — five resync ticks in a row.
+func reconcileQuiet(cp *ControlPlane, n int) func() bool {
+	runs, since := -1.0, time.Now()
+	return func() bool {
+		if r := reconcileRuns(); r != runs {
+			runs, since = r, time.Now()
+		}
 		converged := 0
 		for _, st := range cp.Reconciler.Status() {
 			if st.Phase == ctlplane.PhaseConverged {
 				converged++
 			}
 		}
-		before := reconcileRuns()
-		time.Sleep(50 * time.Millisecond)
-		if converged == n && reconcileRuns() == before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d specs converged; reconcile passes still running", converged, n)
-		}
+		return converged == n && time.Since(since) >= 50*time.Millisecond
 	}
 }
 
@@ -524,11 +508,11 @@ func TestObservedInputsForcePass(t *testing.T) {
 	} {
 		before := reconcileRuns()
 		c.change()
-		waitFor(t, c.input+" change to run a pass", func() bool { return reconcileRuns() > before })
-		waitReconcileQuiet(t, cp, 2)
+		waitFor(t, 5*time.Second, c.input+" change to run a pass", func() bool { return reconcileRuns() > before })
+		waitFor(t, 20*time.Second, "reconcile passes to stop", reconcileQuiet(cp, 2))
 	}
 	// And a kick runs one with nothing changed.
 	before := reconcileRuns()
 	cp.Reconciler.Kick()
-	waitFor(t, "a kick to run a pass", func() bool { return reconcileRuns() > before })
+	waitFor(t, 5*time.Second, "a kick to run a pass", func() bool { return reconcileRuns() > before })
 }

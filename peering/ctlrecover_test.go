@@ -75,12 +75,13 @@ func soakSpec(name, alloc, ann string, asn uint32) ctlplane.Spec {
 	}
 }
 
-func waitManagedConverged(t *testing.T, cp *ControlPlane, name string, rev int64) {
-	t.Helper()
-	waitFor(t, name+" converged", func() bool {
+// managedConverged reports whether the reconciler has converged name at
+// (or past) rev.
+func managedConverged(cp *ControlPlane, name string, rev int64) func() bool {
+	return func() bool {
 		st, ok := cp.Reconciler.ObjectStatusFor(name)
 		return ok && st.Phase == ctlplane.PhaseConverged && st.ConvergedRevision >= rev
-	})
+	}
 }
 
 // routeAtom is one installed experiment route, identified by everything
@@ -216,7 +217,7 @@ func TestControlPlaneCrashRestartSoak(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Create exp-one: %v", err)
 			}
-			waitManagedConverged(t, cp1, "exp-one", obj1.Revision)
+			waitFor(t, 5*time.Second, "exp-one converged", managedConverged(cp1, "exp-one", obj1.Revision))
 			owners := map[string]bool{"exp-one": true}
 			baseline := experimentAtoms(p, owners)
 			if len(baseline) != 2 {
@@ -256,7 +257,7 @@ func TestControlPlaneCrashRestartSoak(t *testing.T) {
 			killControlPlane(cp1)
 			for _, popName := range []string{"amsix", "seattle"} {
 				popName := popName
-				waitFor(t, "stale retention at "+popName, func() bool {
+				waitFor(t, 5*time.Second, "stale retention at "+popName, func() bool {
 					return p.PoP(popName).Router.ExperimentRoutes().StaleCount("exp-one") > 0
 				})
 			}
@@ -265,11 +266,11 @@ func TestControlPlaneCrashRestartSoak(t *testing.T) {
 			cp2 := startRecoverableCP(t, p, dir, nil, nil)
 			t.Cleanup(cp2.Close)
 
-			waitManagedConverged(t, cp2, "exp-one", obj1.Revision)
+			waitFor(t, 5*time.Second, "exp-one converged", managedConverged(cp2, "exp-one", obj1.Revision))
 			objs := cp2.Store.List()
 			if tc.wantExp2 {
 				owners["exp-two"] = true
-				waitManagedConverged(t, cp2, "exp-two", 0)
+				waitFor(t, 5*time.Second, "exp-two converged", managedConverged(cp2, "exp-two", 0))
 				if len(objs) != 2 {
 					t.Fatalf("recovered %d objects, want exp-one and exp-two: %+v", len(objs), objs)
 				}
@@ -378,14 +379,14 @@ func TestControlPlaneSweepsCrashOrphans(t *testing.T) {
 	if err := ghost.Announce("seattle", ghostPfx); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "ghost route installed", func() bool {
+	waitFor(t, 5*time.Second, "ghost route installed", func() bool {
 		return len(directPaths(p, "seattle", ghostPfx, "ghost")) == 1
 	})
 	ghost.mu.Lock()
 	pc := ghost.conns["seattle"]
 	ghost.mu.Unlock()
 	pc.transport().Close()
-	waitFor(t, "ghost route retained stale", func() bool {
+	waitFor(t, 5*time.Second, "ghost route retained stale", func() bool {
 		return p.PoP("seattle").Router.ExperimentRoutes().StaleCount("ghost") > 0
 	})
 
@@ -399,9 +400,9 @@ func TestControlPlaneSweepsCrashOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitManagedConverged(t, cp, "alive", obj.Revision)
+	waitFor(t, 5*time.Second, "alive converged", managedConverged(cp, "alive", obj.Revision))
 
-	waitFor(t, "orphan swept", func() bool {
+	waitFor(t, 5*time.Second, "orphan swept", func() bool {
 		if len(directPaths(p, "seattle", ghostPfx, "ghost")) != 0 {
 			return false
 		}

@@ -46,7 +46,7 @@ func TestPoPBandwidthShaping(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes", func() bool { return len(c.RoutesFor("constrained", probe)) >= 1 })
+	waitFor(t, 5*time.Second, "routes", func() bool { return len(c.RoutesFor("constrained", probe)) >= 1 })
 
 	// Blast 100 sizeable packets: the shaper must drop most of them.
 	payload := make([]byte, 500)
@@ -60,7 +60,7 @@ func TestPoPBandwidthShaping(t *testing.T) {
 	// Tunnel frame delivery is asynchronous: wait until the router's
 	// experiment interface has seen (or policed) every frame.
 	expIfc := pop.Router.Interface("exp0")
-	waitFor(t, "frames processed", func() bool {
+	waitFor(t, 5*time.Second, "frames processed", func() bool {
 		return expIfc.RxFrames.Load()+expIfc.RxDrops.Load() >= 101
 	})
 	fwd := pop.Router.Forwarded.Load()
@@ -82,7 +82,7 @@ func TestTracerouteShowsPrimaryAddresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
+	waitFor(t, 5*time.Second, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
 
 	// Probe with TTL 1 and 2, as traceroute does.
 	dst := probe.Addr().Next()
@@ -130,10 +130,10 @@ func TestAppendixADebuggingWorkflow(t *testing.T) {
 	if err := c.Announce("amsix", pfx("184.164.224.0/24"), ToNeighbors(1)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "transit learns the prefix", func() bool {
+	waitFor(t, 5*time.Second, "transit learns the prefix", func() bool {
 		return topo.Reachable(1000, pfx("184.164.224.0/24"))
 	})
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, 5*time.Second, "the platform to quiesce", p.quiesced)
 
 	// The looking glass shows presence/absence but cannot explain it.
 	lgHave := topo.LookingGlass(1000, pfx("184.164.224.0/24"))

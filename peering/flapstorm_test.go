@@ -112,7 +112,7 @@ func TestFlapStormAvailability(t *testing.T) {
 	if err := victim.Announce("amsix", victimPrefix); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "victim route reaches the transit neighbor", func() bool {
+	waitFor(t, 5*time.Second, "victim route reaches the transit neighbor", func() bool {
 		return pop.Router.ExperimentRoutes().Best(victimPrefix) != nil &&
 			topo.Reachable(1000, victimPrefix)
 	})
@@ -148,11 +148,11 @@ func TestFlapStormAvailability(t *testing.T) {
 
 	// Suppression: (nearly) every storm prefix was driven past the
 	// suppress threshold exactly once.
-	waitChaos(t, "storm prefixes suppressed", func() bool {
+	waitFor(t, 20*time.Second, "storm prefixes suppressed", func() bool {
 		return reg.Value("guard_damping_suppressed_total")-baseSuppressed >= storm*95/100
 	})
 	// The watchdog saw the overload and walked the shedding ladder.
-	waitChaos(t, "watchdog reached shedding", func() bool {
+	waitFor(t, 20*time.Second, "watchdog reached shedding", func() bool {
 		transMu.Lock()
 		defer transMu.Unlock()
 		return maxState == guard.Shedding
@@ -184,10 +184,10 @@ func TestFlapStormAvailability(t *testing.T) {
 
 	// Recovery: penalties decay, reuse timers drain the suppressed set,
 	// and the watchdog steps the PoP back to healthy.
-	waitChaos(t, "damper drains after storm", func() bool {
+	waitFor(t, 20*time.Second, "damper drains after storm", func() bool {
 		return reg.Value("guard_damping_suppressed_current") == 0
 	})
-	waitChaos(t, "PoP returns to healthy", func() bool {
+	waitFor(t, 20*time.Second, "PoP returns to healthy", func() bool {
 		return p.PoPHealth("amsix") == guard.Healthy
 	})
 	// Full ladder in the metrics: at least the step up plus the two
@@ -207,13 +207,13 @@ func TestFlapStormAvailability(t *testing.T) {
 	if err := victim.Withdraw("amsix", victimPrefix, 0); err != nil {
 		t.Fatal(err)
 	}
-	waitChaos(t, "post-storm withdrawal propagates", func() bool {
+	waitFor(t, 20*time.Second, "post-storm withdrawal propagates", func() bool {
 		return pop.Router.ExperimentRoutes().Best(victimPrefix) == nil
 	})
 	if err := victim.Announce("amsix", victimPrefix); err != nil {
 		t.Fatal(err)
 	}
-	waitChaos(t, "post-storm announcement propagates", func() bool {
+	waitFor(t, 20*time.Second, "post-storm announcement propagates", func() bool {
 		return topo.Reachable(1000, victimPrefix)
 	})
 }

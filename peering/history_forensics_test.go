@@ -89,25 +89,25 @@ func TestHijackForensicsFromDiskAlone(t *testing.T) {
 	if err := c.Announce("amsix", victim); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "amsix announce in history", func() bool { return stateLen(victim) == 1 })
+	waitFor(t, 5*time.Second, "amsix announce in history", func() bool { return stateLen(victim) == 1 })
 	if err := c.Announce("seattle", victim); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "cross-PoP dedup merge", func() bool { return store.Stats().Deduped >= 1 })
+	waitFor(t, 5*time.Second, "cross-PoP dedup merge", func() bool { return store.Stats().Deduped >= 1 })
 	tBaseline := time.Now()
 
 	// Phase 2: the hijack — the more-specific /25 from seattle only.
 	if err := c.Announce("seattle", specific); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "hijack in history", func() bool { return stateLen(specific) == 1 })
+	waitFor(t, 5*time.Second, "hijack in history", func() bool { return stateLen(specific) == 1 })
 	tHijack := time.Now()
 
 	// Phase 3: containment — the /25 withdrawn.
 	if err := c.Withdraw("seattle", specific, 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "containment in history", func() bool { return stateLen(specific) == 0 })
+	waitFor(t, 5*time.Second, "containment in history", func() bool { return stateLen(specific) == 0 })
 	tContained := time.Now()
 
 	// Live observations at each checkpoint, straight from the running

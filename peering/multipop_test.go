@@ -72,7 +72,7 @@ func TestClientAtTwoPoPsSimultaneously(t *testing.T) {
 	// Each PoP hands the client its own view: local neighbor plus the
 	// remote PoP's neighbor via the backbone.
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "both views converge", func() bool {
+	waitFor(t, 5*time.Second, "both views converge", func() bool {
 		return len(c.RoutesFor("amsix", probe)) == 2 && len(c.RoutesFor("seattle", probe)) == 2
 	})
 	// Next hops at each PoP come from that PoP's own local pool.
@@ -94,7 +94,7 @@ func TestClientAtTwoPoPsSimultaneously(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := popA.platform.Topology()
-	waitFor(t, "both announcements propagate", func() bool {
+	waitFor(t, 5*time.Second, "both announcements propagate", func() bool {
 		return topo.Reachable(10000, pfx("184.164.224.0/24")) &&
 			topo.Reachable(1000, pfx("184.164.225.0/24"))
 	})
@@ -113,7 +113,7 @@ func TestTunnelDropWithdrawsRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := popA.platform.Topology()
-	waitFor(t, "announcement out", func() bool {
+	waitFor(t, 5*time.Second, "announcement out", func() bool {
 		return topo.Reachable(1000, pfx("184.164.224.0/24"))
 	})
 	// The tunnel dies (laptop closed, VPN dropped): the platform must
@@ -121,7 +121,7 @@ func TestTunnelDropWithdrawsRoutes(t *testing.T) {
 	if err := c.CloseTunnel("amsix"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "announcement withdrawn after tunnel drop", func() bool {
+	waitFor(t, 5*time.Second, "announcement withdrawn after tunnel drop", func() bool {
 		rt := topo.RouteAt(1000, pfx("184.164.224.0/24"))
 		if rt == nil {
 			return true
@@ -148,7 +148,7 @@ func TestRouteRefreshRedumpsTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "initial routes", func() bool { return len(c.RoutesFor("amsix", probe)) >= 1 })
+	waitFor(t, 5*time.Second, "initial routes", func() bool { return len(c.RoutesFor("amsix", probe)) >= 1 })
 
 	pc, err := c.conn("amsix")
 	if err != nil {
@@ -166,7 +166,7 @@ func TestRouteRefreshRedumpsTables(t *testing.T) {
 	if _, err := pc.transport().Control().Write(refresh); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "table re-dump after refresh", func() bool {
+	waitFor(t, 5*time.Second, "table re-dump after refresh", func() bool {
 		return pc.sess.UpdatesIn.Load() > before
 	})
 }

@@ -21,14 +21,16 @@ const expASN = 61574
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+// waitFor polls cond until it holds, failing the test after within. A
+// test waits on p.quiesced (Platform.Quiesce), then asserts exact state.
+func waitFor(t *testing.T, within time.Duration, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(quiesceEvery)
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
@@ -158,7 +160,7 @@ func TestClientSeesRoutesViaAddPath(t *testing.T) {
 	// Both neighbors announce a tier-1 prefix: the client must see two
 	// paths for it, one per neighbor, with local-pool next hops.
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "two paths for the probe prefix", func() bool {
+	waitFor(t, 5*time.Second, "two paths for the probe prefix", func() bool {
 		return len(c.RoutesFor("amsix", probe)) == 2
 	})
 	ids := map[uint32]bool{}
@@ -188,7 +190,7 @@ func TestAnnouncementPropagatesIntoInternet(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := p.Topology()
-	waitFor(t, "announcement reaches a distant stub", func() bool {
+	waitFor(t, 5*time.Second, "announcement reaches a distant stub", func() bool {
 		return topo.Reachable(10020, pfx("184.164.224.0/24"))
 	})
 	rt := topo.RouteAt(10020, pfx("184.164.224.0/24"))
@@ -213,10 +215,10 @@ func TestSelectiveAnnouncement(t *testing.T) {
 	}
 	topo := p.Topology()
 	// The peer (AS 10000) learns it...
-	waitFor(t, "peer learns the prefix", func() bool {
+	waitFor(t, 5*time.Second, "peer learns the prefix", func() bool {
 		return topo.Reachable(10000, pfx("184.164.224.0/24"))
 	})
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, 5*time.Second, "the platform to quiesce", p.quiesced)
 	// ...but the transit (AS 1000) must not have received it directly:
 	// its path, if any, goes through the peer, not through the platform.
 	if rt := topo.RouteAt(1000, pfx("184.164.224.0/24")); rt != nil {
@@ -239,7 +241,7 @@ func TestHijackBlockedEndToEnd(t *testing.T) {
 	if err := c.Announce("amsix", victim); err != nil {
 		t.Fatal(err) // the session accepts it; enforcement drops it
 	}
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, 5*time.Second, "the platform to quiesce", p.quiesced)
 	rt := p.Topology().RouteAt(1000, victim)
 	for _, hop := range rt.Path {
 		if hop == 47065 {
@@ -258,7 +260,7 @@ func TestDataPlanePerPacketEgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
+	waitFor(t, 5*time.Second, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
 
 	dst := probe.Addr().Next()
 	pkt := &ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP, Src: addr("184.164.224.1"), Dst: dst,
@@ -272,7 +274,7 @@ func TestDataPlanePerPacketEgress(t *testing.T) {
 	if err := c.SendIP("amsix", 0, pkt); err != nil {
 		t.Fatalf("send via best: %v", err)
 	}
-	waitFor(t, "frames forwarded", func() bool {
+	waitFor(t, 5*time.Second, "frames forwarded", func() bool {
 		return pop.Router.Forwarded.Load() >= 3
 	})
 	if err := c.SendIP("amsix", 99, pkt); err == nil {
@@ -290,7 +292,7 @@ func TestAntiSpoofingDropsForgedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) >= 1 })
+	waitFor(t, 5*time.Second, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) >= 1 })
 
 	forwardedBefore := pop.Router.Forwarded.Load()
 	spoofed := &ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
@@ -317,7 +319,7 @@ func TestCLI(t *testing.T) {
 		t.Errorf("show protocols: %q", out)
 	}
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) >= 1 })
+	waitFor(t, 5*time.Second, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) >= 1 })
 	if out := c.CLI("amsix", "show route"); !strings.Contains(out, probe.String()) {
 		t.Errorf("show route missing %s:\n%s", probe, out)
 	}
@@ -391,7 +393,7 @@ func TestInboundTrafficReachesClient(t *testing.T) {
 	if err := c.Announce("amsix", pfx("184.164.224.0/24")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "announcement installed", func() bool {
+	waitFor(t, 5*time.Second, "announcement installed", func() bool {
 		return pop.Router.ExperimentRoutes().Lookup(addr("184.164.224.9")) != nil
 	})
 
@@ -407,7 +409,7 @@ func TestInboundTrafficReachesClient(t *testing.T) {
 		Src: addr("9.9.9.9"), Dst: addr("184.164.224.9"), Payload: []byte("hello")}
 	sender.Send(&ethernet.Frame{Dst: ifc.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 
-	waitFor(t, "packet at client", func() bool {
+	waitFor(t, 5*time.Second, "packet at client", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return got == 1
@@ -461,7 +463,7 @@ func TestForeignNextHopRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := addr("184.164.226.9")
-	waitFor(t, "exp2's route installed", func() bool {
+	waitFor(t, 5*time.Second, "exp2's route installed", func() bool {
 		path := pop.Router.ExperimentRoutes().Lookup(dst)
 		return path != nil && path.Peer == "exp2"
 	})
@@ -471,7 +473,7 @@ func TestForeignNextHopRefused(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sender.Send(&ethernet.Frame{Dst: ifc.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
 	}
-	waitFor(t, "neighbor traffic for exp2's prefix at exp2's tap", func() bool { return got2.Load() == 3 })
+	waitFor(t, 5*time.Second, "neighbor traffic for exp2's prefix at exp2's tap", func() bool { return got2.Load() == 3 })
 	if n := got1.Load(); n != 0 {
 		t.Fatalf("exp1 received %d frames for exp2's prefix", n)
 	}
@@ -494,13 +496,13 @@ func TestTunnelAddressUnregisteredWhenTunnelCloses(t *testing.T) {
 	send := func() { sender.Send(&ethernet.Frame{Dst: ifc.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Marshal()}) }
 
 	send()
-	waitFor(t, "packet for the tunnel address at the client", func() bool { return got.Load() == 1 })
+	waitFor(t, 5*time.Second, "packet for the tunnel address at the client", func() bool { return got.Load() == 1 })
 
 	if err := c.CloseTunnel("amsix"); err != nil {
 		t.Fatal(err)
 	}
 	r := pop.Router
-	waitFor(t, "the closed tunnel's address to be refused as unroutable", func() bool {
+	waitFor(t, 5*time.Second, "the closed tunnel's address to be refused as unroutable", func() bool {
 		before := r.DroppedNoRoute.Load()
 		start := time.Now()
 		send()
@@ -524,7 +526,7 @@ func TestPingViaChosenNeighbor(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
+	waitFor(t, 5*time.Second, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
 
 	// Echo probes return because the stand-in neighbor edge answers for
 	// any destination and routes replies back to the tunnel address.

@@ -15,9 +15,11 @@
 package peering
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,10 +82,9 @@ type PlatformConfig struct {
 	// queries and post-hoc forensics. The caller opens the store
 	// (history.Open) and the platform adopts it; Close closes it.
 	History *history.Store
-	// TE, when set, supplies defaults for closed-loop traffic
-	// engineering: the anycast prefix, per-PoP load targets, and the
-	// synthetic client population the catchment is measured against.
-	// NewTEController merges these with its own config argument.
+	// TE configures closed-loop traffic engineering: the anycast
+	// prefix, per-PoP load targets, and the synthetic client population
+	// the catchment is measured against. NewTEController reads it.
 	TE *TEConfig
 	// Logf receives platform event logs.
 	Logf func(format string, args ...any)
@@ -116,6 +117,7 @@ type Platform struct {
 	// with; WaitMonitorDrained compares it with the emitter's accepted
 	// count.
 	monitored atomic.Uint64
+	still     atomic.Uint64 // what quiesced saw on its previous call
 
 	// teController is the most recent NewTEController result: the
 	// /v1/catchment query resolves for the population it steers.
@@ -143,17 +145,15 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		creds:      make(tunnel.Credentials),
 		proposals:  make(map[string]*Proposal),
 	}
-	// One goroutine consumes every router's BMP-style event feed for the
-	// life of the platform: the history store, when configured, appends
-	// the durable timeline, and the event sink gets a copy. History
-	// ingestion is non-blocking on its own bounded queue, so a slow disk
-	// drops history (with accounting) instead of stalling the feed.
+	// One goroutine consumes every router's BMP-style event feed: the
+	// history store appends it, the event sink gets a copy. When it falls
+	// behind (a slow disk), the emitter's queue — the only one — drops.
 	p.monitorDone = make(chan struct{})
 	go func() {
 		defer close(p.monitorDone)
 		for e := range p.monitor.Events() {
 			if cfg.History != nil {
-				cfg.History.Observe(e)
+				cfg.History.Append(e)
 			}
 			p.sinkMu.RLock()
 			sink := p.eventSink
@@ -222,10 +222,8 @@ func (p *Platform) History() *history.Store { return p.cfg.History }
 
 // WaitMonitorDrained blocks until the monitor goroutine has handed
 // every event accepted so far to the history store and the event sink
-// (or the timeout lapses), for tests and report generation that read
-// monitoring state right after control-plane churn. With a history
-// store configured it also waits for the store to apply its share of
-// the feed, so queries issued next see the same events.
+// (or the timeout lapses), for readers of monitoring state right after
+// control-plane churn.
 func (p *Platform) WaitMonitorDrained(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for p.monitored.Load() < p.monitor.Accepted() {
@@ -234,10 +232,61 @@ func (p *Platform) WaitMonitorDrained(timeout time.Duration) bool {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if p.cfg.History != nil {
-		return p.cfg.History.Drain(time.Until(deadline))
-	}
 	return true
+}
+
+// quiesceEvery spaces Quiesce's observations: two that agree can miss
+// only a producer stalled longer than this between two messages.
+const quiesceEvery = 5 * time.Millisecond
+
+// Quiesce blocks until the platform is at rest, or ctx is done: two
+// consecutive observations agree that every PoP router is at rest
+// (core.Router.Quiesced), and so is every session whose far end the
+// platform owns (speakers, route servers, in-process clients), no client
+// table changed, and the monitor goroutine has finished every event the
+// emitter accepted. Call it where propagation time would be guessed.
+func (p *Platform) Quiesce(ctx context.Context) error {
+	t := time.NewTicker(quiesceEvery)
+	defer t.Stop()
+	for !p.quiesced() {
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("peering: platform did not quiesce: %w", ctx.Err())
+		case <-t.C:
+		}
+	}
+	return nil
+}
+
+// quiesced is one observation of Quiesce, true when it and the previous
+// one are at rest and agree.
+func (p *Platform) quiesced() bool {
+	sum := p.monitored.Load()
+	quiet := sum == p.monitor.Accepted()
+	for _, name := range p.PoPs() {
+		pop := p.PoP(name)
+		quiet = pop.Router.Quiesced() && quiet
+		pop.mu.Lock()
+		speakers, servers, clients := slices.Clone(pop.speakers), slices.Clone(pop.servers), slices.Clone(pop.clients)
+		pop.mu.Unlock()
+		for _, sp := range speakers {
+			quiet = sp.Session().Quiesced() && quiet
+		}
+		for _, rs := range servers {
+			quiet = rs.Session().Quiesced() && quiet
+		}
+		for _, pc := range clients {
+			if s := pc.session(); s != nil {
+				quiet = s.Quiesced() && quiet
+			}
+			sum += pc.table.Stats().Version
+		}
+	}
+	var sig uint64 // 0: busy; else the sum, shifted, low bit set
+	if quiet {
+		sig = sum<<1 | 1
+	}
+	return p.still.Swap(sig) == sig && quiet
 }
 
 // Close shuts the platform's shared services down: the guard watchdog,

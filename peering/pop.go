@@ -41,6 +41,7 @@ type PoP struct {
 	expHosts     int
 	speakers     []*inet.Speaker
 	servers      []*ixp.RouteServer
+	clients      []*popConn // in-process experiment clients with a tunnel here
 	guardPrev    uint64
 	guardPrevAt  time.Time
 	lastPressure guard.Pressure

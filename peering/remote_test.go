@@ -36,12 +36,12 @@ func TestRemoteClientOverTCP(t *testing.T) {
 	}
 
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes over TCP", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
+	waitFor(t, 5*time.Second, "routes over TCP", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
 
 	if err := c.Announce("amsix", pfx("184.164.224.0/24")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "announcement propagates", func() bool {
+	waitFor(t, 5*time.Second, "announcement propagates", func() bool {
 		return p.Topology().Reachable(1000, pfx("184.164.224.0/24"))
 	})
 	// Data plane across TCP: egress selection and an echo round trip.

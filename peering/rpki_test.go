@@ -63,7 +63,7 @@ func rpkiTestbed(t *testing.T, inj *chaos.Injector) (*Platform, *PoP, *Client, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "PoP RTR client synced", func() bool { return pop.RPKI.Serial() == roas.Serial() })
+	waitFor(t, 5*time.Second, "PoP RTR client synced", func() bool { return pop.RPKI.Serial() == roas.Serial() })
 	return p, pop, NewClient("exp1", key, expASN), roas
 }
 
@@ -91,7 +91,7 @@ func TestROVRejectsInvalidAnnouncement(t *testing.T) {
 	if err := c.Announce("amsix", pfx("184.164.224.0/24")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "valid announcement propagates", func() bool {
+	waitFor(t, 5*time.Second, "valid announcement propagates", func() bool {
 		return p.Topology().Reachable(10020, pfx("184.164.224.0/24"))
 	})
 
@@ -100,7 +100,7 @@ func TestROVRejectsInvalidAnnouncement(t *testing.T) {
 	if err := c.Announce("amsix", pfx("184.164.225.0/24")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, 5*time.Second, "the platform to quiesce", p.quiesced)
 	if p.Topology().Reachable(1000, pfx("184.164.225.0/24")) {
 		t.Fatal("RPKI-Invalid announcement escaped the platform")
 	}
@@ -128,7 +128,7 @@ func TestValidationStateCommunitiesStamped(t *testing.T) {
 	startRPKIClient(t, pop, c)
 
 	probe := inet.PrefixForASN(100) // tier-1 prefix, signed in the testbed
-	waitFor(t, "probe routes arrive", func() bool {
+	waitFor(t, 5*time.Second, "probe routes arrive", func() bool {
 		return len(c.RoutesFor("amsix", probe)) > 0
 	})
 	stateOf := func() (rpki.State, bool) {
@@ -144,7 +144,7 @@ func TestValidationStateCommunitiesStamped(t *testing.T) {
 		}
 		return 0, false
 	}
-	waitFor(t, "Valid stamp on signed route", func() bool {
+	waitFor(t, 5*time.Second, "Valid stamp on signed route", func() bool {
 		st, ok := stateOf()
 		return ok && st == rpki.Valid
 	})
@@ -154,7 +154,7 @@ func TestValidationStateCommunitiesStamped(t *testing.T) {
 	// held route flips Valid -> Invalid purely over the RTR session.
 	roas.Add(rpki.ROA{Prefix: probe, ASN: 64111})
 	roas.Revoke(rpki.ROA{Prefix: probe, ASN: 100})
-	waitFor(t, "stamp flips to Invalid over live RTR", func() bool {
+	waitFor(t, 5*time.Second, "stamp flips to Invalid over live RTR", func() bool {
 		st, ok := stateOf()
 		return ok && st == rpki.Invalid
 	})
@@ -164,7 +164,7 @@ func TestValidationStateCommunitiesStamped(t *testing.T) {
 
 	// And back.
 	roas.Add(rpki.ROA{Prefix: probe, ASN: 100})
-	waitFor(t, "stamp flips back to Valid", func() bool {
+	waitFor(t, 5*time.Second, "stamp flips back to Valid", func() bool {
 		st, ok := stateOf()
 		return ok && st == rpki.Valid
 	})
@@ -186,7 +186,7 @@ func TestRTROutageFailsClosed(t *testing.T) {
 	if n := inj.Inject(chaos.Fault{Kind: chaos.LinkFlap, Name: "rtr-amsix", Duration: outage}); n == 0 {
 		t.Fatal("RTR link not registered with the injector")
 	}
-	waitChaos(t, "stale trip after freshness window", func() bool {
+	waitFor(t, 20*time.Second, "stale trip after freshness window", func() bool {
 		return trips.Value() > tripsBefore
 	})
 
@@ -203,7 +203,7 @@ func TestRTROutageFailsClosed(t *testing.T) {
 
 	// A ROA signed during the outage must arrive after reconvergence.
 	roas.Add(rpki.ROA{Prefix: pfx("198.51.100.0/24"), ASN: 64888})
-	waitChaos(t, "reconvergence after the link returns", func() bool {
+	waitFor(t, 20*time.Second, "reconvergence after the link returns", func() bool {
 		return pop.RPKI.Validate(pfx("198.51.100.0/24"), 64888) == rpki.Valid
 	})
 	if pop.RPKI.Serial() != roas.Serial() {

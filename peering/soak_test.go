@@ -48,10 +48,7 @@ func TestSoakQuarterScaleAMSIX(t *testing.T) {
 
 	// Expected paths: 4 RS x 213 members x 10 + 26 bilateral x 10 + 40.
 	want := profile.rs*profile.members*profile.routes + profile.bilateral*profile.routes + 40
-	deadline := time.Now().Add(60 * time.Second)
-	for pop.Router.RouteCount() < want && time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitFor(t, 60*time.Second, "the route servers' and neighbors' tables", p.quiesced)
 	if got := pop.Router.RouteCount(); got != want {
 		t.Fatalf("routes = %d, want %d", got, want)
 	}
@@ -89,11 +86,8 @@ func TestSoakQuarterScaleAMSIX(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every experiment's view converges to best-per-neighbor-prefix.
-		waitDeadline := time.Now().Add(60 * time.Second)
-		for len(c.Routes("amsix")) < expView && time.Now().Before(waitDeadline) {
-			time.Sleep(50 * time.Millisecond)
-		}
-		if got := len(c.Routes("amsix")); got < expView {
+		waitFor(t, 60*time.Second, "the experiment's table dump", p.quiesced)
+		if got := len(c.Routes("amsix")); got != expView {
 			t.Fatalf("experiment %s sees %d routes, want %d", name, got, expView)
 		}
 		// Forward a packet via the transit and via a route server.

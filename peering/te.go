@@ -1,6 +1,7 @@
 package peering
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -14,8 +15,8 @@ import (
 
 // TEConfig configures closed-loop traffic engineering: an anycast
 // prefix, per-PoP load targets, and the population the catchment is
-// measured against. It rides on PlatformConfig.TE (operator defaults,
-// e.g. from peeringd flags) or is passed directly to NewTEController.
+// measured against. It is set on PlatformConfig.TE (by peeringd from
+// its flags), which NewTEController reads.
 type TEConfig struct {
 	// Prefix is the anycast prefix under engineering.
 	Prefix netip.Prefix
@@ -216,30 +217,14 @@ type TEController struct {
 	rounds []catchment.Round
 }
 
-// NewTEController wires a controller: cfg falls back to the platform's
-// PlatformConfig.TE defaults field by field, the population is
-// generated if not supplied, and the client must already have open
-// tunnels and established BGP at every PoP.
-func (p *Platform) NewTEController(client *Client, cfg *TEConfig) (*TEController, error) {
-	base := TEConfig{}
+// NewTEController wires a controller from PlatformConfig.TE (its zero
+// fields select the defaults): the population is generated if not
+// supplied, and the client must already have open tunnels and
+// established BGP at every PoP.
+func (p *Platform) NewTEController(client *Client) (*TEController, error) {
+	var base TEConfig
 	if p.cfg.TE != nil {
 		base = *p.cfg.TE
-	}
-	if cfg != nil {
-		merged := *cfg
-		if !merged.Prefix.IsValid() {
-			merged.Prefix = base.Prefix
-		}
-		if merged.Targets == nil {
-			merged.Targets = base.Targets
-		}
-		if merged.Clients == 0 {
-			merged.Clients = base.Clients
-		}
-		if merged.Seed == 0 {
-			merged.Seed = base.Seed
-		}
-		base = merged
 	}
 	if !base.Prefix.IsValid() {
 		return nil, fmt.Errorf("peering: TE needs a prefix")
@@ -304,33 +289,24 @@ func (p *Platform) NewTEController(client *Client, cfg *TEConfig) (*TEController
 // Populations returns the client placement under engineering.
 func (te *TEController) Populations() []catchment.Population { return te.pops }
 
-// observe resolves the catchment until two consecutive reads agree
-// (announcement propagation through speakers and the mesh is
-// asynchronous), then measures per-PoP load with the traffic model.
+// observe waits for the platform to quiesce (propagation is
+// asynchronous), then resolves the catchment once and measures per-PoP
+// load with the traffic model.
 func (te *TEController) observe() (catchment.Observation, error) {
-	// Give in-flight announcements a moment to reach the speakers before
-	// sampling: session sends and topology injection are asynchronous.
-	time.Sleep(25 * time.Millisecond)
-	deadline := time.Now().Add(te.cfg.SettleTimeout)
-	var prev *catchment.Map
-	for {
-		m, err := te.platform.ResolveCatchments(te.cfg.Prefix, te.pops)
-		if err != nil {
-			return catchment.Observation{}, err
-		}
-		if prev != nil && prev.Equal(m) {
-			load, err := te.measureLoad(m)
-			if err != nil {
-				return catchment.Observation{}, err
-			}
-			return catchment.Observation{Map: m, LoadBps: load}, nil
-		}
-		if time.Now().After(deadline) {
-			return catchment.Observation{}, fmt.Errorf("peering: catchment did not settle in %s", te.cfg.SettleTimeout)
-		}
-		prev = m
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), te.cfg.SettleTimeout)
+	defer cancel()
+	if err := te.platform.Quiesce(ctx); err != nil {
+		return catchment.Observation{}, err
 	}
+	m, err := te.platform.ResolveCatchments(te.cfg.Prefix, te.pops)
+	if err != nil {
+		return catchment.Observation{}, err
+	}
+	load, err := te.measureLoad(m)
+	if err != nil {
+		return catchment.Observation{}, err
+	}
+	return catchment.Observation{Map: m, LoadBps: load}, nil
 }
 
 // measureLoad runs the fluid traffic model for the current catchment:

@@ -63,13 +63,17 @@ func teSoakTopology(t *testing.T) (*inet.Topology, map[string][]uint32) {
 // with a full backbone mesh, one transit session per via, and an
 // approved experiment holding an open tunnel and an established BGP
 // session at every PoP.
-func teSoakTestbed(t *testing.T) (*Platform, *Client, []string) {
+func teSoakTestbed(t *testing.T, reg *telemetry.Registry) (*Platform, *Client, []string) {
 	t.Helper()
 	top, viasByPoP := teSoakTopology(t)
 	anycast := pfx("184.164.224.0/24")
 	p := NewPlatform(PlatformConfig{
 		ASN: 47065, Topology: top,
-		TE: &TEConfig{Prefix: anycast, Clients: 100000, Seed: 47065},
+		TE: &TEConfig{
+			Prefix: anycast, Clients: 100000, Seed: 47065,
+			Tolerance: 0.10, MaxRounds: 64, Patience: 12,
+			SettleTimeout: 30 * time.Second, Registry: reg,
+		},
 	})
 	// The controller re-announces per-PoP versions every round; lift the
 	// default daily budget out of the way (144 would cap the soak).
@@ -135,15 +139,9 @@ func teSoakTestbed(t *testing.T) (*Platform, *Client, []string) {
 // targets using only platform knobs, with every action visible in
 // telemetry and in the policy engine's audit log.
 func TestTEControllerSoak(t *testing.T) {
-	p, c, popNames := teSoakTestbed(t)
 	reg := telemetry.NewRegistry()
-	te, err := p.NewTEController(c, &TEConfig{
-		Tolerance:     0.10,
-		MaxRounds:     64,
-		Patience:      12,
-		SettleTimeout: 30 * time.Second,
-		Registry:      reg,
-	})
+	p, c, popNames := teSoakTestbed(t, reg)
+	te, err := p.NewTEController(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +223,7 @@ func TestTEControllerSoak(t *testing.T) {
 	// initial announcement fan-out covers every PoP; each steering
 	// action re-announces (or withdraws) at its PoP.
 	anycast := pfx("184.164.224.0/24")
-	waitFor(t, "audit entries for all steering actions", func() bool {
+	waitFor(t, 5*time.Second, "audit entries for all steering actions", func() bool {
 		return len(auditFor(p, anycast)) >= totalActions+len(popNames)
 	})
 	byPoP := make(map[string]int)

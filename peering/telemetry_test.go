@@ -27,7 +27,7 @@ func TestMetricsFromAllSubsystems(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := inet.PrefixForASN(100)
-	waitFor(t, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
+	waitFor(t, 5*time.Second, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) == 2 })
 
 	// The policy engine vets this announcement; exporting it rewrites
 	// next hops and pushes RIB churn.
@@ -41,7 +41,7 @@ func TestMetricsFromAllSubsystems(t *testing.T) {
 	if err := c.SendIP("amsix", 1, pkt); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "frame forwarded", func() bool { return pop.Router.Forwarded.Load() >= 1 })
+	waitFor(t, 5*time.Second, "frame forwarded", func() bool { return pop.Router.Forwarded.Load() >= 1 })
 
 	live := map[string]bool{}
 	for _, s := range telemetry.Default().Snapshot() {
@@ -94,7 +94,7 @@ func TestMonitorFeedSeesQuickstartScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The router processes the announcement asynchronously.
-	waitFor(t, "experiment announce observed", func() bool {
+	waitFor(t, 5*time.Second, "experiment announce observed", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return expAnnounce
