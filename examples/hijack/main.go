@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
@@ -92,7 +93,7 @@ func main() {
 	if err := c.Announce("amsix", victim); err != nil {
 		log.Fatal(err)
 	}
-	waitReach(topo, 1001, victim)
+	waitReach(platform, topo, 1001, victim)
 	before := len(topo.ChoosersOf(victim, 1000))
 	fmt.Printf("baseline: /24 announced at amsix, catchment via AS1000 = %d ASes\n", before)
 
@@ -101,7 +102,7 @@ func main() {
 	if err := c.Announce("seattle", specific); err != nil {
 		log.Fatal(err)
 	}
-	waitReach(topo, 1000, specific)
+	waitReach(platform, topo, 1000, specific)
 	diverted := len(topo.ChoosersOf(specific, 1001))
 	fmt.Printf("controlled hijack: /25 announced at seattle, %d ASes now route the /25 via AS1001\n", diverted)
 	if diverted == 0 {
@@ -113,7 +114,7 @@ func main() {
 	if err := c.Announce("amsix", foreign); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	settle(platform)
 	if rt := topo.RouteAt(1000, foreign); rt != nil {
 		for _, hop := range rt.Path {
 			if hop == 47065 {
@@ -142,7 +143,7 @@ func main() {
 	if err := c.Announce("seattle", probe); err != nil {
 		log.Fatal(err)
 	}
-	waitReach(topo, 10040, probe)
+	waitReach(platform, topo, 10040, probe) // both PoPs' announcements settled
 	baseline := topo.RouteAt(10040, probe)
 	fmt.Printf("baseline path from AS10040: %v\n", baseline.Path)
 	// Poison the transit the stub's provider currently uses; paths
@@ -158,14 +159,14 @@ func main() {
 	if err := c.Withdraw("seattle", probe, 0); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	settle(platform)
 	if err := c.Announce("amsix", probe, peering.WithPoison(poisonTarget)); err != nil {
 		log.Fatal(err)
 	}
 	if err := c.Announce("seattle", probe, peering.WithPoison(poisonTarget)); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
+	settle(platform)
 	after := topo.RouteAt(10040, probe)
 	if after == nil {
 		fmt.Printf("poisoning AS%d: AS10040 has NO path left — it depended entirely on the poisoned AS\n", poisonTarget)
@@ -323,11 +324,20 @@ func mustPoP(p *peering.Platform, name, pool, lan, id string) *peering.PoP {
 	return pop
 }
 
-func waitReach(topo *inet.Topology, asn uint32, prefix netip.Prefix) {
-	deadline := time.Now().Add(5 * time.Second)
-	for !topo.Reachable(asn, prefix) && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+// settle waits until every announcement and withdrawal made so far has
+// propagated: the platform is at rest.
+func settle(p *peering.Platform) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := p.Quiesce(ctx); err != nil {
+		log.Fatal(err)
 	}
+}
+
+// waitReach settles the platform and requires that asn then routes to
+// prefix.
+func waitReach(p *peering.Platform, topo *inet.Topology, asn uint32, prefix netip.Prefix) {
+	settle(p)
 	if !topo.Reachable(asn, prefix) {
 		log.Fatalf("AS%d never learned %s", asn, prefix)
 	}

@@ -485,9 +485,10 @@ func appendMPUnreach(b []byte, nlri []NLRI, addPath bool) []byte {
 
 // parseAttrs decodes the path attribute block of an UPDATE. as4 selects
 // 4-octet AS_PATH decoding; addPath controls MP NLRI path-ID decoding.
-// It returns the attributes plus any IPv6 NLRI / withdrawals carried in
-// MP_REACH/MP_UNREACH.
-func parseAttrs(data []byte, as4, addPath bool) (*PathAttrs, []NLRI, []NLRI, error) {
+// It returns a freshly allocated attribute set, and the IPv6 NLRI and
+// withdrawals carried in MP_REACH/MP_UNREACH appended to mpReach and
+// mpUnreach.
+func parseAttrs(data []byte, as4, addPath bool, mpReach, mpUnreach []NLRI) (*PathAttrs, []NLRI, []NLRI, error) {
 	// The set and the backing of a one-segment AS_PATH — nearly every
 	// path there is — come from one allocation.
 	box := &struct {
@@ -495,7 +496,6 @@ func parseAttrs(data []byte, as4, addPath bool) (*PathAttrs, []NLRI, []NLRI, err
 		seg   [1]ASPathSegment
 	}{}
 	a := &box.attrs
-	var mpReach, mpUnreach []NLRI
 	var as4Path []ASPathSegment
 	seen := make(map[uint8]bool)
 	for len(data) > 0 {
@@ -594,14 +594,14 @@ func parseAttrs(data []byte, as4, addPath bool) (*PathAttrs, []NLRI, []NLRI, err
 				})
 			}
 		case AttrMPReach:
-			nh, nlri, err := parseMPReach(body, addPath)
+			nh, nlri, err := parseMPReach(body, addPath, mpReach)
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			a.MPNextHop = nh
 			mpReach = nlri
 		case AttrMPUnreach:
-			nlri, err := parseMPUnreach(body, addPath)
+			nlri, err := parseMPUnreach(body, addPath, mpUnreach)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -660,7 +660,8 @@ func mergeAS4Path(asPath, as4Path []ASPathSegment) []ASPathSegment {
 	return merged
 }
 
-func parseMPReach(body []byte, addPath bool) (netip.Addr, []NLRI, error) {
+// parseMPReach decodes an MP_REACH_NLRI body, appending its routes to dst.
+func parseMPReach(body []byte, addPath bool, dst []NLRI) (netip.Addr, []NLRI, error) {
 	if len(body) < 5 {
 		return netip.Addr{}, nil, notif(ErrCodeUpdate, ErrSubMalformedAttrs)
 	}
@@ -678,11 +679,13 @@ func parseMPReach(body []byte, addPath bool) (netip.Addr, []NLRI, error) {
 		nh = netip.AddrFrom16([16]byte(body[4 : 4+16]))
 	}
 	rest := body[4+nhLen+1:] // skip reserved byte
-	nlri, err := decodeNLRIList(rest, addPath, true)
+	nlri, err := appendNLRIList(dst, rest, addPath, true)
 	return nh, nlri, err
 }
 
-func parseMPUnreach(body []byte, addPath bool) ([]NLRI, error) {
+// parseMPUnreach decodes an MP_UNREACH_NLRI body, appending its routes
+// to dst.
+func parseMPUnreach(body []byte, addPath bool, dst []NLRI) ([]NLRI, error) {
 	if len(body) < 3 {
 		return nil, notif(ErrCodeUpdate, ErrSubMalformedAttrs)
 	}
@@ -691,5 +694,5 @@ func parseMPUnreach(body []byte, addPath bool) ([]NLRI, error) {
 	if afi != AFIIPv6 || safi != SAFIUnicast {
 		return nil, fmt.Errorf("bgp: unsupported AFI/SAFI %d/%d", afi, safi)
 	}
-	return decodeNLRIList(body[3:], addPath, true)
+	return appendNLRIList(dst, body[3:], addPath, true)
 }

@@ -440,8 +440,9 @@ func TestNetPipeTransport(t *testing.T) {
 
 // decodeBlock decodes a contiguous concatenation of framed BGP messages
 // — the wire image of one batched write (Session.SendBatch). It returns
-// the messages decoded before the first error, if any; a trailing
-// partial frame is an error.
+// the messages decoded before the first error, if any, each UPDATE
+// copied out of the frameReader that lends it; a trailing partial frame
+// is an error.
 func decodeBlock(data []byte, opts *codecOpts) ([]Message, error) {
 	var msgs []Message
 	f := &frameReader{r: bytes.NewReader(data)}
@@ -452,6 +453,9 @@ func decodeBlock(data []byte, opts *codecOpts) ([]Message, error) {
 		}
 		if err != nil {
 			return msgs, err
+		}
+		if u, ok := m.(*Update); ok {
+			m = keep(u)
 		}
 		msgs = append(msgs, m)
 	}

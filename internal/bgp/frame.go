@@ -16,11 +16,23 @@ import (
 //
 // A yielded body aliases the buffer and is valid only until the next
 // call: the message decoders copy everything they keep.
+//
+// Every UPDATE decodes into the one Update the reader owns, so a
+// session's receive path allocates nothing per message but the
+// attribute set it hands over. The yielded Update and its lists are
+// lent: valid until the next call, which overwrites them.
 type frameReader struct {
 	r    io.Reader
 	buf  [MaxMessageLen]byte
 	off  int // start of the unread bytes
 	fill int // end of the bytes read so far
+
+	// update is the Update every UPDATE decodes into. lists backs its
+	// Withdrawn, NLRI, MPReach and MPUnreach, in that order, at the
+	// largest size a message has needed so far: at most what one
+	// MaxMessageLen message carries.
+	update Update
+	lists  [4][]NLRI
 }
 
 // next returns the type and body of the next message. A stream that
@@ -57,11 +69,20 @@ func (f *frameReader) next() (typ uint8, body []byte, err error) {
 	}
 }
 
-// readMessage reads and decodes the next message.
+// readMessage reads and decodes the next message. An UPDATE is lent
+// (see frameReader).
 func (f *frameReader) readMessage(opts *codecOpts) (Message, error) {
 	typ, body, err := f.next()
 	if err != nil {
 		return nil, err
 	}
-	return decodeBody(typ, body, opts)
+	u := &f.update
+	u.Withdrawn, u.NLRI, u.MPReach, u.MPUnreach = f.lists[0], f.lists[1], f.lists[2], f.lists[3]
+	msg, err := decodeBody(typ, body, opts, u)
+	for i, l := range [...][]NLRI{u.Withdrawn, u.NLRI, u.MPReach, u.MPUnreach} {
+		if cap(l) > cap(f.lists[i]) {
+			f.lists[i] = l
+		}
+	}
+	return msg, err
 }

@@ -49,6 +49,18 @@ func errClass(err error) string {
 	}
 }
 
+// frameStream frames msgs back to back.
+func frameStream(t testing.TB, opts *codecOpts, msgs ...Message) []byte {
+	var stream []byte
+	for _, m := range msgs {
+		var err error
+		if stream, err = appendMessage(stream, m, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return stream
+}
+
 // sampleStream frames one message of every kind, with every attribute
 // the decoders copy out of the frame.
 func sampleStream(t testing.TB, opts *codecOpts) []byte {
@@ -62,7 +74,7 @@ func sampleStream(t testing.TB, opts *codecOpts) []byte {
 		MPNextHop:        ip("2001:db8::1"),
 		Unknown:          []UnknownAttr{{Flags: FlagOptional | FlagTransitive, Type: 99, Data: []byte("opaque-bytes")}},
 	}
-	msgs := []Message{
+	return frameStream(t, opts,
 		&Open{Version: Version, ASN: 65002, HoldTime: 90, BGPID: ip("10.0.0.2"), Caps: &Capabilities{
 			AS4: 65002, RouteRefresh: true, MP: []AFISAFI{IPv4Unicast, IPv6Unicast},
 			AddPath: map[AFISAFI]uint8{IPv4Unicast: AddPathSendReceive},
@@ -76,28 +88,19 @@ func sampleStream(t testing.TB, opts *codecOpts) []byte {
 		EndOfRIB(IPv4Unicast),
 		EndOfRIB(IPv6Unicast),
 		&Notification{Code: ErrCodeCease, Subcode: CeaseOutOfResources, Data: []byte("why")},
-	}
-	var stream []byte
-	for _, m := range msgs {
-		var err error
-		if stream, err = appendMessage(stream, m, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return stream
+	)
 }
 
 // TestFrameReaderDecodesDoNotAliasBuffer: nothing a decoded message
 // holds points into the frame buffer — scribbling over every consumed
-// byte after each decode leaves the messages equal to what the
+// byte once a message is yielded leaves it equal to what the
 // one-message-at-a-time reference decodes from a pristine copy.
 func TestFrameReaderDecodesDoNotAliasBuffer(t *testing.T) {
 	opts := &codecOpts{as4: true, addPathV4: true, addPathV6: true}
 	stream := sampleStream(t, opts)
 	ref := bytes.NewReader(stream)
 	f := &frameReader{r: &chunkReader{data: append([]byte(nil), stream...), cuts: []byte{0, 3, 40, 1}}}
-	var got []Message
-	for {
+	for i := 0; ; i++ {
 		m, err := f.readMessage(opts)
 		if err == io.EOF {
 			break
@@ -105,12 +108,9 @@ func TestFrameReaderDecodesDoNotAliasBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range f.buf[:f.off] {
-			f.buf[i] = 0xAA
+		for j := range f.buf[:f.off] {
+			f.buf[j] = 0xAA
 		}
-		got = append(got, m)
-	}
-	for i, m := range got {
 		want, err := readMessage(ref, opts)
 		if err != nil {
 			t.Fatalf("reference decode of message %d: %v", i, err)
@@ -120,13 +120,17 @@ func TestFrameReaderDecodesDoNotAliasBuffer(t *testing.T) {
 		}
 	}
 	if ref.Len() != 0 {
-		t.Fatalf("frame reader yielded %d messages, the stream holds more", len(got))
+		t.Fatalf("frame reader stopped with %d bytes of the stream undecoded", ref.Len())
 	}
 }
 
 // compareWithReference decodes stream once through a frameReader fed in
 // chunks and once with readMessage a message at a time, and requires
-// the same messages and the same terminal condition.
+// the same messages and the same terminal condition. Each message is
+// compared when it is yielded, through the frameReader's reused Update,
+// against a fresh decode: a list or attribute set left over from an
+// earlier message, or an empty list where the fresh decode has none,
+// fails it.
 func compareWithReference(t *testing.T, stream, cuts []byte, opts *codecOpts) {
 	t.Helper()
 	ref := bytes.NewReader(stream)
@@ -162,6 +166,20 @@ func FuzzFrameReader(f *testing.F) {
 	bad := append([]byte(nil), stream...)
 	bad[HeaderLen+10+16] = 0 // a broken marker in the second message
 	f.Add(bad, []byte{4})
+	// Streams that reuse the reader's Update across kinds of UPDATE: a
+	// withdrawal after an announcement, an End-of-RIB after each, and
+	// an IPv6 MP UPDATE after an IPv4 one.
+	a := baseAttrsASN(65001)
+	a.Communities = []Community{NewCommunity(65001, 7)}
+	a6 := baseAttrsASN(65001)
+	a6.MPNextHop = ip("2001:db8::1")
+	v4 := []NLRI{{Prefix: pfx("203.0.113.0/24"), ID: 1}, {Prefix: pfx("198.51.100.0/24"), ID: 2}}
+	v6 := []NLRI{{Prefix: pfx("2001:db8:1::/48"), ID: 3}}
+	f.Add(frameStream(f, opts, &Update{Attrs: a, NLRI: v4}, &Update{Withdrawn: v4[:1]}), []byte{0})
+	f.Add(frameStream(f, opts, &Update{Attrs: a, NLRI: v4}, EndOfRIB(IPv4Unicast),
+		&Update{Withdrawn: v4}, EndOfRIB(IPv6Unicast)), []byte{5, 1})
+	f.Add(frameStream(f, opts, &Update{Attrs: a, NLRI: v4, Withdrawn: v4[1:]}, &Update{Attrs: a6, MPReach: v6},
+		&Update{Attrs: &PathAttrs{}, MPUnreach: v6}), []byte{2})
 	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		compareWithReference(t, data, cuts, opts)
 	})

@@ -20,7 +20,7 @@ func TestDecodeRandomBytesNeverPanics(t *testing.T) {
 				t.Errorf("decodeBody(type %d, %d bytes) panicked: %v", typ%6, len(body), r)
 			}
 		}()
-		decodeBody(typ%6, body, opts)
+		decodeBody(typ%6, body, opts, new(Update))
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 5000}); err != nil {
@@ -37,7 +37,7 @@ func TestParseAttrsRandomBytesNeverPanics(t *testing.T) {
 				t.Errorf("parseAttrs(%d bytes) panicked: %v", len(body), r)
 			}
 		}()
-		parseAttrs(body, as4, addPath)
+		parseAttrs(body, as4, addPath, nil, nil)
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 5000}); err != nil {

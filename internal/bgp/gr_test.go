@@ -44,7 +44,7 @@ func TestEndOfRIBRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg, err := decodeBody(b[18], b[19:], opts)
+		msg, err := decodeBody(b[18], b[19:], opts, new(Update))
 		if err != nil {
 			t.Fatalf("%v: decode: %v", fam, err)
 		}

@@ -190,13 +190,17 @@ func errMessageTooLong(total int) error {
 	return fmt.Errorf("bgp: message length %d exceeds maximum %d", total, MaxMessageLen)
 }
 
-// decodeBody decodes a message payload of the given type.
-func decodeBody(typ uint8, body []byte, opts *codecOpts) (Message, error) {
+// decodeBody decodes a message payload of the given type. An UPDATE is
+// decoded into u (see decodeUpdate), which is then the message returned.
+func decodeBody(typ uint8, body []byte, opts *codecOpts, u *Update) (Message, error) {
 	switch typ {
 	case MsgOpen:
 		return decodeOpen(body)
 	case MsgUpdate:
-		return decodeUpdate(body, opts)
+		if err := decodeUpdate(u, body, opts); err != nil {
+			return nil, err
+		}
+		return u, nil
 	case MsgNotification:
 		if len(body) < 2 {
 			return nil, notif(ErrCodeHeader, ErrSubBadLength)
@@ -242,42 +246,55 @@ func decodeOpen(body []byte) (*Open, error) {
 	return m, nil
 }
 
-func decodeUpdate(body []byte, opts *codecOpts) (*Update, error) {
+// decodeUpdate decodes an UPDATE body into m, overwriting all of it.
+// Each NLRI list is decoded into the backing of m's own, truncated to
+// length zero: a caller that hands in the same m every time lends that
+// backing and, once it is large enough, allocates nothing for the lists.
+// A list the message does not carry comes out nil, as from a zero m.
+// Attrs is always a freshly allocated set.
+func decodeUpdate(m *Update, body []byte, opts *codecOpts) error {
+	withdrawn, nlri, mpReach, mpUnreach := m.Withdrawn[:0], m.NLRI[:0], m.MPReach[:0], m.MPUnreach[:0]
+	*m = Update{}
 	if len(body) < 4 {
-		return nil, notif(ErrCodeUpdate, ErrSubMalformedAttrs)
+		return notif(ErrCodeUpdate, ErrSubMalformedAttrs)
 	}
 	wdLen := int(binary.BigEndian.Uint16(body[0:2]))
 	if len(body) < 2+wdLen+2 {
-		return nil, notif(ErrCodeUpdate, ErrSubMalformedAttrs)
+		return notif(ErrCodeUpdate, ErrSubMalformedAttrs)
 	}
-	withdrawn, err := decodeNLRIList(body[2:2+wdLen], opts.addPathV4, false)
+	withdrawn, err := appendNLRIList(withdrawn, body[2:2+wdLen], opts.addPathV4, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	attrLen := int(binary.BigEndian.Uint16(body[2+wdLen : 4+wdLen]))
 	if len(body) < 4+wdLen+attrLen {
-		return nil, notif(ErrCodeUpdate, ErrSubMalformedAttrs)
+		return notif(ErrCodeUpdate, ErrSubMalformedAttrs)
 	}
 	attrBytes := body[4+wdLen : 4+wdLen+attrLen]
 	nlriBytes := body[4+wdLen+attrLen:]
 
-	m := &Update{Withdrawn: withdrawn}
 	if attrLen > 0 {
-		attrs, mpReach, mpUnreach, err := parseAttrs(attrBytes, opts.as4, opts.addPathV6)
+		m.Attrs, mpReach, mpUnreach, err = parseAttrs(attrBytes, opts.as4, opts.addPathV6, mpReach, mpUnreach)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m.Attrs, m.MPReach, m.MPUnreach = attrs, mpReach, mpUnreach
 	}
 	if len(nlriBytes) > 0 {
-		nlri, err := decodeNLRIList(nlriBytes, opts.addPathV4, false)
-		if err != nil {
-			return nil, err
+		if nlri, err = appendNLRIList(nlri, nlriBytes, opts.addPathV4, false); err != nil {
+			return err
 		}
-		m.NLRI = nlri
 		if m.Attrs == nil || !m.Attrs.HasOrigin || m.Attrs.ASPath == nil || !m.Attrs.NextHop.IsValid() {
-			return nil, notif(ErrCodeUpdate, ErrSubMissingWellKnown)
+			return notif(ErrCodeUpdate, ErrSubMissingWellKnown)
 		}
 	}
-	return m, nil
+	m.Withdrawn, m.NLRI, m.MPReach, m.MPUnreach = orNil(withdrawn), orNil(nlri), orNil(mpReach), orNil(mpUnreach)
+	return nil
+}
+
+// orNil returns l, or nil when l is empty.
+func orNil(l []NLRI) []NLRI {
+	if len(l) == 0 {
+		return nil
+	}
+	return l
 }

@@ -35,7 +35,17 @@ func readMessage(r io.Reader, opts *codecOpts) (Message, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	return decodeBody(typ, body, opts)
+	return decodeBody(typ, body, opts, new(Update))
+}
+
+// keep copies an Update that a session or frameReader lends into one
+// the caller owns: the NLRI lists are copied, and the attribute set is
+// the callee's already.
+func keep(u *Update) *Update {
+	c := *u
+	c.Withdrawn, c.NLRI = slices.Clone(u.Withdrawn), slices.Clone(u.NLRI)
+	c.MPReach, c.MPUnreach = slices.Clone(u.MPReach), slices.Clone(u.MPUnreach)
+	return &c
 }
 
 // roundTrip marshals and re-decodes a message with the given options.
@@ -460,7 +470,7 @@ func TestDuplicateAttributeRejected(t *testing.T) {
 	attrs = append(attrs, OriginEGP)
 	body := []byte{0, 0, 0, byte(len(attrs))}
 	body = append(body, attrs...)
-	_, err := decodeBody(MsgUpdate, body, &codecOpts{})
+	_, err := decodeBody(MsgUpdate, body, &codecOpts{}, new(Update))
 	if err == nil {
 		t.Error("duplicate attribute accepted")
 	}

@@ -11,7 +11,7 @@ func mraiPair(t *testing.T, mrai time.Duration, recv chan *Update) (receiver, se
 	t.Helper()
 	return startPair(t,
 		Config{LocalASN: 65001, RemoteASN: 65002, LocalID: ip("10.0.0.1"),
-			OnUpdate: func(u *Update) { recv <- u }},
+			OnUpdate: func(u *Update) { recv <- keep(u) }},
 		Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2"), MRAI: mrai},
 	)
 }

@@ -55,7 +55,7 @@ func FuzzParseAttrs(f *testing.F) {
 	f.Add(marshalAttrs(a, true, []NLRI{{Prefix: pfx("2001:db8::/32"), ID: 3}}, nil, true), true, true)
 
 	f.Fuzz(func(t *testing.T, data []byte, as4, addPath bool) {
-		attrs, _, _, err := parseAttrs(data, as4, addPath)
+		attrs, _, _, err := parseAttrs(data, as4, addPath, nil, nil)
 		if err != nil || attrs == nil {
 			return
 		}

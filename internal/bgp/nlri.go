@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // PathID identifies one of several paths for the same prefix on a session
@@ -88,13 +89,14 @@ func decodeNLRI(data []byte, addPath, v6 bool) (NLRI, int, error) {
 	return n, off + nbytes, nil
 }
 
-// decodeNLRIList parses a sequence of NLRI entries occupying all of data.
-func decodeNLRIList(data []byte, addPath, v6 bool) ([]NLRI, error) {
+// appendNLRIList appends the NLRI entries occupying all of data to dst
+// and returns the extended slice.
+func appendNLRIList(dst []NLRI, data []byte, addPath, v6 bool) ([]NLRI, error) {
 	if len(data) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	// Pre-count the entries so a packed thousand-route block decodes
-	// into one exactly-sized allocation. Malformed data only skews the
+	// into at most one allocation. Malformed data only skews the
 	// capacity; the decode loop below reports the error.
 	count := 0
 	for off := 0; off < len(data); count++ {
@@ -106,14 +108,14 @@ func decodeNLRIList(data []byte, addPath, v6 bool) ([]NLRI, error) {
 		}
 		off += 1 + (int(data[off])+7)/8
 	}
-	out := make([]NLRI, 0, count)
+	dst = slices.Grow(dst, count)
 	for len(data) > 0 {
 		n, used, err := decodeNLRI(data, addPath, v6)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out = append(out, n)
+		dst = append(dst, n)
 		data = data[used:]
 	}
-	return out, nil
+	return dst, nil
 }

@@ -256,7 +256,7 @@ func TestSendBatchSemanticEquality(t *testing.T) {
 		sa, _ := startPair(t,
 			Config{LocalASN: 65001, RemoteASN: 65002, LocalID: ip("10.0.0.1")},
 			Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2"),
-				OnUpdate: func(u *Update) { mu.Lock(); recv = append(recv, u); mu.Unlock() }},
+				OnUpdate: func(u *Update) { mu.Lock(); recv = append(recv, keep(u)); mu.Unlock() }},
 		)
 		in := build()
 		if batched {

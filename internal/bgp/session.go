@@ -85,6 +85,11 @@ type Config struct {
 
 	// OnUpdate is called for each received UPDATE while Established.
 	// End-of-RIB markers are not passed here; see OnEndOfRIB.
+	//
+	// The Update and its NLRI lists are lent until OnUpdate returns: the
+	// session decodes every UPDATE into the same one, so a callback that
+	// keeps the Update or a list past its return must copy it. Attrs is
+	// a freshly allocated set the callback owns and may keep.
 	OnUpdate func(*Update)
 	// OnEndOfRIB is called when the peer signals End-of-RIB for a
 	// family (RFC 4724): its initial re-advertisement after a restart

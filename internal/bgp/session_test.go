@@ -71,7 +71,7 @@ func TestSessionUpdateExchange(t *testing.T) {
 	recv := make(chan *Update, 1)
 	_, sb := startPair(t,
 		Config{LocalASN: 65001, RemoteASN: 65002, LocalID: ip("10.0.0.1"),
-			OnUpdate: func(u *Update) { recv <- u }},
+			OnUpdate: func(u *Update) { recv <- keep(u) }},
 		Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2")},
 	)
 	u := &Update{
@@ -106,7 +106,7 @@ func TestSessionAddPathNegotiation(t *testing.T) {
 	sa, sb := startPair(t,
 		Config{LocalASN: 65001, RemoteASN: 65002, LocalID: ip("10.0.0.1"),
 			AddPath:  map[AFISAFI]uint8{IPv4Unicast: AddPathReceive},
-			OnUpdate: func(u *Update) { recv <- u }},
+			OnUpdate: func(u *Update) { recv <- keep(u) }},
 		Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2"),
 			AddPath: map[AFISAFI]uint8{IPv4Unicast: AddPathSend}},
 	)
@@ -239,7 +239,7 @@ func TestMRAIPacesReadvertisements(t *testing.T) {
 	recv := make(chan *Update, 64)
 	sa, sb := startPair(t,
 		Config{LocalASN: 65001, RemoteASN: 65002, LocalID: ip("10.0.0.1"),
-			OnUpdate: func(u *Update) { recv <- u }},
+			OnUpdate: func(u *Update) { recv <- keep(u) }},
 		Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2"),
 			MRAI: 200 * time.Millisecond},
 	)
@@ -296,7 +296,7 @@ func TestMRAIWithdrawalsImmediate(t *testing.T) {
 	recv := make(chan *Update, 16)
 	_, sb := startPair(t,
 		Config{LocalASN: 65001, RemoteASN: 65002, LocalID: ip("10.0.0.1"),
-			OnUpdate: func(u *Update) { recv <- u }},
+			OnUpdate: func(u *Update) { recv <- keep(u) }},
 		Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2"),
 			MRAI: time.Hour},
 	)
@@ -406,7 +406,7 @@ func TestSessionPureTwoOctet(t *testing.T) {
 	recv := make(chan *Update, 1)
 	sa, sb := startPair(t,
 		Config{LocalASN: 65001, RemoteASN: 65002, LocalID: ip("10.0.0.1"),
-			DisableAS4: true, OnUpdate: func(u *Update) { recv <- u }},
+			DisableAS4: true, OnUpdate: func(u *Update) { recv <- keep(u) }},
 		Config{LocalASN: 65002, RemoteASN: 65001, LocalID: ip("10.0.0.2"),
 			DisableAS4: true},
 	)

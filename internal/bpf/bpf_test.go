@@ -326,3 +326,8 @@ func PacketCounter(name string, counts *ArrayMap) (*Program, error) {
 
 // SetClock overrides the timestamp source.
 func (p *Program) SetClock(c Clock) { p.clock = c }
+
+// Stats returns cumulative run/drop/abort counts.
+func (p *Program) Stats() (runs, drops, aborts uint64) {
+	return p.runs.Load(), p.drops.Load(), p.aborts.Load()
+}

@@ -30,11 +30,6 @@ func Load(name string, insns []Insn, maps []Map) (*Program, error) {
 	return &Program{Name: name, insns: insns, maps: maps, clock: MonotonicClock, verdicts: newVerdictCounters(name)}, nil
 }
 
-// Stats returns cumulative run/drop/abort counts.
-func (p *Program) Stats() (runs, drops, aborts uint64) {
-	return p.runs.Load(), p.drops.Load(), p.aborts.Load()
-}
-
 // Run executes the program over pkt and returns its verdict. A packet
 // load out of bounds aborts (VerdictAborted), which callers must treat as
 // a drop — the fail-closed behavior the paper requires of enforcement

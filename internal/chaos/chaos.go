@@ -193,13 +193,6 @@ func (in *Injector) RegisterLink(name, pop string, down, up func()) {
 	in.metrics.links.Set(int64(n))
 }
 
-// Events returns a copy of the injection log.
-func (in *Injector) Events() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.events...)
-}
-
 // match reports whether a target's tags satisfy the fault's selectors.
 func match(f Fault, class, name, pop string) bool {
 	if f.Class != "" && f.Class != class {

@@ -241,3 +241,10 @@ func TestNilInjectorIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Events returns a copy of the injection log.
+func (in *Injector) Events() []Event {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return append([]Event(nil), in.events...)
+}

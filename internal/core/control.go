@@ -35,7 +35,8 @@ const meshExpFlag bgp.PathID = 1 << 31
 // (rib.Table.AddBatch/WithdrawBatch), and all resulting exports leave
 // as one block per destination class (exportCollector).
 //
-// The decoded UPDATE belongs to this function: its attribute set is
+// The decoded UPDATE and its NLRI lists are lent by the session until
+// this returns; its attribute set belongs to this function: it is
 // stored as is, shared by every route the UPDATE carries, and never
 // written again once stored.
 func (r *Router) handleNeighborUpdate(n *Neighbor, u *bgp.Update) {
@@ -561,12 +562,18 @@ func (r *Router) dumpTablesToExperiment(e *expConn) {
 // different announcements for the same prefix to different neighbors.
 func (r *Router) handleExperimentUpdate(e *expConn, u *bgp.Update) {
 	r.updatesProcessed.Add(1)
-	for _, w := range append(append([]bgp.NLRI(nil), u.Withdrawn...), u.MPUnreach...) {
+	withdraw := func(w bgp.NLRI) {
 		r.emit(telemetry.Event{
 			Kind: telemetry.EventRouteMonitoring, Peer: "exp:" + e.name,
 			Prefix: w.Prefix, PathID: uint32(w.ID), Withdraw: true,
 		})
 		r.withdrawExperimentRoute(e.name, w.Prefix, w.ID, true)
+	}
+	for _, w := range u.Withdrawn {
+		withdraw(w)
+	}
+	for _, w := range u.MPUnreach {
+		withdraw(w)
 	}
 	process := func(nlri bgp.NLRI, attrs *bgp.PathAttrs) {
 		if attrs == nil {

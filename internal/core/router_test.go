@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/pipe"
 	"repro/internal/policy"
 	"repro/internal/rib"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -54,7 +56,7 @@ func newTestPeer(t *testing.T, conn *pipe.Conn, localASN, remoteASN uint32, id s
 		Families: []bgp.AFISAFI{bgp.IPv4Unicast, bgp.IPv6Unicast},
 		OnUpdate: func(u *bgp.Update) {
 			p.mu.Lock()
-			p.updates = append(p.updates, u)
+			p.updates = append(p.updates, keep(u))
 			p.mu.Unlock()
 		},
 		OnEstablished: func() { close(p.estCh) },
@@ -68,6 +70,15 @@ func newTestPeer(t *testing.T, conn *pipe.Conn, localASN, remoteASN uint32, id s
 	p.sess = bgp.NewSession(conn, cfg)
 	go p.sess.Run()
 	return p
+}
+
+// keep copies an UPDATE the session lends to OnUpdate so the peer can
+// hold it: the NLRI lists are copied, the attribute set is the callee's.
+func keep(u *bgp.Update) *bgp.Update {
+	c := *u
+	c.Withdrawn, c.NLRI = slices.Clone(u.Withdrawn), slices.Clone(u.NLRI)
+	c.MPReach, c.MPUnreach = slices.Clone(u.MPReach), slices.Clone(u.MPUnreach)
+	return &c
 }
 
 func (p *testPeer) waitEstablished() {
@@ -704,6 +715,8 @@ func TestNeighborRateLimit(t *testing.T) {
 		t.Fatal("rate limit on unknown neighbor accepted")
 	}
 
+	dropped := telemetry.Default().Counter("bpf_verdicts_total", telemetry.L("prog", prog.Name), telemetry.L("verdict", "drop"))
+	dropsBefore := dropped.Value()
 	delivered := int(f.n2Ifc.RxFrames.Load())
 	for i := 0; i < 10; i++ {
 		x1ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
@@ -712,8 +725,7 @@ func TestNeighborRateLimit(t *testing.T) {
 	if got != 3 {
 		t.Errorf("delivered %d frames under a 3-packet limit", got)
 	}
-	_, drops, _ := prog.Stats()
-	if drops != 7 {
+	if drops := dropped.Value() - dropsBefore; drops != 7 {
 		t.Errorf("limiter drops = %d, want 7", drops)
 	}
 }
@@ -743,7 +755,7 @@ func TestTwoOctetNeighborSeesASTransWithAS4Path(t *testing.T) {
 		DisableAS4: true,
 		OnUpdate: func(u *bgp.Update) {
 			old.mu.Lock()
-			old.updates = append(old.updates, u)
+			old.updates = append(old.updates, keep(u))
 			old.mu.Unlock()
 		},
 		OnEstablished: func() { close(old.estCh) },

@@ -73,14 +73,6 @@ func (f *Frame) Marshal() []byte {
 	return f.AppendTo(make([]byte, 0, HeaderLen+len(f.Payload)))
 }
 
-// Clone returns a deep copy of the frame, including its payload. Use when
-// a decoded frame must outlive the buffer it was decoded from.
-func (f *Frame) Clone() Frame {
-	c := *f
-	c.Payload = append([]byte(nil), f.Payload...)
-	return c
-}
-
 // String summarizes the frame for logs.
 func (f *Frame) String() string {
 	return fmt.Sprintf("%s > %s %s len=%d", f.Src, f.Dst, f.Type, len(f.Payload))

@@ -2,6 +2,8 @@ package ethernet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -158,4 +160,27 @@ func TestChecksumOddLength(t *testing.T) {
 	if got := Checksum([]byte{0xff}); got != ^uint16(0xff00) {
 		t.Errorf("odd-length checksum = %#04x", got)
 	}
+}
+
+// DecodeFromBytes parses the fixed IPv6 header.
+func (ip *IPv6) DecodeFromBytes(data []byte) error {
+	if len(data) < IPv6HeaderLen {
+		return fmt.Errorf("%w: IPv6 header needs %d bytes, have %d", ErrTruncated, IPv6HeaderLen, len(data))
+	}
+	vtf := binary.BigEndian.Uint32(data[0:4])
+	if v := vtf >> 28; v != 6 {
+		return fmt.Errorf("ethernet: IPv6 version field is %d", v)
+	}
+	ip.TrafficClass = uint8(vtf >> 20)
+	ip.FlowLabel = vtf & 0xfffff
+	plen := int(binary.BigEndian.Uint16(data[4:6]))
+	ip.NextHeader = data[6]
+	ip.HopLimit = data[7]
+	ip.Src = netip.AddrFrom16([16]byte(data[8:24]))
+	ip.Dst = netip.AddrFrom16([16]byte(data[24:40]))
+	if IPv6HeaderLen+plen > len(data) {
+		return fmt.Errorf("%w: IPv6 payload length %d, buffer %d", ErrTruncated, plen, len(data)-IPv6HeaderLen)
+	}
+	ip.Payload = data[IPv6HeaderLen : IPv6HeaderLen+plen]
+	return nil
 }

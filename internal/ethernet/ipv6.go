@@ -1,10 +1,6 @@
 package ethernet
 
-import (
-	"encoding/binary"
-	"fmt"
-	"net/netip"
-)
+import "net/netip"
 
 // IPv6HeaderLen is the fixed IPv6 header length.
 const IPv6HeaderLen = 40
@@ -19,29 +15,6 @@ type IPv6 struct {
 	Src          netip.Addr
 	Dst          netip.Addr
 	Payload      []byte
-}
-
-// DecodeFromBytes parses the fixed IPv6 header.
-func (ip *IPv6) DecodeFromBytes(data []byte) error {
-	if len(data) < IPv6HeaderLen {
-		return fmt.Errorf("%w: IPv6 header needs %d bytes, have %d", ErrTruncated, IPv6HeaderLen, len(data))
-	}
-	vtf := binary.BigEndian.Uint32(data[0:4])
-	if v := vtf >> 28; v != 6 {
-		return fmt.Errorf("ethernet: IPv6 version field is %d", v)
-	}
-	ip.TrafficClass = uint8(vtf >> 20)
-	ip.FlowLabel = vtf & 0xfffff
-	plen := int(binary.BigEndian.Uint16(data[4:6]))
-	ip.NextHeader = data[6]
-	ip.HopLimit = data[7]
-	ip.Src = netip.AddrFrom16([16]byte(data[8:24]))
-	ip.Dst = netip.AddrFrom16([16]byte(data[24:40]))
-	if IPv6HeaderLen+plen > len(data) {
-		return fmt.Errorf("%w: IPv6 payload length %d, buffer %d", ErrTruncated, plen, len(data)-IPv6HeaderLen)
-	}
-	ip.Payload = data[IPv6HeaderLen : IPv6HeaderLen+plen]
-	return nil
 }
 
 // AppendTo appends the wire representation (header + payload) to b. It

@@ -141,34 +141,6 @@ func (h *Host) SendIP(pkt *ethernet.IPv4) error {
 	return nil
 }
 
-// Ping sends an ICMP echo request to dst and waits for the reply,
-// returning the round-trip time.
-func (h *Host) Ping(dst netip.Addr, id, seq uint16, timeout time.Duration) (time.Duration, error) {
-	ch := make(chan *ethernet.ICMP, 1)
-	key := echoKey{id, seq}
-	h.echoMu.Lock()
-	h.echoWait[key] = ch
-	h.echoMu.Unlock()
-	defer func() {
-		h.echoMu.Lock()
-		delete(h.echoWait, key)
-		h.echoMu.Unlock()
-	}()
-
-	echo := ethernet.ICMP{Type: ethernet.ICMPEchoRequest, ID: id, Seq: seq, Data: []byte("peering-probe")}
-	start := time.Now()
-	err := h.SendIP(&ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoICMP, Dst: dst, Payload: echo.Marshal()})
-	if err != nil {
-		return 0, err
-	}
-	select {
-	case <-ch:
-		return time.Since(start), nil
-	case <-time.After(timeout):
-		return 0, fmt.Errorf("netsim: ping %s timed out", dst)
-	}
-}
-
 // receive is the interface handler: it learns ARP replies, delivers local
 // IPv4 packets, and forwards others when Forwarding is set.
 func (h *Host) receive(ifc *Interface, frame *ethernet.Frame) {

@@ -637,13 +637,6 @@ func (f *FIB) Set(prefix netip.Prefix, e FIBEntry) {
 	f.trie.Insert(prefix, e)
 }
 
-// Delete removes the entry for prefix.
-func (f *FIB) Delete(prefix netip.Prefix) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.trie.Remove(prefix)
-}
-
 // Lookup returns the longest-prefix-match entry for addr.
 func (f *FIB) Lookup(addr netip.Addr) (FIBEntry, bool) {
 	f.mu.RLock()
@@ -657,11 +650,4 @@ func (f *FIB) Len() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.trie.Len()
-}
-
-// Walk visits every entry.
-func (f *FIB) Walk(fn func(prefix netip.Prefix, e FIBEntry) bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	f.trie.Walk(fn)
 }

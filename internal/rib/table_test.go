@@ -314,3 +314,17 @@ func (t *Table) Prefixes() int {
 	}
 	return n
 }
+
+// Delete removes the entry for prefix.
+func (f *FIB) Delete(prefix netip.Prefix) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.trie.Remove(prefix)
+}
+
+// Walk visits every entry.
+func (f *FIB) Walk(fn func(prefix netip.Prefix, e FIBEntry) bool) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	f.trie.Walk(fn)
+}

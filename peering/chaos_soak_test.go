@@ -117,6 +117,7 @@ func TestChaosSoakAllSessionClassesRecover(t *testing.T) {
 	}
 	p, popA, popB, c, inj := chaosTestbed(t)
 	reg := telemetry.Default()
+	faultsBefore := reg.Value("chaos_faults_total")
 
 	for _, pop := range []*PoP{popA, popB} {
 		if err := c.OpenTunnel(pop); err != nil {
@@ -255,13 +256,10 @@ func TestChaosSoakAllSessionClassesRecover(t *testing.T) {
 	}
 	waitFor(t, 20*time.Second, "post-soak announcement propagates", converged)
 
-	// Telemetry carries the evidence: every fault counted, reconnects
-	// recorded, and the recovery latency histogram populated.
-	if got := len(inj.Events()); got < len(schedule) {
-		t.Errorf("injector logged %d events, want >= %d", got, len(schedule))
-	}
-	if v := reg.Value("chaos_faults_total"); v < float64(len(schedule)) {
-		t.Errorf("chaos_faults_total = %v, want >= %d", v, len(schedule))
+	// Telemetry carries the evidence: every fault of this run counted,
+	// reconnects recorded, and the recovery latency histogram populated.
+	if v := reg.Value("chaos_faults_total") - faultsBefore; v < float64(len(schedule)) {
+		t.Errorf("chaos_faults_total rose by %v, want >= %d", v, len(schedule))
 	}
 	if v := reg.Value("bgp_reconnects_total"); v < 4 {
 		t.Errorf("bgp_reconnects_total = %v, want >= 4 (neighbor, experiment, tunnel, backbone)", v)

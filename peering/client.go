@@ -177,7 +177,7 @@ func (c *Client) newPopConn(popName string, platformASN uint32, tun *tunnel.Tunn
 	}
 	pc.localIP = netip.MustParseAddr(ipStr)
 	pc.routerAddr = netip.MustParseAddr(rtrStr)
-	tun.OnFrame(pc.handleFrame)
+	tun.OnFrame(pc.frameHandler())
 
 	c.mu.Lock()
 	c.conns[popName] = pc
@@ -382,18 +382,24 @@ func (c *Client) BGPStatus(popName string) bgp.State {
 	return sess.State()
 }
 
-// handleUpdate maintains the client's per-PoP route table.
+// handleUpdate maintains the client's per-PoP route table. u is lent
+// by the session; its attribute set is the callee's, so it is stored as
+// is, shared by every route the UPDATE carries. Nothing writes a client
+// table's attributes.
 func (pc *popConn) handleUpdate(u *bgp.Update) {
-	for _, w := range append(append([]bgp.NLRI(nil), u.Withdrawn...), u.MPUnreach...) {
+	for _, w := range u.Withdrawn {
 		pc.table.Withdraw(w.Prefix, pc.popName, w.ID)
 	}
+	for _, w := range u.MPUnreach {
+		pc.table.Withdraw(w.Prefix, pc.popName, w.ID)
+	}
+	if u.Attrs == nil {
+		return
+	}
 	store := func(nlri bgp.NLRI) {
-		if u.Attrs == nil {
-			return
-		}
 		pc.table.Add(&rib.Path{
 			Prefix: nlri.Prefix, ID: nlri.ID, Peer: pc.popName,
-			Attrs: u.Attrs.Clone(), EBGP: true, Seq: rib.NextSeq(),
+			Attrs: u.Attrs, EBGP: true, Seq: rib.NextSeq(),
 		})
 	}
 	for _, nlri := range u.NLRI {

@@ -22,11 +22,20 @@ func NoExportTo(platformASN, neighborID uint32) bgp.Community {
 	return core.NoExportTo(platformASN, neighborID)
 }
 
+// frameHandler returns the receiver for one tunnel's data-plane frames
+// (Tunnel.OnFrame). The tunnel's read loop calls it one frame at a
+// time, so the IPv4 header it decodes into is that loop's own, and
+// each registration gets a new one: a redialled tunnel never shares it.
+func (pc *popConn) frameHandler() func([]byte) {
+	ip := new(ethernet.IPv4)
+	return func(data []byte) { pc.handleFrame(data, ip) }
+}
+
 // handleFrame processes a data-plane frame arriving from the tunnel:
-// ARP replies feed the resolver, IPv4 packets go to the OnPacket
-// callback along with the source MAC that identifies the delivering
-// neighbor (§3.2.2).
-func (pc *popConn) handleFrame(data []byte) {
+// ARP replies feed the resolver, IPv4 packets are decoded into ip and
+// lent to the OnPacket callback along with the source MAC that
+// identifies the delivering neighbor (§3.2.2).
+func (pc *popConn) handleFrame(data []byte, ip *ethernet.IPv4) {
 	var fr ethernet.Frame
 	if fr.DecodeFromBytes(data) != nil {
 		return
@@ -45,7 +54,6 @@ func (pc *popConn) handleFrame(data []byte) {
 			// to do here.
 		}
 	case ethernet.TypeIPv4:
-		var ip ethernet.IPv4
 		if ip.DecodeFromBytes(fr.Payload) != nil {
 			return
 		}
@@ -67,13 +75,11 @@ func (pc *popConn) handleFrame(data []byte) {
 				}
 			}
 		}
-		cp := ip
-		cp.Payload = append([]byte(nil), ip.Payload...)
 		pc.pktMu.Lock()
 		fn := pc.onPacket
 		pc.pktMu.Unlock()
 		if fn != nil {
-			fn(&cp, fr.Src)
+			fn(ip, fr.Src)
 		}
 	}
 }
@@ -126,6 +132,11 @@ func clientMACFor(pc *popConn) ethernet.MAC {
 // OnPacket installs the receiver for data-plane packets arriving at a
 // PoP. fromNeighbor is the per-neighbor MAC identifying which
 // interconnection delivered the packet.
+//
+// ip is lent until fn returns: the tunnel's read loop decodes every
+// packet into the same header, and ip.Payload aliases the tunnel's read
+// buffer. A receiver that keeps the packet or its payload past its
+// return must copy it.
 func (c *Client) OnPacket(popName string, fn func(ip *ethernet.IPv4, fromNeighbor ethernet.MAC)) error {
 	pc, err := c.conn(popName)
 	if err != nil {

@@ -79,7 +79,7 @@ func (c *Client) redialTunnel(pc *popConn) (net.Conn, error) {
 		tun.Close()
 		return nil, fmt.Errorf("peering: bad tunnel config %q: %v", tun.Payload, err)
 	}
-	tun.OnFrame(pc.handleFrame)
+	tun.OnFrame(pc.frameHandler())
 	pc.stateMu.Lock()
 	pc.tun = tun
 	pc.serverTun = serverTun
