@@ -329,27 +329,45 @@ func appendASPath(b []byte, segs []ASPathSegment, as4 bool) []byte {
 	return b
 }
 
-// parseASPath decodes an AS_PATH or AS4_PATH attribute body, appending
-// the segments to segs.
-func parseASPath(data []byte, as4 bool, segs []ASPathSegment) ([]ASPathSegment, error) {
+// parseASPath decodes an AS_PATH or AS4_PATH attribute body. The
+// segments are carved from segs and their ASNs from asns when those
+// backings are large enough, and from one exactly-sized allocation each
+// otherwise. Every segment's ASNs are capped at their length, so a
+// consumer that appends to one copies out instead of overwriting the
+// next segment. A body without segments yields segs[:0].
+func parseASPath(data []byte, as4 bool, segs []ASPathSegment, asns []uint32) ([]ASPathSegment, error) {
 	width := 2
 	if as4 {
 		width = 4
 	}
-	for len(data) > 0 {
-		if len(data) < 2 {
+	nseg, total := 0, 0
+	for rest := data; len(rest) > 0; nseg++ {
+		if len(rest) < 2 {
 			return nil, notif(ErrCodeUpdate, ErrSubMalformedASPath)
 		}
-		typ, count := data[0], int(data[1])
+		typ, count := rest[0], int(rest[1])
 		if typ != ASSet && typ != ASSequence {
 			return nil, notif(ErrCodeUpdate, ErrSubMalformedASPath)
 		}
-		data = data[2:]
-		if len(data) < count*width {
+		rest = rest[2:]
+		if len(rest) < count*width {
 			return nil, notif(ErrCodeUpdate, ErrSubMalformedASPath)
 		}
-		seg := ASPathSegment{Type: typ, ASNs: make([]uint32, count)}
-		for i := 0; i < count; i++ {
+		rest = rest[count*width:]
+		total += count
+	}
+	if nseg > len(segs) {
+		segs = make([]ASPathSegment, nseg)
+	}
+	if total > len(asns) {
+		asns = make([]uint32, total)
+	}
+	segs, n := segs[:0:nseg], 0
+	for len(data) > 0 {
+		typ, count := data[0], int(data[1])
+		data = data[2:]
+		seg := ASPathSegment{Type: typ, ASNs: asns[n : n+count : n+count]}
+		for i := range seg.ASNs {
 			if as4 {
 				seg.ASNs[i] = binary.BigEndian.Uint32(data[i*4:])
 			} else {
@@ -357,6 +375,7 @@ func parseASPath(data []byte, as4 bool, segs []ASPathSegment) ([]ASPathSegment, 
 			}
 		}
 		data = data[count*width:]
+		n += count
 		segs = append(segs, seg)
 	}
 	return segs, nil
@@ -489,11 +508,18 @@ func appendMPUnreach(b []byte, nlri []NLRI, addPath bool) []byte {
 // withdrawals carried in MP_REACH/MP_UNREACH appended to mpReach and
 // mpUnreach.
 func parseAttrs(data []byte, as4, addPath bool, mpReach, mpUnreach []NLRI) (*PathAttrs, []NLRI, []NLRI, error) {
-	// The set and the backing of a one-segment AS_PATH — nearly every
-	// path there is — come from one allocation.
+	// The set and the backings of a one-segment AS_PATH of up to 8 ASNs
+	// and of up to 4 communities come from one allocation of exactly
+	// 256 B, a size class of its own; the two sizes are what fills that
+	// class, not a measured distribution of real paths and community
+	// lists. A longer path or more communities spill into one more
+	// allocation each. Slices carved from the box are capped at their
+	// length, so appending to one copies out of the box.
 	box := &struct {
 		attrs PathAttrs
 		seg   [1]ASPathSegment
+		asns  [8]uint32
+		comms [4]Community
 	}{}
 	a := &box.attrs
 	var as4Path []ASPathSegment
@@ -534,13 +560,13 @@ func parseAttrs(data []byte, as4, addPath bool, mpReach, mpUnreach []NLRI) (*Pat
 			}
 			a.Origin, a.HasOrigin = body[0], true
 		case AttrASPath:
-			segs, err := parseASPath(body, as4, box.seg[:0])
+			segs, err := parseASPath(body, as4, box.seg[:], box.asns[:])
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			a.ASPath = segs // never nil: an empty AS_PATH is present, not absent
 		case AttrAS4Path:
-			segs, err := parseASPath(body, true, nil)
+			segs, err := parseASPath(body, true, nil, nil)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -579,8 +605,15 @@ func parseAttrs(data []byte, as4, addPath bool, mpReach, mpUnreach []NLRI) (*Pat
 			if alen%4 != 0 {
 				return nil, nil, nil, notif(ErrCodeUpdate, ErrSubAttrLength)
 			}
-			for i := 0; i < alen; i += 4 {
-				a.Communities = append(a.Communities, Community(binary.BigEndian.Uint32(body[i:])))
+			if n := alen / 4; n > 0 {
+				comms := box.comms[:]
+				if n > len(comms) {
+					comms = make([]Community, n)
+				}
+				a.Communities = comms[:n:n]
+				for i := range a.Communities {
+					a.Communities[i] = Community(binary.BigEndian.Uint32(body[4*i:]))
+				}
 			}
 		case AttrLargeCommunity:
 			if alen%12 != 0 {

@@ -361,6 +361,120 @@ func TestAttrsClone(t *testing.T) {
 	}
 }
 
+// TestParseAttrsCarvesCappedBackings round-trips attribute sets through
+// parseAttrs across the sizes that fill and spill its inline backings
+// (8 ASNs, 4 communities), then appends to every slice the decoder
+// carved: each append must copy out, leaving the other fields — the
+// next segment, and what another appender wrote — untouched.
+func TestParseAttrsCarvesCappedBackings(t *testing.T) {
+	seq := func(n int) []uint32 {
+		asns := make([]uint32, n)
+		for i := range asns {
+			asns[i] = uint32(64512 + i)
+		}
+		return asns
+	}
+	comms := func(n int) []Community {
+		var cs []Community
+		for i := 0; i < n; i++ {
+			cs = append(cs, NewCommunity(65000, uint16(i)))
+		}
+		return cs
+	}
+	path := func(asns []uint32) []ASPathSegment { return []ASPathSegment{{Type: ASSequence, ASNs: asns}} }
+	long := seq(300)
+	cases := []struct {
+		name  string
+		path  []ASPathSegment
+		comms []Community
+		want  []ASPathSegment // the decoded path when the encoder splits it
+	}{
+		{name: "empty path", path: []ASPathSegment{}},
+		{name: "1 ASN", path: path(seq(1)), comms: comms(1)},
+		{name: "8 ASNs", path: path(seq(8)), comms: comms(4)},
+		{name: "9 ASNs", path: path(seq(9)), comms: comms(5)},
+		{name: "300 ASNs", path: path(long), comms: comms(64),
+			want: []ASPathSegment{{Type: ASSequence, ASNs: long[:255]}, {Type: ASSequence, ASNs: long[255:]}}},
+		{name: "set and sequence", path: []ASPathSegment{
+			{Type: ASSet, ASNs: []uint32{64600, 64601}},
+			{Type: ASSequence, ASNs: []uint32{64700, 64701, 64702}},
+		}, comms: comms(1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := baseAttrs()
+			in.ASPath, in.Communities = tc.path, tc.comms
+			decode := func() *PathAttrs {
+				t.Helper()
+				got, _, _, err := parseAttrs(marshalAttrs(in, true, nil, nil, false), true, false, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			want := *in
+			if tc.want != nil {
+				want.ASPath = tc.want
+			}
+			got := decode()
+			if !reflect.DeepEqual(got, &want) {
+				t.Fatalf("decoded %+v\nwant    %+v", got, &want)
+			}
+
+			// Two appenders of one slice must not see each other's
+			// element, and neither may overwrite the set.
+			for i := range got.ASPath {
+				a := append(got.ASPath[i].ASNs, 1)
+				b := append(got.ASPath[i].ASNs, 2)
+				if a[len(a)-1] != 1 || b[len(b)-1] != 2 {
+					t.Errorf("appends to segment %d share a backing", i)
+				}
+			}
+			sa := append(got.ASPath, ASPathSegment{Type: ASSet})
+			sb := append(got.ASPath, ASPathSegment{Type: ASSequence})
+			if sa[len(sa)-1].Type != ASSet || sb[len(sb)-1].Type != ASSequence {
+				t.Error("appends to the segment list share a backing")
+			}
+			ca := append(got.Communities, 1)
+			cb := append(got.Communities, 2)
+			if ca[len(ca)-1] != 1 || cb[len(cb)-1] != 2 {
+				t.Error("appends to the communities share a backing")
+			}
+			if !reflect.DeepEqual(got, &want) {
+				t.Fatalf("appending changed the set: %+v\nwant %+v", got, &want)
+			}
+
+			// Shallow copies of one stored set, as the export path makes,
+			// each adding their own community.
+			x, y := *got, *got
+			x.AddCommunity(NewCommunity(1, 1))
+			y.AddCommunity(NewCommunity(2, 2))
+			if x.Communities[len(x.Communities)-1] != NewCommunity(1, 1) {
+				t.Error("AddCommunity on one copy overwrote the other's")
+			}
+			if !reflect.DeepEqual(got, &want) {
+				t.Fatalf("AddCommunity on a copy changed the set: %+v", got)
+			}
+
+			got.PrependAS(65535, 2)
+			if flat := got.ASPathFlat(); len(flat) != len(want.ASPathFlat())+2 || flat[0] != 65535 || flat[1] != 65535 {
+				t.Errorf("after PrependAS: %v", flat)
+			}
+			got.AddCommunity(NewCommunity(3, 3))
+			if n := len(want.Communities); len(got.Communities) != n+1 || !slices.Equal(got.Communities[:n], want.Communities) {
+				t.Errorf("after AddCommunity: %v", got.Communities)
+			}
+			got.ASPath, got.Communities = want.ASPath, want.Communities
+			if !reflect.DeepEqual(got, &want) {
+				t.Errorf("PrependAS/AddCommunity changed another field: %+v", got)
+			}
+			if fresh := decode(); !reflect.DeepEqual(fresh, &want) {
+				t.Errorf("a second decode differs: %+v", fresh)
+			}
+		})
+	}
+}
+
 func TestNLRIPropertyRoundTrip(t *testing.T) {
 	fn := func(addr [4]byte, bits uint8, id uint32, addPath bool) bool {
 		b := int(bits % 33)

@@ -14,9 +14,9 @@ import (
 // TestReceiveAllocs is the receive path's allocation guard: a session
 // decodes every UPDATE into the one Update its frame reader lends to
 // OnUpdate, so a single-route announcement costs only the attribute set
-// it hands over (the set with its one-segment AS_PATH backing, the
-// AS_PATH's ASNs and the communities: 3 allocations) and a withdrawal
-// costs nothing. A real Session reads pre-encoded UPDATEs that the test,
+// it hands over — one allocation, which holds the set together with the
+// backings of its AS_PATH and its communities — and a withdrawal costs
+// nothing. A real Session reads pre-encoded UPDATEs that the test,
 // playing the peer, writes into a pipe. (The race detector instruments
 // allocation; the guard is pinned in CI's plain test job.)
 func TestReceiveAllocs(t *testing.T) {
@@ -67,7 +67,7 @@ func TestReceiveAllocs(t *testing.T) {
 		bytes []byte
 		max   float64
 	}{
-		{"announcement", frameStream(t, opts, announce...), 3},
+		{"announcement", frameStream(t, opts, announce...), 1},
 		{"withdrawal", frameStream(t, opts, withdraw...), 0},
 	}
 	deliver := func(block []byte) {

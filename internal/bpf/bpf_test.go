@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ethernet"
+	"repro/internal/telemetry"
 )
 
 func frame(t *testing.T, typ ethernet.EtherType, payload []byte) []byte {
@@ -112,12 +113,12 @@ func TestRunOutOfBoundsLoadAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	aborted := verdictCount("oob", "aborted")
 	if v := p.Run([]byte{1, 2, 3}); v != VerdictAborted {
 		t.Errorf("verdict %v, want aborted", v)
 	}
-	_, _, aborts := p.Stats()
-	if aborts != 1 {
-		t.Errorf("aborts = %d", aborts)
+	if got := verdictCount("oob", "aborted") - aborted; got != 1 {
+		t.Errorf("bpf_verdicts_total{verdict=aborted} moved by %d, want 1", got)
 	}
 }
 
@@ -271,11 +272,25 @@ func TestRateLimiterStats(t *testing.T) {
 	}
 	p.SetClock(func() uint64 { return 12345 << 30 })
 	pkt := ipv4Frame(t, "10.0.0.1", "10.0.0.2")
-	p.Run(pkt)
-	p.Run(pkt)
-	runs, drops, aborts := p.Stats()
-	if runs != 2 || drops != 1 || aborts != 0 {
-		t.Errorf("stats = %d/%d/%d", runs, drops, aborts)
+	verdicts := []string{"pass", "drop", "aborted"}
+	before := make([]uint64, len(verdicts))
+	for i, v := range verdicts {
+		before[i] = verdictCount("limit", v)
+	}
+	if v := p.Run(pkt); v != VerdictPass {
+		t.Errorf("first packet verdict %v, want pass", v)
+	}
+	if v := p.Run(pkt); v != VerdictDrop {
+		t.Errorf("second packet verdict %v, want drop", v)
+	}
+	for i, v := range verdicts {
+		want := uint64(0)
+		if v != "aborted" {
+			want = 1
+		}
+		if got := verdictCount("limit", v) - before[i]; got != want {
+			t.Errorf("bpf_verdicts_total{verdict=%s} moved by %d, want %d", v, got, want)
+		}
 	}
 }
 
@@ -327,7 +342,8 @@ func PacketCounter(name string, counts *ArrayMap) (*Program, error) {
 // SetClock overrides the timestamp source.
 func (p *Program) SetClock(c Clock) { p.clock = c }
 
-// Stats returns cumulative run/drop/abort counts.
-func (p *Program) Stats() (runs, drops, aborts uint64) {
-	return p.runs.Load(), p.drops.Load(), p.aborts.Load()
+// verdictCount reads the process-wide bpf_verdicts_total series of one
+// program name and verdict.
+func verdictCount(prog, verdict string) uint64 {
+	return telemetry.Default().Counter("bpf_verdicts_total", telemetry.L("prog", prog), telemetry.L("verdict", verdict)).Value()
 }

@@ -3,7 +3,6 @@ package bpf
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
 
 // Program is a verified, runnable filter program. Create with Load.
@@ -14,9 +13,6 @@ type Program struct {
 	insns []Insn
 	maps  []Map
 	clock Clock
-
-	// Runs, Drops, Aborts count executions for observability.
-	runs, drops, aborts atomic.Uint64
 
 	verdicts verdictCounters
 }
@@ -41,7 +37,6 @@ func (p *Program) Run(pkt []byte) Verdict {
 }
 
 func (p *Program) run(pkt []byte) Verdict {
-	p.runs.Add(1)
 	var r [NumRegs]uint64
 	pc := 0
 	for pc < len(p.insns) {
@@ -58,7 +53,6 @@ func (p *Program) run(pkt []byte) Verdict {
 			off := int(r[in.Src]) + int(in.Off)
 			size := map[Op]int{OpLdB: 1, OpLdH: 2, OpLdW: 4}[in.Op]
 			if off < 0 || off+size > len(pkt) {
-				p.aborts.Add(1)
 				return VerdictAborted
 			}
 			switch in.Op {
@@ -119,7 +113,6 @@ func (p *Program) run(pkt []byte) Verdict {
 				r[R0] = p.clock()
 			case HelperMapLookup:
 				if r[R1] >= uint64(len(p.maps)) {
-					p.aborts.Add(1)
 					return VerdictAborted
 				}
 				v, ok := p.maps[r[R1]].Lookup(r[R2])
@@ -131,27 +124,19 @@ func (p *Program) run(pkt []byte) Verdict {
 				}
 			case HelperMapUpdate:
 				if r[R1] >= uint64(len(p.maps)) {
-					p.aborts.Add(1)
 					return VerdictAborted
 				}
 				p.maps[r[R1]].Update(r[R2], r[R3])
 			default:
-				p.aborts.Add(1)
 				return VerdictAborted
 			}
 		case OpExit:
-			v := Verdict(r[R0])
-			if v == VerdictDrop || v == VerdictAborted {
-				p.drops.Add(1)
-			}
-			return v
+			return Verdict(r[R0])
 		default:
-			p.aborts.Add(1)
 			return VerdictAborted
 		}
 	}
 	// Verifier guarantees this is unreachable.
-	p.aborts.Add(1)
 	return VerdictAborted
 }
 

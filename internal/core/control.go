@@ -55,10 +55,11 @@ func (r *Router) handleNeighborUpdate(n *Neighbor, u *bgp.Update) {
 		withdrawn = append(withdrawn[:len(withdrawn):len(withdrawn)], u.MPUnreach...)
 	}
 	if len(withdrawn) > 0 {
-		reqs := make([]rib.WithdrawRequest, len(withdrawn))
-		for i, w := range withdrawn {
-			reqs[i] = rib.WithdrawRequest{Prefix: w.Prefix, Peer: n.Name, ID: w.ID}
+		reqs := col.reqs[:0]
+		for _, w := range withdrawn {
+			reqs = append(reqs, rib.WithdrawRequest{Prefix: w.Prefix, Peer: n.Name, ID: w.ID})
 		}
+		col.reqs = reqs
 		removed := n.Table.WithdrawBatch(reqs)
 		for i, w := range withdrawn {
 			if removed[i] == nil {
@@ -111,12 +112,12 @@ func (r *Router) handleNeighborUpdate(n *Neighbor, u *bgp.Update) {
 		}
 		v4Attrs.NextHop = n.Addr
 	}
-	batch := make([]*rib.Path, 0, count)
+	from := n.peerInfo(n.Addr, remoteID)
+	batch := col.batch[:0]
 	admit := func(nlri bgp.NLRI, attrs *bgp.PathAttrs) {
 		batch = append(batch, &rib.Path{
 			Prefix: nlri.Prefix, ID: nlri.ID, Peer: n.Name, Attrs: attrs,
-			EBGP: true, Seq: rib.NextSeq(),
-			PeerAddr: n.Addr, PeerRouterID: remoteID,
+			EBGP: true, Seq: rib.NextSeq(), From: from,
 		})
 	}
 	for _, nlri := range u.NLRI {
@@ -125,6 +126,7 @@ func (r *Router) handleNeighborUpdate(n *Neighbor, u *bgp.Update) {
 	for _, nlri := range u.MPReach {
 		admit(nlri, v6Attrs)
 	}
+	col.batch = batch
 	n.Table.AddBatch(batch)
 	if r.defaultTable != nil {
 		mirror := make([]*rib.Path, len(batch))
@@ -295,6 +297,9 @@ type exportCollector struct {
 	r         *Router
 	exp, mesh exportList
 	sessions  []*bgp.Session // fan-out scratch
+	// The handled UPDATE's paths and withdrawal requests (scratch).
+	batch []*rib.Path
+	reqs  []rib.WithdrawRequest
 	// Destination existence is checked once per collection so a fan-out
 	// with no experiments (or no mesh peers) costs nothing per route.
 	expChecked, meshChecked bool
@@ -313,7 +318,9 @@ func (r *Router) newCollector() *exportCollector {
 
 func (c *exportCollector) release() {
 	c.flush()
-	*c = exportCollector{exp: c.exp, mesh: c.mesh, sessions: c.sessions}
+	clear(c.batch)
+	clear(c.reqs)
+	*c = exportCollector{exp: c.exp, mesh: c.mesh, sessions: c.sessions, batch: c.batch[:0], reqs: c.reqs[:0]}
 	collectorPool.Put(c)
 }
 

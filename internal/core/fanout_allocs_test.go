@@ -133,11 +133,18 @@ func exportAllocsPerRoute(t *testing.T, experiments int) float64 {
 // route costs the router must not grow with the number of experiments
 // it is exported to — at most a quarter of an allocation per extra
 // experiment (queue and buffer growth that amortizes away), where
-// per-session encoding paid eleven.
+// per-session encoding paid eleven. What it costs at all is bounded
+// too: the decoded attribute set, the stored path and the prefix's new
+// path list are the three allocations a churned route needs, and the
+// bound leaves one for amortized growth.
 func TestExportAllocsFlatInExperiments(t *testing.T) {
+	const maxPerRoute = 4
 	one, eight := exportAllocsPerRoute(t, 1), exportAllocsPerRoute(t, 8)
 	t.Logf("allocations per exported route: %.2f at E=1, %.2f at E=8", one, eight)
 	if slope := (eight - one) / 7; slope > 0.25 {
 		t.Errorf("an extra experiment costs %.2f allocations per route (%.2f at E=8 against %.2f at E=1), want at most 0.25", slope, eight, one)
+	}
+	if worst := max(one, eight); worst > maxPerRoute {
+		t.Errorf("a churned route costs the router %.2f allocations, want at most %d", worst, maxPerRoute)
 	}
 }

@@ -243,20 +243,23 @@ func (r *Router) handleRemoteNeighborRoute(p *meshPeer, nlri bgp.NLRI, attrs *bg
 		r.logf("remote neighbor for %s: %v", globalIP, err)
 		return
 	}
-	stored := attrs.Clone()
+	// Stored sets are never written, so both tables share one shallow
+	// copy with the next hop rewritten.
+	stored := *attrs
 	if nlri.Prefix.Addr().Is4() {
 		stored.NextHop = globalIP // forwarding next hop across the backbone
 	}
 	r.metrics.backboneRewrites.Inc()
+	from := n.from.Load()
 	n.Table.Add(&rib.Path{
-		Prefix: nlri.Prefix, Peer: n.Name, Attrs: stored,
-		EBGP: true, Seq: rib.NextSeq(), PeerAddr: globalIP,
+		Prefix: nlri.Prefix, Peer: n.Name, Attrs: &stored,
+		EBGP: true, Seq: rib.NextSeq(), From: from,
 	})
 	r.syncNeighborRoutesGauge(n)
 	if r.defaultTable != nil {
 		r.defaultTable.Add(&rib.Path{
-			Prefix: nlri.Prefix, Peer: n.Name, Attrs: stored.Clone(),
-			Seq: rib.NextSeq(), PeerAddr: globalIP,
+			Prefix: nlri.Prefix, Peer: n.Name, Attrs: &stored,
+			Seq: rib.NextSeq(), From: from,
 		})
 	}
 	r.exportToExperiments(n, nlri.Prefix, attrs, false)
@@ -287,6 +290,9 @@ func (r *Router) remoteNeighbor(globalIP netip.Addr, id uint32, asn uint32) (*Ne
 		routesGauge: telemetry.Default().Gauge("core_neighbor_routes",
 			telemetry.L("pop", r.cfg.Name), telemetry.L("neighbor", name)),
 	}
+	// A remote neighbor's session context is its global address and no
+	// router ID, fixed for its lifetime.
+	n.from.Store(&rib.PeerInfo{Addr: globalIP})
 	n.Table.EnableAutoSnapshot(r.snapshotEvery())
 	r.publish(func(t *topology) {
 		t.neighbors = withEntry(t.neighbors, name, n)

@@ -130,6 +130,11 @@ type Neighbor struct {
 	// routesGauge publishes Table occupancy (core_neighbor_routes).
 	routesGauge *telemetry.Gauge
 
+	// from is the session context every path learned from the neighbor
+	// shares: set once by remoteNeighbor for a remote neighbor, and kept
+	// by peerInfo for a local session.
+	from atomic.Pointer[rib.PeerInfo]
+
 	// rovStates records the validation state last stamped on each of the
 	// neighbor's routes exported to experiments, so RevalidateExports can
 	// re-export exactly the routes whose state flipped; an entry goes
@@ -138,6 +143,18 @@ type Neighbor struct {
 	// while it is held.
 	rovMu     sync.Mutex
 	rovStates map[netip.Prefix]rpki.State
+}
+
+// peerInfo returns the session context for a local neighbor's paths:
+// one value shared by all of them, replaced only when the session's
+// address or router ID changes (a reconnect can bring another speaker).
+func (n *Neighbor) peerInfo(addr, routerID netip.Addr) *rib.PeerInfo {
+	if pi := n.from.Load(); pi != nil && pi.Addr == addr && pi.RouterID == routerID {
+		return pi
+	}
+	pi := &rib.PeerInfo{Addr: addr, RouterID: routerID}
+	n.from.Store(pi)
+	return pi
 }
 
 // Session returns the neighbor's current BGP session (nil for remote

@@ -878,3 +878,89 @@ func TestLoopedNeighborPathDropped(t *testing.T) {
 		t.Error("the looped path reached the experiment")
 	}
 }
+
+// sessionContexts returns the distinct session contexts of t's paths.
+func sessionContexts(t *rib.Table) map[*rib.PeerInfo]bool {
+	seen := map[*rib.PeerInfo]bool{}
+	t.Walk(func(_ netip.Prefix, paths []*rib.Path) bool {
+		for _, p := range paths {
+			seen[p.From] = true
+		}
+		return true
+	})
+	return seen
+}
+
+// TestSessionPathsSharePeerInfo: every path learned from one session —
+// over several UPDATEs, several per UPDATE, and in the default-table
+// mirror — points at one PeerInfo carrying the session's address and
+// router ID; another session's paths point at another. Remote
+// neighbors' paths share one too, keyed by their global address.
+func TestSessionPathsSharePeerInfo(t *testing.T) {
+	t.Run("local", func(t *testing.T) {
+		f := newFig1With(t, func(c *Config) { c.MaintainDefaultTable = true })
+		f.n1.announce("192.168.0.0/24", []uint32{n1ASN}, "192.0.2.1")
+		f.n1.announce("192.168.1.0/24", []uint32{n1ASN, 64999}, "192.0.2.1")
+		if err := f.n1.sess.Send(&bgp.Update{
+			Attrs: &bgp.PathAttrs{Origin: bgp.OriginIGP, HasOrigin: true, NextHop: ip("192.0.2.1"),
+				ASPath: []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{n1ASN}}}},
+			NLRI: []bgp.NLRI{{Prefix: pfx("10.9.0.0/24")}, {Prefix: pfx("172.16.0.0/24")}, {Prefix: pfx("203.0.113.0/24")}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
+		waitFor(t, 5*time.Second, "routes in the neighbor tables", func() bool {
+			return f.nbr1.Table.PathCount() == 5 && f.nbr2.Table.PathCount() == 1
+		})
+		want := map[*Neighbor]rib.PeerInfo{
+			f.nbr1: {Addr: ip("192.0.2.1"), RouterID: ip("192.0.2.1")},
+			f.nbr2: {Addr: ip("192.0.2.2"), RouterID: ip("192.0.2.2")},
+		}
+		shared := map[*rib.PeerInfo]bool{}
+		for n, w := range want {
+			seen := sessionContexts(n.Table)
+			if len(seen) != 1 {
+				t.Fatalf("%s's paths point at %d session contexts, want 1", n.Name, len(seen))
+			}
+			for pi := range seen {
+				if pi == nil || *pi != w {
+					t.Fatalf("%s's session context is %v, want %v", n.Name, pi, w)
+				}
+				shared[pi] = true
+			}
+		}
+		if len(shared) != 2 {
+			t.Error("two sessions share one session context")
+		}
+		waitFor(t, 5*time.Second, "the default table", func() bool { return f.router.DefaultTable().PathCount() == 6 })
+		for pi := range sessionContexts(f.router.DefaultTable()) {
+			if !shared[pi] {
+				t.Errorf("a default-table path points at its own session context %v", pi)
+			}
+		}
+	})
+	t.Run("remote", func(t *testing.T) {
+		f := newFig5(t)
+		f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "198.18.0.1")
+		f.n2.announce("192.168.1.0/24", []uint32{n2ASN}, "198.18.0.1")
+		var remote *Neighbor
+		waitFor(t, 5*time.Second, "the remote neighbor's routes at e1", func() bool {
+			for _, n := range f.e1.Neighbors() {
+				if n.Remote && n.Table.PathCount() == 2 {
+					remote = n
+					return true
+				}
+			}
+			return false
+		})
+		seen := sessionContexts(remote.Table)
+		if len(seen) != 1 {
+			t.Fatalf("the remote neighbor's paths point at %d session contexts, want 1", len(seen))
+		}
+		for pi := range seen {
+			if pi == nil || pi.Addr != remote.GlobalIP {
+				t.Errorf("the remote neighbor's session context is %v, want address %s", pi, remote.GlobalIP)
+			}
+		}
+	})
+}

@@ -22,11 +22,9 @@ type Path struct {
 	// Peer identifies the session the route was learned from (vBGP uses
 	// the neighbor name).
 	Peer string
-	// PeerAddr is the peer's transport address, the final decision
-	// tiebreaker.
-	PeerAddr netip.Addr
-	// PeerRouterID is the peer's BGP identifier.
-	PeerRouterID netip.Addr
+	// From holds the constants of the session the route was learned
+	// from, shared by every path of that session; nil when unknown.
+	From *PeerInfo
 	// EBGP records whether the route came over an external session.
 	EBGP bool
 	// IGPMetric is the cost to reach the BGP next hop.
@@ -45,6 +43,18 @@ type Path struct {
 	// layer owns the penalty state; the flag is bookkeeping for
 	// visibility and export filtering.
 	Damped bool
+}
+
+// PeerInfo is what the decision process knows of the session a path
+// was learned from. One value is shared by all of that session's paths
+// and is never modified: a session whose router ID changes gets a new
+// one.
+type PeerInfo struct {
+	// Addr is the peer's transport address, the final decision
+	// tiebreaker.
+	Addr netip.Addr
+	// RouterID is the peer's BGP identifier.
+	RouterID netip.Addr
 }
 
 var seqCounter atomic.Uint64
@@ -68,6 +78,15 @@ func (p *Path) MED() uint32 {
 		return p.Attrs.MED
 	}
 	return 0
+}
+
+// peer returns what is known of the path's session, the zero PeerInfo
+// when nothing is.
+func (p *Path) peer() PeerInfo {
+	if p.From == nil {
+		return PeerInfo{}
+	}
+	return *p.From
 }
 
 // NextHop returns the protocol next hop: the IPv4 NEXT_HOP or the
@@ -142,10 +161,11 @@ func better(a, b *Path) bool {
 	if a.Seq != b.Seq {
 		return a.Seq < b.Seq
 	}
-	if a.PeerRouterID != b.PeerRouterID {
-		return a.PeerRouterID.Less(b.PeerRouterID)
+	pa, pb := a.peer(), b.peer()
+	if pa.RouterID != pb.RouterID {
+		return pa.RouterID.Less(pb.RouterID)
 	}
-	return a.PeerAddr.Less(b.PeerAddr)
+	return pa.Addr.Less(pb.Addr)
 }
 
 func originRank(p *Path) uint8 {

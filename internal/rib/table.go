@@ -196,21 +196,25 @@ func (t *Table) Add(p *Path) *Path {
 
 // AddBatch inserts every path, grouping them by shard so each shard's
 // write lock is taken at most once per call instead of once per path,
-// with churn counters updated once per batch.
+// with churn counters updated once per batch. A batch within one shard
+// — every one-route UPDATE — is installed without grouping.
 func (t *Table) AddBatch(paths []*Path) {
 	if len(paths) == 0 {
 		return
 	}
 	fresh := 0
-	if t.shardBits == 0 {
-		sh := t.shards[0]
+	add := func(i int, group []*Path) {
+		sh := t.shardAt(i)
 		t.lockWrite(sh)
-		for _, p := range paths {
+		for _, p := range group {
 			if t.addLocked(sh, p) == nil {
 				fresh++
 			}
 		}
 		sh.mu.Unlock()
+	}
+	if i, ok := t.oneShard(len(paths), func(k int) netip.Prefix { return paths[k].Prefix }); ok {
+		add(i, paths)
 	} else {
 		buckets := make([][]*Path, len(t.shards)+1)
 		for _, p := range paths {
@@ -218,17 +222,9 @@ func (t *Table) AddBatch(paths []*Path) {
 			buckets[i] = append(buckets[i], p)
 		}
 		for i, group := range buckets {
-			if len(group) == 0 {
-				continue
+			if len(group) > 0 {
+				add(i, group)
 			}
-			sh := t.shardAt(i)
-			t.lockWrite(sh)
-			for _, p := range group {
-				if t.addLocked(sh, p) == nil {
-					fresh++
-				}
-			}
-			sh.mu.Unlock()
 		}
 	}
 	t.adds.Add(uint64(len(paths)))
@@ -238,6 +234,18 @@ func (t *Table) AddBatch(paths []*Path) {
 		ribPaths.Add(int64(fresh))
 	}
 	t.maybeSnapshot(0)
+}
+
+// oneShard returns the shard all n prefixes fall in, prefix(k) being
+// the k-th, and whether they do all fall in one.
+func (t *Table) oneShard(n int, prefix func(k int) netip.Prefix) (int, bool) {
+	i := t.shardIndex(prefix(0))
+	for k := 1; k < n; k++ {
+		if t.shardIndex(prefix(k)) != i {
+			return 0, false
+		}
+	}
+	return i, true
 }
 
 // addLocked inserts p under sh's write lock and returns the replaced
@@ -286,31 +294,41 @@ type WithdrawRequest struct {
 
 // WithdrawBatch removes the named paths, taking each shard's write lock
 // at most once. The result is aligned with reqs: removed[i] is the path
-// removed for reqs[i], or nil if it was not present.
+// removed for reqs[i], or nil if it was not present. Like AddBatch, it
+// groups requests by shard only when they span several.
 func (t *Table) WithdrawBatch(reqs []WithdrawRequest) []*Path {
 	removed := make([]*Path, len(reqs))
 	if len(reqs) == 0 {
 		return removed
 	}
-	buckets := make([][]int, len(t.shards)+1)
-	for ri, r := range reqs {
-		i := t.shardIndex(r.Prefix)
-		buckets[i] = append(buckets[i], ri)
-	}
 	gone := 0
-	for i, idxs := range buckets {
-		if len(idxs) == 0 {
-			continue
-		}
+	// remove withdraws n requests under shard i's write lock, req(k)
+	// being the index of the k-th.
+	remove := func(i, n int, req func(k int) int) {
 		sh := t.shardAt(i)
 		t.lockWrite(sh)
-		for _, ri := range idxs {
+		for k := range n {
+			ri := req(k)
 			r := reqs[ri]
 			if removed[ri] = t.withdrawLocked(sh, r.Prefix, r.Peer, r.ID); removed[ri] != nil {
 				gone++
 			}
 		}
 		sh.mu.Unlock()
+	}
+	if i, ok := t.oneShard(len(reqs), func(k int) netip.Prefix { return reqs[k].Prefix }); ok {
+		remove(i, len(reqs), func(k int) int { return k })
+	} else {
+		buckets := make([][]int, len(t.shards)+1)
+		for ri, r := range reqs {
+			i := t.shardIndex(r.Prefix)
+			buckets[i] = append(buckets[i], ri)
+		}
+		for i, idxs := range buckets {
+			if len(idxs) > 0 {
+				remove(i, len(idxs), func(k int) int { return idxs[k] })
+			}
+		}
 	}
 	t.withdraws.Add(uint64(len(reqs)))
 	ribWithdraws.Add(uint64(len(reqs)))

@@ -23,7 +23,7 @@ func path(prefix string, peer string, id bgp.PathID, asns ...uint32) *Path {
 		Prefix: pfx(prefix), ID: id, Peer: peer,
 		Attrs: attrsVia(asns...),
 		EBGP:  true, Seq: NextSeq(),
-		PeerAddr: ip("10.0.0.1"), PeerRouterID: ip("10.0.0.1"),
+		From: &PeerInfo{Addr: ip("10.0.0.1"), RouterID: ip("10.0.0.1")},
 	}
 }
 
@@ -214,10 +214,44 @@ func TestDecisionRouterIDTiebreak(t *testing.T) {
 	a := path("10.0.0.0/24", "a", 0, 65001)
 	b := path("10.0.0.0/24", "b", 0, 65002)
 	b.Seq = a.Seq // force equal age
-	a.PeerRouterID = ip("10.0.0.9")
-	b.PeerRouterID = ip("10.0.0.1")
+	a.From = &PeerInfo{Addr: ip("10.0.0.1"), RouterID: ip("10.0.0.9")}
+	b.From = &PeerInfo{Addr: ip("10.0.0.1"), RouterID: ip("10.0.0.1")}
 	if Best([]*Path{a, b}) != b {
 		t.Error("lower router ID should win")
+	}
+}
+
+// TestDecisionFromTiebreak checks the last two steps of the decision
+// process through the shared session context: a path without one
+// compares as the zero router ID and address, and two sessions that
+// differ only in router ID, or only in address, are told apart by it.
+func TestDecisionFromTiebreak(t *testing.T) {
+	tied := func(from *PeerInfo) *Path {
+		p := path("10.0.0.0/24", "p", 0, 65001)
+		p.Seq, p.From = 1, from
+		return p
+	}
+	low, high := ip("10.0.0.1"), ip("10.0.0.2")
+	for _, tc := range []struct {
+		name      string
+		win, lose *PeerInfo
+	}{
+		{"nil beats a router ID", nil, &PeerInfo{Addr: low, RouterID: low}},
+		{"nil beats an address", nil, &PeerInfo{Addr: low}},
+		{"router ID only", &PeerInfo{Addr: high, RouterID: low}, &PeerInfo{Addr: high, RouterID: high}},
+		{"router ID before address", &PeerInfo{Addr: high, RouterID: low}, &PeerInfo{Addr: low, RouterID: high}},
+		{"address only", &PeerInfo{Addr: low, RouterID: high}, &PeerInfo{Addr: high, RouterID: high}},
+	} {
+		win, lose := tied(tc.win), tied(tc.lose)
+		if Best([]*Path{win, lose}) != win || Best([]*Path{lose, win}) != win {
+			t.Errorf("%s: the wrong path won", tc.name)
+		}
+	}
+	// Neither of two paths without a session context beats the other:
+	// the first one offered stays best.
+	a, b := tied(nil), tied(nil)
+	if better(a, b) || better(b, a) {
+		t.Error("two paths without a session context should tie")
 	}
 }
 
@@ -289,8 +323,8 @@ func TestBestInvariantUnderPermutation(t *testing.T) {
 			p.Attrs.MED, p.Attrs.HasMED = uint32(rng.Intn(50)), true
 			p.EBGP = rng.Intn(2) == 0
 			p.IGPMetric = uint32(rng.Intn(4))
-			p.PeerRouterID = ip(fmt.Sprintf("10.0.0.%d", i+1))
-			p.PeerAddr = p.PeerRouterID
+			id := ip(fmt.Sprintf("10.0.0.%d", i+1))
+			p.From = &PeerInfo{Addr: id, RouterID: id}
 			paths[i] = p
 		}
 		want := Best(paths)
