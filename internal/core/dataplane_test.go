@@ -228,10 +228,10 @@ func TestForwardLeavesSharedBufferIntact(t *testing.T) {
 
 // TestForwardDuringNeighborEstablishment: two goroutines forward through
 // a neighbor while its session establishes and its MAC resolves — the
-// forwarders' own ARP learning, OnEstablished's resolveNeighborMAC and the
-// rate limiter's filter all meet on the neighbor's resolved MAC, which is
-// published through the forwarding snapshot. Every frame is either
-// forwarded or counted no-mac. Run under -race.
+// forwarders' own ARP learning and OnEstablished's resolveNeighborMAC
+// meet on the neighbor's resolved MAC, which is published through the
+// forwarding snapshot. Every frame is either forwarded or counted
+// no-mac. Run under -race.
 func TestForwardDuringNeighborEstablishment(t *testing.T) {
 	nbrLAN, expLAN := netsim.NewSegment("nbr-lan"), netsim.NewSegment("exp-lan")
 	r := NewRouter(Config{Name: "e1-establish", ASN: platformASN, RouterID: ip("198.51.100.1")})
@@ -254,9 +254,6 @@ func TestForwardDuringNeighborEstablishment(t *testing.T) {
 	// The route is there before the session is: forwarding starts first.
 	n.Table.Add(&rib.Path{Prefix: pfx("192.168.0.0/24"), Peer: "N1", EBGP: true, Seq: rib.NextSeq(),
 		Attrs: &bgp.PathAttrs{NextHop: ip("192.0.2.1")}})
-	if _, err := r.SetNeighborRateLimit("N1", 1<<40, 40); err != nil {
-		t.Fatal(err)
-	}
 
 	const senders, perSender = 2, 400
 	started := make(chan struct{}, senders)

@@ -269,7 +269,7 @@ func (r *Router) handleRemoteNeighborRoute(p *meshPeer, nlri bgp.NLRI, attrs *bg
 // pool address.
 func (r *Router) remoteNeighbor(globalIP netip.Addr, id uint32, asn uint32) (*Neighbor, error) {
 	name := "remote:" + globalIP.String()
-	if n := r.topo.Load().neighbors[name]; n != nil {
+	if n := r.Neighbor(name); n != nil {
 		return n, nil
 	}
 	r.mu.Lock()

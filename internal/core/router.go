@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bgp"
-	"repro/internal/bpf"
 	"repro/internal/ethernet"
 	"repro/internal/guard"
 	"repro/internal/netsim"
@@ -625,49 +624,27 @@ func (r *Router) resolveNeighborMAC(n *Neighbor) {
 }
 
 // learnNeighborMAC publishes a local neighbor's resolved MAC to the data
-// plane, if it is news.
+// plane, if it is news. Forwarders call it for every frame they resolve
+// the neighbor's MAC for until the MAC is published, so it reads the
+// snapshot first and takes r.mu only when the MAC is news, checking again
+// under the lock.
 func (r *Router) learnNeighborMAC(n *Neighbor, mac ethernet.MAC) {
+	known := func() bool {
+		t := r.topo.Load()
+		return t.byLocalMAC[n.LocalMAC].realMAC == mac && t.byRealMAC[mac] == n
+	}
+	if known() {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t := r.topo.Load(); t.byLocalMAC[n.LocalMAC].realMAC == mac && t.byRealMAC[mac] == n {
+	if known() {
 		return
 	}
 	r.publish(func(t *topology) {
 		t.byLocalMAC = withEntry(t.byLocalMAC, n.LocalMAC, fwdNeighbor{n: n, realMAC: mac})
 		t.byRealMAC = withEntry(t.byRealMAC, mac, n)
 	})
-}
-
-// SetNeighborRateLimit polices traffic the router forwards via one
-// neighbor to at most pps packets per window of 2^windowShift
-// nanoseconds, using a BPF program on the neighbor's egress interface —
-// the per-neighbor rate limiting the paper's data-plane enforcement
-// supports (§3.3). It returns the program so callers can inspect stats.
-func (r *Router) SetNeighborRateLimit(name string, pps uint64, windowShift uint) (*bpf.Program, error) {
-	n := r.Neighbor(name)
-	if n == nil || n.ifc == nil {
-		return nil, fmt.Errorf("core: no local neighbor %s", name)
-	}
-	prog, _, err := bpf.RateLimiter("rate-"+name, pps, windowShift)
-	if err != nil {
-		return nil, err
-	}
-	n.ifc.AddEgressFilter(netsim.FilterFunc(func(data []byte) netsim.Verdict {
-		var fr ethernet.Frame
-		if fr.DecodeFromBytes(data) != nil || fr.Type != ethernet.TypeIPv4 {
-			return netsim.VerdictPass
-		}
-		// Only police frames actually destined to this neighbor (the
-		// interface may be shared, e.g. an IXP fabric).
-		if mac := r.topo.Load().byLocalMAC[n.LocalMAC].realMAC; fr.Dst != mac && !mac.IsZero() {
-			return netsim.VerdictPass
-		}
-		if prog.Run(data) == bpf.VerdictPass {
-			return netsim.VerdictPass
-		}
-		return netsim.VerdictDrop
-	}))
-	return prog, nil
 }
 
 // Neighbor returns the named neighbor, or nil.

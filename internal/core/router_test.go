@@ -13,7 +13,6 @@ import (
 	"repro/internal/pipe"
 	"repro/internal/policy"
 	"repro/internal/rib"
-	"repro/internal/telemetry"
 )
 
 const (
@@ -686,48 +685,6 @@ func TestLookupVia(t *testing.T) {
 		t.Fatal("LookupVia hit on unknown neighbor")
 	}
 	_ = rib.Path{} // keep the rib import for the helper types above
-}
-
-func TestNeighborRateLimit(t *testing.T) {
-	f := newFig1(t)
-	f.n2.announce("192.168.0.0/24", []uint32{n2ASN}, "192.0.2.2")
-	waitFor(t, 5*time.Second, "route", func() bool { return f.nbr2.Table.PathCount() == 1 })
-
-	// Resolve the neighbor MAC first so the limiter can match frames.
-	x1 := netsim.NewHost("X1")
-	x1ifc := x1.AddInterface("tap0", ethernet.MAC{0x0a, 0, 0, 0, 0, 0x01}, pfx("100.65.0.1/24"), f.expLAN)
-	mac, err := x1.Resolve(x1ifc, f.nbr2.LocalIP, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
-		Src: ip("10.1.0.1"), Dst: ip("192.168.0.1")}
-	// Prime the router's ARP for the neighbor by forwarding once before
-	// the limiter is installed.
-	x1ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
-	waitFor(t, 5*time.Second, "first forward", func() bool { return f.router.Forwarded.Load() == 1 })
-
-	prog, err := f.router.SetNeighborRateLimit("N2", 3, 40) // 3 pkts per ~18min window
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.router.SetNeighborRateLimit("ghost", 3, 40); err == nil {
-		t.Fatal("rate limit on unknown neighbor accepted")
-	}
-
-	dropped := telemetry.Default().Counter("bpf_verdicts_total", telemetry.L("prog", prog.Name), telemetry.L("verdict", "drop"))
-	dropsBefore := dropped.Value()
-	delivered := int(f.n2Ifc.RxFrames.Load())
-	for i := 0; i < 10; i++ {
-		x1ifc.Send(&ethernet.Frame{Dst: mac, Type: ethernet.TypeIPv4, Payload: pkt.Marshal()})
-	}
-	got := int(f.n2Ifc.RxFrames.Load()) - delivered
-	if got != 3 {
-		t.Errorf("delivered %d frames under a 3-packet limit", got)
-	}
-	if drops := dropped.Value() - dropsBefore; drops != 7 {
-		t.Errorf("limiter drops = %d, want 7", drops)
-	}
 }
 
 func TestTwoOctetNeighborSeesASTransWithAS4Path(t *testing.T) {

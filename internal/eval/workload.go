@@ -123,14 +123,6 @@ func (g *Generator) Stream(setSize, n int) []UpdateEvent {
 	return out
 }
 
-// Update converts an event into a BGP UPDATE message.
-func (e UpdateEvent) Update() *bgp.Update {
-	if e.Kind == KindWithdraw {
-		return &bgp.Update{Withdrawn: []bgp.NLRI{{Prefix: e.Route.Prefix}}}
-	}
-	return &bgp.Update{Attrs: e.Route.Attrs, NLRI: []bgp.NLRI{{Prefix: e.Route.Prefix}}}
-}
-
 // IXProfile describes one of the paper's exchanges (§4.2).
 type IXProfile struct {
 	Name         string

@@ -125,3 +125,11 @@ func TestIXProfiles(t *testing.T) {
 		t.Error("factor 1 should be identity")
 	}
 }
+
+// Update converts an event into a BGP UPDATE message.
+func (e UpdateEvent) Update() *bgp.Update {
+	if e.Kind == KindWithdraw {
+		return &bgp.Update{Withdrawn: []bgp.NLRI{{Prefix: e.Route.Prefix}}}
+	}
+	return &bgp.Update{Attrs: e.Route.Attrs, NLRI: []bgp.NLRI{{Prefix: e.Route.Prefix}}}
+}

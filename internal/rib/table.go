@@ -655,14 +655,6 @@ func (f *FIB) Set(prefix netip.Prefix, e FIBEntry) {
 	f.trie.Insert(prefix, e)
 }
 
-// Lookup returns the longest-prefix-match entry for addr.
-func (f *FIB) Lookup(addr netip.Addr) (FIBEntry, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	_, e, ok := f.trie.Lookup(addr)
-	return e, ok
-}
-
 // Len returns the number of entries.
 func (f *FIB) Len() int {
 	f.mu.RLock()

@@ -349,6 +349,14 @@ func (t *Table) Prefixes() int {
 	return n
 }
 
+// Lookup returns the longest-prefix-match entry for addr.
+func (f *FIB) Lookup(addr netip.Addr) (FIBEntry, bool) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	_, e, ok := f.trie.Lookup(addr)
+	return e, ok
+}
+
 // Delete removes the entry for prefix.
 func (f *FIB) Delete(prefix netip.Prefix) bool {
 	f.mu.Lock()

@@ -123,7 +123,7 @@ func NewControlPlane(p *Platform, cfg ControlPlaneConfig) (*ControlPlane, error)
 			if p.PoP(pop) == nil {
 				return fmt.Errorf("peering: unknown pop %s", pop)
 			}
-			m.SyncPolicy(p.Engine)
+			p.syncPolicy(m)
 			return nil
 		},
 		Queries: ctlplane.Queries{
@@ -423,7 +423,7 @@ func (a *platformActuator) EnsureExperiment(obj *ctlplane.Object) error {
 	} else {
 		// Spec changed at the same identity: refresh the capability
 		// grant and allocation in place.
-		a.p.Engine.Register(&policy.Experiment{
+		a.p.register(&policy.Experiment{
 			Name: spec.Name, Prefixes: prefixes,
 			ASNs: []uint32{spec.ASN}, Caps: caps,
 		})

@@ -516,3 +516,51 @@ func TestObservedInputsForcePass(t *testing.T) {
 	cp.Reconciler.Kick()
 	waitFor(t, 5*time.Second, "a kick to run a pass", func() bool { return reconcileRuns() > before })
 }
+
+// TestAllocationShrinkRevokesSource: an update that shrinks an
+// experiment's allocation republishes the anti-spoofing program of its
+// open tunnel taps in the same call that re-registers the engine, so the
+// freed prefix's sources drop on the tunnel that was already open
+// (§4.7), while the kept prefix's still pass.
+func TestAllocationShrinkRevokesSource(t *testing.T) {
+	p, pop, cp := quietControlPlane(t, nil, 0)
+	spec := ctlplane.Spec{
+		Name: "shrink", Owner: "o", ASN: expASN,
+		Prefixes:      []string{"184.164.224.0/23"},
+		Announcements: []ctlplane.Announcement{{Prefix: "184.164.224.0/24", PoPs: []string{"amsix"}}},
+	}
+	obj, _, err := cp.Store.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 20*time.Second, "the experiment converged", reconcileQuiet(cp, 1))
+	pc, err := cp.act.runtime("shrink").client.conn("amsix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, freed := addr("184.164.224.1"), addr("184.164.225.1")
+	if got := tapPasses(t, pop, pc, kept, freed); !got[kept] || !got[freed] {
+		t.Fatalf("before the shrink the tap passed %v, want both sources", got)
+	}
+
+	spec.Prefixes = []string{"184.164.224.0/24"}
+	if _, err := cp.Store.Update("shrink", obj.Revision, spec); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 20*time.Second, "the engine holds the shrunk allocation", func() bool {
+		e := p.Engine.Experiment("shrink")
+		return e != nil && len(e.Prefixes) == 1 && e.Prefixes[0] == pfx("184.164.224.0/24")
+	})
+	drops := tapDrops("amsix", "shrink")
+	dropsBefore := drops.Value()
+	got := tapPasses(t, pop, pc, kept, freed)
+	if got[freed] {
+		t.Fatal("the freed prefix still sources traffic on the open tunnel after the shrink")
+	}
+	if !got[kept] {
+		t.Error("the kept prefix's source was dropped after the shrink")
+	}
+	if n := drops.Value() - dropsBefore; n != 1 {
+		t.Errorf("tap counted %d spoofed drops, want 1", n)
+	}
+}

@@ -10,10 +10,12 @@ import (
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/config"
 	"repro/internal/ethernet"
 	"repro/internal/inet"
 	"repro/internal/netsim"
 	"repro/internal/policy"
+	"repro/internal/telemetry"
 )
 
 const expASN = 61574
@@ -295,15 +297,92 @@ func TestAntiSpoofingDropsForgedSource(t *testing.T) {
 	waitFor(t, 5*time.Second, "routes", func() bool { return len(c.RoutesFor("amsix", probe)) >= 1 })
 
 	forwardedBefore := pop.Router.Forwarded.Load()
+	drops := tapDrops("amsix", "exp1")
+	dropsBefore := drops.Value()
 	spoofed := &ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
 		Src: addr("8.8.8.8"), Dst: probe.Addr().Next(), Payload: []byte("spoof")}
 	if err := c.SendIP("amsix", 0, spoofed); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, 5*time.Second, "the tap's spoofed-drop count", func() bool { return drops.Value() == dropsBefore+1 })
 	if pop.Router.Forwarded.Load() != forwardedBefore {
 		t.Error("spoofed packet was forwarded")
 	}
+}
+
+// TestRegistrationChangesReachOpenTaps: every change to an experiment's
+// registration reaches the taps already open — a deployed model that
+// shrinks the allocation drops the freed sources at once, and Forget
+// leaves the tap passing nothing but its own tunnel address (§4.7).
+func TestRegistrationChangesReachOpenTaps(t *testing.T) {
+	p, pop, c := testbed(t)
+	if err := c.OpenTunnel(pop); err != nil {
+		t.Fatal(err)
+	}
+	pc, err := c.conn("amsix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, freed := addr("184.164.224.1"), addr("184.164.225.1")
+	if got := tapPasses(t, pop, pc, kept, freed); !got[kept] || !got[freed] {
+		t.Fatalf("the tap passed %v, want both sources of the /23", got)
+	}
+	p.syncPolicy(config.Model{Experiments: []config.ExperimentSpec{{
+		Name: "exp1", ASNs: []uint32{expASN}, Prefixes: []netip.Prefix{pfx("184.164.224.0/24")}, Approved: true,
+	}}})
+	if got := tapPasses(t, pop, pc, kept, freed); !got[kept] || got[freed] {
+		t.Fatalf("after the deployed /24 the tap passed %v, want only %s", got, kept)
+	}
+	p.Forget("exp1")
+	if got := tapPasses(t, pop, pc, kept, freed); got[kept] || got[freed] {
+		t.Fatalf("after Forget the tap passed %v, want neither source", got)
+	}
+}
+
+// tapPasses sends one IPv4 frame from each source through the client's
+// open tunnel to pop, then one from the tunnel's own address, which the
+// tap always passes. The tap judges a tunnel's frames in order, so once
+// that last frame is on the experiment LAN every earlier one has been
+// judged. It reports which of the sources passed.
+func tapPasses(t *testing.T, pop *PoP, pc *popConn, srcs ...netip.Addr) map[netip.Addr]bool {
+	t.Helper()
+	var mu sync.Mutex
+	seen := map[netip.Addr]bool{}
+	sniffer := netsim.NewInterface("sniffer", ethernet.MAC{0x02, 0xee, 0, 0, 0, 1})
+	sniffer.SetRawHandler(func(_ *netsim.Interface, data []byte) {
+		var fr ethernet.Frame
+		if fr.DecodeFromBytes(data) == nil && fr.Type == ethernet.TypeIPv4 && len(fr.Payload) >= 16 {
+			mu.Lock()
+			seen[netip.AddrFrom4([4]byte(fr.Payload[12:16]))] = true
+			mu.Unlock()
+		}
+	})
+	sniffer.Attach(pop.ExpLAN())
+	defer sniffer.Attach(nil)
+	self := pc.local()
+	for _, src := range append(srcs, self) {
+		ip := ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP, Src: src, Dst: addr("192.0.2.1")}
+		fr := ethernet.Frame{Dst: sniffer.MAC(), Src: clientMACFor(pc), Type: ethernet.TypeIPv4, Payload: ip.Marshal()}
+		if err := pc.transport().SendFrame(fr.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "the tunnel address's frame", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen[self]
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	delete(seen, self)
+	return seen
+}
+
+// tapDrops is the counter of frames the experiment's tunnel tap at a PoP
+// dropped as spoofed. The registry is process-wide: read deltas.
+func tapDrops(pop, experiment string) *telemetry.Counter {
+	return telemetry.Default().Counter("peering_tap_drops_total",
+		telemetry.L("pop", pop), telemetry.L("experiment", experiment), telemetry.L("reason", "spoofed"))
 }
 
 func TestCLI(t *testing.T) {

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bpf"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/guard"
@@ -119,6 +120,13 @@ type Platform struct {
 	monitored atomic.Uint64
 	still     atomic.Uint64 // what quiesced saw on its previous call
 
+	// allocMu orders every change to an experiment's registration with
+	// the enforcement engine and the compiled allocation published to
+	// its tunnel taps; alloc holds, per experiment, the program its open
+	// taps read (see register).
+	allocMu sync.Mutex
+	alloc   map[string]*atomic.Pointer[bpf.Program]
+
 	// teController is the most recent NewTEController result: the
 	// /v1/catchment query resolves for the population it steers.
 	teController atomic.Pointer[TEController]
@@ -144,6 +152,7 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		pops:       make(map[string]*PoP),
 		creds:      make(tunnel.Credentials),
 		proposals:  make(map[string]*Proposal),
+		alloc:      make(map[string]*atomic.Pointer[bpf.Program]),
 	}
 	// One goroutine consumes every router's BMP-style event feed: the
 	// history store appends it, the event sink gets a copy. When it falls

@@ -5,9 +5,11 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bpf"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/ethernet"
 	"repro/internal/guard"
@@ -15,7 +17,9 @@ import (
 	"repro/internal/ixp"
 	"repro/internal/netsim"
 	"repro/internal/pipe"
+	"repro/internal/policy"
 	"repro/internal/rpki"
+	"repro/internal/telemetry"
 	"repro/internal/tunnel"
 )
 
@@ -201,8 +205,8 @@ func (pop *PoP) ServeTunnel(carrier net.Conn) (*tunnel.Tunnel, error) {
 	if err != nil {
 		return nil, err
 	}
-	exp := pop.platform.Engine.Experiment(tun.Name)
-	if exp == nil {
+	alloc := pop.platform.tapAllocation(tun.Name)
+	if alloc == nil {
 		tun.Close()
 		return nil, fmt.Errorf("peering: experiment %s not registered", tun.Name)
 	}
@@ -215,15 +219,23 @@ func (pop *PoP) ServeTunnel(carrier net.Conn) (*tunnel.Tunnel, error) {
 		_ = tun.SendFrame(data)
 	})
 
-	// Data-plane enforcement: experiment frames may only source from the
-	// experiment's allocation or its tunnel address (anti-spoofing).
-	allowed := append([]netip.Prefix{netip.PrefixFrom(clientIP, 32)}, exp.Prefixes...)
-	filter, err := sourceFilterFor("antispoof-"+tun.Name, allowed)
+	// Data-plane enforcement (anti-spoofing, §4.7): experiment frames may
+	// only source from the experiment's allocation, which register
+	// republishes whenever it changes, or from this tap's tunnel address.
+	self, err := bpf.SourceIPFilter(tun.Name, []netip.Prefix{netip.PrefixFrom(clientIP, 32)})
 	if err != nil {
 		tun.Close()
 		return nil, err
 	}
-	bridge.AddEgressFilter(filter)
+	spoofed := telemetry.Default().Counter("peering_tap_drops_total",
+		telemetry.L("pop", pop.Name), telemetry.L("experiment", tun.Name), telemetry.L("reason", "spoofed"))
+	bridge.AddEgressFilter(netsim.FilterFunc(func(data []byte) netsim.Verdict {
+		if alloc.Load().Run(data) == bpf.VerdictPass || self.Run(data) == bpf.VerdictPass {
+			return netsim.VerdictPass
+		}
+		spoofed.Inc()
+		return netsim.VerdictDrop
+	}))
 
 	tun.OnFrame(func(data []byte) {
 		if len(data) >= ethernet.HeaderLen && ethernet.MAC(data[6:12]).IsZero() {
@@ -245,19 +257,77 @@ func (pop *PoP) ServeTunnel(carrier net.Conn) (*tunnel.Tunnel, error) {
 	return tun, nil
 }
 
-// sourceFilterFor compiles an anti-spoofing whitelist into a netsim
-// filter backed by the BPF VM (§4.7).
-func sourceFilterFor(name string, allowed []netip.Prefix) (netsim.Filter, error) {
-	prog, err := bpf.SourceIPFilter(name, allowed)
-	if err != nil {
-		return nil, err
-	}
-	return netsim.FilterFunc(func(data []byte) netsim.Verdict {
-		if prog.Run(data) == bpf.VerdictPass {
-			return netsim.VerdictPass
+// register authorizes e with the enforcement engine and, in the same
+// call, republishes its compiled allocation to every open tunnel tap of
+// the experiment: the taps narrow before the engine does, so a shrunk
+// allocation's sources drop as soon as the engine frees them (§4.7).
+// Every change the platform makes to a registration goes through
+// register, unregister or syncPolicy.
+func (p *Platform) register(e *policy.Experiment) {
+	p.allocMu.Lock()
+	defer p.allocMu.Unlock()
+	p.publishLocked(e.Name, e.Prefixes)
+	p.Engine.Register(e)
+}
+
+// unregister drops an experiment's registration and publishes the empty
+// allocation: its open taps fail closed, passing only ARP and their own
+// tunnel address.
+func (p *Platform) unregister(name string) {
+	p.allocMu.Lock()
+	defer p.allocMu.Unlock()
+	p.publishLocked(name, nil)
+	delete(p.alloc, name)
+	p.Engine.Unregister(name)
+}
+
+// syncPolicy reconciles the engine with a deployed model, as register
+// and unregister do one experiment at a time: each published allocation
+// becomes the one the engine now holds, or the empty one.
+func (p *Platform) syncPolicy(m config.Model) {
+	p.allocMu.Lock()
+	defer p.allocMu.Unlock()
+	m.SyncPolicy(p.Engine)
+	for name := range p.alloc {
+		if e := p.Engine.Experiment(name); e != nil {
+			p.publishLocked(name, e.Prefixes)
+			continue
 		}
-		return netsim.VerdictDrop
-	}), nil
+		p.publishLocked(name, nil)
+		delete(p.alloc, name)
+	}
+}
+
+// tapAllocation returns the published allocation a new tap of the
+// experiment reads, or nil when the experiment is not registered.
+func (p *Platform) tapAllocation(name string) *atomic.Pointer[bpf.Program] {
+	p.allocMu.Lock()
+	defer p.allocMu.Unlock()
+	e := p.Engine.Experiment(name)
+	if e == nil {
+		return nil
+	}
+	if slot := p.alloc[name]; slot != nil {
+		return slot
+	}
+	return p.publishLocked(name, e.Prefixes)
+}
+
+// publishLocked compiles prefixes into the program an experiment's taps
+// read. An allocation that does not compile publishes the empty one, so
+// the taps fail closed.
+func (p *Platform) publishLocked(name string, prefixes []netip.Prefix) *atomic.Pointer[bpf.Program] {
+	prog, err := bpf.SourceIPFilter(name, prefixes)
+	if err != nil {
+		prog, _ = bpf.SourceIPFilter(name, nil)
+	}
+	slot := p.alloc[name]
+	if slot == nil {
+		slot = new(atomic.Pointer[bpf.Program])
+		p.alloc[name] = slot
+	}
+	slot.Store(prog)
+	return slot
 }
 
 // clientAddr allocates the idx-th client address in the experiment LAN.

@@ -104,7 +104,7 @@ func (p *Platform) Approve(name string, grantedCaps *policy.Capabilities) (vpnKe
 	p.creds[name] = prop.VPNKey
 	p.mu.Unlock()
 
-	p.Engine.Register(&policy.Experiment{
+	p.register(&policy.Experiment{
 		Name:     name,
 		Prefixes: prop.Prefixes,
 		ASNs:     prop.ASNs,
@@ -126,5 +126,5 @@ func (p *Platform) Forget(name string) {
 	}
 	delete(p.creds, name)
 	p.mu.Unlock()
-	p.Engine.Unregister(name)
+	p.unregister(name)
 }

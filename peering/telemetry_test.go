@@ -14,7 +14,8 @@ import (
 // TestMetricsFromAllSubsystems runs the quickstart loop — tunnel, BGP,
 // announce, per-packet egress — and checks that one registry snapshot
 // carries live counters from every instrumented layer: the BGP engine,
-// the vBGP core, the policy engine, the RIB, and the BPF VM.
+// the vBGP core, the policy engine, the RIB, and the tunnel tap's
+// anti-spoofing filter.
 func TestMetricsFromAllSubsystems(t *testing.T) {
 	_, pop, c := testbed(t)
 	if err := c.OpenTunnel(pop); err != nil {
@@ -34,26 +35,35 @@ func TestMetricsFromAllSubsystems(t *testing.T) {
 	if err := c.Announce("amsix", pfx("184.164.224.0/24")); err != nil {
 		t.Fatal(err)
 	}
-	// A data-plane probe crosses the anti-spoofing BPF filter and the
-	// per-packet table selection.
+	// A data-plane probe crosses the anti-spoofing filter and the
+	// per-packet table selection; a spoofed one is dropped at the tap,
+	// which counts only drops.
 	pkt := &ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
 		Src: addr("184.164.224.1"), Dst: probe.Addr().Next(), Payload: []byte("probe")}
 	if err := c.SendIP("amsix", 1, pkt); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "frame forwarded", func() bool { return pop.Router.Forwarded.Load() >= 1 })
+	drops := tapDrops("amsix", "exp1")
+	dropsBefore := drops.Value()
+	spoofed := &ethernet.IPv4{TTL: 64, Protocol: ethernet.ProtoUDP,
+		Src: addr("8.8.8.8"), Dst: probe.Addr().Next(), Payload: []byte("spoof")}
+	if err := c.SendIP("amsix", 1, spoofed); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "spoofed frame dropped", func() bool { return drops.Value() > dropsBefore })
 
 	live := map[string]bool{}
 	for _, s := range telemetry.Default().Snapshot() {
 		if s.Value > 0 || s.Count > 0 {
-			for _, prefix := range []string{"bgp_", "core_", "policy_", "rib_", "bpf_"} {
+			for _, prefix := range []string{"bgp_", "core_", "policy_", "rib_", "peering_tap_"} {
 				if strings.HasPrefix(s.Name, prefix) {
 					live[prefix] = true
 				}
 			}
 		}
 	}
-	for _, prefix := range []string{"bgp_", "core_", "policy_", "rib_", "bpf_"} {
+	for _, prefix := range []string{"bgp_", "core_", "policy_", "rib_", "peering_tap_"} {
 		if !live[prefix] {
 			t.Errorf("no live %s* metric in the snapshot", prefix)
 		}

@@ -42,15 +42,13 @@ import (
 // qualified name: a function, a type (its methods are kept), or a method.
 // Entries are roots of the walk, so what they call is kept with them.
 var reachAllowlist = map[string]string{
-	"internal/chaos/crash.go":                   "the Crasher the ctlplane and peering crash soaks arm across packages",
-	"internal/core.Router.SetNeighborRateLimit": "the §4.7 per-neighbor limiter, not yet wired into the platform",
-	"internal/bpf.RateLimiter":                  "the BPF program behind SetNeighborRateLimit",
-	"internal/inet/debug.go":                    "the Appendix A troubleshooting reproduction EXPERIMENTS.md cites",
-	"internal/netsim.Host.Handle":               "the protocol-handler hook the netsim and core packet tests register their receivers with",
-	"internal/rpki.Client.Serial":               "the RTR client's sync point, which the peering RPKI tests wait on",
-	"internal/rpki.Store.Revoke":                "ROA revocation, which the rpki and peering RTR tests drive withdrawals with",
-	"internal/telemetry.Emitter.Dropped":        "one emitter's drop count, which the telemetry and peering monitor tests assert on; the registry counter is process-wide",
-	"peering.Client.DialTCP":                    "the remote side of peeringd -listen, which no binary dials yet",
+	"internal/chaos/crash.go":            "the Crasher the ctlplane and peering crash soaks arm across packages",
+	"internal/inet/debug.go":             "the Appendix A troubleshooting reproduction EXPERIMENTS.md cites",
+	"internal/netsim.Host.Handle":        "the protocol-handler hook the netsim and core packet tests register their receivers with",
+	"internal/rpki.Client.Serial":        "the RTR client's sync point, which the peering RPKI tests wait on",
+	"internal/rpki.Store.Revoke":         "ROA revocation, which the rpki and peering RTR tests drive withdrawals with",
+	"internal/telemetry.Emitter.Dropped": "one emitter's drop count, which the telemetry and peering monitor tests assert on; the registry counter is process-wide",
+	"peering.Client.DialTCP":             "the remote side of peeringd -listen, which no binary dials yet",
 }
 
 type listedPackage struct {
